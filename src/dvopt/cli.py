@@ -72,6 +72,13 @@ def _derive_seed(root: int, label: int) -> int:
     return int(root) ^ label
 
 
+def _resolve_file(base_dir: str, name: str, what: str) -> str:
+    path = os.path.abspath(os.path.join(base_dir, name))
+    if not os.path.isfile(path):
+        raise ValidationError(f"{what} file not found: {path}")
+    return path
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
@@ -119,16 +126,14 @@ class ExperimentConfig:
         record_every = int(raw.get("record_every", 1))
         if record_every < 1:
             raise ValidationError("record_every must be >= 1")
+        # File references are relative to the config's directory; they are
+        # stored resolved so the run does not depend on the working directory.
         sched = raw["schedule"]
         if isinstance(sched, dict) and "file" in sched:
-            path = os.path.join(base_dir, sched["file"])
-            if not os.path.exists(path):
-                raise ValidationError(f"schedule file not found: {path}")
+            sched = {**sched, "file": _resolve_file(base_dir, sched["file"], "schedule")}
         obj = raw["objective"]
         if isinstance(obj, dict) and obj.get("kind") == "dataset":
-            path = os.path.join(base_dir, obj.get("path", ""))
-            if not os.path.exists(path):
-                raise ValidationError(f"dataset file not found: {path}")
+            obj = {**obj, "path": _resolve_file(base_dir, obj.get("path", ""), "dataset")}
         seed = int(raw["seed"])
         return cls(
             seed=seed,

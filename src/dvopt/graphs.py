@@ -3,8 +3,8 @@
 Nodes are labeled 1..n.  A :class:`GraphSchedule` is piecewise constant:
 the communication graph is fixed between change events, and every epoch
 must be connected.  Spectral quantities feed the dual step sizes and the
-closed-form rate bounds, so they are computed with the deterministic
-eigensolver from :mod:`dvopt.linalg`.
+closed-form rate bounds; they come from the LAPACK-backed eigensolver in
+:mod:`dvopt.linalg`.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def mixing_delta(s: GraphSchedule, b: int = 1) -> float:
             prod = prod @ vs[idx]
         diff = prod - avg
         gram = diff.T @ diff
-        sigma_sq = eig_sym(0.5 * (gram + gram.T)).eigenvalues[-1]
+        sigma_sq = eig_sym(gram).eigenvalues[-1]
         best = max(best, math.sqrt(max(sigma_sq, 0.0)))
     return best
 

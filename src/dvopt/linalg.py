@@ -2,11 +2,9 @@
 
 Matrices are plain numpy arrays: an (n, n) symmetric matrix for graph
 operators, a (d, n) array for agent states (one column per agent).  The
-eigensolver is a cyclic Jacobi iteration with a round-robin pivot
-ordering; rotations within one round act on disjoint index pairs, so a
-whole round is applied as a single orthogonal similarity.  This keeps the
-solver deterministic and fast enough for the few-hundred-node matrices
-this package works with.
+eigensolver is LAPACK's symmetric ``eigh`` (via numpy) behind input
+checks, so its outputs are byte-identical for identical inputs on the
+same machine and BLAS.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ __all__ = [
 ]
 
 _SYM_CHECK_TOL = 1e-10
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 class NotPSDError(ValueError):
@@ -83,101 +79,23 @@ def project_consensus_orth(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=1, keepdims=True)
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Circle-method tournament schedule: every unordered pair appears in
-    # exactly one round, and pairs within a round are disjoint.
-    players = list(range(n))
-    if n % 2 == 1:
-        players.append(-1)
-    m = len(players)
-    rounds = []
-    arr = players[:]
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = arr[i], arr[m - 1 - i]
-            if a == -1 or b == -1:
-                continue
-            ps.append(min(a, b))
-            qs.append(max(a, b))
-        rounds.append((np.asarray(ps, dtype=int), np.asarray(qs, dtype=int)))
-        arr = [arr[0]] + [arr[-1]] + arr[1:-1]
-    return rounds
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return fro_norm(off)
-
-
 def eig_sym(m: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a dense symmetric real matrix.
 
-    Runs cyclic Jacobi sweeps until the off-diagonal Frobenius norm falls
-    below ``1e-12 * ||M||_F``.  Eigenvalues are returned in ascending
-    order with a stable tie-break, so identical inputs always produce
-    identical output.
-
-    Parameters
-    ----------
-    m : ndarray
-        Symmetric (n, n) matrix with finite entries.
-
-    Returns
-    -------
-    Spectrum
+    ``m`` must be square, finite, and symmetric to ``1e-10 * max(||M||_F, 1)``;
+    it is symmetrized and handed to LAPACK ``eigh``.  Eigenvalues come back
+    in ascending order, byte-identical for identical inputs on the same
+    machine and BLAS.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    n = a.shape[0]
-    norm = fro_norm(a)
-    if fro_norm(a - a.T) > _SYM_CHECK_TOL * max(norm, 1.0):
+    if fro_norm(a - a.T) > _SYM_CHECK_TOL * max(fro_norm(a), 1.0):
         raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-
-    if n == 1:
-        return Spectrum(np.array([a[0, 0]]), np.eye(1))
-
-    q = np.eye(n)
-    threshold = _JACOBI_TOL * norm
-    rounds = _round_robin_rounds(n)
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) <= threshold:
-            break
-        for ps, qs in rounds:
-            apq = a[ps, qs]
-            active = apq != 0.0
-            if not np.any(active):
-                continue
-            ps_a, qs_a, apq_a = ps[active], qs[active], apq[active]
-            theta = (a[qs_a, qs_a] - a[ps_a, ps_a]) / (2.0 * apq_a)
-            sign = np.where(theta >= 0.0, 1.0, -1.0)
-            t = sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
-            s = (t[:, None]) * c
-            # Pairs in one round are disjoint, so the rotations commute and
-            # can be applied as one combined similarity: rows first (G^T A),
-            # then columns (.. G), then the eigenvector columns (Q G).
-            rows_p, rows_q = a[ps_a, :], a[qs_a, :]
-            a[ps_a, :] = c * rows_p - s * rows_q
-            a[qs_a, :] = s * rows_p + c * rows_q
-            cols_p, cols_q = a[:, ps_a], a[:, qs_a]
-            a[:, ps_a] = cols_p * c.T - cols_q * s.T
-            a[:, qs_a] = cols_p * s.T + cols_q * c.T
-            qcols_p, qcols_q = q[:, ps_a], q[:, qs_a]
-            q[:, ps_a] = qcols_p * c.T - qcols_q * s.T
-            q[:, qs_a] = qcols_p * s.T + qcols_q * c.T
-        a = 0.5 * (a + a.T)
-    else:
-        if _off_norm(a) > threshold:
-            raise RuntimeError("Jacobi iteration did not converge")
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order], q[:, order])
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
+    return Spectrum(eigenvalues, eigenvectors)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -133,7 +133,7 @@ class LogisticObjective:
         self.ridge = float(ridge)
         self.scale = float(scale)
         gram = a.T @ a
-        lam_max = eig_sym(0.5 * (gram + gram.T)).eigenvalues[-1] if a.size else 0.0
+        lam_max = eig_sym(gram).eigenvalues[-1] if a.size else 0.0
         self.mu = self.ridge
         self.L = self.ridge + float(lam_max) / (4.0 * self.scale)
 

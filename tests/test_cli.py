@@ -236,6 +236,25 @@ class TestMainExitCodes:
         assert main(["run", str(p)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_run_resolves_files_against_config_dir(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgdir"
+        cfg_dir.mkdir()
+        sched = {"horizon": 10, "epochs": [{"start": 0, "kind": "path", "n": 2}]}
+        (cfg_dir / "sched.json").write_text(json.dumps(sched))
+        (cfg_dir / "data.txt").write_text("+1 1:1.0 2:0.5\n-1 1:-0.8\n+1 2:1.1\n-1 2:-0.3\n")
+        raw = minimal_config(
+            tmp_path,
+            objective={"kind": "dataset", "path": "data.txt", "n": 2, "c": 0.5},
+            schedule={"file": "sched.json"},
+        )
+        p = cfg_dir / "cfg.json"
+        p.write_text(json.dumps(raw))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", str(p)]) == 0
+        assert (tmp_path / "out" / "run3_nesterov.csv").exists()
+
     def test_bounds_exit_codes(self, capsys):
         assert main(["bounds", "prop1", "kappa_bar=4", "n=9"]) == 0
         out = capsys.readouterr().out

@@ -2,12 +2,14 @@
 
 Expected spectra come from independent oracles: hand-solved
 characteristic polynomials for the tiny cases, the closed-form path
-spectrum 2 - 2 cos(k pi / n), and LAPACK as a cross-check on random
-matrices.
+spectrum 2 - 2 cos(k pi / n), LAPACK as a cross-check on random
+matrices, and prescribed spectra Q diag(v) Q^T with repeated eigenvalues.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvopt.linalg import (
     NotPSDError,
@@ -25,6 +27,28 @@ def path_laplacian(n):
         w[i, i + 1] = w[i + 1, i] = -1.0
     np.fill_diagonal(w, -w.sum(axis=1))
     return w
+
+
+def complete_laplacian(n):
+    return n * np.eye(n) - np.ones((n, n))
+
+
+@st.composite
+def prescribed_spectrum(draw, values):
+    # Eigenvalues drawn from a small set, so most draws repeat some of them.
+    n = draw(st.integers(1, 12))
+    v = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * v) @ q.T
+    return 0.5 * (m + m.T), v
+
+
+def assert_valid_spectrum(m, s):
+    n = m.shape[0]
+    assert np.all(np.diff(s.eigenvalues) >= 0.0)
+    assert np.max(np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(n))) <= 1e-10
+    assert fro_norm(s.reconstruct() - m) <= 1e-10 * fro_norm(m)
 
 
 class TestEigSym:
@@ -80,6 +104,23 @@ class TestEigSym:
         s = eig_sym(np.zeros((4, 4)))
         assert np.array_equal(s.eigenvalues, np.zeros(4))
 
+    @settings(max_examples=100, deadline=None)
+    @given(prescribed_spectrum([-2.0, 0.0, 1.0, 3.0]))
+    def test_repeated_eigenvalues(self, case):
+        m, v = case
+        s = eig_sym(m)
+        assert_valid_spectrum(m, s)
+        assert np.allclose(s.eigenvalues, np.sort(v), rtol=0.0, atol=1e-10 * max(fro_norm(m), 1.0))
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_complete_graph_multiplicity(self, n):
+        # spectrum {0, n} with n of multiplicity n - 1; the kernel is the ones vector
+        m = complete_laplacian(n)
+        s = eig_sym(m)
+        assert_valid_spectrum(m, s)
+        assert np.allclose(s.eigenvalues, [0.0] + [float(n)] * (n - 1), rtol=0.0, atol=1e-12 * n)
+        assert np.allclose(np.abs(s.eigenvectors[:, 0]), 1.0 / np.sqrt(n), rtol=0.0, atol=1e-12)
+
 
 class TestSqrtPsd:
     def test_identity(self):
@@ -109,6 +150,14 @@ class TestSqrtPsd:
         m = np.diag([1.0, -1e-14])
         r = sqrt_psd(m)
         assert r[1, 1] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(prescribed_spectrum([0.0, 1.0, 4.0]))
+    def test_square_property_repeated_eigenvalues(self, case):
+        m, _ = case
+        r = sqrt_psd(m)
+        assert fro_norm(r @ r - m) <= 1e-10 * max(fro_norm(m), 1.0)
+        assert np.array_equal(r, r.T)
 
     def test_not_psd_rejected(self):
         with pytest.raises(NotPSDError):
