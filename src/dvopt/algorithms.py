@@ -281,7 +281,8 @@ def run_diging(
         raise ValueError("stepsize must be positive")
 
     vs = [mixing_matrix(t) for t in schedule.topologies()]
-    pairs = [t.directed_pairs() for t in schedule.topologies()]
+    # one round for x, one for u: each epoch's pairs twice, built once
+    both = [np.vstack([t.directed_pairs()] * 2) for t in schedule.topologies()]
     d, n = agg.dim, agg.n
     x = np.zeros((d, n))
     g = agg.grad_cols(x)
@@ -310,10 +311,9 @@ def run_diging(
             aborted = True
             break
         e = schedule.epoch_index(k)
-        both = np.vstack([pairs[e], pairs[e]])  # one round for x, one for u
-        log.append(both)
+        log.append(both[e])
         if k % record_every == 0:
-            snapshot(k, e, both.shape[0])
+            snapshot(k, e, both[e].shape[0])
         x_next = x @ vs[e].T - alpha * u
         g_next = agg.grad_cols(x_next)
         u = u @ vs[e].T + g_next - g

@@ -330,7 +330,9 @@ def execute(config: ExperimentConfig) -> dict:
         "files": [],
     }
 
-    for name in config.algorithms:
+    def run_one(name):
+        # A function scope, so each run's trace and rows are freed before
+        # the next algorithm starts.
         trace = _RUNNERS[name](agg, schedule, config)
         rows = metrics.compute_metrics(trace, agg, oracle)
         basename = f"{config.run_id}_{name}.csv"
@@ -352,6 +354,9 @@ def execute(config: ExperimentConfig) -> dict:
             summary["bounds"]["gd_contraction_bound"] = _gd_contraction_verdict(
                 trace, dc, x_star, schedule
             )
+
+    for name in config.algorithms:
+        run_one(name)
 
     spath = os.path.join(config.output_dir, f"{config.run_id}_summary.json")
     with open(spath, "w", encoding="utf-8", newline="\n") as fh:

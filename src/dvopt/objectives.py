@@ -10,6 +10,16 @@ Both are strongly convex and smooth, so the conjugate argmax
 ``argmax_y <z, y> - phi(y)`` (the map each agent evaluates every
 iteration) is single-valued: closed form for quadratics, damped Newton
 for the logistic case.
+
+An :class:`AggregateObjective` evaluates its agents family by family: on
+first use it stacks each family's locals (quadratics as ``(n, d, d)``
+matrices, logistic samples as zero-padded ``(n, l, m)`` arrays) and then
+maps all columns of a family in one batched numpy call.  One damped
+Newton routine, batched over rows with a per-row active mask, serves the
+logistic conjugate argmax (of an aggregate, or of one local as a batch
+of one) and the centralized reference solve.  Every agent keeps its own
+residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
+zero.
 """
 
 from __future__ import annotations
@@ -102,12 +112,48 @@ class QuadraticObjective:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1/(1+e^-u) for u >= 0 and e^u/(1+e^u) below, so exp never overflows
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+
+
+def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray):
+    """Solve ``grad(x) = z`` row by row by damped Newton started from zero.
+
+    ``grad(x, rows)`` and ``hess(x, rows)`` evaluate rows ``rows`` of the
+    batch at ``x`` of shape (len(rows), d); row ``i`` of ``z`` (b, d) is
+    done once its residual norm is at most ``targets[i]``, and only rows
+    still above their target take further steps.  Each step backtracks on
+    the residual norm (the full Newton step wins near the solution, where
+    a value-based test drowns in rounding): ``t`` halves from 1 until
+    ``||grad(x - t step) - z|| <= (1 - 1e-4 t) ||grad(x) - z||`` or ``t``
+    drops to 1e-12.
+
+    Returns ``(x, failed, residuals)``: the rows still active after
+    ``_NEWTON_CAP`` steps and their residual norms (both empty on success).
+    """
+    x = np.zeros_like(z)
+    active = np.arange(z.shape[0])
+    for _ in range(_NEWTON_CAP):
+        res = grad(x[active], active) - z[active]
+        norms = np.linalg.norm(res, axis=1)
+        keep = ~(norms <= targets[active])
+        active, res, norms = active[keep], res[keep], norms[keep]
+        if not active.size:
+            return x, active, norms
+        step = np.linalg.solve(hess(x[active], active), res[..., None])[..., 0]
+        t = np.ones(active.size)
+        trying = np.arange(active.size)
+        while trying.size:
+            rows = active[trying]
+            x_try = x[rows] - t[trying, None] * step[trying]
+            new_norms = np.linalg.norm(grad(x_try, rows) - z[rows], axis=1)
+            trying = trying[~(new_norms <= (1.0 - 1e-4 * t[trying]) * norms[trying])]
+            t[trying] *= 0.5
+            trying = trying[t[trying] > 1e-12]
+        x[active] -= t[:, None] * step
+    norms = np.linalg.norm(grad(x[active], active) - z[active], axis=1)
+    return x, active, norms
 
 
 class LogisticObjective:
@@ -115,6 +161,9 @@ class LogisticObjective:
 
     phi(x) = (1/scale) * sum_j log(1 + exp(-labels_j * <samples_j, x>))
              + (ridge/2) ||x||^2
+
+    Values, gradients and the conjugate argmax run through the same
+    stacked kernel as an aggregate's logistic locals, as a batch of one.
     """
 
     kind = "logistic"
@@ -141,58 +190,136 @@ class LogisticObjective:
     def dim(self) -> int:
         return self.samples.shape[1]
 
+    @cached_property
+    def _stack(self) -> "_LogisticStack":
+        return _LogisticStack((self,), np.arange(1))
+
     def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float).ravel()
-        margins = self.labels * (self.samples @ x)
-        loss = np.sum(np.logaddexp(0.0, -margins)) / self.scale
-        return float(loss + 0.5 * self.ridge * (x @ x))
+        return self._stack.value(np.asarray(x, dtype=float).reshape(1, -1))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        margins = self.labels * (self.samples @ x)
-        coeff = -self.labels * _sigmoid(-margins)
-        return self.samples.T @ coeff / self.scale + self.ridge * x
-
-    def _hessian(self, x: np.ndarray) -> np.ndarray:
-        margins = self.labels * (self.samples @ x)
-        sig = _sigmoid(margins)
-        weights = sig * (1.0 - sig) / self.scale
-        return (self.samples * weights[:, None]).T @ self.samples + self.ridge * np.eye(self.dim)
+        return self._stack.grad(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
         if not np.all(np.isfinite(z)):
             raise ValueError("conjugate argmax input must be finite")
-        target = _CONJ_TOL * (1.0 + float(np.linalg.norm(z)))
-        x = np.zeros(self.dim)
-        for _ in range(_NEWTON_CAP):
-            residual = self.grad(x) - z
-            res_norm = float(np.linalg.norm(residual))
-            if res_norm <= target:
-                return x
-            step = np.linalg.solve(self._hessian(x), residual)
-            # backtrack on the residual norm; the full Newton step wins near
-            # the solution, where a value-based test drowns in rounding
-            t = 1.0
-            while t > 1e-12:
-                x_try = x - t * step
-                if np.linalg.norm(self.grad(x_try) - z) <= (1.0 - 1e-4 * t) * res_norm:
-                    break
-                t *= 0.5
-            x = x - t * step
-        residual = float(np.linalg.norm(self.grad(x) - z))
-        raise SolverError(
-            f"conjugate argmax did not converge in {_NEWTON_CAP} Newton steps "
-            f"(residual {residual:.3e})"
-        )
+        return self._stack.conj_argmax(z[None])[0]
 
     def shifted(self, ridge_shift: float) -> "LogisticObjective":
         return LogisticObjective(self.samples, self.labels, self.ridge + ridge_shift, self.scale)
 
 
+# ---------------------------------------------------------------------------
+# Stacked per-family kernels.  Each stack holds k locals of one family along
+# axis 0 and evaluates all of them in one numpy call; points are the rows
+# of a (k, d) array.  ``agents`` are the aggregate columns the locals
+# occupy.
+
+
+class _QuadraticStack:
+    """Quadratic locals as (k, d, d) H and H^-1 stacks, plus their sums."""
+
+    def __init__(self, locals_, agents: np.ndarray):
+        self.agents = agents
+        self.size = len(locals_)
+        self.quad = np.stack([o.quad for o in locals_])
+        self.inv = np.stack([o._quad_inv for o in locals_])
+        self.lin = np.stack([o.lin for o in locals_])
+        self.const = float(sum(o.const for o in locals_))
+        self.quad_sum = self.quad.sum(axis=0)
+        self.lin_sum = self.lin.sum(axis=0)
+
+    def value(self, y: np.ndarray) -> float:
+        """Sum of the locals' values, local i at row i of ``y``."""
+        hy = (self.quad @ y[..., None])[..., 0]
+        return float(0.5 * np.sum(y * hy) - np.sum(self.lin * y) + self.const)
+
+    def consensus_value(self, point: np.ndarray) -> float:
+        return float(0.5 * point @ (self.quad_sum @ point) - self.lin_sum @ point + self.const)
+
+    def grad(self, y: np.ndarray) -> np.ndarray:
+        return (self.quad @ y[..., None])[..., 0] - self.lin
+
+    def hess(self, y: np.ndarray) -> np.ndarray:
+        return self.quad
+
+    def conj_argmax(self, z: np.ndarray) -> np.ndarray:
+        return (self.inv @ (z + self.lin)[..., None])[..., 0]
+
+
+class _LogisticStack:
+    """Logistic locals as (k, l, m) samples and (k, l) labels.
+
+    Locals with fewer than ``l`` samples are padded with zero rows whose
+    row weight is 0; the weight (0/1 times 1/scale) multiplies every
+    per-sample term, so padding adds nothing to the value, the gradient
+    or the Hessian.  Solver errors name the failing locals by ``agents``.
+    """
+
+    def __init__(self, locals_, agents: np.ndarray):
+        self.agents = agents
+        self.size = len(locals_)
+        l = max(o.samples.shape[0] for o in locals_)
+        self.samples = np.zeros((self.size, l, locals_[0].dim))
+        self.labels = np.zeros((self.size, l))
+        self.weight = np.zeros((self.size, l))
+        for r, o in enumerate(locals_):
+            count = o.samples.shape[0]
+            self.samples[r, :count] = o.samples
+            self.labels[r, :count] = o.labels
+            self.weight[r, :count] = 1.0 / o.scale
+        self.ridge = np.array([o.ridge for o in locals_])
+
+    def _margins(self, x: np.ndarray, rows) -> np.ndarray:
+        return self.labels[rows] * (self.samples[rows] @ x[..., None])[..., 0]
+
+    def _value(self, margins: np.ndarray, sq_norms) -> float:
+        loss = np.sum(self.weight * np.logaddexp(0.0, -margins))
+        return float(loss + 0.5 * np.sum(self.ridge * sq_norms))
+
+    def value(self, x: np.ndarray) -> float:
+        """Sum of the locals' values, local i at row i of ``x``."""
+        return self._value(self._margins(x, slice(None)), np.sum(x * x, axis=1))
+
+    def consensus_value(self, point: np.ndarray) -> float:
+        return self._value(self.labels * (self.samples @ point), point @ point)
+
+    # ``rows`` picks the locals still active in a Newton solve.
+    def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        coeff = -self.labels[rows] * _sigmoid(-self._margins(x, rows)) * self.weight[rows]
+        return (coeff[:, None, :] @ self.samples[rows])[:, 0] + self.ridge[rows, None] * x
+
+    def hess(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        sig = _sigmoid(self._margins(x, rows))
+        a = self.samples[rows]
+        w = sig * (1.0 - sig) * self.weight[rows]
+        eye = np.eye(a.shape[2])
+        return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge[rows, None, None] * eye
+
+    def conj_argmax(self, z: np.ndarray) -> np.ndarray:
+        targets = _CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
+        x, failed, norms = _damped_newton(self.grad, self.hess, z, targets)
+        if failed.size:
+            listed = ", ".join(
+                f"agent {a} (residual {r:.3e})" for a, r in zip(self.agents[failed], norms)
+            )
+            raise SolverError(
+                f"conjugate argmax did not converge in {_NEWTON_CAP} Newton steps: {listed}"
+            )
+        return x
+
+
+_STACKS = {"quadratic": _QuadraticStack, "logistic": _LogisticStack}
+
+
 @dataclass(frozen=True)
 class AggregateObjective:
-    """Ordered collection of local objectives, one per agent."""
+    """Ordered collection of local objectives, one per agent.
+
+    The column maps evaluate each objective family's locals as one stack
+    (see ``_stacks``), not agent by agent.
+    """
 
     locals: tuple
 
@@ -202,6 +329,8 @@ class AggregateObjective:
         d = self.locals[0].dim
         if any(o.dim != d for o in self.locals):
             raise ValueError("all locals must share the decision dimension")
+        if any(o.kind not in _STACKS for o in self.locals):
+            raise ValueError(f"local objective kinds must be among {sorted(_STACKS)}")
         object.__setattr__(self, "locals", tuple(self.locals))
 
     @property
@@ -232,50 +361,43 @@ class AggregateObjective:
         return all(o.kind == "quadratic" for o in self.locals)
 
     @cached_property
-    def _quad_stack(self):
-        # (quad, inv, lin, const) stacked across agents; None when any
-        # local is not quadratic.  Lets the per-iteration maps run as one
-        # batched contraction instead of a per-agent Python loop.
-        if not self.all_quadratic():
-            return None
-        quad = np.stack([o.quad for o in self.locals])
-        inv = np.stack([o._quad_inv for o in self.locals])
-        lin = np.column_stack([o.lin for o in self.locals])
-        const = sum(o.const for o in self.locals)
-        return quad, inv, lin, const
+    def _stacks(self) -> tuple:
+        # one stack per family present, built on first use
+        kinds = np.array([o.kind for o in self.locals])
+        stacks = []
+        for kind, stack in _STACKS.items():
+            agents = np.flatnonzero(kinds == kind)
+            if agents.size:
+                stacks.append(stack([self.locals[i] for i in agents], agents))
+        return tuple(stacks)
+
+    def _map_cols(self, name: str, y: np.ndarray) -> np.ndarray:
+        stacks = self._stacks
+        if len(stacks) == 1:  # one family holds every column in order
+            return getattr(stacks[0], name)(y.T).T
+        out = np.empty_like(y)
+        for stack in stacks:
+            out[:, stack.agents] = getattr(stack, name)(y.T[stack.agents]).T
+        return out
 
     def value_cols(self, y: np.ndarray) -> float:
         """Phi(Y) = sum_i phi_i(y_i) over the columns of Y."""
         y = np.asarray(y, dtype=float)
-        stack = self._quad_stack
-        if stack is not None:
-            quad, _, lin, const = stack
-            return float(
-                0.5 * np.einsum("ik,kij,jk->", y, quad, y) - np.sum(lin * y) + const
-            )
-        return sum(o.value(y[:, i]) for i, o in enumerate(self.locals))
+        return float(sum(stack.value(y.T[stack.agents]) for stack in self._stacks))
 
     def value_consensus(self, point: np.ndarray) -> float:
         """sum_i phi_i(y) at a single shared point."""
-        return sum(o.value(point) for o in self.locals)
+        point = np.asarray(point, dtype=float).ravel()
+        return float(sum(stack.consensus_value(point) for stack in self._stacks))
 
     def grad_cols(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        stack = self._quad_stack
-        if stack is not None:
-            quad, _, lin, _ = stack
-            return np.einsum("kij,jk->ik", quad, y) - lin
-        return np.column_stack([o.grad(y[:, i]) for i, o in enumerate(self.locals)])
+        return self._map_cols("grad", np.asarray(y, dtype=float))
 
     def conj_argmax_cols(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        stack = self._quad_stack
-        if stack is not None:
-            if not np.all(np.isfinite(z)):
-                raise ValueError("conjugate argmax input must be finite")
-            _, inv, lin, _ = stack
-            return np.einsum("kij,jk->ik", inv, z + lin)
-        return np.column_stack([o.conj_argmax(z[:, i]) for i, o in enumerate(self.locals)])
+        if not np.isfinite(z).all():
+            raise ValueError("conjugate argmax input must be finite")
+        return self._map_cols("conj_argmax", z)
 
     def dual_value(self, z: np.ndarray, y_tilde: np.ndarray | None = None) -> float:
         """sum_i [<z_i, y_i> - phi_i(y_i)] at y_i = conj_argmax(z_i)."""
@@ -445,44 +567,34 @@ def balance_strong_convexity(agg: AggregateObjective) -> AggregateObjective:
 def centralized_solve(agg: AggregateObjective, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Reference minimizer and value of ``sum_i phi_i(y)`` over one point.
 
-    Quadratic aggregates are solved in closed form; otherwise damped
-    Newton runs until the gradient norm drops below ``tol``.
+    Quadratic aggregates are solved in closed form; otherwise the batched
+    damped Newton runs, as a batch of one on the summed gradient and
+    Hessian, until the gradient norm drops below ``tol``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if agg.all_quadratic():
-        quad = sum(o.quad for o in agg.locals)
-        lin = sum(o.lin for o in agg.locals)
-        y_star = np.linalg.solve(quad, lin)
+        (stack,) = agg._stacks
+        y_star = np.linalg.solve(stack.quad_sum, stack.lin_sum)
         return y_star, agg.value_consensus(y_star)
 
-    def total_grad(y):
-        return sum(o.grad(y) for o in agg.locals)
+    def summed(name):
+        def total(x, rows):
+            return sum(
+                getattr(stack, name)(np.broadcast_to(x, (stack.size, agg.dim))).sum(axis=0)
+                for stack in agg._stacks
+            )[None]
 
-    def total_hess(y):
-        h = np.zeros((agg.dim, agg.dim))
-        for o in agg.locals:
-            if o.kind == "quadratic":
-                h += o.quad
-            else:
-                h += o._hessian(y)
-        return h
+        return total
 
-    y = np.zeros(agg.dim)
-    for _ in range(_NEWTON_CAP):
-        g = total_grad(y)
-        g_norm = float(np.linalg.norm(g))
-        if g_norm <= tol:
-            return y, agg.value_consensus(y)
-        step = np.linalg.solve(total_hess(y), g)
-        t = 1.0
-        while t > 1e-12:
-            y_try = y - t * step
-            if np.linalg.norm(total_grad(y_try)) <= (1.0 - 1e-4 * t) * g_norm:
-                break
-            t *= 0.5
-        y = y - t * step
-    raise SolverError("centralized solve exceeded its iteration cap")
+    x, failed, norms = _damped_newton(
+        summed("grad"), summed("hess"), np.zeros((1, agg.dim)), np.array([tol])
+    )
+    if failed.size:
+        raise SolverError(
+            f"centralized solve exceeded its iteration cap (gradient norm {norms[0]:.3e})"
+        )
+    return x[0], agg.value_consensus(x[0])
 
 
 def dual_constants(agg: AggregateObjective, theta: tuple[float, float]) -> DualConstants:

@@ -10,7 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dvopt import objectives
 from dvopt.graphs import gen_topology, laplacian, theta_bounds, GraphSchedule
 from dvopt.linalg import eig_sym, fro_norm, project_consensus_orth, sqrt_psd
 from dvopt.objectives import (
@@ -18,6 +22,7 @@ from dvopt.objectives import (
     ParseError,
     QuadraticObjective,
     LogisticObjective,
+    SolverError,
     balance_strong_convexity,
     centralized_solve,
     dual_constants,
@@ -327,3 +332,116 @@ class TestDualCurvatureCertificate:
                 direction /= fro_norm(direction)
                 curv = (f(x0 + t * direction) - 2 * f(x0) + f(x0 - t * direction)) / (t * t)
                 assert dc.mu_f - 1e-8 <= curv <= dc.l_f + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels against the per-local methods
+
+
+def rand_logistic(rng, count, d):
+    samples = rng.standard_normal((count, d))
+    labels = rng.choice((-1.0, 1.0), size=count)
+    return LogisticObjective(
+        samples, labels, ridge=rng.uniform(0.05, 1.0), scale=rng.uniform(1.0, 20.0)
+    )
+
+
+def local_value(o, y):
+    """phi_i(y) from its defining formula, one local at a time."""
+    if o.kind == "quadratic":
+        return 0.5 * y @ o.quad @ y - o.lin @ y + o.const
+    margins = o.labels * (o.samples @ y)
+    return np.sum(np.logaddexp(0.0, -margins)) / o.scale + 0.5 * o.ridge * (y @ y)
+
+
+def local_grad(o, y):
+    if o.kind == "quadratic":
+        return o.quad @ y - o.lin
+    margins = o.labels * (o.samples @ y)
+    sig_neg = np.exp(-np.logaddexp(0.0, margins))  # 1 / (1 + e^margin)
+    return o.samples.T @ (-o.labels * sig_neg) / o.scale + o.ridge * y
+
+
+@st.composite
+def aggregates(draw, family):
+    """Small aggregates of one family, or quadratics and logistics mixed."""
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    if family == "ridge":
+        return gen_ridge_instance(n, draw(st.integers(1, 5)), d, seed=seed)
+    if family == "logistic":
+        c = draw(st.floats(0.05, 1.0))
+        return gen_logistic_instance(n, draw(st.integers(1, 5)), d, c=c, seed=seed)
+    if family == "ragged":
+        counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        return AggregateObjective(tuple(rand_logistic(rng, c, d) for c in counts))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return AggregateObjective(
+        tuple(rand_logistic(rng, 4, d) if is_logistic else rand_quadratic(rng, d) for is_logistic in kinds)
+    )
+
+
+@st.composite
+def aggregate_and_points(draw, family):
+    agg = draw(aggregates(family))
+    cols = arrays(float, (agg.dim, agg.n), elements=st.floats(-2.0, 2.0))
+    return agg, draw(cols)
+
+
+FAMILIES = ("ridge", "logistic", "ragged", "mixed")
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_gradient_inverts_conj_argmax(self, family, data):
+        agg, z = data.draw(aggregate_and_points(family))
+        g = agg.grad_cols(agg.conj_argmax_cols(z))
+        for i in range(agg.n):
+            assert np.linalg.norm(g[:, i] - z[:, i]) <= 1e-10 * (1 + np.linalg.norm(z[:, i]))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_column_maps_match_locals(self, family, data):
+        agg, y = data.draw(aggregate_and_points(family))
+        values = [local_value(o, y[:, i]) for i, o in enumerate(agg.locals)]
+        assert agg.value_cols(y) == pytest.approx(sum(values), rel=1e-12, abs=1e-12)
+        point = y[:, 0]
+        at_point = sum(local_value(o, point) for o in agg.locals)
+        assert agg.value_consensus(point) == pytest.approx(at_point, rel=1e-12, abs=1e-12)
+        grads = np.column_stack([local_grad(o, y[:, i]) for i, o in enumerate(agg.locals)])
+        np.testing.assert_allclose(agg.grad_cols(y), grads, rtol=1e-12, atol=1e-12)
+        for i, o in enumerate(agg.locals):
+            assert o.value(y[:, i]) == pytest.approx(values[i], rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(o.grad(y[:, i]), grads[:, i], rtol=1e-12, atol=1e-12)
+
+    def test_mixed_columns_keep_agent_order(self):
+        rng = np.random.default_rng(8)
+        locs = (rand_quadratic(rng, 3), rand_logistic(rng, 5, 3), rand_quadratic(rng, 3),
+                rand_logistic(rng, 2, 3))
+        agg = AggregateObjective(locs)
+        z = rng.standard_normal((3, 4))
+        y = agg.conj_argmax_cols(z)
+        for i, o in enumerate(locs):
+            assert np.allclose(y[:, i], o.conj_argmax(z[:, i]), atol=1e-9)
+
+    def test_newton_failure_names_agents(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        locs = (rand_quadratic(rng, 3), rand_logistic(rng, 5, 3), rand_quadratic(rng, 3),
+                rand_logistic(rng, 6, 3))
+        agg = AggregateObjective(locs)
+        monkeypatch.setattr(objectives, "_NEWTON_CAP", 1)
+        with pytest.raises(SolverError, match=r"agent 1 \(residual .*agent 3 \(residual"):
+            agg.conj_argmax_cols(rng.standard_normal((3, 4)))
+
+    def test_unknown_family_rejected(self):
+        class Other:
+            kind = "other"
+            dim = 2
+
+        with pytest.raises(ValueError):
+            AggregateObjective((Other(),))
