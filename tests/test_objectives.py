@@ -437,6 +437,10 @@ class TestStackedKernels:
         monkeypatch.setattr(objectives, "_NEWTON_CAP", 1)
         with pytest.raises(SolverError, match=r"agent 1 \(residual .*agent 3 \(residual"):
             agg.conj_argmax_cols(rng.standard_normal((3, 4)))
+        with pytest.raises(SolverError) as info:
+            locs[1].conj_argmax(rng.standard_normal(3))
+        assert "agent" not in str(info.value)
+        assert "residual" in str(info.value)
 
     def test_unknown_family_rejected(self):
         class Other:
