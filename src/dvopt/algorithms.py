@@ -16,6 +16,12 @@ and schedule.
 * :func:`run_xspace_reference` - centralized matrix-space run of the
   same dynamics using explicit Laplacian square roots, for verifying the
   convergence bounds; not message-passing.
+
+The three message-passing runners share one loop, which owns validation,
+the epoch of each iteration, the divergence check, the message log and
+the records; each method supplies its per-topology operator, built once
+per distinct topology, and its step.  The dual runners' ``keep_state``
+(default True) decides whether records snapshot ``z`` and ``z_tilde``.
 """
 
 from __future__ import annotations
@@ -60,9 +66,6 @@ class MessageLog:
 
     def __len__(self) -> int:
         return len(self.per_iteration)
-
-    def count_at(self, k: int) -> int:
-        return int(self.per_iteration[k].shape[0])
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,81 @@ def _consensus_dist(y: np.ndarray) -> float:
     return fro_norm(y - y.mean(axis=1, keepdims=True))
 
 
-def _epoch_arrays(schedule: GraphSchedule):
-    ws = [laplacian(t) for t in schedule.topologies()]
-    pairs = [t.directed_pairs() for t in schedule.topologies()]
-    return ws, pairs
+def _epoch_of_iteration(schedule: GraphSchedule, stop: int) -> list[int]:
+    """Epoch of each iteration 0..stop-1, read off the epoch starts once."""
+    starts = [s for s, _ in schedule.epochs] + [schedule.horizon]
+    return np.repeat(np.arange(len(schedule.epochs)), np.diff(starts))[:stop].tolist()
 
 
 def _finite(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a))) and fro_norm(a) <= _DIVERGENCE_LIMIT
+
+
+def _momentum(kappa: float) -> float:
+    """Heavy-ball coefficient (sqrt(kappa)-1)/(sqrt(kappa)+1), 0 when kappa is 1."""
+    if kappa < 1.0 + _KAPPA_DEGENERATE_TOL:
+        return 0.0
+    return (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+
+
+def _xspace_grad(agg, sw, x):
+    """Gradient of the matrix-space dual ``Phi*(-X sqrt(W))`` at x."""
+    return -(agg.conj_argmax_cols(-(x @ sw)) @ sw)
+
+
+def _checked_max_iter(agg, schedule, max_iter) -> int:
+    max_iter = schedule.horizon if max_iter is None else int(max_iter)
+    if not (1 <= max_iter <= schedule.horizon):
+        raise ValueError("max_iter must be in 1..horizon")
+    if agg.n != schedule.n:
+        raise ValueError("agent count of objective and schedule disagree")
+    return max_iter
+
+
+def _record(k, epoch, message_count, fields) -> TraceRecord:
+    dual_value, consensus_dist, z, z_tilde, y_tilde = fields
+    return TraceRecord(k, epoch, dual_value, consensus_dist, message_count, z, z_tilde, y_tilde)
+
+
+def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
+    """The iteration loop shared by the message-passing runners.
+
+    ``start()`` builds the method once the arguments are valid.  Its
+    ``operator(topology)``, a (matrix, message pairs) pair, is built once
+    per distinct topology; ``step(matrix, record)`` advances one iteration
+    and, when recording, returns the pre-step record fields, which
+    ``look()`` gives at the current state; ``watched`` is the state the
+    divergence check reads.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    max_iter = _checked_max_iter(agg, schedule, max_iter)
+    method = start()
+    ops = [method.operator(t) for t in schedule.distinct_topologies]
+    by_epoch = [ops[j] for j in schedule.topology_index]
+    records: list[TraceRecord] = []
+    log = MessageLog()
+    for k, e in enumerate(_epoch_of_iteration(schedule, max_iter)):
+        if not _finite(method.watched):
+            nan_y = np.full((agg.dim, agg.n), np.nan)
+            records.append(_record(k, e, 0, (method.abort_value, math.inf, None, None, nan_y)))
+            break
+        matrix, pairs = by_epoch[e]
+        log.append(pairs)
+        fields = method.step(matrix, k % record_every == 0)
+        if fields is not None:
+            records.append(_record(k, e, pairs.shape[0], fields))
+    else:
+        k = max_iter
+        records.append(_record(k, e, 0, method.look()))
+    return RunTrace(
+        algorithm=method.name,
+        records=records,
+        message_log=log,
+        final_state=method.final_state(k, records[-1]),
+        aborted=k < max_iter,
+        momentum_degenerate=method.degenerate,
+    )
 
 
 def run_distributed_nesterov(
@@ -137,6 +207,7 @@ def run_distributed_nesterov(
     schedule: GraphSchedule,
     max_iter: int | None = None,
     record_every: int = 1,
+    keep_state: bool = True,
 ) -> RunTrace:
     """Accelerated dual method over the schedule, started from zero.
 
@@ -144,9 +215,13 @@ def run_distributed_nesterov(
     ``Y = conj_argmax(Z)`` columnwise, ``Zt_next = Z - (1/L) Y W``,
     ``Z_next = (1+beta) Zt_next - beta Zt``.  When the dual condition
     number is 1 (up to 1e-12) the momentum coefficient degenerates and
-    the run falls back to plain gradient steps with a trace flag.
+    the run falls back to plain gradient steps with a trace flag.  With
+    ``keep_state=False`` records leave ``z`` and ``z_tilde`` as None.
     """
-    return _run_dual(agg, schedule, max_iter, record_every, accelerated=True)
+    return _drive(
+        agg, schedule, max_iter, record_every,
+        lambda: _DualMethod(agg, schedule, accelerated=True, keep_state=keep_state),
+    )
 
 
 def run_dual_gradient(
@@ -154,98 +229,70 @@ def run_dual_gradient(
     schedule: GraphSchedule,
     max_iter: int | None = None,
     record_every: int = 1,
+    keep_state: bool = True,
 ) -> RunTrace:
     """Plain dual gradient descent with step 2/(L+mu), started from zero."""
-    return _run_dual(agg, schedule, max_iter, record_every, accelerated=False)
-
-
-def _run_dual(agg, schedule, max_iter, record_every, accelerated):
-    max_iter = schedule.horizon if max_iter is None else int(max_iter)
-    if not (1 <= max_iter <= schedule.horizon):
-        raise ValueError("max_iter must be in 1..horizon")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if agg.n != schedule.n:
-        raise ValueError("agent count of objective and schedule disagree")
-
-    dc = dual_constants(agg, theta_bounds(schedule))
-    degenerate = dc.kappa < 1.0 + _KAPPA_DEGENERATE_TOL
-    if accelerated:
-        step = 1.0 / dc.l_f
-        beta = 0.0 if degenerate else (math.sqrt(dc.kappa) - 1.0) / (math.sqrt(dc.kappa) + 1.0)
-        name = "nesterov"
-    else:
-        step = 2.0 / (dc.l_f + dc.mu_f)
-        beta = 0.0
-        name = "dual_gd"
-
-    ws, pairs = _epoch_arrays(schedule)
-    d, n = agg.dim, agg.n
-    z = np.zeros((d, n))
-    zt = np.zeros((d, n))
-    records: list[TraceRecord] = []
-    log = MessageLog()
-    aborted = False
-
-    def snapshot(k, epoch, y_tilde, msg_count):
-        records.append(
-            TraceRecord(
-                iter=k,
-                epoch=epoch,
-                dual_value=agg.dual_value(z, y_tilde),
-                consensus_dist=_consensus_dist(y_tilde),
-                message_count=msg_count,
-                z=z.copy(),
-                z_tilde=zt.copy(),
-                y_tilde=y_tilde.copy(),
-            )
-        )
-
-    k = 0
-    for k in range(max_iter):
-        if not _finite(z):
-            aborted = True
-            break
-        e = schedule.epoch_index(k)
-        y_tilde = agg.conj_argmax_cols(z)
-        log.append(pairs[e])
-        if k % record_every == 0:
-            snapshot(k, e, y_tilde, pairs[e].shape[0])
-        zt_next = z - step * (y_tilde @ ws[e])
-        z = (1.0 + beta) * zt_next - beta * zt
-        zt = zt_next
-
-    if aborted:
-        records.append(
-            TraceRecord(
-                iter=k,
-                epoch=schedule.epoch_index(k),
-                dual_value=math.inf,
-                consensus_dist=math.inf,
-                message_count=0,
-                z=None,
-                z_tilde=None,
-                y_tilde=np.full((d, n), np.nan),
-            )
-        )
-        final_iter = k
-    else:
-        y_final = agg.conj_argmax_cols(z)
-        snapshot(max_iter, schedule.epoch_index(max_iter - 1), y_final, 0)
-        final_iter = max_iter
-
-    if accelerated:
-        final = NesterovState(z=z, z_tilde=zt, y_tilde=records[-1].y_tilde, iter=final_iter)
-    else:
-        final = GDState(z=z, iter=final_iter)
-    return RunTrace(
-        algorithm=name,
-        records=records,
-        message_log=log,
-        final_state=final,
-        aborted=aborted,
-        momentum_degenerate=accelerated and degenerate,
+    return _drive(
+        agg, schedule, max_iter, record_every,
+        lambda: _DualMethod(agg, schedule, accelerated=False, keep_state=keep_state),
     )
+
+
+class _DualMethod:
+    """Dual state Z, Zt and the (step, beta) of Nesterov or dual GD."""
+
+    abort_value = math.inf
+
+    def __init__(self, agg, schedule, accelerated, keep_state):
+        dc = dual_constants(agg, theta_bounds(schedule))
+        if accelerated:
+            self.step_size = 1.0 / dc.l_f
+            self.beta = _momentum(dc.kappa)
+            self.name = "nesterov"
+        else:
+            self.step_size = 2.0 / (dc.l_f + dc.mu_f)
+            self.beta = 0.0
+            self.name = "dual_gd"
+        self.degenerate = accelerated and dc.kappa < 1.0 + _KAPPA_DEGENERATE_TOL
+        self.accelerated = accelerated
+        self.keep_state = keep_state
+        self.agg = agg
+        self.z = np.zeros((agg.dim, agg.n))
+        self.zt = np.zeros((agg.dim, agg.n))
+
+    @property
+    def watched(self):
+        return self.z
+
+    @staticmethod
+    def operator(topo):
+        return laplacian(topo), topo.directed_pairs()
+
+    def _fields(self, y):
+        keep = self.keep_state
+        return (
+            self.agg.dual_value(self.z, y),
+            _consensus_dist(y),
+            self.z.copy() if keep else None,
+            self.zt.copy() if keep else None,
+            y.copy(),
+        )
+
+    def step(self, w, record):
+        y = self.agg.conj_argmax_cols(self.z)
+        fields = self._fields(y) if record else None
+        zt_next = self.z - self.step_size * (y @ w)
+        self.z = (1.0 + self.beta) * zt_next - self.beta * self.zt
+        self.zt = zt_next
+        return fields
+
+    def look(self):
+        return self._fields(self.agg.conj_argmax_cols(self.z))
+
+    def final_state(self, final_iter, last):
+        if self.accelerated:
+            return NesterovState(z=self.z, z_tilde=self.zt, y_tilde=last.y_tilde, iter=final_iter)
+        return GDState(z=self.z, iter=final_iter)
 
 
 def default_diging_stepsize(agg: AggregateObjective, b: int = 1) -> float:
@@ -269,81 +316,47 @@ def run_diging(
     with ``u_0 = grad(x_0)``.  Each iteration mixes both x and u, so two
     messages cross every directed edge.
     """
-    max_iter = schedule.horizon if max_iter is None else int(max_iter)
-    if not (1 <= max_iter <= schedule.horizon):
-        raise ValueError("max_iter must be in 1..horizon")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if agg.n != schedule.n:
-        raise ValueError("agent count of objective and schedule disagree")
-    alpha = default_diging_stepsize(agg) if stepsize is None else float(stepsize)
-    if alpha <= 0:
-        raise ValueError("stepsize must be positive")
+    return _drive(agg, schedule, max_iter, record_every, lambda: _DIGingMethod(agg, stepsize))
 
-    vs = [mixing_matrix(t) for t in schedule.topologies()]
-    # one round for x, one for u: each epoch's pairs twice, built once
-    both = [np.vstack([t.directed_pairs()] * 2) for t in schedule.topologies()]
-    d, n = agg.dim, agg.n
-    x = np.zeros((d, n))
-    g = agg.grad_cols(x)
-    u = g.copy()
-    records: list[TraceRecord] = []
-    log = MessageLog()
-    aborted = False
 
-    def snapshot(k, epoch, msg_count):
-        records.append(
-            TraceRecord(
-                iter=k,
-                epoch=epoch,
-                dual_value=math.nan,
-                consensus_dist=_consensus_dist(x),
-                message_count=msg_count,
-                z=None,
-                z_tilde=None,
-                y_tilde=x.copy(),
-            )
-        )
+class _DIGingMethod:
+    """Primal copies x, gradient tracker u and the step alpha of DIGing."""
 
-    k = 0
-    for k in range(max_iter):
-        if not _finite(x):
-            aborted = True
-            break
-        e = schedule.epoch_index(k)
-        log.append(both[e])
-        if k % record_every == 0:
-            snapshot(k, e, both[e].shape[0])
-        x_next = x @ vs[e].T - alpha * u
-        g_next = agg.grad_cols(x_next)
-        u = u @ vs[e].T + g_next - g
-        x, g = x_next, g_next
+    name = "diging"
+    abort_value = math.nan
+    degenerate = False
 
-    if aborted:
-        records.append(
-            TraceRecord(
-                iter=k,
-                epoch=schedule.epoch_index(k),
-                dual_value=math.nan,
-                consensus_dist=math.inf,
-                message_count=0,
-                z=None,
-                z_tilde=None,
-                y_tilde=np.full((d, n), np.nan),
-            )
-        )
-        final_iter = k
-    else:
-        snapshot(max_iter, schedule.epoch_index(max_iter - 1), 0)
-        final_iter = max_iter
+    def __init__(self, agg, stepsize):
+        self.alpha = default_diging_stepsize(agg) if stepsize is None else float(stepsize)
+        if self.alpha <= 0:
+            raise ValueError("stepsize must be positive")
+        self.agg = agg
+        self.x = np.zeros((agg.dim, agg.n))
+        self.g = agg.grad_cols(self.x)
+        self.u = self.g.copy()
 
-    return RunTrace(
-        algorithm="diging",
-        records=records,
-        message_log=log,
-        final_state=DIGingState(x=x, u=u, g_prev=g, stepsize=alpha, iter=final_iter),
-        aborted=aborted,
-    )
+    @property
+    def watched(self):
+        return self.x
+
+    @staticmethod
+    def operator(topo):
+        # one round for x, one for u: the pairs twice
+        return mixing_matrix(topo).T, np.vstack([topo.directed_pairs()] * 2)
+
+    def look(self):
+        return math.nan, _consensus_dist(self.x), None, None, self.x.copy()
+
+    def step(self, vt, record):
+        fields = self.look() if record else None
+        x_next = self.x @ vt - self.alpha * self.u
+        g_next = self.agg.grad_cols(x_next)
+        self.u = self.u @ vt + g_next - self.g
+        self.x, self.g = x_next, g_next
+        return fields
+
+    def final_state(self, final_iter, last):
+        return DIGingState(x=self.x, u=self.u, g_prev=self.g, stepsize=self.alpha, iter=final_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +394,7 @@ class XSpaceTrace:
         return self.agg.dual_value(-(x @ self.sqrt_ws[epoch]))
 
     def grad(self, epoch: int, x: np.ndarray) -> np.ndarray:
-        sw = self.sqrt_ws[epoch]
-        y = self.agg.conj_argmax_cols(-(x @ sw))
-        return -(y @ sw)
+        return _xspace_grad(self.agg, self.sqrt_ws[epoch], x)
 
     def residuals(self, f_star: float) -> np.ndarray:
         """f_k(y_k) - f_star for every recorded iteration."""
@@ -412,20 +423,13 @@ def solve_dual_min_norm(
     sw = sqrt_psd(laplacian(topo))
     single = GraphSchedule(1, ((0, topo),))
     dc = dual_constants(agg, theta_bounds(single))
-    l_f, kappa = dc.l_f, dc.kappa
-    beta = 0.0 if kappa < 1.0 + _KAPPA_DEGENERATE_TOL else (
-        (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    )
-
-    def grad(xm):
-        return -(agg.conj_argmax_cols(-(xm @ sw)) @ sw)
-
+    l_f, beta = dc.l_f, _momentum(dc.kappa)
     x = np.zeros((agg.dim, agg.n))
     y_prev = x.copy()
-    g0 = fro_norm(grad(x))
+    g0 = fro_norm(_xspace_grad(agg, sw, x))
     target = tol * (1.0 + g0)
     for _ in range(max_iter):
-        g = grad(x)
+        g = _xspace_grad(agg, sw, x)
         if fro_norm(g) <= target:
             return project_consensus_orth(x)
         y = x - g / l_f
@@ -451,32 +455,23 @@ def run_xspace_reference(
     """
     if method not in ("nesterov", "gd"):
         raise ValueError("method must be 'nesterov' or 'gd'")
-    max_iter = schedule.horizon if max_iter is None else int(max_iter)
-    if not (1 <= max_iter <= schedule.horizon):
-        raise ValueError("max_iter must be in 1..horizon")
-    if agg.n != schedule.n:
-        raise ValueError("agent count of objective and schedule disagree")
+    max_iter = _checked_max_iter(agg, schedule, max_iter)
 
     dc = dual_constants(agg, theta_bounds(schedule))
     l_f, mu_f, kappa = dc.l_f, dc.mu_f, dc.kappa
-    degenerate = kappa < 1.0 + _KAPPA_DEGENERATE_TOL
-    beta = 0.0 if degenerate else (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    beta = _momentum(kappa)
     tau = 1.0 / (math.sqrt(kappa) + 1.0)
-    sqrt_ws = [sqrt_psd(laplacian(t)) for t in schedule.topologies()]
+    distinct = [sqrt_psd(laplacian(t)) for t in schedule.distinct_topologies]
+    sqrt_ws = [distinct[j] for j in schedule.topology_index]
+    epochs = _epoch_of_iteration(schedule, schedule.horizon)
+    # epoch_of[k] is the epoch of iteration k, clipped to the horizon
+    epoch_of = epochs[:max_iter] + [epochs[min(max_iter, schedule.horizon - 1)]]
 
-    d, n = agg.dim, agg.n
-    x = np.zeros((d, n))
+    x = np.zeros((agg.dim, agg.n))
     y = x.copy()
     xs, ys, zs = [x.copy()], [y.copy()], [x.copy()]
-    epoch_of = [schedule.epoch_index(0)]
-
-    def grad(epoch, xm):
-        sw = sqrt_ws[epoch]
-        return -(agg.conj_argmax_cols(-(xm @ sw)) @ sw)
-
     for k in range(max_iter):
-        e = schedule.epoch_index(k)
-        g = grad(e, x)
+        g = _xspace_grad(agg, sqrt_ws[epochs[k]], x)
         if method == "gd":
             x = x - (2.0 / (l_f + mu_f)) * g
             y = x
@@ -489,10 +484,10 @@ def run_xspace_reference(
         xs.append(x.copy())
         ys.append(y.copy())
         zs.append(z.copy())
-        epoch_of.append(schedule.epoch_index(min(k + 1, schedule.horizon - 1)))
 
     x_star = solve_dual_min_norm(agg, schedule, tol=xstar_tol)
-    residuals = [fro_norm(grad(e, x_star)) for e in range(len(sqrt_ws))]
+    distinct_residuals = [fro_norm(_xspace_grad(agg, sw, x_star)) for sw in distinct]
+    residuals = [distinct_residuals[j] for j in schedule.topology_index]
     return XSpaceTrace(
         method=method,
         xs=xs,

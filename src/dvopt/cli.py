@@ -126,14 +126,16 @@ class ExperimentConfig:
         record_every = int(raw.get("record_every", 1))
         if record_every < 1:
             raise ValidationError("record_every must be >= 1")
-        # File references are relative to the config's directory; they are
-        # stored resolved so the run does not depend on the working directory.
+        # File references and output_dir are relative to the config's
+        # directory; they are stored resolved so the run does not depend on
+        # the working directory.
         sched = raw["schedule"]
         if isinstance(sched, dict) and "file" in sched:
             sched = {**sched, "file": _resolve_file(base_dir, sched["file"], "schedule")}
         obj = raw["objective"]
         if isinstance(obj, dict) and obj.get("kind") == "dataset":
             obj = {**obj, "path": _resolve_file(base_dir, obj.get("path", ""), "dataset")}
+        output_dir = os.path.abspath(os.path.join(base_dir, str(raw.get("output_dir", "."))))
         seed = int(raw["seed"])
         return cls(
             seed=seed,
@@ -142,7 +144,7 @@ class ExperimentConfig:
             algorithms=algs,
             max_iter=max_iter,
             record_every=record_every,
-            output_dir=str(raw.get("output_dir", ".")),
+            output_dir=output_dir,
             run_id=str(raw.get("run_id", f"run{seed}")),
             overrides=dict(raw.get("overrides", {})),
         )
@@ -217,12 +219,18 @@ def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
     return graphs.schedule_from_spec(spec)
 
 
+# Records keep z and z_tilde only where something reads them: the
+# dual-GD contraction verdict of a single-epoch schedule reads z.
 _RUNNERS = {
     "nesterov": lambda agg, s, cfg: algorithms.run_distributed_nesterov(
-        agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every
+        agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every, keep_state=False
     ),
     "dual_gd": lambda agg, s, cfg: algorithms.run_dual_gradient(
-        agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every
+        agg,
+        s,
+        max_iter=cfg.max_iter,
+        record_every=cfg.record_every,
+        keep_state=len(s.epochs) == 1,
     ),
     "diging": lambda agg, s, cfg: algorithms.run_diging(
         agg,

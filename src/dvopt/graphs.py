@@ -148,11 +148,19 @@ class GraphSchedule:
     ``epochs`` is an ordered tuple of (start_iteration, Topology); the
     first epoch starts at 0 and start iterations increase strictly.
     Every epoch must be connected.
+
+    ``distinct_topologies`` holds the topologies without repeats, in order
+    of first use (matched first by object identity, then by equality), and
+    ``topology_index[e]`` is epoch ``e``'s entry in it.  Both are built
+    once, so per-topology work (connectivity, operators) is done once per
+    distinct graph.
     """
 
     horizon: int
     epochs: tuple[tuple[int, Topology], ...]
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    distinct_topologies: tuple[Topology, ...] = field(init=False, repr=False, compare=False)
+    topology_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -167,13 +175,26 @@ class GraphSchedule:
         if starts[-1] >= self.horizon:
             raise ValueError("epoch start beyond the horizon")
         n0 = self.epochs[0][1].n
+        distinct: list[Topology] = []
+        by_id: dict[int, int] = {}
+        by_value: dict[Topology, int] = {}
+        index = []
         for idx, (_, topo) in enumerate(self.epochs):
             if topo.n != n0:
                 raise ValueError("all epochs must share the same node set")
-            if not topo.is_connected():
-                raise ValueError(f"epoch {idx} topology is disconnected")
+            j = by_id.get(id(topo))
+            if j is None:
+                j = by_value.setdefault(topo, len(distinct))
+                if j == len(distinct):
+                    if not topo.is_connected():
+                        raise ValueError(f"epoch {idx} topology is disconnected")
+                    distinct.append(topo)
+                by_id[id(topo)] = j
+            index.append(j)
         object.__setattr__(self, "epochs", tuple((int(s), t) for s, t in self.epochs))
         object.__setattr__(self, "_starts", np.asarray(starts, dtype=int))
+        object.__setattr__(self, "distinct_topologies", tuple(distinct))
+        object.__setattr__(self, "topology_index", tuple(index))
 
     @property
     def n(self) -> int:

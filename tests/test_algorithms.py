@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dvopt.algorithms
 from dvopt.algorithms import (
     default_diging_stepsize,
     run_diging,
@@ -13,9 +16,16 @@ from dvopt.algorithms import (
     run_xspace_reference,
     solve_dual_min_norm,
 )
-from dvopt.graphs import GraphSchedule, Topology, gen_topology, laplacian
+from dvopt.graphs import GraphSchedule, Topology, alternating_schedule, gen_topology, laplacian
 from dvopt.linalg import fro_norm, project_consensus_orth, sqrt_psd
-from dvopt.objectives import AggregateObjective, QuadraticObjective, dual_constants
+from dvopt.metrics import compute_metrics
+from dvopt.objectives import (
+    AggregateObjective,
+    QuadraticObjective,
+    centralized_solve,
+    dual_constants,
+    gen_ridge_instance,
+)
 from dvopt.graphs import theta_bounds
 
 
@@ -279,3 +289,86 @@ class TestWeightedGraphs:
         tr = run_distributed_nesterov(agg, sched, max_iter=50)
         assert not tr.aborted
         assert len(tr.records) == 51
+
+
+# Four nodes: the pool repeats equal topologies as separate objects, and its
+# last entry is disconnected.
+_POOL = (
+    gen_topology("path", 4),
+    gen_topology("cycle", 4),
+    Topology(4, ((1, 2), (2, 3), (3, 4))),  # equal to the path, another object
+    gen_topology("star", 4),
+    Topology(4, ((1, 2), (3, 4))),
+)
+
+
+@st.composite
+def pooled_schedules(draw):
+    horizon = draw(st.integers(1, 40))
+    later = draw(st.lists(st.integers(1, max(1, horizon - 1)), max_size=6, unique=True))
+    starts = [0] + sorted(s for s in later if s < horizon)
+    picks = draw(st.lists(st.sampled_from(_POOL), min_size=len(starts), max_size=len(starts)))
+    return horizon, tuple(zip(starts, picks))
+
+
+class TestScheduleIndex:
+    @given(pooled_schedules())
+    def test_index_matches_searchsorted_and_equality(self, drawn):
+        horizon, epochs = drawn
+        disconnected = [j for j, (_, t) in enumerate(epochs) if not t.is_connected()]
+        if disconnected:
+            with pytest.raises(ValueError, match=rf"^epoch {disconnected[0]} topology"):
+                GraphSchedule(horizon, epochs)
+            return
+        sched = GraphSchedule(horizon, epochs)
+        index = sched.topology_index
+        for a, (_, ta) in enumerate(epochs):
+            assert sched.distinct_topologies[index[a]] == ta
+            for b, (_, tb) in enumerate(epochs):
+                assert (index[a] == index[b]) == (ta == tb)
+        starts = np.array([s for s, _ in epochs])
+        agg = AggregateObjective(
+            tuple(QuadraticObjective.from_offset(np.array([float(i)])) for i in range(4))
+        )
+        tr = run_dual_gradient(agg, sched, keep_state=False)
+        for k in range(horizon):
+            want = int(np.searchsorted(starts, k, side="right") - 1)
+            assert tr.records[k].epoch == want
+            assert tr.message_log.per_iteration[k] is tr.message_log.per_iteration[starts[want]]
+
+    def test_repeated_topologies_are_checked_and_built_once(self, monkeypatch):
+        connectivity_checks = []
+        is_connected = Topology.is_connected
+        monkeypatch.setattr(
+            Topology, "is_connected", lambda t: connectivity_checks.append(t) or is_connected(t)
+        )
+        sched = alternating_schedule(("star", "cycle"), 20, 5, 1000)
+        assert len(sched.epochs) == 200
+        assert len(connectivity_checks) == 2
+
+        built = []
+        monkeypatch.setattr(
+            dvopt.algorithms, "laplacian", lambda t: built.append(t) or laplacian(t)
+        )
+        agg = gen_ridge_instance(20, 10, 5, c=0.1, noise=0.1, seed=1)
+        run_distributed_nesterov(agg, sched, max_iter=10)
+        assert len(built) == 2
+
+
+class TestLeanRecords:
+    def test_lean_records_give_the_same_metrics(self):
+        agg = gen_ridge_instance(6, 5, 3, c=0.1, noise=0.1, seed=4)
+        star, cycle = gen_topology("star", 6), gen_topology("cycle", 6)
+        sched = GraphSchedule(
+            60, ((0, star), (15, cycle), (30, gen_topology("complete", 6)), (45, star))
+        )
+        oracle = centralized_solve(agg)
+        for runner in (run_distributed_nesterov, run_dual_gradient):
+            full = runner(agg, sched, record_every=3)
+            lean = runner(agg, sched, record_every=3, keep_state=False)
+            assert compute_metrics(lean, agg, oracle) == compute_metrics(full, agg, oracle)
+            assert all(r.z is None and r.z_tilde is None for r in lean.records)
+            assert all(r.z is not None for r in full.records)
+            for name in vars(full.final_state):
+                a, b = getattr(full.final_state, name), getattr(lean.final_state, name)
+                assert np.array_equal(a, b), name

@@ -255,6 +255,18 @@ class TestMainExitCodes:
         assert main(["run", str(p)]) == 0
         assert (tmp_path / "out" / "run3_nesterov.csv").exists()
 
+    def test_run_writes_relative_output_dir_under_config_dir(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgdir"
+        cfg_dir.mkdir()
+        p = cfg_dir / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path, output_dir="out")))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", str(p)]) == 0
+        assert (cfg_dir / "out" / "run3_nesterov.csv").exists()
+        assert not (elsewhere / "out").exists()
+
     def test_bounds_exit_codes(self, capsys):
         assert main(["bounds", "prop1", "kappa_bar=4", "n=9"]) == 0
         out = capsys.readouterr().out
