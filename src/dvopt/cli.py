@@ -285,6 +285,12 @@ def _gd_contraction_verdict(trace, dc, x_star, schedule):
     return {"clean": first is None, "max_violation": worst, "first_violation_iter": first}
 
 
+def _per_epoch_spectra(schedule: graphs.GraphSchedule) -> list[graphs.SpectralInfo]:
+    # one decomposition per distinct topology, shared by the epochs using it
+    infos = [graphs.spectral_info(t) for t in schedule.distinct_topologies]
+    return [infos[i] for i in schedule.topology_index]
+
+
 def execute(config: ExperimentConfig) -> dict:
     """Run every configured algorithm and write traces plus a summary."""
     agg = _build_objective(config)
@@ -300,7 +306,7 @@ def execute(config: ExperimentConfig) -> dict:
     theta = graphs.theta_bounds(schedule)
     dc = dual_constants(agg, theta)
     m_changes, alpha = graphs.change_stats(schedule)
-    per_epoch = [graphs.spectral_info(t) for t in schedule.topologies()]
+    per_epoch = _per_epoch_spectra(schedule)
     ceiling = theory.alg1_complexity(dc.kappa, 0.0, log_term=1.0).alpha_ceiling
     warnings = []
     if alpha >= ceiling:
@@ -501,8 +507,7 @@ def graphinfo_command(path) -> dict:
     theta = graphs.theta_bounds(schedule)
     m_changes, alpha = graphs.change_stats(schedule)
     epochs = []
-    for (start, topo) in schedule.epochs:
-        info = graphs.spectral_info(topo)
+    for (start, topo), info in zip(schedule.epochs, _per_epoch_spectra(schedule)):
         epochs.append(
             {
                 "start": start,

@@ -19,7 +19,9 @@ Newton routine, batched over rows with a per-row active mask, serves the
 logistic conjugate argmax (of an aggregate, or of one local as a batch
 of one) and the centralized reference solve.  Every agent keeps its own
 residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
-zero.
+zero: a logistic stack computes its gradient and Hessian there once, and
+each step carries the accepted line-search trial's residual into the
+next, so a solve evaluates no point twice.
 """
 
 from __future__ import annotations
@@ -117,43 +119,70 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
-def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray):
+def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0):
     """Solve ``grad(x) = z`` row by row by damped Newton started from zero.
 
     ``grad(x, rows)`` and ``hess(x, rows)`` evaluate rows ``rows`` of the
-    batch at ``x`` of shape (len(rows), d); row ``i`` of ``z`` (b, d) is
-    done once its residual norm is at most ``targets[i]``, and only rows
-    still above their target take further steps.  Each step backtracks on
-    the residual norm (the full Newton step wins near the solution, where
-    a value-based test drowns in rounding): ``t`` halves from 1 until
+    batch at ``x`` of shape (len(rows), d), with ``rows`` a slice over the
+    whole batch while every row is still active (so nothing is copied);
+    ``grad0`` (b, d) and ``hess0`` (b, d, d) are the gradient and Hessian
+    of every row at zero, so the first step evaluates nothing.  Row ``i``
+    of ``z`` (b, d) is done once its residual norm is at most
+    ``targets[i]``, and only rows still above their target take further
+    steps.  Each step backtracks on the residual norm (the full Newton
+    step wins near the solution, where a value-based test drowns in
+    rounding): ``t`` halves from 1 until
     ``||grad(x - t step) - z|| <= (1 - 1e-4 t) ||grad(x) - z||`` or ``t``
-    drops to 1e-12.
+    drops to 1e-12.  The accepted trial's residual is the next step's
+    residual, since ``x`` moves by the same ``x - t step``; only a row
+    whose ``t`` fell through the floor moves to an unevaluated point and
+    is evaluated again.
 
     Returns ``(x, failed, residuals)``: the rows still active after
     ``_NEWTON_CAP`` steps and their residual norms (both empty on success).
     """
+    b = z.shape[0]
+
+    def take(idx):
+        return slice(None) if idx.size == b else idx
+
+    # Every point and residual is C-contiguous, like the row copies the
+    # evaluations see when rows drop out, so a row's bits never depend on
+    # the layout of ``z``; only the result takes that layout.
+    result = np.zeros_like(z)
+    z = np.ascontiguousarray(z)
     x = np.zeros_like(z)
-    active = np.arange(z.shape[0])
+    active = np.arange(b)
+    res, h = grad0 - z, hess0
     for _ in range(_NEWTON_CAP):
-        res = grad(x[active], active) - z[active]
         norms = np.linalg.norm(res, axis=1)
         keep = ~(norms <= targets[active])
         active, res, norms = active[keep], res[keep], norms[keep]
         if not active.size:
-            return x, active, norms
-        step = np.linalg.solve(hess(x[active], active), res[..., None])[..., 0]
+            break
+        rows = take(active)
+        h = hess(x[rows], rows) if h is None else h[keep]
+        step = np.linalg.solve(h, res[..., None])[..., 0]
+        h = None
         t = np.ones(active.size)
         trying = np.arange(active.size)
         while trying.size:
-            rows = active[trying]
+            rows = take(active[trying])
             x_try = x[rows] - t[trying, None] * step[trying]
-            new_norms = np.linalg.norm(grad(x_try, rows) - z[rows], axis=1)
+            res[trying] = grad(x_try, rows) - z[rows]
+            new_norms = np.linalg.norm(res[trying], axis=1)
             trying = trying[~(new_norms <= (1.0 - 1e-4 * t[trying]) * norms[trying])]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-12]
-        x[active] -= t[:, None] * step
-    norms = np.linalg.norm(grad(x[active], active) - z[active], axis=1)
-    return x, active, norms
+        x[take(active)] -= t[:, None] * step
+        floored = np.flatnonzero(t <= 1e-12)
+        if floored.size:
+            rows = active[floored]
+            res[floored] = grad(x[rows], rows) - z[rows]
+    else:  # the cap is reached: the rows still active failed
+        norms = np.linalg.norm(res, axis=1)
+    result[...] = x
+    return result, active, norms
 
 
 class LogisticObjective:
@@ -298,9 +327,15 @@ class _LogisticStack:
         eye = np.eye(a.shape[2])
         return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge[rows, None, None] * eye
 
+    @cached_property
+    def at_zero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every local's gradient and Hessian at zero, where each solve starts."""
+        zero = np.zeros((self.size, self.samples.shape[2]))
+        return self.grad(zero), self.hess(zero)
+
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
         targets = _CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
-        x, failed, norms = _damped_newton(self.grad, self.hess, z, targets)
+        x, failed, norms = _damped_newton(self.grad, self.hess, z, targets, *self.at_zero)
         if failed.size:
             if self.agents is None:
                 listed = f"residual {norms[0]:.3e}"
@@ -594,8 +629,10 @@ def centralized_solve(agg: AggregateObjective, tol: float = 1e-10) -> tuple[np.n
 
         return total
 
+    grad, hess = summed("grad"), summed("hess")
+    zero = np.zeros((1, agg.dim))
     x, failed, norms = _damped_newton(
-        summed("grad"), summed("hess"), np.zeros((1, agg.dim)), np.array([tol])
+        grad, hess, zero, np.array([tol]), grad(zero, slice(None)), hess(zero, slice(None))
     )
     if failed.size:
         raise SolverError(

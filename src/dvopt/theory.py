@@ -52,15 +52,35 @@ def gd_iterations(l_smooth: float, mu: float, radius: float, eps: float) -> int:
 
 
 def nesterov_tv_bound(l_smooth: float, mu: float, radius: float, m: int, n_iters: int) -> float:
-    """(L+mu)/2 * R^2 * kappa^m * (1 - 1/sqrt(kappa))^N with kappa = L/mu."""
+    """(L+mu)/2 * R^2 * kappa^m * (1 - 1/sqrt(kappa))^N with kappa = L/mu.
+
+    Evaluated as that product; only when the product overflows (many
+    changes m) is it evaluated again as a sum of logarithms, and a bound
+    beyond the float range is ``math.inf``.
+    """
     if not (l_smooth >= mu > 0):
         raise ValueError("need L >= mu > 0")
     if m < 0 or n_iters < 0:
         raise ValueError("m and N must be >= 0")
     kappa = l_smooth / mu
-    return (
-        0.5 * (l_smooth + mu) * radius**2 * kappa**m * (1.0 - 1.0 / math.sqrt(kappa)) ** n_iters
+    contraction = 1.0 - 1.0 / math.sqrt(kappa)
+    try:
+        value = 0.5 * (l_smooth + mu) * radius**2 * kappa**m * contraction**n_iters
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    if radius == 0.0 or (contraction == 0.0 and n_iters > 0):
+        return 0.0
+    log_value = (
+        math.log(0.5 * (l_smooth + mu)) + 2.0 * math.log(abs(radius)) + m * math.log(kappa)
     )
+    if n_iters:
+        log_value += n_iters * math.log(contraction)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,16 @@ def minimal_config(tmp_path, **overrides):
     return cfg
 
 
+# star/cycle alternating every 5 iterations: 200 epochs, 2 distinct graphs
+ALTERNATING_RUN = {
+    "objective": {"kind": "ridge", "n": 20, "l": 10, "m": 5, "c": 0.1, "noise": 0.1},
+    "schedule": {
+        "alternating": {"kinds": ["star", "cycle"], "n": 20, "period": 5, "horizon": 1000}
+    },
+    "max_iter": 1000,
+}
+
+
 class TestConfigValidation:
     def test_minimal_roundtrip(self, tmp_path):
         cfg = ExperimentConfig.from_dict(minimal_config(tmp_path))
@@ -133,6 +143,35 @@ class TestExecute:
         assert not summary["alpha_feasible"]
         assert any("ceiling" in w for w in summary["warnings"])
         assert summary["algorithms"]["nesterov"]["final_iter"] == 20
+
+
+    def test_many_changes_run_reports_a_bound(self, tmp_path, capsys):
+        # 199 changes make kappa^m overflow; the run still exits 0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path, **ALTERNATING_RUN)))
+        assert main(["run", str(p)]) == 0
+        summary = json.loads((tmp_path / "out" / "run3_summary.json").read_text())
+        assert summary["changes"]["m"] == 199
+        assert summary["bounds"]["accel_residual_bound"]["checked"] == 1001
+        capsys.readouterr()
+        assert main(["bounds", "thm3", "L=4643", "mu=1", "R=1", "m=199", "N=1000"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("= inf")
+
+    def test_spectra_once_per_distinct_topology(self, tmp_path, monkeypatch):
+        import dvopt.graphs
+
+        calls = []
+        eig_sym = dvopt.graphs.eig_sym
+        monkeypatch.setattr(dvopt.graphs, "eig_sym", lambda a: calls.append(a) or eig_sym(a))
+        raw = minimal_config(
+            tmp_path, **dict(ALTERNATING_RUN, algorithms=["dual_gd", "diging"], record_every=50)
+        )
+        summary = execute(ExperimentConfig.from_dict(raw))
+        assert len(summary["per_epoch"]) == 200
+        # 200 each in the schedule's and the dual_gd runner's theta_bounds,
+        # 1 in the dual solve's (its one-epoch schedule), 2 for the summary
+        # (601 when the summary decomposed every epoch)
+        assert len(calls) == 403
 
 
 class TestBoundsCommand:

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dvopt.graphs import (
     GenerationError,
     GraphSchedule,
     Topology,
+    _n_components,
     alternating_schedule,
     change_stats,
     gen_topology,
@@ -156,6 +159,19 @@ class TestSpectralInfo:
                             seen[u] = True
                             stack.append(u)
             assert kernel_dim == comps
+
+    @given(data=st.data())
+    def test_kernel_dimension_is_component_count(self, data):
+        # random weighted edge sets, disconnected ones and edgeless ones included
+        n = data.draw(st.integers(1, 12))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        weights = data.draw(
+            st.lists(st.floats(0.1, 10.0), min_size=len(edges), max_size=len(edges))
+        )
+        t = Topology(n, tuple(edges), tuple(weights) if data.draw(st.booleans()) else None)
+        lam = eig_sym(laplacian(t)).eigenvalues
+        assert int(np.sum(lam <= 1e-9 * lam[-1])) == _n_components(t)
 
     def test_complete_chi_is_one_for_all_n(self):
         for n in (2, 3, 5, 9, 16):

@@ -2,8 +2,13 @@
 
 import math
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dvopt.algorithms import run_distributed_nesterov, run_xspace_reference
 from dvopt.graphs import GraphSchedule, Topology, gen_topology
@@ -196,6 +201,34 @@ class TestEmit:
         p = tmp_path / "r.csv"
         emit(rows, "csv", p)
         assert parse_csv(p) == rows
+
+    @given(
+        rows=st.lists(
+            st.builds(
+                MetricRow,
+                *[st.integers(-(2**63), 2**63)] * 2,
+                *[st.floats(allow_nan=True, allow_infinity=True)] * 4,
+                st.integers(-(2**63), 2**63),
+            ),
+            max_size=5,
+        )
+    )
+    def test_roundtrip_property(self, rows):
+        def same(a, b):
+            if isinstance(a, float):
+                return (math.isnan(a) and math.isnan(b)) or (
+                    a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+                )
+            return a == b
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            emit(rows, "csv", path)
+            back = parse_csv(path)
+        assert len(back) == len(rows)
+        for row, parsed in zip(rows, back):
+            for name in CSV_HEADER.split(","):
+                assert same(getattr(row, name), getattr(parsed, name)), name
 
     def test_identical_emits_identical_bytes(self, tmp_path):
         rows = [MetricRow(k, 0, math.sqrt(k + 1), 1.0 / (k + 1), 0.0, 0.0, 4) for k in range(10)]

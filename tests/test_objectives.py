@@ -449,3 +449,108 @@ class TestStackedKernels:
 
         with pytest.raises(ValueError):
             AggregateObjective((Other(),))
+
+
+# ---------------------------------------------------------------------------
+# Work done by the batched damped Newton
+
+
+def run_logistic_config(tmp_path):
+    """dvopt run on n=20 logistic agents over one Erdos-Renyi graph, seed 3."""
+    from dvopt.cli import ExperimentConfig, execute
+
+    raw = {
+        "seed": 3,
+        "objective": {"kind": "logistic", "n": 20, "l": 20, "m": 10, "c": 0.1},
+        "schedule": {
+            "horizon": 200,
+            "epochs": [
+                {"start": 0, "kind": "erdos_renyi", "n": 20, "params": {"p": 0.7}, "seed": 3}
+            ],
+        },
+        "algorithms": ["nesterov", "diging"],
+        "max_iter": 200,
+        "record_every": 1,
+        "output_dir": str(tmp_path),
+    }
+    execute(ExperimentConfig.from_dict(raw))
+
+
+class TestNewtonWork:
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
+        agg = gen_logistic_instance(8, 6, 4, c=0.1, seed=5)
+        rng = np.random.default_rng(2)
+        agg.conj_argmax_cols(rng.standard_normal((4, 8)))  # builds the stack
+        grad = objectives._LogisticStack.grad
+        points = []
+
+        def recording(stack, x, rows=slice(None)):
+            points.extend(zip(np.arange(stack.size)[rows].tolist(), (p.tobytes() for p in x)))
+            return grad(stack, x, rows)
+
+        monkeypatch.setattr(objectives._LogisticStack, "grad", recording)
+        for scale in (1e-3, 0.3, 3.0):
+            points.clear()
+            agg.conj_argmax_cols(scale * rng.standard_normal((4, 8)))
+            assert points
+            assert len(set(points)) == len(points)
+            assert all(np.frombuffer(p).any() for _, p in points), "x = 0 was evaluated"
+
+    def test_floored_rows_report_fresh_residuals(self, monkeypatch):
+        # The residual grows away from zero and the Hessian is -I, so every
+        # line search falls through the 1e-12 floor and each row moves to a
+        # point no trial evaluated: x <- x + 2^-40 (grad(x) - z) with z = 0.
+        def grad(stack, x, rows=slice(None)):
+            return (1.0 + 1e12 * np.linalg.norm(x, axis=1, keepdims=True)) * np.ones_like(x)
+
+        def hess(stack, x, rows=slice(None)):
+            return np.broadcast_to(-np.eye(x.shape[1]), (x.shape[0],) + 2 * (x.shape[1],))
+
+        monkeypatch.setattr(objectives._LogisticStack, "grad", grad)
+        monkeypatch.setattr(objectives._LogisticStack, "hess", hess)
+        monkeypatch.setattr(objectives, "_NEWTON_CAP", 4)
+        x = np.zeros((2, 3))
+        for _ in range(4):
+            x = x + 2.0**-40 * grad(None, x)
+        fresh = np.linalg.norm(grad(None, x), axis=1)
+
+        agg = gen_logistic_instance(2, 3, 3, c=0.1, seed=1)
+        with pytest.raises(SolverError) as info:
+            agg.conj_argmax_cols(np.zeros((3, 2)))
+        listed = f"agent 0 (residual {fresh[0]:.3e}), agent 1 (residual {fresh[1]:.3e})"
+        assert str(info.value).endswith(listed)
+
+        stack = agg._stacks[0]
+        z = np.zeros((2, 3))
+        got, failed, norms = objectives._damped_newton(
+            stack.grad, stack.hess, z, np.full(2, 1e-10), grad(None, z), hess(None, z)
+        )
+        assert np.array_equal(got, x)
+        assert failed.tolist() == [0, 1]
+        assert norms.tobytes() == fresh.tobytes()
+
+    def test_evaluations_per_argmax(self, tmp_path, monkeypatch):
+        # Each solve starts from the stack's cached state at zero and reuses
+        # the accepted trial's residual: about 5.7 gradient and 4.0 Hessian
+        # evaluations per call on this run, against 11.8 and 5.0 when every
+        # step evaluated its own residual and Hessian.
+        counts = {"grad": 0, "hess": 0, "argmax": 0}
+        for name in ("grad", "hess"):
+            method = getattr(objectives._LogisticStack, name)
+
+            def counted(stack, *args, _method=method, _name=name):
+                counts[_name] += 1
+                return _method(stack, *args)
+
+            monkeypatch.setattr(objectives._LogisticStack, name, counted)
+        argmax = AggregateObjective.conj_argmax_cols
+
+        def counted_argmax(agg, z):
+            counts["argmax"] += 1
+            return argmax(agg, z)
+
+        monkeypatch.setattr(AggregateObjective, "conj_argmax_cols", counted_argmax)
+        run_logistic_config(tmp_path)
+        assert counts["argmax"] > 200
+        assert counts["grad"] <= 6.0 * counts["argmax"]
+        assert counts["hess"] <= 4.05 * counts["argmax"]

@@ -63,6 +63,36 @@ class TestNesterovTvBound:
             )
 
 
+    def test_finite_values_are_the_direct_product(self):
+        rng = np.random.default_rng(1)
+        compared = 0
+        for _ in range(200):
+            mu = rng.uniform(0.1, 2.0)
+            l_s = mu * 10 ** rng.uniform(0.0, 4.0)
+            radius = rng.uniform(0.0, 5.0)
+            m, n = int(rng.integers(0, 40)), int(rng.integers(0, 3000))
+            kappa = l_s / mu
+            direct = 0.5 * (l_s + mu) * radius**2 * kappa**m * (1.0 - 1.0 / math.sqrt(kappa)) ** n
+            if math.isfinite(direct):
+                compared += 1
+                assert nesterov_tv_bound(l_s, mu, radius, m, n) == direct
+        assert compared > 150
+
+    def test_many_changes_do_not_overflow(self):
+        # kappa^m alone overflows, the bound itself does not
+        kappa, m, n = 1e4, 100, 100_000
+        with pytest.raises(OverflowError):
+            kappa**m
+        log_value = math.log(0.5 * (kappa + 1.0)) + m * math.log(kappa) + n * math.log1p(-0.01)
+        assert nesterov_tv_bound(kappa, 1.0, 1.0, m, n) == pytest.approx(
+            math.exp(log_value), rel=1e-9
+        )
+        # the star/cycle period-5 schedule over 1000 iterations: m = 199
+        assert nesterov_tv_bound(4643.0, 1.0, 1.0, 199, 1000) == math.inf
+        assert nesterov_tv_bound(4643.0, 1.0, 0.0, 199, 1000) == 0.0
+        assert nesterov_tv_bound(1e200, 1.0, 1e200, 1, 0) == math.inf
+
+
 class TestAlg1Complexity:
     def test_hand_value(self):
         res = alg1_complexity(100.0, 0.0, log_term=10.0)
