@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dvopt import objectives
+from dvopt.cli import ExperimentConfig, execute
 from dvopt.graphs import gen_topology, laplacian, theta_bounds, GraphSchedule
 from dvopt.linalg import eig_sym, fro_norm, project_consensus_orth, sqrt_psd
 from dvopt.objectives import (
@@ -455,32 +456,11 @@ class TestStackedKernels:
 # Work done by the batched damped Newton
 
 
-def run_logistic_config(tmp_path):
-    """dvopt run on n=20 logistic agents over one Erdos-Renyi graph, seed 3."""
-    from dvopt.cli import ExperimentConfig, execute
-
-    raw = {
-        "seed": 3,
-        "objective": {"kind": "logistic", "n": 20, "l": 20, "m": 10, "c": 0.1},
-        "schedule": {
-            "horizon": 200,
-            "epochs": [
-                {"start": 0, "kind": "erdos_renyi", "n": 20, "params": {"p": 0.7}, "seed": 3}
-            ],
-        },
-        "algorithms": ["nesterov", "diging"],
-        "max_iter": 200,
-        "record_every": 1,
-        "output_dir": str(tmp_path),
-    }
-    execute(ExperimentConfig.from_dict(raw))
-
-
 class TestNewtonWork:
     def test_no_point_is_evaluated_twice(self, monkeypatch):
         agg = gen_logistic_instance(8, 6, 4, c=0.1, seed=5)
         rng = np.random.default_rng(2)
-        agg.conj_argmax_cols(rng.standard_normal((4, 8)))  # builds the stack
+        agg.conj_argmax_cols(rng.standard_normal((4, 8)))  # builds the stack and its start
         grad = objectives._LogisticStack.grad
         points = []
 
@@ -550,7 +530,22 @@ class TestNewtonWork:
             return argmax(agg, z)
 
         monkeypatch.setattr(AggregateObjective, "conj_argmax_cols", counted_argmax)
-        run_logistic_config(tmp_path)
+        # dvopt run on n=20 logistic agents over one Erdos-Renyi graph, seed 3
+        raw = {
+            "seed": 3,
+            "objective": {"kind": "logistic", "n": 20, "l": 20, "m": 10, "c": 0.1},
+            "schedule": {
+                "horizon": 200,
+                "epochs": [
+                    {"start": 0, "kind": "erdos_renyi", "n": 20, "params": {"p": 0.7}, "seed": 3}
+                ],
+            },
+            "algorithms": ["nesterov", "diging"],
+            "max_iter": 200,
+            "record_every": 1,
+            "output_dir": str(tmp_path),
+        }
+        execute(ExperimentConfig.from_dict(raw))
         assert counts["argmax"] > 200
         assert counts["grad"] <= 6.0 * counts["argmax"]
         assert counts["hess"] <= 4.05 * counts["argmax"]
