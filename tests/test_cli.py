@@ -144,7 +144,6 @@ class TestExecute:
         assert any("ceiling" in w for w in summary["warnings"])
         assert summary["algorithms"]["nesterov"]["final_iter"] == 20
 
-
     def test_many_changes_run_reports_a_bound(self, tmp_path, capsys):
         # 199 changes make kappa^m overflow; the run still exits 0
         p = tmp_path / "cfg.json"

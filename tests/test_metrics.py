@@ -1,7 +1,6 @@
 """Metric rows, potential diagnostics, bound checks, serialization."""
 
 import math
-
 import tempfile
 from pathlib import Path
 
