@@ -20,8 +20,12 @@ and schedule.
 The three message-passing runners share one loop, which owns validation,
 the epoch of each iteration, the divergence check, the message log and
 the records; each method supplies its per-topology operator, built once
-per distinct topology, and its step.  The dual runners' ``keep_state``
-(default True) decides whether records snapshot ``z`` and ``z_tilde``.
+per distinct topology, and its step.  The divergence check is one pass
+over the watched state: its Frobenius norm, which is NaN or inf whenever
+an entry is, must stay at or below 1e12.  The dual runners'
+``keep_state`` (default True) decides whether records snapshot ``z`` and
+``z_tilde``.  Step sizes come from the schedule's spectra, computed once
+per distinct topology.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphSchedule, laplacian, mixing_matrix, theta_bounds
+from .graphs import GraphSchedule, _epoch_of_iteration, laplacian, mixing_matrix
 from .linalg import fro_norm, project_consensus_orth, sqrt_psd
 from .objectives import AggregateObjective, dual_constants
 
@@ -125,14 +129,11 @@ def _consensus_dist(y: np.ndarray) -> float:
     return fro_norm(y - y.mean(axis=1, keepdims=True))
 
 
-def _epoch_of_iteration(schedule: GraphSchedule, stop: int) -> list[int]:
-    """Epoch of each iteration 0..stop-1, read off the epoch starts once."""
-    starts = [s for s, _ in schedule.epochs] + [schedule.horizon]
-    return np.repeat(np.arange(len(schedule.epochs)), np.diff(starts))[:stop].tolist()
-
-
 def _finite(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a))) and fro_norm(a) <= _DIVERGENCE_LIMIT
+    # A NaN or infinite entry makes the sum of squares NaN or inf, and so
+    # does a finite one whose square overflows; the comparison is then
+    # False, so no separate isfinite pass is needed.
+    return fro_norm(a) <= _DIVERGENCE_LIMIT
 
 
 def _momentum(kappa: float) -> float:
@@ -244,7 +245,7 @@ class _DualMethod:
     abort_value = math.inf
 
     def __init__(self, agg, schedule, accelerated, keep_state):
-        dc = dual_constants(agg, theta_bounds(schedule))
+        dc = dual_constants(agg, schedule.theta)
         if accelerated:
             self.step_size = 1.0 / dc.l_f
             self.beta = _momentum(dc.kappa)
@@ -419,10 +420,10 @@ def solve_dual_min_norm(
     subspace.  With a zero start the iterates already live there, so the
     projection only removes rounding drift.
     """
-    topo = schedule.topologies()[0]
-    sw = sqrt_psd(laplacian(topo))
-    single = GraphSchedule(1, ((0, topo),))
-    dc = dual_constants(agg, theta_bounds(single))
+    first = schedule.topology_index[0]
+    sw = sqrt_psd(laplacian(schedule.distinct_topologies[first]))
+    info = schedule.spectra[first]
+    dc = dual_constants(agg, (info.sigma_max, info.sigma_min_pos))
     l_f, beta = dc.l_f, _momentum(dc.kappa)
     x = np.zeros((agg.dim, agg.n))
     y_prev = x.copy()
@@ -457,7 +458,7 @@ def run_xspace_reference(
         raise ValueError("method must be 'nesterov' or 'gd'")
     max_iter = _checked_max_iter(agg, schedule, max_iter)
 
-    dc = dual_constants(agg, theta_bounds(schedule))
+    dc = dual_constants(agg, schedule.theta)
     l_f, mu_f, kappa = dc.l_f, dc.mu_f, dc.kappa
     beta = _momentum(kappa)
     tau = 1.0 / (math.sqrt(kappa) + 1.0)

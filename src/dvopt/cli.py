@@ -62,6 +62,7 @@ _SEED_GRAPHS = 0x67727068  # "grph"
 _SEED_DATA = 0x64617461  # "data"
 
 ALGORITHMS = ("nesterov", "dual_gd", "diging")
+OVERRIDES = ("diging_stepsize",)
 
 
 class ValidationError(ValueError):
@@ -70,6 +71,26 @@ class ValidationError(ValueError):
 
 def _derive_seed(root: int, label: int) -> int:
     return int(root) ^ label
+
+
+def _checked_overrides(raw) -> dict:
+    # Checked before anything runs: a bad value would otherwise fail only
+    # when DIGing starts, after the other algorithms have written files.
+    if not isinstance(raw, dict):
+        raise ValidationError("overrides must be a JSON object")
+    unknown = set(raw) - set(OVERRIDES)
+    if unknown:
+        raise ValidationError(
+            f"unknown override(s) {sorted(unknown)}; valid names: {list(OVERRIDES)}"
+        )
+    if "diging_stepsize" in raw:
+        step = raw["diging_stepsize"]
+        number = isinstance(step, (int, float)) and not isinstance(step, bool)
+        if not (number and 0 < step <= sys.float_info.max):
+            raise ValidationError(
+                f"diging_stepsize must be a finite positive number, got {step!r}"
+            )
+    return dict(raw)
 
 
 def _resolve_file(base_dir: str, name: str, what: str) -> str:
@@ -146,7 +167,7 @@ class ExperimentConfig:
             record_every=record_every,
             output_dir=output_dir,
             run_id=str(raw.get("run_id", f"run{seed}")),
-            overrides=dict(raw.get("overrides", {})),
+            overrides=_checked_overrides(raw.get("overrides", {})),
         )
 
 
@@ -286,9 +307,7 @@ def _gd_contraction_verdict(trace, dc, x_star, schedule):
 
 
 def _per_epoch_spectra(schedule: graphs.GraphSchedule) -> list[graphs.SpectralInfo]:
-    # one decomposition per distinct topology, shared by the epochs using it
-    infos = [graphs.spectral_info(t) for t in schedule.distinct_topologies]
-    return [infos[i] for i in schedule.topology_index]
+    return [schedule.spectra[i] for i in schedule.topology_index]
 
 
 def execute(config: ExperimentConfig) -> dict:
@@ -303,7 +322,7 @@ def execute(config: ExperimentConfig) -> dict:
         raise ValidationError("max_iter exceeds the schedule horizon")
 
     os.makedirs(config.output_dir, exist_ok=True)
-    theta = graphs.theta_bounds(schedule)
+    theta = schedule.theta
     dc = dual_constants(agg, theta)
     m_changes, alpha = graphs.change_stats(schedule)
     per_epoch = _per_epoch_spectra(schedule)
@@ -504,7 +523,7 @@ def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
 def graphinfo_command(path) -> dict:
     """Spectral summary of a schedule file."""
     schedule = graphs.load_schedule(path)
-    theta = graphs.theta_bounds(schedule)
+    theta = schedule.theta
     m_changes, alpha = graphs.change_stats(schedule)
     epochs = []
     for (start, topo), info in zip(schedule.epochs, _per_epoch_spectra(schedule)):

@@ -9,6 +9,7 @@ closed-form rate bounds; they come from the LAPACK-backed eigensolver in
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -154,6 +155,11 @@ class GraphSchedule:
     ``topology_index[e]`` is epoch ``e``'s entry in it.  Both are built
     once, so per-topology work (connectivity, operators) is done once per
     distinct graph.
+
+    ``spectra[j]`` is the :class:`SpectralInfo` of
+    ``distinct_topologies[j]``, computed on first read (construction
+    decomposes nothing), and ``theta`` is the schedule-wide
+    (max sigma_max, min sigma_min_pos) over those spectra.
     """
 
     horizon: int
@@ -217,6 +223,20 @@ class GraphSchedule:
     def topologies(self) -> list[Topology]:
         return [t for _, t in self.epochs]
 
+    @functools.cached_property
+    def spectra(self) -> tuple[SpectralInfo, ...]:
+        return tuple(spectral_info(t) for t in self.distinct_topologies)
+
+    @property
+    def theta(self) -> tuple[float, float]:
+        return _theta(self.spectra)
+
+
+def _epoch_of_iteration(s: GraphSchedule, stop: int) -> list[int]:
+    """Epoch of each iteration 0..stop-1, read off the epoch starts once."""
+    starts = [start for start, _ in s.epochs] + [s.horizon]
+    return np.repeat(np.arange(len(s.epochs)), np.diff(starts))[:stop].tolist()
+
 
 def laplacian(t: Topology) -> np.ndarray:
     """Weighted graph Laplacian: degrees on the diagonal, -w_ij off it."""
@@ -250,13 +270,20 @@ def spectral_info(t: Topology) -> SpectralInfo:
     )
 
 
-def theta_bounds(s: GraphSchedule) -> tuple[float, float]:
-    """Schedule-wide (max of sigma_max, min of sigma_min_pos)."""
-    infos = [spectral_info(t) for t in s.topologies()]
+def _theta(infos) -> tuple[float, float]:
     return (
         max(i.sigma_max for i in infos),
         min(i.sigma_min_pos for i in infos),
     )
+
+
+def theta_bounds(s: GraphSchedule) -> tuple[float, float]:
+    """Schedule-wide (max of sigma_max, min of sigma_min_pos).
+
+    Decomposes every epoch's Laplacian, repeats included; it equals
+    ``s.theta``, which decomposes each distinct topology once.
+    """
+    return _theta([spectral_info(t) for t in s.topologies()])
 
 
 def change_stats(s: GraphSchedule) -> tuple[int, float]:
@@ -276,19 +303,21 @@ def mixing_delta(s: GraphSchedule, b: int = 1) -> float:
     Computes ``sup_k sigma_max(V(k) V(k-1) ... V(k-b+1) - (1/n) 11^T)``
     over all windows of length ``b`` inside the schedule; the supremum of
     the largest singular value is evaluated via the symmetric
-    eigendecomposition of M^T M.
+    eigendecomposition of M^T M.  Mixing matrices are built once per
+    distinct topology, and each window of topologies is evaluated once.
     """
     if b < 1:
         raise ValueError("window length must be >= 1")
     if s.horizon < b:
         raise ValueError("horizon shorter than the window")
     n = s.n
-    vs = [mixing_matrix(t) for t in s.topologies()]
+    vs = [mixing_matrix(t) for t in s.distinct_topologies]
+    topo_of = [s.topology_index[e] for e in _epoch_of_iteration(s, s.horizon)]
     avg = np.full((n, n), 1.0 / n)
     best = 0.0
     seen: set[tuple[int, ...]] = set()
     for k in range(b - 1, s.horizon):
-        window = tuple(s.epoch_index(k - i) for i in range(b))
+        window = tuple(topo_of[k - i] for i in range(b))
         if window in seen:
             continue
         seen.add(window)
@@ -354,7 +383,7 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
     if kind == "complete":
         return Topology(n, tuple(_complete_edges(n)))
     if kind == "erdos_renyi":
-        p = float(params.get("p", min(1.0, 2.0 * math.log(n) / n)))
+        p = _number(params.get("p", min(1.0, 2.0 * math.log(n) / n)), "edge probability", float)
         if not (0.0 < p <= 1.0):
             raise ValueError("edge probability must be in (0, 1]")
         rng = np.random.default_rng(seed)
@@ -370,8 +399,10 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
             f"in {_MAX_GEN_ATTEMPTS} attempts"
         )
     if kind == "random_geometric":
-        radius = float(params.get("radius", math.sqrt(2.0 * math.log(n) / (math.pi * n))))
-        if radius <= 0:
+        radius = _number(
+            params.get("radius", math.sqrt(2.0 * math.log(n) / (math.pi * n))), "radius", float
+        )
+        if not radius > 0:  # also rejects NaN, which would never connect
             raise ValueError("radius must be positive")
         rng = np.random.default_rng(seed)
         for _ in range(_MAX_GEN_ATTEMPTS):
@@ -401,6 +432,14 @@ _SCHEDULE_KEYS = {"horizon", "epochs"}
 _EPOCH_KEYS = {"start", "kind", "n", "params", "seed"}
 
 
+def _number(value, what: str, kind=int):
+    """``kind(value)``; anything that is not a number raises ValueError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 def schedule_from_spec(spec: dict) -> GraphSchedule:
     """Build a schedule from its file representation.
 
@@ -410,7 +449,8 @@ def schedule_from_spec(spec: dict) -> GraphSchedule:
          "epochs": [{"start": k, "kind": "...", "n": n,
                      "params": {...}, "seed": s}, ...]}
 
-    ``params`` and ``seed`` are optional per epoch.
+    ``params`` and ``seed`` are optional per epoch.  Malformed input
+    raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("schedule spec must be a mapping")
@@ -419,17 +459,26 @@ def schedule_from_spec(spec: dict) -> GraphSchedule:
         raise ValueError(f"unknown schedule fields: {sorted(unknown)}")
     if "horizon" not in spec or "epochs" not in spec:
         raise ValueError("schedule spec needs 'horizon' and 'epochs'")
+    if not isinstance(spec["epochs"], (list, tuple)):
+        raise ValueError("schedule 'epochs' must be a list")
     epochs = []
     for idx, e in enumerate(spec["epochs"]):
+        if not isinstance(e, dict):
+            raise ValueError(f"epoch {idx}: expected a mapping, got {e!r}")
         unknown = set(e) - _EPOCH_KEYS
         if unknown:
             raise ValueError(f"epoch {idx}: unknown fields {sorted(unknown)}")
         for key in ("start", "kind", "n"):
             if key not in e:
                 raise ValueError(f"epoch {idx}: missing field '{key}'")
-        topo = gen_topology(e["kind"], int(e["n"]), e.get("params"), int(e.get("seed", 0)))
-        epochs.append((int(e["start"]), topo))
-    return GraphSchedule(int(spec["horizon"]), tuple(epochs))
+        params = e.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ValueError(f"epoch {idx}: params must be a mapping, got {params!r}")
+        n = _number(e["n"], f"epoch {idx}: n")
+        seed = _number(e.get("seed", 0), f"epoch {idx}: seed")
+        topo = gen_topology(e["kind"], n, params, seed)
+        epochs.append((_number(e["start"], f"epoch {idx}: start"), topo))
+    return GraphSchedule(_number(spec["horizon"], "horizon"), tuple(epochs))
 
 
 def load_schedule(path) -> GraphSchedule:

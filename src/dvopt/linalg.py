@@ -9,6 +9,7 @@ same machine and BLAS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,14 @@ class Spectrum:
 
 
 def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm of an array."""
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
+    """Frobenius norm of an array.
+
+    The sum of squares is numpy's ``add.reduce``, so the bits equal
+    ``np.sqrt(np.sum(a**2))``; a NaN entry gives NaN and an infinite or
+    overflowing one gives inf.
+    """
+    a = np.asarray(a, dtype=float)
+    return math.sqrt((a * a).sum())
 
 
 def frobenius(x: np.ndarray, y: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dvopt.algorithms
 from dvopt.algorithms import (
@@ -261,6 +262,22 @@ class TestDegenerateAndAbort:
         tr = run_diging(agg, sched, stepsize=1e6, max_iter=200)
         assert tr.aborted
         assert tr.records[-1].consensus_dist == math.inf
+
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=st.one_of(
+                st.floats(-1e3, 1e3),
+                st.sampled_from([math.nan, math.inf, -math.inf, 1e155, -1e200, 7e11, 1e12]),
+            ),
+        )
+    )
+    def test_one_pass_divergence_check_matches_isfinite_and_norm(self, a):
+        limit = dvopt.algorithms._DIVERGENCE_LIMIT
+        with np.errstate(over="ignore"):
+            two_pass = bool(np.all(np.isfinite(a))) and float(np.sqrt(np.sum(a**2))) <= limit
+            assert dvopt.algorithms._finite(a) is two_pass
 
     def test_max_iter_capped_by_horizon(self):
         agg = two_agent_instance()

@@ -167,10 +167,9 @@ class TestExecute:
         )
         summary = execute(ExperimentConfig.from_dict(raw))
         assert len(summary["per_epoch"]) == 200
-        # 200 each in the schedule's and the dual_gd runner's theta_bounds,
-        # 1 in the dual solve's (its one-epoch schedule), 2 for the summary
-        # (601 when the summary decomposed every epoch)
-        assert len(calls) == 403
+        # the schedule's spectra, one per distinct topology, serve theta,
+        # the dual_gd runner, the dual solve and the summary
+        assert len(calls) == 2
 
 
 class TestBoundsCommand:
@@ -273,6 +272,37 @@ class TestMainExitCodes:
         p.write_text(json.dumps(minimal_config(tmp_path, algorithms=["panda"])))
         assert main(["run", str(p)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"diging_stepsize": -1},
+            {"diging_stepsize": 0},
+            {"diging_stepsize": "abc"},
+            {"diging_stepsize": None},
+            {"diging_stepsize": True},
+            {"diging_stepsize": math.inf},
+            {"diging_stepsize": math.nan},
+            {"diging_stepsze": 0.05},
+            [0.05],
+        ],
+    )
+    def test_bad_overrides_exit_one_before_any_file(self, tmp_path, capsys, overrides):
+        # nesterov runs first, so a late check would leave its CSV behind
+        raw = minimal_config(tmp_path, algorithms=["nesterov", "diging"], overrides=overrides)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_override_reaches_diging(self, tmp_path):
+        raw = minimal_config(
+            tmp_path, algorithms=["diging"], overrides={"diging_stepsize": 0.05}
+        )
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.overrides == {"diging_stepsize": 0.05}
+        assert not execute(cfg)["algorithms"]["diging"]["aborted"]
 
     def test_run_resolves_files_against_config_dir(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "cfgdir"

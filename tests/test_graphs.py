@@ -1,12 +1,14 @@
 """Topology generation, Laplacians, spectra, schedules, mixing matrices."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import dvopt.graphs
 from dvopt.graphs import (
     GenerationError,
     GraphSchedule,
@@ -24,6 +26,27 @@ from dvopt.graphs import (
     theta_bounds,
 )
 from dvopt.linalg import eig_sym
+
+
+# Connected four-node topologies; the path appears twice as separate equal
+# objects, so drawn schedules repeat topologies both ways.
+_POOL = (
+    gen_topology("path", 4),
+    Topology(4, ((1, 2), (2, 3), (3, 4))),
+    gen_topology("cycle", 4),
+    gen_topology("star", 4),
+    Topology(4, ((1, 2), (1, 3), (1, 4)), (1.0, 2.0, 0.5)),
+    gen_topology("complete", 4),
+)
+
+
+@st.composite
+def pooled_schedules(draw):
+    horizon = draw(st.integers(1, 30))
+    later = draw(st.lists(st.integers(1, max(1, horizon - 1)), max_size=6, unique=True))
+    starts = [0] + sorted(s for s in later if s < horizon)
+    picks = draw(st.lists(st.sampled_from(_POOL), min_size=len(starts), max_size=len(starts)))
+    return GraphSchedule(horizon, tuple(zip(starts, picks)))
 
 
 class TestTopology:
@@ -197,6 +220,20 @@ class TestSchedule:
         double = GraphSchedule(10, ((0, t), (5, t)))
         assert theta_bounds(single) == theta_bounds(double)
 
+    @given(pooled_schedules())
+    def test_theta_equals_per_epoch_bounds(self, s):
+        assert s.spectra == tuple(spectral_info(t) for t in s.distinct_topologies)
+        assert s.theta == theta_bounds(s)
+
+    def test_construction_decomposes_nothing(self, monkeypatch):
+        calls = []
+        eig = dvopt.graphs.eig_sym
+        monkeypatch.setattr(dvopt.graphs, "eig_sym", lambda a: calls.append(a) or eig(a))
+        s = alternating_schedule(("star", "cycle"), 20, 5, 1000)
+        assert len(calls) == 0
+        assert s.theta == s.theta and len(s.spectra) == 2
+        assert len(calls) == 2
+
     def test_change_stats(self):
         t = gen_topology("path", 3)
         assert change_stats(GraphSchedule(100, ((0, t),))) == (0, 0.0)
@@ -274,8 +311,91 @@ class TestMixing:
         d2 = mixing_delta(s, 2)
         assert 0.0 <= d2 <= d1 < 1.0
 
+    @given(pooled_schedules(), st.integers(1, 4))
+    def test_delta_equals_per_epoch_reference(self, s, b):
+        assume(s.horizon >= b)
+        # one mixing matrix per epoch and one product per window, no sharing
+        vs = [mixing_matrix(t) for _, t in s.epochs]
+        avg = np.full((s.n, s.n), 1.0 / s.n)
+        want = 0.0
+        for k in range(b - 1, s.horizon):
+            prod = vs[s.epoch_index(k)]
+            for i in range(1, b):
+                prod = prod @ vs[s.epoch_index(k - i)]
+            diff = prod - avg
+            want = max(want, math.sqrt(max(eig_sym(diff.T @ diff).eigenvalues[-1], 0.0)))
+        assert mixing_delta(s, b) == want
+
+
+# Values no numeric, kind or epoch field accepts.
+_JUNK = st.one_of(
+    st.none(),
+    st.text("xyz", max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_BAD_PARAM = {
+    "p": st.one_of(_JUNK, st.sampled_from([0.0, -0.5, 1.5])),
+    "radius": st.one_of(
+        st.none(), st.text("xyz", max_size=3), st.sampled_from([math.nan, -math.inf, 0.0, -1.0])
+    ),
+}
+_CORRUPTIONS = (
+    "spec", "horizon", "epochs", "entry", "start", "n", "seed", "kind",
+    "params", "param value", "missing", "unknown", "starts", "node count",
+)
+
+
+def _valid_spec():
+    return {
+        "horizon": 20,
+        "epochs": [
+            {"start": 0, "kind": "erdos_renyi", "n": 5, "params": {"p": 0.9}, "seed": 1},
+            {"start": 10, "kind": "random_geometric", "n": 5, "params": {"radius": 0.9}},
+        ],
+    }
+
+
+@st.composite
+def malformed_specs(draw):
+    """A valid spec with one part replaced by something it does not accept."""
+    spec = _valid_spec()
+    epochs = spec["epochs"]
+    i = draw(st.integers(0, 1))
+    e = epochs[i]
+    where = draw(st.sampled_from(_CORRUPTIONS))
+    if where == "spec":
+        return draw(_JUNK)
+    if where in ("horizon", "epochs"):
+        spec[where] = draw(_JUNK)
+    elif where == "entry":
+        epochs[i] = draw(_JUNK)
+    elif where in ("start", "n", "seed", "kind"):
+        e[where] = draw(_JUNK)
+    elif where == "params":
+        e["params"] = draw(st.one_of(st.text("xyz", max_size=3), st.lists(st.none()), st.integers()))
+    elif where == "param value":
+        key = next(iter(e["params"]))
+        e["params"][key] = draw(_BAD_PARAM[key])
+    elif where == "missing":
+        del e[draw(st.sampled_from(["start", "kind", "n"]))]
+    elif where == "unknown":
+        draw(st.sampled_from([spec, e]))["extra"] = 1
+    elif where == "starts":
+        epochs[1]["start"] = draw(st.sampled_from([0, 20, -3]))
+    else:
+        e["n"] = 4
+    return spec
+
 
 class TestScheduleSpec:
+    @given(malformed_specs())
+    def test_malformed_spec_raises_value_error(self, spec):
+        assert schedule_from_spec(_valid_spec()).horizon == 20
+        with pytest.raises(ValueError):
+            schedule_from_spec(spec)
+
     def test_roundtrip(self, tmp_path):
         spec = {
             "horizon": 40,

@@ -6,10 +6,13 @@ spectrum 2 - 2 cos(k pi / n), LAPACK as a cross-check on random
 matrices, and prescribed spectra Q diag(v) Q^T with repeated eigenvalues.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dvopt.linalg import (
     NotPSDError,
@@ -199,6 +202,17 @@ class TestFrobenius:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             frobenius(np.ones((2, 2)), np.ones((3, 2)))
+
+    @given(arrays(float, st.tuples(st.integers(1, 7), st.integers(1, 7))))
+    def test_fro_norm_bits_match_sum_of_squares(self, a):
+        # C and F order, transposed, reversed and strided views; NaN, inf
+        # and overflowing entries included
+        views = (a, np.asfortranarray(a), a.T, a[::2, ::-1], a[:, 1::2])
+        with np.errstate(over="ignore"):
+            for view in views:
+                want = float(np.sqrt(np.sum(view**2)))
+                got = fro_norm(view)
+                assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_self_dual_norm_certificate(self):
         # sup over unit-Frobenius X of <X, Y> is attained at X = Y/||Y||

@@ -243,6 +243,21 @@ class TestBalance:
                 1 + abs(agg.value_consensus(y))
             )
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        arrays(float, 3, elements=st.floats(-30.0, 30.0)),
+    )
+    def test_value_consensus_unchanged_at_random_points(self, seed, y):
+        # quadratic and logistic locals with unequal strong convexity
+        rng = np.random.default_rng(seed)
+        logistic = gen_logistic_instance(3, 4, 3, c=rng.uniform(0.05, 1.0), seed=seed)
+        locs = logistic.locals[:2] + (logistic.locals[2].shifted(rng.uniform(0.0, 2.0)),)
+        locs += tuple(rand_quadratic(rng, 3) for _ in range(rng.integers(0, 3)))
+        agg = AggregateObjective(locs)
+        before = agg.value_consensus(y)
+        after = balance_strong_convexity(agg).value_consensus(y)
+        assert abs(after - before) <= 1e-12 * abs(before)
+
     def test_logistic_balance(self):
         agg = gen_logistic_instance(3, 4, 2, c=0.3, seed=0)
         mixed = AggregateObjective(agg.locals[:2] + (agg.locals[2].shifted(0.5),))
