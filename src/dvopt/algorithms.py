@@ -24,8 +24,12 @@ per distinct topology, and its step.  The divergence check is one pass
 over the watched state: its Frobenius norm, which is NaN or inf whenever
 an entry is, must stay at or below 1e12.  The dual runners'
 ``keep_state`` (default True) decides whether records snapshot ``z`` and
-``z_tilde``.  Step sizes come from the schedule's spectra, computed once
-per distinct topology.
+``z_tilde``.  Records are evaluated in blocks: the loop copies each
+recorded state into a block of up to 16 records and evaluates the whole
+block's dual values and consensus distances in one pass, with the bits a
+record-by-record evaluation gives; records' arrays are views into a
+fresh copy per block.  Step sizes come from the schedule's spectra,
+computed once per distinct topology.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ __all__ = [
 
 _KAPPA_DEGENERATE_TOL = 1e-12
 _DIVERGENCE_LIMIT = 1e12
+# Records evaluated per pass.  On ridge n=100 (16 KB per state array;
+# Xeon, OpenBLAS, one thread) a record's evaluation took 59 us alone and
+# 38 us in blocks of 8, and `dvopt run` took 3-4% less time with blocks of
+# 16 than of 8, for 0.25 MB more peak memory in block scratch arrays.
+_BLOCK = 16
 
 
 @dataclass
@@ -125,8 +134,18 @@ class RunTrace:
         return self.records[-1]
 
 
-def _consensus_dist(y: np.ndarray) -> float:
-    return fro_norm(y - y.mean(axis=1, keepdims=True))
+def _consensus_dists(block: np.ndarray, agent_axis: int) -> np.ndarray:
+    """Frobenius distance of each entry of a block from its agent average.
+
+    Entries are (d, n) arrays with ``agent_axis`` 2 or, stored as their
+    (n, d) transposes, with ``agent_axis`` 1.  The block is C-contiguous
+    and each entry is stored in its recorded array's memory order, so the
+    mean and the sum of squares run in the order they would run on that
+    array alone and the bits do not depend on the block.  The block is
+    overwritten with the squared deviations.
+    """
+    block -= block.mean(axis=agent_axis, keepdims=True)
+    return np.sqrt(np.square(block, out=block).reshape(len(block), -1).sum(axis=1))
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -157,20 +176,20 @@ def _checked_max_iter(agg, schedule, max_iter) -> int:
     return max_iter
 
 
-def _record(k, epoch, message_count, fields) -> TraceRecord:
-    dual_value, consensus_dist, z, z_tilde, y_tilde = fields
-    return TraceRecord(k, epoch, dual_value, consensus_dist, message_count, z, z_tilde, y_tilde)
-
-
 def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     """The iteration loop shared by the message-passing runners.
 
     ``start()`` builds the method once the arguments are valid.  Its
     ``operator(topology)``, a (matrix, message pairs) pair, is built once
     per distinct topology; ``step(matrix, record)`` advances one iteration
-    and, when recording, returns the pre-step record fields, which
+    and, when recording, returns the pre-step state arrays, which
     ``look()`` gives at the current state; ``watched`` is the state the
-    divergence check reads.
+    divergence check reads.  Recorded states are copied into a block of
+    up to ``_BLOCK`` records, one array per state array allocated once
+    per run, and ``evaluate(rows)`` turns the filled rows into record
+    fields in one pass, copying out the arrays records keep (it may
+    overwrite the rows): when the block is full, before an abort record
+    and after the final record.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -179,20 +198,45 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     ops = [method.operator(t) for t in schedule.distinct_topologies]
     by_epoch = [ops[j] for j in schedule.topology_index]
     records: list[TraceRecord] = []
+    # a run without abort records every record_every-th iteration and the final state
+    size = min(_BLOCK, -(-max_iter // record_every) + 1)
+    block: list[tuple] = []  # (iter, epoch, message count) of the records in ``rows``
+    rows: list[np.ndarray] = []
+
+    def keep(k, e, count, state):
+        if not rows:
+            rows.extend(np.empty((size, *a.shape)) for a in state)
+        for buf, a in zip(rows, state):
+            buf[len(block)] = a
+        block.append((k, e, count))
+        if len(block) == size:
+            flush()
+
+    def flush():
+        if block:
+            fields = method.evaluate([buf[: len(block)] for buf in rows])
+            records.extend(
+                TraceRecord(k, e, dual, dist, count, *arrays)
+                for (k, e, count), (dual, dist, *arrays) in zip(block, fields)
+            )
+            block.clear()
+
     log = MessageLog()
     for k, e in enumerate(_epoch_of_iteration(schedule, max_iter)):
         if not _finite(method.watched):
+            flush()
             nan_y = np.full((agg.dim, agg.n), np.nan)
-            records.append(_record(k, e, 0, (method.abort_value, math.inf, None, None, nan_y)))
+            records.append(TraceRecord(k, e, method.abort_value, math.inf, 0, None, None, nan_y))
             break
         matrix, pairs = by_epoch[e]
         log.append(pairs)
-        fields = method.step(matrix, k % record_every == 0)
-        if fields is not None:
-            records.append(_record(k, e, pairs.shape[0], fields))
+        state = method.step(matrix, k % record_every == 0)
+        if state is not None:
+            keep(k, e, pairs.shape[0], state)
     else:
         k = max_iter
-        records.append(_record(k, e, 0, method.look()))
+        keep(k, e, 0, method.look())
+        flush()
     return RunTrace(
         algorithm=method.name,
         records=records,
@@ -269,26 +313,35 @@ class _DualMethod:
     def operator(topo):
         return laplacian(topo), topo.directed_pairs()
 
-    def _fields(self, y):
-        keep = self.keep_state
-        return (
-            self.agg.dual_value(self.z, y),
-            _consensus_dist(y),
-            self.z.copy() if keep else None,
-            self.zt.copy() if keep else None,
-            y.copy(),
-        )
+    def _state(self, y):
+        # A quadratic argmax comes out in Fortran order.  The block then
+        # keeps y transposed, a plain copy in y's own memory order, which
+        # the value and consensus reductions need.
+        self.y_transposed = not y.flags.c_contiguous
+        y = y.T if self.y_transposed else y
+        return (self.z, y, self.zt) if self.keep_state else (self.z, y)
 
     def step(self, w, record):
         y = self.agg.conj_argmax_cols(self.z)
-        fields = self._fields(y) if record else None
+        state = self._state(y) if record else None
         zt_next = self.z - self.step_size * (y @ w)
         self.z = (1.0 + self.beta) * zt_next - self.beta * self.zt
         self.zt = zt_next
-        return fields
+        return state
 
     def look(self):
-        return self._fields(self.agg.conj_argmax_cols(self.z))
+        return self._state(self.agg.conj_argmax_cols(self.z))
+
+    def evaluate(self, rows):
+        zs, ys, *zts = rows
+        cols = ys.transpose(0, 2, 1) if self.y_transposed else ys
+        duals = self.agg.dual_value_batch(zs, cols).tolist()
+        y_tildes = cols.copy()
+        dists = _consensus_dists(ys, 1 if self.y_transposed else 2).tolist()
+        if zts:
+            return zip(duals, dists, zs.copy(), zts[0].copy(), y_tildes)
+        none = [None] * len(ys)
+        return zip(duals, dists, none, none, y_tildes)
 
     def final_state(self, final_iter, last):
         if self.accelerated:
@@ -346,15 +399,22 @@ class _DIGingMethod:
         return mixing_matrix(topo).T, np.vstack([topo.directed_pairs()] * 2)
 
     def look(self):
-        return math.nan, _consensus_dist(self.x), None, None, self.x.copy()
+        return (self.x,)
 
     def step(self, vt, record):
-        fields = self.look() if record else None
+        state = self.look() if record else None
         x_next = self.x @ vt - self.alpha * self.u
         g_next = self.agg.grad_cols(x_next)
         self.u = self.u @ vt + g_next - self.g
         self.x, self.g = x_next, g_next
-        return fields
+        return state
+
+    @staticmethod
+    def evaluate(rows):
+        (xs,) = rows
+        kept = xs.copy()
+        dists = _consensus_dists(xs, 2).tolist()  # x is always in C order
+        return ((math.nan, dist, None, None, x) for dist, x in zip(dists, kept))
 
     def final_state(self, final_iter, last):
         return DIGingState(x=self.x, u=self.u, g_prev=self.g, stepsize=self.alpha, iter=final_iter)
@@ -464,9 +524,9 @@ def run_xspace_reference(
     tau = 1.0 / (math.sqrt(kappa) + 1.0)
     distinct = [sqrt_psd(laplacian(t)) for t in schedule.distinct_topologies]
     sqrt_ws = [distinct[j] for j in schedule.topology_index]
-    epochs = _epoch_of_iteration(schedule, schedule.horizon)
+    epochs = _epoch_of_iteration(schedule, max_iter)
     # epoch_of[k] is the epoch of iteration k, clipped to the horizon
-    epoch_of = epochs[:max_iter] + [epochs[min(max_iter, schedule.horizon - 1)]]
+    epoch_of = epochs + [schedule.epoch_index(max_iter)]
 
     x = np.zeros((agg.dim, agg.n))
     y = x.copy()

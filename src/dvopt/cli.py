@@ -93,6 +93,14 @@ def _checked_overrides(raw) -> dict:
     return dict(raw)
 
 
+def _int_field(raw: dict, key: str, default=None) -> int:
+    value = raw.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _resolve_file(base_dir: str, name: str, what: str) -> str:
     path = os.path.abspath(os.path.join(base_dir, name))
     if not os.path.isfile(path):
@@ -133,6 +141,8 @@ class ExperimentConfig:
         for req in ("seed", "objective", "schedule", "algorithms", "max_iter"):
             if req not in raw:
                 raise ValidationError(f"config missing required field '{req}'")
+        if not isinstance(raw["algorithms"], (list, tuple)):
+            raise ValidationError(f"algorithms must be a list, got {raw['algorithms']!r}")
         algs = tuple(raw["algorithms"])
         if not algs:
             raise ValidationError("at least one algorithm required")
@@ -141,10 +151,10 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown algorithm name(s) {bad}; valid names: {list(ALGORITHMS)}"
             )
-        max_iter = int(raw["max_iter"])
+        max_iter = _int_field(raw, "max_iter")
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        record_every = int(raw.get("record_every", 1))
+        record_every = _int_field(raw, "record_every", 1)
         if record_every < 1:
             raise ValidationError("record_every must be >= 1")
         # File references and output_dir are relative to the config's
@@ -154,10 +164,12 @@ class ExperimentConfig:
         if isinstance(sched, dict) and "file" in sched:
             sched = {**sched, "file": _resolve_file(base_dir, sched["file"], "schedule")}
         obj = raw["objective"]
-        if isinstance(obj, dict) and obj.get("kind") == "dataset":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"objective must be a JSON object, got {obj!r}")
+        if obj.get("kind") == "dataset":
             obj = {**obj, "path": _resolve_file(base_dir, obj.get("path", ""), "dataset")}
         output_dir = os.path.abspath(os.path.join(base_dir, str(raw.get("output_dir", "."))))
-        seed = int(raw["seed"])
+        seed = _int_field(raw, "seed")
         return cls(
             seed=seed,
             objective=dict(obj),

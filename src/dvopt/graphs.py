@@ -9,6 +9,7 @@ closed-form rate bounds; they come from the LAPACK-backed eigensolver in
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -164,7 +165,7 @@ class GraphSchedule:
 
     horizon: int
     epochs: tuple[tuple[int, Topology], ...]
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     distinct_topologies: tuple[Topology, ...] = field(init=False, repr=False, compare=False)
     topology_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -198,7 +199,8 @@ class GraphSchedule:
                 by_id[id(topo)] = j
             index.append(j)
         object.__setattr__(self, "epochs", tuple((int(s), t) for s, t in self.epochs))
-        object.__setattr__(self, "_starts", np.asarray(starts, dtype=int))
+        # Python ints, not an int64 array: a start may lie beyond 2**63
+        object.__setattr__(self, "_starts", tuple(starts))
         object.__setattr__(self, "distinct_topologies", tuple(distinct))
         object.__setattr__(self, "topology_index", tuple(index))
 
@@ -215,7 +217,7 @@ class GraphSchedule:
         if k < 0:
             raise ValueError("iteration index must be >= 0")
         k = min(k, self.horizon - 1)
-        return int(np.searchsorted(self._starts, k, side="right") - 1)
+        return bisect.bisect_right(self._starts, k) - 1
 
     def topology_at(self, k: int) -> Topology:
         return self.epochs[self.epoch_index(k)][1]
@@ -233,9 +235,18 @@ class GraphSchedule:
 
 
 def _epoch_of_iteration(s: GraphSchedule, stop: int) -> list[int]:
-    """Epoch of each iteration 0..stop-1, read off the epoch starts once."""
-    starts = [start for start, _ in s.epochs] + [s.horizon]
-    return np.repeat(np.arange(len(s.epochs)), np.diff(starts))[:stop].tolist()
+    """Epoch of each iteration 0..stop-1 (at most to the horizon).
+
+    Only the epochs that start before ``stop`` are read, so the cost
+    follows ``stop``, not the horizon.
+    """
+    epochs: list[int] = []
+    ends = s._starts[1:] + (s.horizon,)
+    for e, (start, end) in enumerate(zip(s._starts, ends)):
+        if start >= stop:
+            break
+        epochs += [e] * (min(end, stop) - start)
+    return epochs
 
 
 def laplacian(t: Topology) -> np.ndarray:

@@ -14,7 +14,11 @@ for the logistic case.
 An :class:`AggregateObjective` evaluates its agents family by family: on
 first use it stacks each family's locals (quadratics as ``(n, d, d)``
 matrices, logistic samples as zero-padded ``(n, l, m)`` arrays) and then
-maps all columns of a family in one batched numpy call.  One damped
+maps all columns of a family in one batched numpy call.  Values also take
+a leading batch axis, one entry per run record (``value_cols_batch``,
+``value_consensus_batch``, ``dual_value_batch``), and the per-record
+``value_cols``, ``value_consensus`` and ``dual_value`` are batches of
+one with the same bits.  One damped
 Newton routine, batched over rows with a per-row active mask, serves the
 logistic conjugate argmax (of an aggregate, or of one local as a batch
 of one) and the centralized reference solve.  Every agent keeps its own
@@ -224,7 +228,7 @@ class LogisticObjective:
         return _LogisticStack((self,), None)
 
     def value(self, x: np.ndarray) -> float:
-        return self._stack.value(np.asarray(x, dtype=float).reshape(1, -1))
+        return float(self._stack.value(np.asarray(x, dtype=float).reshape(1, 1, -1))[0])
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self._stack.grad(np.asarray(x, dtype=float).reshape(1, -1))[0]
@@ -239,11 +243,25 @@ class LogisticObjective:
         return LogisticObjective(self.samples, self.labels, self.ridge + ridge_shift, self.scale)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each entry of a C-contiguous batch.
+
+    Every entry is one contiguous row, so numpy's pairwise sum runs over
+    it exactly as over the entry alone: a batch of one and a block give
+    the same bits.
+    """
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Stacked per-family kernels.  Each stack holds k locals of one family along
 # axis 0 and evaluates all of them in one numpy call; points are the rows
-# of a (k, d) array.  ``agents`` are the aggregate columns the locals
-# occupy, or None for a standalone local.
+# of a (k, d) array.  Values take a leading batch axis, (R, k, d) points or
+# (R, d) consensus points in, one value per entry out.  Batches are
+# C-contiguous and every product is a stacked per-slice matmul, so each
+# entry runs the BLAS kernel and the pairwise sum a batch of one runs and
+# its bits do not depend on the batch.  ``agents`` are the aggregate
+# columns the locals occupy, or None for a standalone local.
 
 
 class _QuadraticStack:
@@ -259,13 +277,17 @@ class _QuadraticStack:
         self.quad_sum = self.quad.sum(axis=0)
         self.lin_sum = self.lin.sum(axis=0)
 
-    def value(self, y: np.ndarray) -> float:
-        """Sum of the locals' values, local i at row i of ``y``."""
-        hy = (self.quad @ y[..., None])[..., 0]
-        return float(0.5 * np.sum(y * hy) - np.sum(self.lin * y) + self.const)
+    def value(self, y: np.ndarray) -> np.ndarray:
+        """Sum of the locals' values for each entry of ``y`` (R, k, d), local i at row i."""
+        work = (self.quad @ y[..., None])[..., 0]  # Hy, then scratch for the products
+        curv = _row_sums(np.multiply(y, work, out=work))
+        return 0.5 * curv - _row_sums(np.multiply(self.lin, y, out=work)) + self.const
 
-    def consensus_value(self, point: np.ndarray) -> float:
-        return float(0.5 * point @ (self.quad_sum @ point) - self.lin_sum @ point + self.const)
+    def consensus_value(self, points: np.ndarray) -> np.ndarray:
+        """Sum of the locals' values at each row of ``points`` (R, d)."""
+        col = points[..., None]
+        curv = (0.5 * points)[:, None, :] @ (self.quad_sum @ col)
+        return curv[:, 0, 0] - (self.lin_sum @ col)[:, 0] + self.const
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         return (self.quad @ y[..., None])[..., 0] - self.lin
@@ -304,16 +326,20 @@ class _LogisticStack:
     def _margins(self, x: np.ndarray, rows) -> np.ndarray:
         return self.labels[rows] * (self.samples[rows] @ x[..., None])[..., 0]
 
-    def _value(self, margins: np.ndarray, sq_norms) -> float:
-        loss = np.sum(self.weight * np.logaddexp(0.0, -margins))
-        return float(loss + 0.5 * np.sum(self.ridge * sq_norms))
+    def _value(self, margins: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+        # margins (R, k, l) and squared norms (R, k): one value per entry
+        loss = _row_sums(self.weight * np.logaddexp(0.0, -margins))
+        return loss + 0.5 * np.sum(self.ridge * sq_norms, axis=1)
 
-    def value(self, x: np.ndarray) -> float:
-        """Sum of the locals' values, local i at row i of ``x``."""
-        return self._value(self._margins(x, slice(None)), np.sum(x * x, axis=1))
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """Sum of the locals' values for each entry of ``x`` (R, k, m), local i at row i."""
+        return self._value(self._margins(x, slice(None)), np.sum(x * x, axis=-1))
 
-    def consensus_value(self, point: np.ndarray) -> float:
-        return self._value(self.labels * (self.samples @ point), point @ point)
+    def consensus_value(self, points: np.ndarray) -> np.ndarray:
+        """Sum of the locals' values at each row of ``points`` (R, m)."""
+        margins = self.labels * (self.samples @ points[:, None, :, None])[..., 0]
+        sq_norms = (points[:, None, :] @ points[..., None])[:, 0]  # (R, 1)
+        return self._value(margins, sq_norms)
 
     # ``rows`` picks the locals still active in a Newton solve.
     def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -424,13 +450,26 @@ class AggregateObjective:
 
     def value_cols(self, y: np.ndarray) -> float:
         """Phi(Y) = sum_i phi_i(y_i) over the columns of Y."""
-        y = np.asarray(y, dtype=float)
-        return float(sum(stack.value(y.T[stack.agents]) for stack in self._stacks))
+        return float(self.value_cols_batch(np.asarray(y, dtype=float)[None])[0])
+
+    def value_cols_batch(self, ys: np.ndarray) -> np.ndarray:
+        """Phi(Y) of each entry of a (R, d, n) batch."""
+        rows = np.asarray(ys, dtype=float).transpose(0, 2, 1)
+        stacks = self._stacks
+        if len(stacks) == 1:
+            # one family holds every column in order: a copy, not a gather
+            return stacks[0].value(np.ascontiguousarray(rows))
+        return sum(stack.value(np.ascontiguousarray(rows[:, stack.agents])) for stack in stacks)
 
     def value_consensus(self, point: np.ndarray) -> float:
         """sum_i phi_i(y) at a single shared point."""
         point = np.asarray(point, dtype=float).ravel()
-        return float(sum(stack.consensus_value(point) for stack in self._stacks))
+        return float(self.value_consensus_batch(point[None])[0])
+
+    def value_consensus_batch(self, points: np.ndarray) -> np.ndarray:
+        """sum_i phi_i(y) at each row y of a (R, d) batch."""
+        points = np.ascontiguousarray(points, dtype=float)
+        return sum(stack.consensus_value(points) for stack in self._stacks)
 
     def grad_cols(self, y: np.ndarray) -> np.ndarray:
         return self._map_cols("grad", np.asarray(y, dtype=float))
@@ -446,7 +485,12 @@ class AggregateObjective:
         z = np.asarray(z, dtype=float)
         if y_tilde is None:
             y_tilde = self.conj_argmax_cols(z)
-        return float(np.sum(z * y_tilde)) - self.value_cols(y_tilde)
+        return float(self.dual_value_batch(z[None], np.asarray(y_tilde, dtype=float)[None])[0])
+
+    def dual_value_batch(self, zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The dual value of each entry of (R, d, n) batches of Z and its argmax Y."""
+        zs = np.asarray(zs, dtype=float)
+        return _row_sums(zs * ys) - self.value_cols_batch(ys)
 
 
 @dataclass(frozen=True)

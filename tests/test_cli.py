@@ -296,6 +296,24 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"max_iter": None},
+            {"record_every": None},
+            {"seed": [1]},
+            {"seed": math.inf},
+            {"algorithms": 5},
+            {"objective": 5},
+        ],
+    )
+    def test_wrongly_typed_field_exits_one_before_any_file(self, tmp_path, capsys, field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path, **field)))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_valid_override_reaches_diging(self, tmp_path):
         raw = minimal_config(
             tmp_path, algorithms=["diging"], overrides={"diging_stepsize": 0.05}

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dvopt.graphs import (
     GenerationError,
     GraphSchedule,
     Topology,
+    _epoch_of_iteration,
     _n_components,
     alternating_schedule,
     change_stats,
@@ -25,7 +27,9 @@ from dvopt.graphs import (
     spectral_info,
     theta_bounds,
 )
+from dvopt.algorithms import run_distributed_nesterov
 from dvopt.linalg import eig_sym
+from dvopt.objectives import gen_ridge_instance
 
 
 # Connected four-node topologies; the path appears twice as separate equal
@@ -261,6 +265,39 @@ class TestSchedule:
         assert s.epoch_index(10) == 1
         assert s.epoch_index(29) == 1
         assert s.change_iterations == (10,)
+
+    @given(pooled_schedules(), st.integers(0, 40))
+    def test_epoch_of_iteration_matches_epoch_index(self, s, stop):
+        want = [s.epoch_index(k) for k in range(min(stop, s.horizon))]
+        assert _epoch_of_iteration(s, stop) == want
+
+    def test_epoch_of_iteration_builds_only_what_it_returns(self):
+        t = gen_topology("path", 3)
+        s = GraphSchedule(10**7, ((0, t), (5 * 10**6, gen_topology("star", 3))))
+        tracemalloc.start()
+        try:
+            epochs = _epoch_of_iteration(s, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert epochs == [0] * 10
+        assert peak < 2**20
+
+    def test_starts_beyond_int64(self):
+        s = schedule_from_spec(
+            {
+                "horizon": 10**30,
+                "epochs": [
+                    {"start": 0, "kind": "path", "n": 3},
+                    {"start": 10**20, "kind": "star", "n": 3},
+                ],
+            }
+        )
+        assert s.change_iterations == (10**20,)
+        assert [s.epoch_index(k) for k in (0, 10**20 - 1, 10**20, 10**30)] == [0, 0, 1, 1]
+        trace = run_distributed_nesterov(gen_ridge_instance(3, 4, 2, seed=1), s, max_iter=10)
+        assert [r.iter for r in trace.records] == list(range(11))
+        assert not trace.aborted
 
 
 class TestMixing:

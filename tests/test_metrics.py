@@ -192,6 +192,22 @@ class TestEmit:
         emit([MetricRow(0, 0, 0.0, 0.0, 0.0, 0.0, 0)], "csv", p)
         assert p.read_text() == CSV_HEADER + "\n0,0,0,0,0,0,0\n"
 
+    def test_special_values_exact_bytes(self, tmp_path):
+        rows = [
+            MetricRow(1, 2, math.nan, math.inf, -math.inf, -0.0, 3),
+            MetricRow(4, 5, 5e-324, 1.7976931348623157e308, np.float64(0.1), 2.5, 6),
+            # integers in float fields print exactly, not as '%.17g' would
+            MetricRow(7, 8, 10**20, -3, np.int64(2**62), 0.5, 9),
+        ]
+        p = tmp_path / "s.csv"
+        emit(rows, "csv", p)
+        assert p.read_bytes() == (
+            CSV_HEADER + "\n"
+            "1,2,nan,inf,-inf,-0,3\n"
+            "4,5,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,2.5,6\n"
+            "7,8,100000000000000000000,-3,4611686018427387904,0.5,9\n"
+        ).encode()
+
     def test_roundtrip_exact(self, tmp_path):
         rows = [
             MetricRow(0, 0, -1.0 / 3.0, 2.0 / 7.0, 1e-17, 0.1 + 0.2, 12),

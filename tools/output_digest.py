@@ -1,0 +1,137 @@
+"""sha256 digests of ``dvopt run`` outputs and demo output, to compare two checkouts.
+
+Usage, from anywhere::
+
+    python3 tools/output_digest.py --checkout /path/to/parent > parent.txt
+    python3 tools/output_digest.py --checkout . > change.txt
+    diff parent.txt change.txt
+
+Each config below is written to a fresh temporary directory and run with
+``python3 -m dvopt.cli run`` with the checkout's ``src`` first on
+``PYTHONPATH``.  Every CSV and summary the run writes gets one line
+``<sha256>  <config>/<file>``, and every ``demos/*.py`` of the checkout
+one line for its stdout, so equal outputs print equal lines.
+
+The configs are the benchmark's ``ridge_config`` and ``logistic_config``
+(``bench/workloads.py`` next to this script, so both checkouts run the
+same ones) at each ``--seeds`` seed, the logistic one on its static
+graph with nesterov, dual_gd and diging (the dual-GD contraction verdict
+runs only on a single epoch), and a ridge config over a star/cycle
+schedule switching every 5 iterations with all three algorithms.  The
+script uses the Python standard library and the benchmark's config
+functions only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ALL_ALGORITHMS = ["nesterov", "dual_gd", "diging"]
+
+
+def _bench_workloads():
+    bench = HERE.parent / "bench"
+    sys.path.insert(0, str(bench))  # workloads imports its sibling ``reference``
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+def switching_ridge_config(seed: int) -> dict:
+    """Ridge n=20 over star/cycle graphs alternating every 5 of 200 iterations."""
+    return {
+        "seed": seed,
+        "objective": {"kind": "ridge", "n": 20, "l": 10, "m": 5, "c": 0.1, "noise": 0.1},
+        "schedule": {"alternating": {"kinds": ["star", "cycle"], "n": 20, "period": 5, "horizon": 200}},
+        "algorithms": ALL_ALGORITHMS,
+        "max_iter": 200,
+        "record_every": 1,
+        "run_id": "switching",
+    }
+
+
+def configs(seeds: list[int]) -> dict[str, dict]:
+    """Every config to digest, by name."""
+    workloads = _bench_workloads()
+    out = {}
+    for seed in seeds:
+        out[f"ridge_s{seed}"] = workloads.ridge_config(seed)
+        out[f"logistic_s{seed}"] = workloads.logistic_config(seed)
+    out[f"logistic_static_s{seeds[0]}"] = {
+        **workloads.logistic_config(seeds[0]),
+        "algorithms": ALL_ALGORITHMS,
+        "run_id": "logistic_static",
+    }
+    out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
+    return out
+
+
+def _env(checkout: Path) -> dict:
+    src = str(checkout.resolve() / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_run(checkout: Path, name: str, config: dict) -> list[str]:
+    """``dvopt run`` of ``config`` in ``checkout``: one digest line per output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**config, "output_dir": str(out_dir)}), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dvopt.cli", "run", str(path)],
+            env=_env(checkout), capture_output=True, text=True, check=False,
+        )
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            return [f"exit {proc.returncode}  {name}: {last}"]
+        return [
+            f"{_sha256(f.read_bytes())}  {name}/{f.name}" for f in sorted(out_dir.iterdir())
+        ]
+
+
+def digest_demos(checkout: Path) -> list[str]:
+    """One digest line per demo script's stdout (and its exit code when not 0)."""
+    lines = []
+    for demo in sorted((checkout / "demos").glob("*.py")):
+        proc = subprocess.run(
+            [sys.executable, str(demo)], env=_env(checkout), capture_output=True, check=False,
+        )
+        status = "" if proc.returncode == 0 else f" (exit {proc.returncode})"
+        lines.append(f"{_sha256(proc.stdout)}  demos/{demo.name}{status}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, required=True, help="checkout whose src runs")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
+    args = parser.parse_args(argv)
+    for name, config in configs(args.seeds).items():
+        for line in digest_run(args.checkout, name, config):
+            print(line, flush=True)
+    for line in digest_demos(args.checkout):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
