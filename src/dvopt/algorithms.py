@@ -304,6 +304,7 @@ class _DualMethod:
         self.agg = agg
         self.z = np.zeros((agg.dim, agg.n))
         self.zt = np.zeros((agg.dim, agg.n))
+        self.y_transposed = None  # set by the first recorded argmax
 
     @property
     def watched(self):
@@ -314,10 +315,11 @@ class _DualMethod:
         return laplacian(topo), topo.directed_pairs()
 
     def _state(self, y):
-        # A quadratic argmax comes out in Fortran order.  The block then
-        # keeps y transposed, a plain copy in y's own memory order, which
-        # the value and consensus reductions need.
-        self.y_transposed = not y.flags.c_contiguous
+        # A quadratic argmax comes out in Fortran order, fixed by the
+        # aggregate.  The block then keeps y transposed, a plain copy in y's
+        # own memory order, which the value and consensus reductions need.
+        if self.y_transposed is None:
+            self.y_transposed = not y.flags.c_contiguous
         y = y.T if self.y_transposed else y
         return (self.z, y, self.zt) if self.keep_state else (self.z, y)
 

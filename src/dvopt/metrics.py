@@ -4,9 +4,8 @@ The optimal dual value is ``-phi_star`` where ``phi_star`` is the
 centralized optimum of the separable objective (linear consensus
 constraints, so strong duality holds); every residual here is measured
 against that reference.  :func:`compute_metrics` evaluates records in
-blocks, as the runners that make them do, and :func:`emit` formats each
-CSV row with one %-format; both give the bytes a record-by-record
-evaluation gives.
+chunks, and :func:`emit` formats each CSV row with one %-format; both
+give the bytes a record-by-record evaluation gives.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algorithms import _BLOCK, RunTrace, XSpaceTrace
+from .algorithms import RunTrace, XSpaceTrace
 from .linalg import fro_norm
 from .objectives import AggregateObjective
 
@@ -36,6 +35,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "iter,epoch,dual_value,dual_residual,consensus_dist,primal_gap,message_count"
+# Records whose primal gaps are evaluated in one pass; any size gives the
+# same bits, and a chunk's stacked y_tilde costs chunk * d * n floats.
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,9 @@ def compute_metrics(
     solve.  ``dual_residual`` is measured against ``f_star = -phi_star``
     and ``primal_gap`` evaluates the aggregate at the agent-average of
     the primal candidates; a record whose candidates are missing or not
-    finite gets an infinite gap.  Records are evaluated in blocks of up
-    to ``_BLOCK``, as the runners evaluate them: each block's finite
-    check, agent averages and primal gaps in one pass, with the bits a
-    record-by-record evaluation gives.
+    finite gets an infinite gap.  Records are evaluated in chunks of up
+    to ``_CHUNK``: each chunk's finite check, agent averages and primal
+    gaps in one pass, with the bits a record-by-record evaluation gives.
     """
     _, phi_star = oracle
     phi_star = float(phi_star)
@@ -99,9 +100,9 @@ def compute_metrics(
     lost = math.inf if math.isfinite(f_star) else math.nan
     rows = []
     records = trace.records
-    for lo in range(0, len(records), _BLOCK):
-        block = records[lo : lo + _BLOCK]
-        for rec, gap in zip(block, _primal_gaps(block, agg, phi_star)):
+    for lo in range(0, len(records), _CHUNK):
+        chunk = records[lo : lo + _CHUNK]
+        for rec, gap in zip(chunk, _primal_gaps(chunk, agg, phi_star)):
             rows.append(
                 MetricRow(
                     iter=rec.iter,
@@ -124,8 +125,7 @@ def _primal_gaps(records, agg: AggregateObjective, phi_star: float) -> list:
         ys = np.array([records[i].y_tilde for i in have])
         finite = np.isfinite(ys).reshape(len(ys), -1).all(axis=1)
         if finite.any():
-            ys = ys if finite.all() else ys[finite]
-            values = agg.value_consensus_batch(ys.mean(axis=2)) - phi_star
+            values = agg.value_consensus_batch(ys[finite].mean(axis=2)) - phi_star
             for i, gap in zip(itertools.compress(have, finite), values.tolist()):
                 gaps[i] = gap
     return gaps

@@ -1,7 +1,7 @@
 """Block evaluation of run records against record-by-record references.
 
 The runners copy recorded states into blocks and evaluate a whole block
-in one pass; ``compute_metrics`` does the same per block of records.  The
+in one pass; ``compute_metrics`` does the same per chunk of records.  The
 references here evaluate one record at a time with the per-record
 arithmetic the blocks replaced, and every float must match bit for bit.
 """
@@ -22,7 +22,7 @@ from dvopt.algorithms import (
     run_dual_gradient,
 )
 from dvopt.graphs import alternating_schedule, laplacian, mixing_matrix
-from dvopt.metrics import MetricRow, compute_metrics
+from dvopt.metrics import _CHUNK, MetricRow, compute_metrics
 from dvopt.objectives import (
     AggregateObjective,
     centralized_solve,
@@ -268,13 +268,13 @@ class TestMetricBlocks:
         trace = run_distributed_nesterov(agg, schedule_for(agg, 2, 20), max_iter=20)
         records = list(trace.records)
         nan_y = np.full((agg.dim, agg.n), np.nan)
-        for k, y in ((1, None), (3, nan_y), (4, None), (_BLOCK + 2, nan_y)):
+        for k, y in ((1, None), (3, nan_y), (4, None), (_CHUNK + 2, nan_y)):
             records[k] = dataclasses.replace(records[k], y_tilde=y)
         trace = dataclasses.replace(trace, records=records)
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
         assert_rows_match(rows, ref_metrics(trace, agg, phi_star))
-        assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _BLOCK + 2]
+        assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _CHUNK + 2]
 
 
 class TestBatchKernels:
