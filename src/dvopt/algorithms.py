@@ -42,6 +42,7 @@ import numpy as np
 from .graphs import GraphSchedule, _epoch_of_iteration, laplacian, mixing_matrix
 from .linalg import fro_norm, project_consensus_orth, sqrt_psd
 from .objectives import AggregateObjective, dual_constants
+from .theory import _diging_j
 
 __all__ = [
     "MessageLog",
@@ -353,9 +354,7 @@ class _DualMethod:
 
 def default_diging_stepsize(agg: AggregateObjective, b: int = 1) -> float:
     """Step 1.5/(mu_bar (J+1)) with J = 3 sqrt(kbar) B^2 (1 + 4 sqrt(n kbar))."""
-    kbar = agg.kappa_bar
-    j = 3.0 * math.sqrt(kbar) * b * b * (1.0 + 4.0 * math.sqrt(agg.n) * math.sqrt(kbar))
-    return 1.5 / (agg.mu_bar * (j + 1.0))
+    return 1.5 / (agg.mu_bar * (_diging_j(agg.kappa_bar, agg.n, b) + 1.0))
 
 
 def run_diging(
@@ -466,7 +465,8 @@ class XSpaceTrace:
         )
 
     def changes_before(self, k: int) -> int:
-        return sum(1 for s in self.schedule.change_iterations if s <= k)
+        """Graph changes at or before iteration k: epoch e starts after e changes."""
+        return self.schedule.epoch_index(k)
 
 
 def solve_dual_min_norm(

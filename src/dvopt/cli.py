@@ -40,12 +40,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import algorithms, graphs, metrics, theory
-from .linalg import sqrt_psd
+from .linalg import eig_sym
 from .objectives import (
     AggregateObjective,
     LogisticObjective,
@@ -61,7 +61,6 @@ __all__ = ["ExperimentConfig", "execute", "bounds_command", "graphinfo_command",
 _SEED_GRAPHS = 0x67727068  # "grph"
 _SEED_DATA = 0x64617461  # "data"
 
-ALGORITHMS = ("nesterov", "dual_gd", "diging")
 OVERRIDES = ("diging_stepsize",)
 
 
@@ -93,15 +92,19 @@ def _checked_overrides(raw) -> dict:
     return dict(raw)
 
 
-def _int_field(raw: dict, key: str, default=None) -> int:
+def _number_field(raw: dict, key: str, default=None, kind=int):
+    """``kind`` (int or float) of ``raw[key]``, or of ``default`` when it is absent."""
     value = raw.get(key, default)
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def _resolve_file(base_dir: str, name: str, what: str) -> str:
+    if not isinstance(name, str):
+        raise ValidationError(f"{what} file must be a path string, got {name!r}")
     path = os.path.abspath(os.path.join(base_dir, name))
     if not os.path.isfile(path):
         raise ValidationError(f"{what} file not found: {path}")
@@ -124,18 +127,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValidationError("config must be a JSON object")
-        known = {
-            "seed",
-            "objective",
-            "schedule",
-            "algorithms",
-            "max_iter",
-            "record_every",
-            "output_dir",
-            "run_id",
-            "overrides",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         for req in ("seed", "objective", "schedule", "algorithms", "max_iter"):
@@ -151,10 +143,10 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown algorithm name(s) {bad}; valid names: {list(ALGORITHMS)}"
             )
-        max_iter = _int_field(raw, "max_iter")
+        max_iter = _number_field(raw, "max_iter")
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        record_every = _int_field(raw, "record_every", 1)
+        record_every = _number_field(raw, "record_every", 1)
         if record_every < 1:
             raise ValidationError("record_every must be >= 1")
         # File references and output_dir are relative to the config's
@@ -169,7 +161,7 @@ class ExperimentConfig:
         if obj.get("kind") == "dataset":
             obj = {**obj, "path": _resolve_file(base_dir, obj.get("path", ""), "dataset")}
         output_dir = os.path.abspath(os.path.join(base_dir, str(raw.get("output_dir", "."))))
-        seed = _int_field(raw, "seed")
+        seed = _number_field(raw, "seed")
         return cls(
             seed=seed,
             objective=dict(obj),
@@ -189,26 +181,25 @@ def _build_objective(cfg: ExperimentConfig) -> AggregateObjective:
     data_seed = _derive_seed(cfg.seed, _SEED_DATA)
     if kind == "ridge":
         return gen_ridge_instance(
-            n=int(spec["n"]),
-            l=int(spec["l"]),
-            m=int(spec["m"]),
-            c=float(spec.get("c", 0.1)),
-            noise=float(spec.get("noise", 0.1)),
+            n=_number_field(spec, "n"),
+            l=_number_field(spec, "l"),
+            m=_number_field(spec, "m"),
+            c=_number_field(spec, "c", 0.1, kind=float),
+            noise=_number_field(spec, "noise", 0.1, kind=float),
             seed=data_seed,
         )
     if kind == "logistic":
         return gen_logistic_instance(
-            n=int(spec["n"]),
-            l=int(spec["l"]),
-            m=int(spec["m"]),
-            c=float(spec["c"]),
+            n=_number_field(spec, "n"),
+            l=_number_field(spec, "l"),
+            m=_number_field(spec, "m"),
+            c=_number_field(spec, "c", kind=float),
             seed=data_seed,
         )
     if kind == "dataset":
-        ds = load_sparse_labeled(spec["path"])
-        n = int(spec["n"])
-        c = float(spec["c"])
-        dense, labels = ds.to_dense()
+        n = _number_field(spec, "n")
+        c = _number_field(spec, "c", kind=float)
+        dense, labels = load_sparse_labeled(spec["path"]).to_dense()
         total = dense.shape[0]
         per_agent = total // n
         if per_agent < 1:
@@ -234,20 +225,30 @@ def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
         return graphs.load_schedule(spec["file"])
     if "alternating" in spec:
         alt = spec["alternating"]
+        if not isinstance(alt, dict):
+            raise ValidationError(f"alternating schedule must be an object, got {alt!r}")
         for req in ("kinds", "n", "period"):
             if req not in alt:
                 raise ValidationError(f"alternating schedule missing '{req}'")
-        kinds = tuple(alt["kinds"])
-        if len(kinds) != 2:
-            raise ValidationError("alternating schedule needs exactly two kinds")
-        params = alt.get("params", (None, None))
+        kinds = alt["kinds"]
+        if not (isinstance(kinds, (list, tuple)) and len(kinds) == 2):
+            raise ValidationError(f"alternating schedule needs exactly two kinds, got {kinds!r}")
+        params = alt.get("params", [None, None])
+        if not (
+            isinstance(params, (list, tuple))
+            and len(params) == 2
+            and all(p is None or isinstance(p, dict) for p in params)
+        ):
+            raise ValidationError(
+                f"alternating params must be two objects or nulls, got {params!r}"
+            )
         return graphs.alternating_schedule(
-            kinds,
-            n=int(alt["n"]),
-            period=int(alt["period"]),
-            horizon=int(alt.get("horizon", cfg.max_iter)),
-            params=(params[0], params[1]),
-            seed=int(alt.get("seed", _derive_seed(cfg.seed, _SEED_GRAPHS))),
+            tuple(kinds),
+            n=_number_field(alt, "n"),
+            period=_number_field(alt, "period"),
+            horizon=_number_field(alt, "horizon", cfg.max_iter),
+            params=tuple(params),
+            seed=_number_field(alt, "seed", _derive_seed(cfg.seed, _SEED_GRAPHS)),
         )
     return graphs.schedule_from_spec(spec)
 
@@ -273,34 +274,24 @@ _RUNNERS = {
         record_every=cfg.record_every,
     ),
 }
+ALGORITHMS = tuple(_RUNNERS)
 
 
 def _accel_bound_verdict(rows, dc, radius, schedule):
-    changes = schedule.change_iterations
-
     def bound(k):
-        m_k = sum(1 for s in changes if s <= k)
-        return theory.nesterov_tv_bound(dc.l_f, dc.mu_f, radius, m_k, k)
+        # epoch e starts after e changes
+        return theory.nesterov_tv_bound(dc.l_f, dc.mu_f, radius, schedule.epoch_index(k), k)
 
-    report = metrics.bound_check(rows, bound)
-    return {
-        "clean": report.clean,
-        "max_violation": report.max_violation,
-        "first_violation_iter": report.first_violation_iter,
-        "checked": report.checked,
-    }
+    return asdict(metrics.bound_check(rows, bound))
 
 
 def _gd_contraction_verdict(trace, dc, x_star, schedule):
     # Static single-epoch schedules only: map the agent states back to
     # matrix space through the pseudo-inverse square root.
-    from .graphs import laplacian
-    from .linalg import eig_sym
-
-    w = laplacian(schedule.topologies()[0])
-    spec = eig_sym(w)
+    spec = eig_sym(graphs.laplacian(schedule.topologies()[0]))
     lam = spec.eigenvalues
-    inv_sqrt = np.where(lam > 1e-9 * lam[-1], 1.0 / np.sqrt(np.clip(lam, 1e-300, None)), 0.0)
+    positive = lam > graphs._ZERO_EIG_REL_TOL * lam[-1]
+    inv_sqrt = np.where(positive, 1.0 / np.sqrt(np.clip(lam, 1e-300, None)), 0.0)
     pinv_sqrt = (spec.eigenvectors * inv_sqrt) @ spec.eigenvectors.T
     radius = float(np.linalg.norm(x_star))
     rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
@@ -562,25 +553,19 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
     """Run the alternating schedule for every (seed, period) cell."""
     if not seeds or not periods:
         raise ValidationError("sweep needs at least one seed and one period")
-    if not (isinstance(config.schedule, dict) and "alternating" in config.schedule):
+    alternating = config.schedule.get("alternating") if isinstance(config.schedule, dict) else None
+    if not isinstance(alternating, dict):
         raise ValidationError("sweep requires an 'alternating' schedule spec")
     table = []
     for seed in seeds:
         for period in periods:
-            sched_spec = dict(config.schedule)
-            alt = dict(sched_spec["alternating"])
-            alt["period"] = int(period)
-            sched_spec["alternating"] = alt
-            cell = ExperimentConfig(
+            alt = {**alternating, "period": int(period)}
+            cell = replace(
+                config,
                 seed=int(seed),
-                objective=config.objective,
-                schedule=sched_spec,
-                algorithms=config.algorithms,
-                max_iter=config.max_iter,
-                record_every=config.record_every,
+                schedule={**config.schedule, "alternating": alt},
                 output_dir=os.path.join(config.output_dir, f"s{seed}_p{period}"),
                 run_id=f"{config.run_id}_s{seed}_p{period}",
-                overrides=config.overrides,
             )
             summary = execute(cell)
             for name, stats in summary["algorithms"].items():

@@ -153,11 +153,8 @@ def potential_trace(
         raise ValueError("potential undefined for kappa <= 1")
     gamma = 1.0 / (math.sqrt(kappa) - 1.0)
     n_points = len(xref.ys)
-    psi_scaled = np.empty(n_points)
-    for k in range(n_points):
-        value = xref.f_value(xref.epoch_of[k], xref.ys[k]) - f_star
-        dist = fro_norm(xref.zs[k] - xref.x_star)
-        psi_scaled[k] = value + 0.5 * mu * dist * dist
+    dists = [fro_norm(z - xref.x_star) for z in xref.zs]
+    psi_scaled = xref.residuals(f_star) + [0.5 * mu * dist * dist for dist in dists]
 
     rows = []
     for k in range(n_points):

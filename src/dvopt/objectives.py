@@ -66,7 +66,32 @@ class SolverError(RuntimeError):
     """An inner iterative solver failed to reach its tolerance."""
 
 
-class QuadraticObjective:
+class _Local:
+    """Value, gradient and conjugate argmax of one local objective.
+
+    Each runs its family's stacked kernel (``_STACKS[kind]``) on a batch
+    of one, so a local and the aggregate's column for it give the same
+    bits.
+    """
+
+    @cached_property
+    def _stack(self):
+        return _STACKS[self.kind]((self,), None)
+
+    def value(self, y: np.ndarray) -> float:
+        return float(self._stack.value(np.asarray(y, dtype=float).reshape(1, 1, -1))[0])
+
+    def grad(self, y: np.ndarray) -> np.ndarray:
+        return self._stack.grad(np.asarray(y, dtype=float).reshape(1, -1))[0]
+
+    def conj_argmax(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float).ravel()
+        if not np.all(np.isfinite(z)):
+            raise ValueError("conjugate argmax input must be finite")
+        return self._stack.conj_argmax(z[None])[0]
+
+
+class QuadraticObjective(_Local):
     """phi(y) = 0.5 y'Hy - g'y + c with H symmetric positive definite."""
 
     kind = "quadratic"
@@ -96,20 +121,6 @@ class QuadraticObjective:
     @property
     def dim(self) -> int:
         return self.lin.shape[0]
-
-    def value(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        return float(0.5 * y @ (self.quad @ y) - self.lin @ y + self.const)
-
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float).ravel()
-        return self.quad @ y - self.lin
-
-    def conj_argmax(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        if not np.all(np.isfinite(z)):
-            raise ValueError("conjugate argmax input must be finite")
-        return self._quad_inv @ (z + self.lin)
 
     def shifted(self, ridge_shift: float) -> "QuadraticObjective":
         """Copy with (ridge_shift/2)||y||^2 added."""
@@ -189,14 +200,11 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
     return result, active, norms
 
 
-class LogisticObjective:
+class LogisticObjective(_Local):
     """Ridge-regularized logistic loss over one agent's samples.
 
     phi(x) = (1/scale) * sum_j log(1 + exp(-labels_j * <samples_j, x>))
              + (ridge/2) ||x||^2
-
-    Values, gradients and the conjugate argmax run through the same
-    stacked kernel as an aggregate's logistic locals, as a batch of one.
     """
 
     kind = "logistic"
@@ -222,22 +230,6 @@ class LogisticObjective:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    @cached_property
-    def _stack(self) -> "_LogisticStack":
-        return _LogisticStack((self,), None)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self._stack.value(np.asarray(x, dtype=float).reshape(1, 1, -1))[0])
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self._stack.grad(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-    def conj_argmax(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        if not np.all(np.isfinite(z)):
-            raise ValueError("conjugate argmax input must be finite")
-        return self._stack.conj_argmax(z[None])[0]
 
     def shifted(self, ridge_shift: float) -> "LogisticObjective":
         return LogisticObjective(self.samples, self.labels, self.ridge + ridge_shift, self.scale)
@@ -267,7 +259,7 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 class _QuadraticStack:
     """Quadratic locals as (k, d, d) H and H^-1 stacks, plus their sums."""
 
-    def __init__(self, locals_, agents: np.ndarray):
+    def __init__(self, locals_, agents: np.ndarray | None):
         self.agents = agents
         self.size = len(locals_)
         self.quad = np.stack([o.quad for o in locals_])

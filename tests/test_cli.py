@@ -260,6 +260,9 @@ class TestSweep:
             sweep(cfg, [1], [5])
 
 
+_ALT = {"kinds": ["path", "star"], "n": 2, "period": 2, "horizon": 10}
+
+
 class TestMainExitCodes:
     def test_run_success(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -305,6 +308,15 @@ class TestMainExitCodes:
             {"seed": math.inf},
             {"algorithms": 5},
             {"objective": 5},
+            {"objective": {"kind": "ridge", "l": 4, "m": 2}},
+            {"objective": {"kind": "ridge", "n": None, "l": 4, "m": 2}},
+            {"objective": {"kind": "logistic", "n": 2, "l": 4, "m": 2}},
+            {"schedule": {"alternating": {**_ALT, "period": None}}},
+            {"schedule": {"alternating": {**_ALT, "kinds": 5}}},
+            {"schedule": {"alternating": 5}},
+            {"schedule": {"alternating": {**_ALT, "params": [None]}}},
+            {"schedule": {"file": 5}},
+            {"objective": {"kind": "dataset", "path": 5, "n": 2, "c": 0.5}},
         ],
     )
     def test_wrongly_typed_field_exits_one_before_any_file(self, tmp_path, capsys, field):

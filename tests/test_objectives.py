@@ -435,6 +435,18 @@ class TestStackedKernels:
             assert o.value(y[:, i]) == pytest.approx(values[i], rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(o.grad(y[:, i]), grads[:, i], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ("quadratic", "logistic"))
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), count=st.integers(0, 6))
+    def test_local_kernels_are_their_aggregates_column(self, kind, seed, d, count):
+        rng = np.random.default_rng(seed)
+        o = rand_quadratic(rng, d) if kind == "quadratic" else rand_logistic(rng, count, d)
+        agg = AggregateObjective((o,))
+        y, z = 2.0 * rng.standard_normal((2, d, 1))
+        assert o.value(y[:, 0]) == agg.value_cols(y)
+        np.testing.assert_array_equal(o.grad(y[:, 0]), agg.grad_cols(y)[:, 0])
+        np.testing.assert_array_equal(o.conj_argmax(z[:, 0]), agg.conj_argmax_cols(z)[:, 0])
+
     def test_mixed_columns_keep_agent_order(self):
         rng = np.random.default_rng(8)
         locs = (rand_quadratic(rng, 3), rand_logistic(rng, 5, 3), rand_quadratic(rng, 3),

@@ -2,9 +2,10 @@
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
-from dvopt.cli import ExperimentConfig, execute
+from dvopt.cli import ExperimentConfig, execute, main
 
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("output_digest", _ROOT / "tools" / "output_digest.py")
@@ -31,6 +32,24 @@ def test_digest_lines_are_the_sha256_of_an_in_process_run(tmp_path):
     assert [ln.split("/")[1] for ln in want] == [
         "tiny_diging.csv", "tiny_nesterov.csv", "tiny_summary.json",
     ]
+    assert lines == want
+
+
+def test_sweep_digest_lines_are_the_sha256_of_an_in_process_sweep(tmp_path):
+    args = ["--seeds", "2", "5", "--periods", "1", "3"]
+    lines = output_digest.digest_run(_ROOT, "tiny_sweep", TINY, *args)
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "output_dir": str(out)}), encoding="utf-8")
+    assert main(["sweep", str(path), *args]) == 0
+    want = [
+        f"{hashlib.sha256(f.read_bytes()).hexdigest()}  tiny_sweep/{f.relative_to(out).as_posix()}"
+        for f in sorted(f for f in out.rglob("*") if f.is_file())
+    ]
+    # four cells of two CSVs and a summary each, then the sweep table
+    assert len(want) == 13
+    assert want[0].endswith("tiny_sweep/s2_p1/tiny_s2_p1_diging.csv")
+    assert want[-1].endswith("tiny_sweep/tiny_sweep.json")
     assert lines == want
 
 

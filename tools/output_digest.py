@@ -1,4 +1,4 @@
-"""sha256 digests of ``dvopt run`` outputs and demo output, to compare two checkouts.
+"""sha256 digests of ``dvopt run``/``sweep`` outputs and demo output, to compare two checkouts.
 
 Usage, from anywhere::
 
@@ -10,7 +10,10 @@ Each config below is written to a fresh temporary directory and run with
 ``python3 -m dvopt.cli run`` with the checkout's ``src`` first on
 ``PYTHONPATH``.  Every CSV and summary the run writes gets one line
 ``<sha256>  <config>/<file>``, and every ``demos/*.py`` of the checkout
-one line for its stdout, so equal outputs print equal lines.
+one line for its stdout, so equal outputs print equal lines.  One
+``dvopt sweep`` of the switching config over ``SWEEP_ARGS`` (two seeds,
+periods 5 and 50) adds a line for each cell's CSVs and summary and one
+for the sweep table: 17 files.
 
 The configs are the benchmark's ``ridge_config`` and ``logistic_config``
 (``bench/workloads.py`` next to this script, so both checkouts run the
@@ -36,6 +39,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ALL_ALGORITHMS = ["nesterov", "dual_gd", "diging"]
+SWEEP_ARGS = ["--seeds", "3", "4", "--periods", "5", "50"]
 
 
 def _bench_workloads():
@@ -90,21 +94,29 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(checkout: Path, name: str, config: dict) -> list[str]:
-    """``dvopt run`` of ``config`` in ``checkout``: one digest line per output file."""
+def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> list[str]:
+    """``dvopt run`` of ``config`` in ``checkout``: one digest line per output file.
+
+    With ``sweep_args`` (``--seeds ... --periods ...``) it runs ``dvopt
+    sweep`` instead, and files in the cells' directories are named by
+    their path under the output directory.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({**config, "output_dir": str(out_dir)}), encoding="utf-8")
+        command = ["sweep", str(path), *sweep_args] if sweep_args else ["run", str(path)]
         proc = subprocess.run(
-            [sys.executable, "-m", "dvopt.cli", "run", str(path)],
+            [sys.executable, "-m", "dvopt.cli", *command],
             env=_env(checkout), capture_output=True, text=True, check=False,
         )
         if proc.returncode != 0:
             last = (proc.stderr.strip().splitlines() or [""])[-1]
             return [f"exit {proc.returncode}  {name}: {last}"]
+        files = sorted(f for f in out_dir.rglob("*") if f.is_file())
         return [
-            f"{_sha256(f.read_bytes())}  {name}/{f.name}" for f in sorted(out_dir.iterdir())
+            f"{_sha256(f.read_bytes())}  {name}/{f.relative_to(out_dir).as_posix()}"
+            for f in files
         ]
 
 
@@ -128,6 +140,9 @@ def main(argv=None) -> int:
     for name, config in configs(args.seeds).items():
         for line in digest_run(args.checkout, name, config):
             print(line, flush=True)
+    sweep_config = switching_ridge_config(args.seeds[0])
+    for line in digest_run(args.checkout, "switching_sweep", sweep_config, *SWEEP_ARGS):
+        print(line, flush=True)
     for line in digest_demos(args.checkout):
         print(line, flush=True)
     return 0
