@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import GraphSchedule, _epoch_of_iteration, laplacian, mixing_matrix
-from .linalg import fro_norm, project_consensus_orth, sqrt_psd
-from .objectives import AggregateObjective, dual_constants
+from .linalg import fro_norm, pinv_sqrt_psd, project_consensus_orth, sqrt_psd
+from .objectives import AggregateObjective, centralized_solve, dual_constants
 from .theory import _diging_j
 
 __all__ = [
@@ -469,36 +469,18 @@ class XSpaceTrace:
         return self.schedule.epoch_index(k)
 
 
-def solve_dual_min_norm(
-    agg: AggregateObjective,
-    schedule: GraphSchedule,
-    tol: float = 1e-12,
-    max_iter: int = 200_000,
-) -> np.ndarray:
-    """Minimum-norm minimizer of the epoch-0 dual function.
+def solve_dual_min_norm(agg: AggregateObjective, schedule: GraphSchedule) -> np.ndarray:
+    """Minimum-norm minimizer of the epoch-0 dual function, in closed form.
 
-    Runs accelerated gradient descent on ``f(X) = Phi*(-X sqrt(W))`` to
-    high accuracy and projects the answer onto the consensus-orthogonal
-    subspace.  With a zero start the iterates already live there, so the
-    projection only removes rounding drift.
+    ``X`` minimizes ``f(X) = Phi*(-X sqrt(W))`` exactly when every agent's
+    conjugate argmax is the centralized minimizer ``y*``, that is when
+    ``X sqrt(W) = -G`` with ``G = [grad phi_i(y*)]``.  The columns of ``G``
+    sum to zero, so the minimum-norm solution is ``X* = -G sqrt(W)^+``,
+    projected onto the consensus-orthogonal subspace to remove rounding.
     """
-    first = schedule.topology_index[0]
-    sw = sqrt_psd(laplacian(schedule.distinct_topologies[first]))
-    info = schedule.spectra[first]
-    dc = dual_constants(agg, (info.sigma_max, info.sigma_min_pos))
-    l_f, beta = dc.l_f, _momentum(dc.kappa)
-    x = np.zeros((agg.dim, agg.n))
-    y_prev = x.copy()
-    g0 = fro_norm(_xspace_grad(agg, sw, x))
-    target = tol * (1.0 + g0)
-    for _ in range(max_iter):
-        g = _xspace_grad(agg, sw, x)
-        if fro_norm(g) <= target:
-            return project_consensus_orth(x)
-        y = x - g / l_f
-        x = (1.0 + beta) * y - beta * y_prev
-        y_prev = y
-    raise RuntimeError(f"dual solve did not reach gradient norm {target:.3e}")
+    y_star, _ = centralized_solve(agg)
+    g = agg.grad_cols(np.repeat(y_star[:, None], agg.n, axis=1))
+    return project_consensus_orth(-(g @ pinv_sqrt_psd(laplacian(schedule.epochs[0][1]))))
 
 
 def run_xspace_reference(
@@ -506,14 +488,13 @@ def run_xspace_reference(
     schedule: GraphSchedule,
     max_iter: int | None = None,
     method: str = "nesterov",
-    xstar_tol: float = 1e-12,
 ) -> XSpaceTrace:
     """Centralized matrix-space run used to verify bounds and potentials.
 
     ``method="nesterov"`` runs ``y_{k+1} = x_k - grad f_k(x_k)/L`` with
     heavy-ball extrapolation; ``method="gd"`` takes plain steps of size
-    2/(L+mu).  The trace keeps every iterate, the minimum-norm dual
-    solution, and the gradient norm of that solution under every epoch's
+    2/(L+mu).  The trace keeps every iterate, the closed-form minimum-norm
+    solution of the epoch-0 dual, and its gradient norm under every epoch's
     dual function (zero when all epochs share the minimizer).
     """
     if method not in ("nesterov", "gd"):
@@ -548,7 +529,7 @@ def run_xspace_reference(
         ys.append(y.copy())
         zs.append(z.copy())
 
-    x_star = solve_dual_min_norm(agg, schedule, tol=xstar_tol)
+    x_star = solve_dual_min_norm(agg, schedule)
     distinct_residuals = [fro_norm(_xspace_grad(agg, sw, x_star)) for sw in distinct]
     residuals = [distinct_residuals[j] for j in schedule.topology_index]
     return XSpaceTrace(

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import algorithms, graphs, metrics, theory
-from .linalg import eig_sym
+from .linalg import pinv_sqrt_psd
 from .objectives import (
     AggregateObjective,
     LogisticObjective,
@@ -93,13 +93,14 @@ def _checked_overrides(raw) -> dict:
 
 
 def _number_field(raw: dict, key: str, default=None, kind=int):
-    """``kind`` (int or float) of ``raw[key]``, or of ``default`` when it is absent."""
+    """``raw[key]`` (or ``default``) as ``kind``; an int may be an integral float, never a bool."""
     value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         noun = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{key} must be {noun}, got {value!r}") from None
+        raise ValidationError(f"{key} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def _resolve_file(base_dir: str, name: str, what: str) -> str:
@@ -288,11 +289,7 @@ def _accel_bound_verdict(rows, dc, radius, schedule):
 def _gd_contraction_verdict(trace, dc, x_star, schedule):
     # Static single-epoch schedules only: map the agent states back to
     # matrix space through the pseudo-inverse square root.
-    spec = eig_sym(graphs.laplacian(schedule.topologies()[0]))
-    lam = spec.eigenvalues
-    positive = lam > graphs._ZERO_EIG_REL_TOL * lam[-1]
-    inv_sqrt = np.where(positive, 1.0 / np.sqrt(np.clip(lam, 1e-300, None)), 0.0)
-    pinv_sqrt = (spec.eigenvectors * inv_sqrt) @ spec.eigenvectors.T
+    pinv_sqrt = pinv_sqrt_psd(graphs.laplacian(schedule.topologies()[0]))
     radius = float(np.linalg.norm(x_star))
     rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
     worst = -math.inf

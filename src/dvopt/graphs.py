@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_sym, fro_norm
+from .linalg import _ZERO_EIG_REL_TOL, eig_sym, fro_norm
 
 __all__ = [
     "GenerationError",
@@ -36,7 +36,6 @@ __all__ = [
     "alternating_schedule",
 ]
 
-_ZERO_EIG_REL_TOL = 1e-9
 _MAX_GEN_ATTEMPTS = 100
 
 TOPOLOGY_KINDS = (

@@ -19,12 +19,14 @@ __all__ = [
     "Spectrum",
     "eig_sym",
     "sqrt_psd",
+    "pinv_sqrt_psd",
     "project_consensus_orth",
     "frobenius",
     "fro_norm",
 ]
 
 _SYM_CHECK_TOL = 1e-10
+_ZERO_EIG_REL_TOL = 1e-9
 
 
 class NotPSDError(ValueError):
@@ -125,3 +127,14 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     q = spec.eigenvectors
     root = (q * np.sqrt(vals)) @ q.T
     return 0.5 * (root + root.T)
+
+
+def pinv_sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of ``sqrt_psd(m)``, treating eigenvalues at or below
+    1e-9 times the largest as zero.
+    """
+    spec = eig_sym(m)
+    lam = spec.eigenvalues
+    positive = lam > _ZERO_EIG_REL_TOL * lam[-1]
+    inv_sqrt = np.where(positive, 1.0 / np.sqrt(np.clip(lam, 1e-300, None)), 0.0)
+    return (spec.eigenvectors * inv_sqrt) @ spec.eigenvectors.T

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,13 +18,14 @@ from dvopt.algorithms import (
     solve_dual_min_norm,
 )
 from dvopt.graphs import GraphSchedule, Topology, alternating_schedule, gen_topology, laplacian
-from dvopt.linalg import fro_norm, project_consensus_orth, sqrt_psd
+from dvopt.linalg import fro_norm, pinv_sqrt_psd, project_consensus_orth, sqrt_psd
 from dvopt.metrics import compute_metrics
 from dvopt.objectives import (
     AggregateObjective,
     QuadraticObjective,
     centralized_solve,
     dual_constants,
+    gen_logistic_instance,
     gen_ridge_instance,
 )
 from dvopt.graphs import theta_bounds
@@ -389,3 +390,73 @@ class TestLeanRecords:
             for name in vars(full.final_state):
                 a, b = getattr(full.final_state, name), getattr(lean.final_state, name)
                 assert np.array_equal(a, b), name
+
+
+@st.composite
+def connected_topologies(draw):
+    """A connected graph on 3-7 nodes, unit or random positive edge weights."""
+    kind = draw(st.sampled_from(("path", "cycle", "star", "complete", "erdos_renyi")))
+    n = draw(st.integers(3, 7))
+    topo = gen_topology(kind, n, seed=draw(st.integers(0, 1000)))
+    if draw(st.booleans()):
+        m = len(topo.edges)
+        weights = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+        topo = Topology(n, topo.edges, tuple(weights))
+    return topo
+
+
+def accelerated_dual_solve(agg, schedule, tol=1e-12, max_iter=200_000):
+    """The accelerated gradient loop the closed form replaced, as a reference."""
+    first = schedule.topology_index[0]
+    sw = sqrt_psd(laplacian(schedule.distinct_topologies[first]))
+    info = schedule.spectra[first]
+    dc = dual_constants(agg, (info.sigma_max, info.sigma_min_pos))
+    l_f, beta = dc.l_f, dvopt.algorithms._momentum(dc.kappa)
+    grad = dvopt.algorithms._xspace_grad
+    x = np.zeros((agg.dim, agg.n))
+    y_prev = x.copy()
+    target = tol * (1.0 + fro_norm(grad(agg, sw, x)))
+    for _ in range(max_iter):
+        g = grad(agg, sw, x)
+        if fro_norm(g) <= target:
+            return project_consensus_orth(x)
+        y = x - g / l_f
+        x = (1.0 + beta) * y - beta * y_prev
+        y_prev = y
+    raise RuntimeError(f"dual solve did not reach gradient norm {target:.3e}")
+
+
+class TestClosedFormDualSolution:
+    @given(connected_topologies())
+    def test_pinv_sqrt_inverts_the_root_off_the_kernel(self, topo):
+        w = laplacian(topo)
+        n = topo.n
+        got = pinv_sqrt_psd(w) @ sqrt_psd(w)
+        assert np.max(np.abs(got - (np.eye(n) - np.ones((n, n)) / n))) <= 1e-10
+
+    @settings(max_examples=20)
+    @given(
+        connected_topologies(),
+        st.sampled_from(("ridge", "logistic")),
+        st.integers(1, 3),
+        st.integers(0, 1000),
+    )
+    def test_min_norm_solution_meets_the_optimality_condition(self, topo, kind, d, seed):
+        n = topo.n
+        if kind == "ridge":
+            agg = gen_ridge_instance(n, d, 3, c=0.1, noise=0.1, seed=seed)
+        else:
+            agg = gen_logistic_instance(n, d, 4, c=0.1, seed=seed)
+        sched = GraphSchedule(5, ((0, topo),))
+        x_star = solve_dual_min_norm(agg, sched)
+        y_star, _ = centralized_solve(agg)
+        g = agg.grad_cols(np.repeat(y_star[:, None], n, axis=1))
+        scale = fro_norm(x_star)
+        assert np.max(np.abs(x_star.sum(axis=1))) <= 1e-12 * (1.0 + scale)
+        # G's row sums are the summed gradient at y*, below the centralized
+        # solve's tolerance; X* sqrt(W) = -G holds on the rest of G.
+        assert fro_norm(g.sum(axis=1)) <= 1e-10
+        image = -(x_star @ sqrt_psd(laplacian(topo)))
+        assert fro_norm(image - project_consensus_orth(g)) <= 1e-10 * fro_norm(g)
+        rel = 1e-9 if kind == "ridge" else 1e-7
+        assert fro_norm(x_star - accelerated_dual_solve(agg, sched)) <= rel * scale

@@ -168,7 +168,7 @@ class TestExecute:
         summary = execute(ExperimentConfig.from_dict(raw))
         assert len(summary["per_epoch"]) == 200
         # the schedule's spectra, one per distinct topology, serve theta,
-        # the dual_gd runner, the dual solve and the summary
+        # the dual_gd runner and the summary
         assert len(calls) == 2
 
 
@@ -306,12 +306,19 @@ class TestMainExitCodes:
             {"record_every": None},
             {"seed": [1]},
             {"seed": math.inf},
+            {"seed": True},
+            {"seed": "1"},
+            {"max_iter": 9.7},
+            {"record_every": "3"},
+            {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "c": True}},
+            {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "noise": "0.1"}},
             {"algorithms": 5},
             {"objective": 5},
             {"objective": {"kind": "ridge", "l": 4, "m": 2}},
             {"objective": {"kind": "ridge", "n": None, "l": 4, "m": 2}},
             {"objective": {"kind": "logistic", "n": 2, "l": 4, "m": 2}},
             {"schedule": {"alternating": {**_ALT, "period": None}}},
+            {"schedule": {"alternating": {**_ALT, "period": 2.5}}},
             {"schedule": {"alternating": {**_ALT, "kinds": 5}}},
             {"schedule": {"alternating": 5}},
             {"schedule": {"alternating": {**_ALT, "params": [None]}}},

@@ -538,15 +538,19 @@ class TestNewtonWork:
 
     def test_evaluations_per_argmax(self, tmp_path, monkeypatch):
         # Each solve starts from the stack's cached state at zero and reuses
-        # the accepted trial's residual: about 5.7 gradient and 4.0 Hessian
+        # the accepted trial's residual: about 5.0 gradient and 4.0 Hessian
         # evaluations per call on this run, against 11.8 and 5.0 when every
-        # step evaluated its own residual and Hessian.
+        # step evaluated its own residual and Hessian.  Only evaluations made
+        # inside a conjugate argmax count: DIGing's gradients and the
+        # centralized solve are not Newton work of the argmax.
         counts = {"grad": 0, "hess": 0, "argmax": 0}
+        inside = [0]
         for name in ("grad", "hess"):
             method = getattr(objectives._LogisticStack, name)
 
             def counted(stack, *args, _method=method, _name=name):
-                counts[_name] += 1
+                if inside[0]:
+                    counts[_name] += 1
                 return _method(stack, *args)
 
             monkeypatch.setattr(objectives._LogisticStack, name, counted)
@@ -554,7 +558,11 @@ class TestNewtonWork:
 
         def counted_argmax(agg, z):
             counts["argmax"] += 1
-            return argmax(agg, z)
+            inside[0] += 1
+            try:
+                return argmax(agg, z)
+            finally:
+                inside[0] -= 1
 
         monkeypatch.setattr(AggregateObjective, "conj_argmax_cols", counted_argmax)
         # dvopt run on n=20 logistic agents over one Erdos-Renyi graph, seed 3
@@ -574,5 +582,5 @@ class TestNewtonWork:
         }
         execute(ExperimentConfig.from_dict(raw))
         assert counts["argmax"] > 200
-        assert counts["grad"] <= 6.0 * counts["argmax"]
+        assert counts["grad"] <= 5.1 * counts["argmax"]
         assert counts["hess"] <= 4.05 * counts["argmax"]

@@ -22,17 +22,59 @@ TINY = {
 }
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_digest_lines_are_the_sha256_of_an_in_process_run(tmp_path):
     lines = output_digest.digest_run(_ROOT, "tiny", TINY)
     execute(ExperimentConfig.from_dict({**TINY, "output_dir": str(tmp_path)}))
-    want = [
-        f"{hashlib.sha256(f.read_bytes()).hexdigest()}  tiny/{f.name}"
-        for f in sorted(tmp_path.iterdir())
-    ]
+    want = [f"{_sha256(f.read_bytes())}  tiny/{f.name}" for f in sorted(tmp_path.iterdir())]
     assert [ln.split("/")[1] for ln in want] == [
         "tiny_diging.csv", "tiny_nesterov.csv", "tiny_summary.json",
     ]
-    assert lines == want
+    summary = json.loads((tmp_path / "tiny_summary.json").read_text())
+    accel = summary["bounds"]["accel_residual_bound"]
+    picked = {
+        "alpha_feasible": summary["alpha_feasible"],
+        "aborted": {"diging": False, "nesterov": False},
+        "bounds": {
+            "accel_residual_bound": {
+                "clean": accel["clean"],
+                "first_violation_iter": accel["first_violation_iter"],
+            }
+        },
+    }
+    assert output_digest.verdicts(summary) == picked
+    picked_sha = _sha256(json.dumps(picked, sort_keys=True).encode())
+    assert lines == want + [f"{picked_sha}  tiny/tiny_summary.json#verdicts"]
+
+
+def test_verdict_line_ignores_floats_and_follows_verdicts(tmp_path):
+    execute(ExperimentConfig.from_dict({**TINY, "output_dir": str(tmp_path)}))
+    summary = json.loads((tmp_path / "tiny_summary.json").read_text())
+    accel = summary["bounds"]["accel_residual_bound"]
+
+    def verdict_line(s):
+        return output_digest._digest_lines("tiny", "tiny_summary.json", json.dumps(s).encode())[1]
+
+    moved = json.loads(json.dumps(summary))
+    moved["dual_radius"] *= 1.0 + 1e-9
+    moved["bounds"]["accel_residual_bound"]["max_violation"] -= 1e-12
+    moved["algorithms"]["nesterov"]["final_dual_residual"] *= 2.0
+    assert verdict_line(moved) == verdict_line(summary)
+    for path, value in (
+        (("alpha_feasible",), not summary["alpha_feasible"]),
+        (("algorithms", "diging", "aborted"), True),
+        (("bounds", "accel_residual_bound", "clean"), not accel["clean"]),
+        (("bounds", "accel_residual_bound", "first_violation_iter"), 4),
+    ):
+        flipped = json.loads(json.dumps(summary))
+        target = flipped
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert verdict_line(flipped) != verdict_line(summary), path
 
 
 def test_sweep_digest_lines_are_the_sha256_of_an_in_process_sweep(tmp_path):
@@ -42,15 +84,23 @@ def test_sweep_digest_lines_are_the_sha256_of_an_in_process_sweep(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**TINY, "output_dir": str(out)}), encoding="utf-8")
     assert main(["sweep", str(path), *args]) == 0
-    want = [
-        f"{hashlib.sha256(f.read_bytes()).hexdigest()}  tiny_sweep/{f.relative_to(out).as_posix()}"
-        for f in sorted(f for f in out.rglob("*") if f.is_file())
-    ]
+    files = sorted(f for f in out.rglob("*") if f.is_file())
     # four cells of two CSVs and a summary each, then the sweep table
-    assert len(want) == 13
-    assert want[0].endswith("tiny_sweep/s2_p1/tiny_s2_p1_diging.csv")
-    assert want[-1].endswith("tiny_sweep/tiny_sweep.json")
-    assert lines == want
+    assert len(files) == 13
+    assert lines[0].endswith("tiny_sweep/s2_p1/tiny_s2_p1_diging.csv")
+    assert lines[-1].endswith("tiny_sweep/tiny_sweep.json")
+    assert [ln for ln in lines if not ln.endswith("#verdicts")] == [
+        f"{_sha256(f.read_bytes())}  tiny_sweep/{f.relative_to(out).as_posix()}" for f in files
+    ]
+    # each cell's summary line is followed by its verdict line
+    summaries = [i for i, ln in enumerate(lines) if ln.endswith("_summary.json")]
+    assert len(summaries) == 4
+    assert len(lines) == 13 + 4
+    for i in summaries:
+        rel = lines[i].split("  ")[1]
+        summary = json.loads((out / rel.split("/", 1)[1]).read_text())
+        picked = json.dumps(output_digest.verdicts(summary), sort_keys=True).encode()
+        assert lines[i + 1] == f"{_sha256(picked)}  {rel}#verdicts"
 
 
 def test_failed_run_prints_its_exit_code():

@@ -10,7 +10,11 @@ Each config below is written to a fresh temporary directory and run with
 ``python3 -m dvopt.cli run`` with the checkout's ``src`` first on
 ``PYTHONPATH``.  Every CSV and summary the run writes gets one line
 ``<sha256>  <config>/<file>``, and every ``demos/*.py`` of the checkout
-one line for its stdout, so equal outputs print equal lines.  One
+one line for its stdout, so equal outputs print equal lines.  Every
+summary also gets a line ``<sha256>  <config>/<file>#verdicts`` that
+hashes only its verdicts (``alpha_feasible``, each algorithm's
+``aborted``, each bound's ``clean`` and ``first_violation_iter``), so a
+change that moves summary floats but no verdict keeps that line.  One
 ``dvopt sweep`` of the switching config over ``SWEEP_ARGS`` (two seeds,
 periods 5 and 50) adds a line for each cell's CSVs and summary and one
 for the sweep table: 17 files.
@@ -94,8 +98,28 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def verdicts(summary: dict) -> dict:
+    """The verdict fields of a run summary, without any float."""
+    return {
+        "alpha_feasible": summary["alpha_feasible"],
+        "aborted": {name: run["aborted"] for name, run in summary["algorithms"].items()},
+        "bounds": {
+            name: {key: bound[key] for key in ("clean", "first_violation_iter")}
+            for name, bound in summary["bounds"].items()
+        },
+    }
+
+
+def _digest_lines(name: str, rel: str, data: bytes) -> list[str]:
+    lines = [f"{_sha256(data)}  {name}/{rel}"]
+    if rel.endswith("_summary.json"):
+        picked = json.dumps(verdicts(json.loads(data)), sort_keys=True).encode()
+        lines.append(f"{_sha256(picked)}  {name}/{rel}#verdicts")
+    return lines
+
+
 def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> list[str]:
-    """``dvopt run`` of ``config`` in ``checkout``: one digest line per output file.
+    """``dvopt run`` of ``config`` in ``checkout``: digest lines per output file.
 
     With ``sweep_args`` (``--seeds ... --periods ...``) it runs ``dvopt
     sweep`` instead, and files in the cells' directories are named by
@@ -115,8 +139,9 @@ def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> lis
             return [f"exit {proc.returncode}  {name}: {last}"]
         files = sorted(f for f in out_dir.rglob("*") if f.is_file())
         return [
-            f"{_sha256(f.read_bytes())}  {name}/{f.relative_to(out_dir).as_posix()}"
+            line
             for f in files
+            for line in _digest_lines(name, f.relative_to(out_dir).as_posix(), f.read_bytes())
         ]
 
 
