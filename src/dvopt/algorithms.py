@@ -21,12 +21,13 @@ The three message-passing runners share one loop, which owns validation,
 the epoch of each iteration, the divergence check, the message log and
 the records; each method supplies its per-topology operator, built once
 per distinct topology, and its step.  The divergence check is one pass
-over the watched state: its Frobenius norm, which is NaN or inf whenever
-an entry is, must stay at or below 1e12.  The dual runners'
-``keep_state`` (default True) decides whether records snapshot ``z`` and
-``z_tilde``.  Records are evaluated in blocks: the loop copies each
-recorded state into a block of up to 16 records and evaluates the whole
-block's dual values and consensus distances in one pass, with the bits a
+over the watched state, before every step and on the final state: its
+Frobenius norm, which is NaN or inf whenever an entry is, must stay at
+or below 1e12.  The dual runners' ``keep_state`` (default True) decides
+whether records snapshot ``z`` and ``z_tilde``.  Records are evaluated
+in blocks: the loop copies each recorded state into a block of up to 16
+records and evaluates the whole block's dual values, consensus distances
+and aggregate values at the agent average in one pass, with the bits a
 record-by-record evaluation gives; records' arrays are views into a
 fresh copy per block.  Step sizes come from the schedule's spectra,
 computed once per distinct topology.
@@ -84,12 +85,17 @@ class MessageLog:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """State snapshot at the start of iteration ``iter``."""
+    """State snapshot at the start of iteration ``iter``.
+
+    ``primal_value`` is the aggregate objective at the agent average of
+    the primal candidates; the abort record has None.
+    """
 
     iter: int
     epoch: int
     dual_value: float
     consensus_dist: float
+    primal_value: float | None
     message_count: int
     z: np.ndarray | None
     z_tilde: np.ndarray | None
@@ -152,8 +158,10 @@ def _consensus_dists(block: np.ndarray, agent_axis: int) -> np.ndarray:
 def _finite(a: np.ndarray) -> bool:
     # A NaN or infinite entry makes the sum of squares NaN or inf, and so
     # does a finite one whose square overflows; the comparison is then
-    # False, so no separate isfinite pass is needed.
-    return fro_norm(a) <= _DIVERGENCE_LIMIT
+    # False, so no separate isfinite pass is needed.  The watched states
+    # are C-contiguous, so ravel is a view and the dot one pass.
+    r = a.ravel()
+    return math.sqrt(np.dot(r, r)) <= _DIVERGENCE_LIMIT
 
 
 def _momentum(kappa: float) -> float:
@@ -185,12 +193,14 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     per distinct topology; ``step(matrix, record)`` advances one iteration
     and, when recording, returns the pre-step state arrays, which
     ``look()`` gives at the current state; ``watched`` is the state the
-    divergence check reads.  Recorded states are copied into a block of
-    up to ``_BLOCK`` records, one array per state array allocated once
-    per run, and ``evaluate(rows)`` turns the filled rows into record
-    fields in one pass, copying out the arrays records keep (it may
-    overwrite the rows): when the block is full, before an abort record
-    and after the final record.
+    divergence check reads, before every step and on the final state;
+    the run aborts exactly when its last record is the abort record.
+    Recorded states are copied into a block of up to ``_BLOCK`` records,
+    one array per state array allocated once per run, and
+    ``evaluate(rows)`` turns the filled rows into record fields in one
+    pass (dual value, consensus distance, primal value, then the arrays
+    records keep, copied out; it may overwrite the rows): when the block
+    is full, before an abort record and after the final record.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -217,33 +227,35 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
         if block:
             fields = method.evaluate([buf[: len(block)] for buf in rows])
             records.extend(
-                TraceRecord(k, e, dual, dist, count, *arrays)
-                for (k, e, count), (dual, dist, *arrays) in zip(block, fields)
+                TraceRecord(k, e, dual, dist, value, count, *arrays)
+                for (k, e, count), (dual, dist, value, *arrays) in zip(block, fields)
             )
             block.clear()
 
     log = MessageLog()
-    for k, e in enumerate(_epoch_of_iteration(schedule, max_iter)):
+    epochs = _epoch_of_iteration(schedule, max_iter)
+    # the final state, at k = max_iter, keeps the last iteration's epoch
+    for k, e in enumerate(epochs + epochs[-1:]):
         if not _finite(method.watched):
             flush()
             nan_y = np.full((agg.dim, agg.n), np.nan)
-            records.append(TraceRecord(k, e, method.abort_value, math.inf, 0, None, None, nan_y))
+            records.append(TraceRecord(k, e, method.abort_value, math.inf, None, 0, None, None, nan_y))
+            break
+        if k == max_iter:
+            keep(k, e, 0, method.look())
+            flush()
             break
         matrix, pairs = by_epoch[e]
         log.append(pairs)
         state = method.step(matrix, k % record_every == 0)
         if state is not None:
             keep(k, e, pairs.shape[0], state)
-    else:
-        k = max_iter
-        keep(k, e, 0, method.look())
-        flush()
     return RunTrace(
         algorithm=method.name,
         records=records,
         message_log=log,
         final_state=method.final_state(k, records[-1]),
-        aborted=k < max_iter,
+        aborted=records[-1].primal_value is None,
         momentum_degenerate=method.degenerate,
     )
 
@@ -340,11 +352,12 @@ class _DualMethod:
         cols = ys.transpose(0, 2, 1) if self.y_transposed else ys
         duals = self.agg.dual_value_batch(zs, cols).tolist()
         y_tildes = cols.copy()
+        values = self.agg.value_consensus_batch(y_tildes.mean(axis=2)).tolist()
         dists = _consensus_dists(ys, 1 if self.y_transposed else 2).tolist()
         if zts:
-            return zip(duals, dists, zs.copy(), zts[0].copy(), y_tildes)
+            return zip(duals, dists, values, zs.copy(), zts[0].copy(), y_tildes)
         none = [None] * len(ys)
-        return zip(duals, dists, none, none, y_tildes)
+        return zip(duals, dists, values, none, none, y_tildes)
 
     def final_state(self, final_iter, last):
         if self.accelerated:
@@ -410,12 +423,12 @@ class _DIGingMethod:
         self.x, self.g = x_next, g_next
         return state
 
-    @staticmethod
-    def evaluate(rows):
+    def evaluate(self, rows):
         (xs,) = rows
         kept = xs.copy()
+        values = self.agg.value_consensus_batch(kept.mean(axis=2)).tolist()
         dists = _consensus_dists(xs, 2).tolist()  # x is always in C order
-        return ((math.nan, dist, None, None, x) for dist, x in zip(dists, kept))
+        return ((math.nan, dist, value, None, None, x) for dist, value, x in zip(dists, values, kept))
 
     def final_state(self, final_iter, last):
         return DIGingState(x=self.x, u=self.u, g_prev=self.g, stepsize=self.alpha, iter=final_iter)

@@ -3,14 +3,14 @@
 The optimal dual value is ``-phi_star`` where ``phi_star`` is the
 centralized optimum of the separable objective (linear consensus
 constraints, so strong duality holds); every residual here is measured
-against that reference.  :func:`compute_metrics` evaluates records in
-chunks, and :func:`emit` formats each CSV row with one %-format; both
-give the bytes a record-by-record evaluation gives.
+against that reference.  :func:`compute_metrics` reads only the
+records' scalars, which the runners evaluate in blocks, and :func:`emit`
+formats each CSV row with one %-format; both give the bytes a
+record-by-record evaluation gives.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -35,9 +35,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "iter,epoch,dual_value,dual_residual,consensus_dist,primal_gap,message_count"
-# Records whose primal gaps are evaluated in one pass; any size gives the
-# same bits, and a chunk's stacked y_tilde costs chunk * d * n floats.
-_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -88,47 +85,27 @@ def compute_metrics(
 
     ``oracle`` is ``(y_star, phi_star)`` from a high-accuracy centralized
     solve.  ``dual_residual`` is measured against ``f_star = -phi_star``
-    and ``primal_gap`` evaluates the aggregate at the agent-average of
-    the primal candidates; a record whose candidates are missing or not
-    finite gets an infinite gap.  Records are evaluated in chunks of up
-    to ``_CHUNK``: each chunk's finite check, agent averages and primal
-    gaps in one pass, with the bits a record-by-record evaluation gives.
+    and ``primal_gap`` is the record's ``primal_value``, the aggregate at
+    the agent average of the primal candidates, minus ``phi_star``; a
+    record without a primal value (the abort record) gets an infinite
+    gap.  The runners evaluate those values, so ``agg`` is unused.
     """
     _, phi_star = oracle
     phi_star = float(phi_star)
     f_star = -phi_star
     lost = math.inf if math.isfinite(f_star) else math.nan
-    rows = []
-    records = trace.records
-    for lo in range(0, len(records), _CHUNK):
-        chunk = records[lo : lo + _CHUNK]
-        for rec, gap in zip(chunk, _primal_gaps(chunk, agg, phi_star)):
-            rows.append(
-                MetricRow(
-                    iter=rec.iter,
-                    epoch=rec.epoch,
-                    dual_value=rec.dual_value,
-                    dual_residual=lost if gap is None else rec.dual_value - f_star,
-                    consensus_dist=rec.consensus_dist,
-                    primal_gap=math.inf if gap is None else gap,
-                    message_count=rec.message_count,
-                )
-            )
-    return rows
-
-
-def _primal_gaps(records, agg: AggregateObjective, phi_star: float) -> list:
-    """Primal gap at each record's agent average; None if y_tilde is missing or not finite."""
-    gaps = [None] * len(records)
-    have = [i for i, rec in enumerate(records) if rec.y_tilde is not None]
-    if have:
-        ys = np.array([records[i].y_tilde for i in have])
-        finite = np.isfinite(ys).reshape(len(ys), -1).all(axis=1)
-        if finite.any():
-            values = agg.value_consensus_batch(ys[finite].mean(axis=2)) - phi_star
-            for i, gap in zip(itertools.compress(have, finite), values.tolist()):
-                gaps[i] = gap
-    return gaps
+    return [
+        MetricRow(
+            iter=rec.iter,
+            epoch=rec.epoch,
+            dual_value=rec.dual_value,
+            dual_residual=lost if rec.primal_value is None else rec.dual_value - f_star,
+            consensus_dist=rec.consensus_dist,
+            primal_gap=math.inf if rec.primal_value is None else rec.primal_value - phi_star,
+            message_count=rec.message_count,
+        )
+        for rec in trace.records
+    ]
 
 
 def agentwise_primal_gap(y_tilde: np.ndarray, agg: AggregateObjective, phi_star: float) -> float:

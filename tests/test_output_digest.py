@@ -112,7 +112,21 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
         "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
+        "switching_abort_s3",
     ]
     static = output_digest.configs([3])["logistic_static_s3"]
     assert static["algorithms"] == ["nesterov", "dual_gd", "diging"]
     assert len(static["schedule"]["epochs"]) == 1
+
+
+def test_aborting_config_aborts_also_when_cut_at_the_abort(tmp_path):
+    # the final state goes through the divergence check like every other
+    config = output_digest.aborting_config(3)
+    for max_iter in (200, 14):
+        out = tmp_path / str(max_iter)
+        execute(ExperimentConfig.from_dict({**config, "max_iter": max_iter, "output_dir": str(out)}))
+        summary = json.loads((out / "switching_abort_summary.json").read_text())
+        diging = summary["algorithms"]["diging"]
+        assert (diging["aborted"], diging["final_iter"]) == (True, 14), max_iter
+        assert diging["final_consensus_dist"] == float("inf")
+        assert not summary["algorithms"]["nesterov"]["aborted"]

@@ -1,9 +1,11 @@
 """Block evaluation of run records against record-by-record references.
 
 The runners copy recorded states into blocks and evaluate a whole block
-in one pass; ``compute_metrics`` does the same per chunk of records.  The
-references here evaluate one record at a time with the per-record
-arithmetic the blocks replaced, and every float must match bit for bit.
+in one pass: dual values, consensus distances and the primal values that
+``compute_metrics`` turns into primal gaps.  The references here evaluate
+one record at a time with the per-record arithmetic the blocks replaced,
+the gaps from each record's ``y_tilde``, and every float must match bit
+for bit.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from dvopt.algorithms import (
     run_dual_gradient,
 )
 from dvopt.graphs import alternating_schedule, laplacian, mixing_matrix
-from dvopt.metrics import _CHUNK, MetricRow, compute_metrics
+from dvopt.metrics import MetricRow, compute_metrics
 from dvopt.objectives import (
     AggregateObjective,
     centralized_solve,
@@ -98,17 +100,23 @@ def ref_dual_records(agg, schedule, max_iter, record_every, accelerated):
 
 
 def ref_diging_records(agg, schedule, max_iter, record_every, stepsize):
+    """Per-record DIGing fields; the divergence check reads the final state too."""
     x = np.zeros((agg.dim, agg.n))
     g = agg.grad_cols(x)
     u = g.copy()
+
+    def abort(k, e):
+        return (k, e, math.nan, math.inf, 0, None, None, np.full(x.shape, np.nan))
+
+    def diverged():
+        return not math.sqrt((x * x).sum()) <= 1e12
+
     out = []
     for k in range(max_iter):
         e = schedule.epoch_index(k)
         topo = schedule.epochs[e][1]
-        a = np.asarray(x)
-        if not math.sqrt((a * a).sum()) <= 1e12:
-            out.append((k, e, math.nan, math.inf, 0, None, None, np.full(x.shape, np.nan)))
-            return out
+        if diverged():
+            return [*out, abort(k, e)]
         if k % record_every == 0:
             out.append((k, e, math.nan, ref_consensus_dist(x), 4 * len(topo.edges), None, None, x.copy()))
         vt = mixing_matrix(topo).T
@@ -116,6 +124,8 @@ def ref_diging_records(agg, schedule, max_iter, record_every, stepsize):
         g_next = agg.grad_cols(x_next)
         u = u @ vt + g_next - g
         x, g = x_next, g_next
+    if diverged():
+        return [*out, abort(max_iter, e)]
     out.append((max_iter, e, math.nan, ref_consensus_dist(x), 0, None, None, x.copy()))
     return out
 
@@ -233,7 +243,8 @@ class TestDriverRecords:
         trace = run_diging(agg, schedule, stepsize, max_iter=max_iter, record_every=record_every)
         reference = ref_diging_records(agg, schedule, max_iter, record_every, stepsize)
         assert_records_match(trace, reference)
-        assert trace.aborted == (reference[-1][0] < max_iter)
+        # a run aborts exactly when its last record is the abort record
+        assert trace.aborted == (reference[-1][3] == math.inf)
 
     def test_abort_inside_a_block(self):
         agg = gen_ridge_instance(3, 4, 2, seed=5)
@@ -243,16 +254,30 @@ class TestDriverRecords:
         # the records before the abort fill one block and part of the next
         assert trace.aborted and _BLOCK < len(trace.records) - 1 < 2 * _BLOCK
         assert_records_match(trace, ref_diging_records(agg, schedule, 40, 1, stepsize))
+        # cut at the abort iteration, the run aborts there: the final state is checked too
+        k = trace.records[-1].iter
+        cut = run_diging(agg, schedule, stepsize, max_iter=k)
+        assert cut.aborted and cut.records[-1].iter == k and cut.records[-1].primal_value is None
+        assert_records_match(cut, ref_diging_records(agg, schedule, k, 1, stepsize))
 
 
 class TestMetricBlocks:
     @settings(max_examples=30)
-    @given(aggregates(), runs, st.sampled_from(("nesterov", "diging", "diging_abort")))
+    @given(
+        aggregates(),
+        runs,
+        st.sampled_from(("nesterov", "nesterov_lean", "dual_gd", "diging", "diging_abort")),
+    )
     def test_rows_equal_per_record_loop(self, agg, run, method):
         max_iter, record_every, period = run
         schedule = schedule_for(agg, period, max_iter)
-        if method == "nesterov":
-            trace = run_distributed_nesterov(agg, schedule, max_iter=max_iter, record_every=record_every)
+        if method.startswith("nesterov"):
+            trace = run_distributed_nesterov(
+                agg, schedule, max_iter=max_iter, record_every=record_every,
+                keep_state=method == "nesterov",
+            )
+        elif method == "dual_gd":
+            trace = run_dual_gradient(agg, schedule, max_iter=max_iter, record_every=record_every)
         else:
             boost = 1e5 if method == "diging_abort" else 1.0
             trace = run_diging(
@@ -264,17 +289,19 @@ class TestMetricBlocks:
         assert_rows_match(rows, ref_metrics(trace, agg, phi_star))
 
     def test_missing_and_non_finite_candidates_inside_a_block(self):
+        # records without a primal value stand for lost candidates
         agg = gen_ridge_instance(9, 4, 5, seed=3)
         trace = run_distributed_nesterov(agg, schedule_for(agg, 2, 20), max_iter=20)
         records = list(trace.records)
         nan_y = np.full((agg.dim, agg.n), np.nan)
-        for k, y in ((1, None), (3, nan_y), (4, None), (_CHUNK + 2, nan_y)):
-            records[k] = dataclasses.replace(records[k], y_tilde=y)
+        for k, y in ((1, None), (3, nan_y), (4, None), (_BLOCK + 2, nan_y)):
+            records[k] = dataclasses.replace(records[k], primal_value=None, y_tilde=y)
         trace = dataclasses.replace(trace, records=records)
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
         assert_rows_match(rows, ref_metrics(trace, agg, phi_star))
-        assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _CHUNK + 2]
+        assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _BLOCK + 2]
+        assert all(r.dual_residual == math.inf for r in rows if r.primal_gap == math.inf)
 
 
 class TestBatchKernels:

@@ -23,10 +23,12 @@ The configs are the benchmark's ``ridge_config`` and ``logistic_config``
 (``bench/workloads.py`` next to this script, so both checkouts run the
 same ones) at each ``--seeds`` seed, the logistic one on its static
 graph with nesterov, dual_gd and diging (the dual-GD contraction verdict
-runs only on a single epoch), and a ridge config over a star/cycle
-schedule switching every 5 iterations with all three algorithms.  The
-script uses the Python standard library and the benchmark's config
-functions only.
+runs only on a single epoch), a ridge config over a star/cycle
+schedule switching every 5 iterations with all three algorithms, and
+that config again with a DIGing step of 50, where DIGing diverges (at
+seed 3 it aborts at iteration 14 of 200), so abort rows are compared
+too.  The script uses the Python standard library and the benchmark's
+config functions only.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ def switching_ridge_config(seed: int) -> dict:
     }
 
 
+def aborting_config(seed: int) -> dict:
+    """The switching config with a DIGing step of 50, which makes DIGing abort."""
+    return {
+        **switching_ridge_config(seed),
+        "overrides": {"diging_stepsize": 50},
+        "run_id": "switching_abort",
+    }
+
+
 def configs(seeds: list[int]) -> dict[str, dict]:
     """Every config to digest, by name."""
     workloads = _bench_workloads()
@@ -85,6 +96,7 @@ def configs(seeds: list[int]) -> dict[str, dict]:
         "run_id": "logistic_static",
     }
     out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
+    out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
     return out
 
 
