@@ -23,14 +23,15 @@ the records; each method supplies its per-topology operator, built once
 per distinct topology, and its step.  The divergence check is one pass
 over the watched state, before every step and on the final state: its
 Frobenius norm, which is NaN or inf whenever an entry is, must stay at
-or below 1e12.  The dual runners' ``keep_state`` (default True) decides
-whether records snapshot ``z`` and ``z_tilde``.  Records are evaluated
-in blocks: the loop copies each recorded state into a block of up to 16
-records and evaluates the whole block's dual values, consensus distances
-and aggregate values at the agent average in one pass, with the bits a
-record-by-record evaluation gives; records' arrays are views into a
-fresh copy per block.  Step sizes come from the schedule's spectra,
-computed once per distinct topology.
+or below 1e12.  Every runner's ``keep_state`` (default True) decides
+whether records keep arrays (``z``, ``z_tilde`` and ``y_tilde``, or
+DIGing's ``x``) or only scalars; the metrics read only the scalars.
+Records are evaluated in blocks: the loop copies each recorded state
+into a block of up to 16 records and evaluates the whole block's dual
+values, consensus distances and aggregate values at the agent average
+in one pass, with the bits a record-by-record evaluation gives; kept
+arrays are views into a fresh copy per block.  Step sizes come from the
+schedule's spectra, computed once per distinct topology.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ class TraceRecord:
     """State snapshot at the start of iteration ``iter``.
 
     ``primal_value`` is the aggregate objective at the agent average of
-    the primal candidates; the abort record has None.
+    the primal candidates; the abort record has None.  Lean runs
+    (``keep_state=False``) keep no arrays, except the abort record's NaN
+    ``y_tilde``.
     """
 
     iter: int
@@ -99,7 +102,7 @@ class TraceRecord:
     message_count: int
     z: np.ndarray | None
     z_tilde: np.ndarray | None
-    y_tilde: np.ndarray
+    y_tilde: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,9 @@ def run_distributed_nesterov(
     ``Z_next = (1+beta) Zt_next - beta Zt``.  When the dual condition
     number is 1 (up to 1e-12) the momentum coefficient degenerates and
     the run falls back to plain gradient steps with a trace flag.  With
-    ``keep_state=False`` records leave ``z`` and ``z_tilde`` as None.
+    ``keep_state=False`` records keep no arrays: ``z``, ``z_tilde`` and
+    ``y_tilde`` are None, except the abort record's NaN ``y_tilde``.  The
+    final state is the same either way.
     """
     return _drive(
         agg, schedule, max_iter, record_every,
@@ -289,7 +294,10 @@ def run_dual_gradient(
     record_every: int = 1,
     keep_state: bool = True,
 ) -> RunTrace:
-    """Plain dual gradient descent with step 2/(L+mu), started from zero."""
+    """Plain dual gradient descent with step 2/(L+mu), started from zero.
+
+    ``keep_state`` works as in :func:`run_distributed_nesterov`.
+    """
     return _drive(
         agg, schedule, max_iter, record_every,
         lambda: _DualMethod(agg, schedule, accelerated=False, keep_state=keep_state),
@@ -318,6 +326,7 @@ class _DualMethod:
         self.z = np.zeros((agg.dim, agg.n))
         self.zt = np.zeros((agg.dim, agg.n))
         self.y_transposed = None  # set by the first recorded argmax
+        self.y_final = None  # the final state's argmax, set by look()
 
     @property
     def watched(self):
@@ -345,7 +354,8 @@ class _DualMethod:
         return state
 
     def look(self):
-        return self._state(self.agg.conj_argmax_cols(self.z))
+        self.y_final = self.agg.conj_argmax_cols(self.z)
+        return self._state(self.y_final)
 
     def evaluate(self, rows):
         zs, ys, *zts = rows
@@ -357,11 +367,13 @@ class _DualMethod:
         if zts:
             return zip(duals, dists, values, zs.copy(), zts[0].copy(), y_tildes)
         none = [None] * len(ys)
-        return zip(duals, dists, values, none, none, y_tildes)
+        return zip(duals, dists, values, none, none, none)
 
     def final_state(self, final_iter, last):
         if self.accelerated:
-            return NesterovState(z=self.z, z_tilde=self.zt, y_tilde=last.y_tilde, iter=final_iter)
+            # an aborted run ends before look(): its y_tilde is the abort record's NaN array
+            y = last.y_tilde if self.y_final is None else self.y_final
+            return NesterovState(z=self.z, z_tilde=self.zt, y_tilde=y, iter=final_iter)
         return GDState(z=self.z, iter=final_iter)
 
 
@@ -376,15 +388,20 @@ def run_diging(
     stepsize: float | None = None,
     max_iter: int | None = None,
     record_every: int = 1,
+    keep_state: bool = True,
 ) -> RunTrace:
     """Gradient tracking baseline over mixing matrices I - W/n.
 
     ``x`` holds the primal copies and ``u`` tracks the average gradient:
     ``x_next = x V' - alpha u``, ``u_next = u V' + grad(x_next) - grad(x)``
     with ``u_0 = grad(x_0)``.  Each iteration mixes both x and u, so two
-    messages cross every directed edge.
+    messages cross every directed edge.  Records keep ``x`` as
+    ``y_tilde``; with ``keep_state=False`` they keep None, except the
+    abort record's NaN array.
     """
-    return _drive(agg, schedule, max_iter, record_every, lambda: _DIGingMethod(agg, stepsize))
+    return _drive(
+        agg, schedule, max_iter, record_every, lambda: _DIGingMethod(agg, stepsize, keep_state)
+    )
 
 
 class _DIGingMethod:
@@ -394,10 +411,11 @@ class _DIGingMethod:
     abort_value = math.nan
     degenerate = False
 
-    def __init__(self, agg, stepsize):
+    def __init__(self, agg, stepsize, keep_state):
         self.alpha = default_diging_stepsize(agg) if stepsize is None else float(stepsize)
         if self.alpha <= 0:
             raise ValueError("stepsize must be positive")
+        self.keep_state = keep_state
         self.agg = agg
         self.x = np.zeros((agg.dim, agg.n))
         self.g = agg.grad_cols(self.x)
@@ -428,6 +446,7 @@ class _DIGingMethod:
         kept = xs.copy()
         values = self.agg.value_consensus_batch(kept.mean(axis=2)).tolist()
         dists = _consensus_dists(xs, 2).tolist()  # x is always in C order
+        kept = kept if self.keep_state else [None] * len(xs)
         return ((math.nan, dist, value, None, None, x) for dist, value, x in zip(dists, values, kept))
 
     def final_state(self, final_iter, last):
@@ -482,7 +501,9 @@ class XSpaceTrace:
         return self.schedule.epoch_index(k)
 
 
-def solve_dual_min_norm(agg: AggregateObjective, schedule: GraphSchedule) -> np.ndarray:
+def solve_dual_min_norm(
+    agg: AggregateObjective, schedule: GraphSchedule, y_star: np.ndarray | None = None
+) -> np.ndarray:
     """Minimum-norm minimizer of the epoch-0 dual function, in closed form.
 
     ``X`` minimizes ``f(X) = Phi*(-X sqrt(W))`` exactly when every agent's
@@ -490,8 +511,10 @@ def solve_dual_min_norm(agg: AggregateObjective, schedule: GraphSchedule) -> np.
     ``X sqrt(W) = -G`` with ``G = [grad phi_i(y*)]``.  The columns of ``G``
     sum to zero, so the minimum-norm solution is ``X* = -G sqrt(W)^+``,
     projected onto the consensus-orthogonal subspace to remove rounding.
+    ``y_star`` is the centralized minimizer, solved for when omitted.
     """
-    y_star, _ = centralized_solve(agg)
+    if y_star is None:
+        y_star, _ = centralized_solve(agg)
     g = agg.grad_cols(np.repeat(y_star[:, None], agg.n, axis=1))
     return project_consensus_orth(-(g @ pinv_sqrt_psd(laplacian(schedule.epochs[0][1]))))
 

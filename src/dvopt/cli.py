@@ -68,6 +68,10 @@ class ValidationError(ValueError):
     """Bad config, bad arguments, or missing files."""
 
 
+class RunFailure(RuntimeError):
+    """A ValueError raised once the runs have started: a numerical failure, not bad input."""
+
+
 def _derive_seed(root: int, label: int) -> int:
     return int(root) ^ label
 
@@ -254,8 +258,9 @@ def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
     return graphs.schedule_from_spec(spec)
 
 
-# Records keep z and z_tilde only where something reads them: the
-# dual-GD contraction verdict of a single-epoch schedule reads z.
+# Records keep scalars only, since the metrics read nothing else.  The one
+# array read is z, by the dual-GD contraction verdict of a single-epoch
+# schedule.
 _RUNNERS = {
     "nesterov": lambda agg, s, cfg: algorithms.run_distributed_nesterov(
         agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every, keep_state=False
@@ -273,6 +278,7 @@ _RUNNERS = {
         stepsize=cfg.overrides.get("diging_stepsize"),
         max_iter=cfg.max_iter,
         record_every=cfg.record_every,
+        keep_state=False,
     ),
 }
 ALGORITHMS = tuple(_RUNNERS)
@@ -311,7 +317,12 @@ def _per_epoch_spectra(schedule: graphs.GraphSchedule) -> list[graphs.SpectralIn
 
 
 def execute(config: ExperimentConfig) -> dict:
-    """Run every configured algorithm and write traces plus a summary."""
+    """Run every configured algorithm and write traces plus a summary.
+
+    Bad input raises ValueError before anything runs.  A ValueError raised
+    once the runs start is a numerical failure and comes out as
+    :class:`RunFailure`.
+    """
     agg = _build_objective(config)
     schedule = _build_schedule(config)
     if schedule.n != agg.n:
@@ -320,7 +331,15 @@ def execute(config: ExperimentConfig) -> dict:
         )
     if config.max_iter > schedule.horizon:
         raise ValidationError("max_iter exceeds the schedule horizon")
+    try:
+        return _run(config, agg, schedule)
+    except ValueError as exc:
+        raise RunFailure(str(exc)) from exc
 
+
+def _run(
+    config: ExperimentConfig, agg: AggregateObjective, schedule: graphs.GraphSchedule
+) -> dict:
     os.makedirs(config.output_dir, exist_ok=True)
     theta = schedule.theta
     dc = dual_constants(agg, theta)
@@ -335,7 +354,7 @@ def execute(config: ExperimentConfig) -> dict:
         )
 
     oracle = centralized_solve(agg, tol=1e-10)
-    x_star = algorithms.solve_dual_min_norm(agg, schedule)
+    x_star = algorithms.solve_dual_min_norm(agg, schedule, oracle[0])
     radius = float(np.linalg.norm(x_star))
 
     summary: dict = {

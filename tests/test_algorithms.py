@@ -373,23 +373,64 @@ class TestScheduleIndex:
         assert len(built) == 2
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype) == (b.shape, b.dtype) and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
 class TestLeanRecords:
-    def test_lean_records_give_the_same_metrics(self):
-        agg = gen_ridge_instance(6, 5, 3, c=0.1, noise=0.1, seed=4)
-        star, cycle = gen_topology("star", 6), gen_topology("cycle", 6)
-        sched = GraphSchedule(
-            60, ((0, star), (15, cycle), (30, gen_topology("complete", 6)), (45, star))
-        )
-        oracle = centralized_solve(agg)
-        for runner in (run_distributed_nesterov, run_dual_gradient):
-            full = runner(agg, sched, record_every=3)
-            lean = runner(agg, sched, record_every=3, keep_state=False)
-            assert compute_metrics(lean, agg, oracle) == compute_metrics(full, agg, oracle)
-            assert all(r.z is None and r.z_tilde is None for r in lean.records)
-            assert all(r.z is not None for r in full.records)
-            for name in vars(full.final_state):
-                a, b = getattr(full.final_state, name), getattr(lean.final_state, name)
-                assert np.array_equal(a, b), name
+    """``keep_state=False`` drops every record array and changes no number."""
+
+    AGG = gen_ridge_instance(6, 5, 3, c=0.1, noise=0.1, seed=4)
+    SCHED = GraphSchedule(
+        60,
+        (
+            (0, gen_topology("star", 6)),
+            (15, gen_topology("cycle", 6)),
+            (30, gen_topology("complete", 6)),
+            (45, gen_topology("star", 6)),
+        ),
+    )
+
+    def run(self, method, record_every, keep):
+        agg, sched = self.AGG, self.SCHED
+        if method.startswith("diging"):
+            step = (1e5 if method == "diging_abort" else 1.0) * default_diging_stepsize(agg)
+            return run_diging(agg, sched, step, record_every=record_every, keep_state=keep)
+        runner = run_dual_gradient if method == "dual_gd" else run_distributed_nesterov
+        return runner(agg, sched, record_every=record_every, keep_state=keep)
+
+    def test_lean_records_give_the_same_metrics(self, monkeypatch):
+        oracle = centralized_solve(self.AGG)
+        for method in ("nesterov", "nesterov_abort", "dual_gd", "diging", "diging_abort"):
+            for record_every in (1, 3):
+                with monkeypatch.context() as patch:
+                    if method == "nesterov_abort":
+                        # a dual run does not diverge; a low limit stops it part way
+                        patch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", 0.05)
+                    full = self.run(method, record_every, True)
+                    lean = self.run(method, record_every, False)
+                case = (method, record_every)
+                assert full.aborted == lean.aborted == method.endswith("abort"), case
+                # repr tells floats apart bit for bit, and NaN equals NaN
+                assert repr(compute_metrics(lean, self.AGG, oracle)) == repr(
+                    compute_metrics(full, self.AGG, oracle)
+                ), case
+                *kept, last = lean.records
+                assert all(r.z is None and r.z_tilde is None and r.y_tilde is None for r in kept)
+                assert last.z is None and last.z_tilde is None, case
+                if lean.aborted:
+                    assert last.iter < 60 and np.isnan(last.y_tilde).all(), case
+                else:
+                    assert last.y_tilde is None, case
+                assert all(r.y_tilde is not None for r in full.records), case
+                dual = not method.startswith("diging")
+                assert all((r.z is not None) == dual for r in full.records[:-1]), case
+                for name in vars(full.final_state):
+                    a, b = getattr(full.final_state, name), getattr(lean.final_state, name)
+                    assert same_bits(a, b), (case, name)
 
 
 @st.composite
@@ -450,6 +491,8 @@ class TestClosedFormDualSolution:
         sched = GraphSchedule(5, ((0, topo),))
         x_star = solve_dual_min_norm(agg, sched)
         y_star, _ = centralized_solve(agg)
+        # a caller's minimizer from the same solve gives the same bits
+        assert same_bits(solve_dual_min_norm(agg, sched, y_star), x_star)
         g = agg.grad_cols(np.repeat(y_star[:, None], n, axis=1))
         scale = fro_norm(x_star)
         assert np.max(np.abs(x_star.sum(axis=1))) <= 1e-12 * (1.0 + scale)

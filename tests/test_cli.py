@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dvopt import theory
+from dvopt import cli, theory
 from dvopt.cli import (
     ExperimentConfig,
     ValidationError,
@@ -15,6 +15,7 @@ from dvopt.cli import (
     main,
     sweep,
 )
+from dvopt.objectives import AggregateObjective
 
 
 def minimal_config(tmp_path, **overrides):
@@ -170,6 +171,64 @@ class TestExecute:
         # the schedule's spectra, one per distinct topology, serve theta,
         # the dual_gd runner and the summary
         assert len(calls) == 2
+
+    def test_centralized_problem_solved_once(self, tmp_path, monkeypatch):
+        # the oracle's minimizer also gives the minimum-norm dual solution
+        import dvopt.algorithms
+
+        calls = []
+        solve = cli.centralized_solve
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "centralized_solve", counted)
+        monkeypatch.setattr(dvopt.algorithms, "centralized_solve", counted)
+        raw = minimal_config(tmp_path, algorithms=list(cli.ALGORITHMS))
+        execute(ExperimentConfig.from_dict(raw))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"alternating": {"kinds": ["star", "cycle"], "n": 5, "period": 3, "horizon": 30}},
+            {"horizon": 30, "epochs": [{"start": 0, "kind": "star", "n": 5}]},
+        ],
+    )
+    def test_runs_keep_no_record_arrays(self, tmp_path, monkeypatch, schedule):
+        # what a record keeps stays alive until the run's rows are written.
+        # The one array read is dual_gd's z on a single-epoch schedule, by its
+        # verdict; that run keeps its full state (keep_state=True).
+        traces = []
+
+        def capture(name, runner):
+            def run(agg, s, cfg):
+                trace = runner(agg, s, cfg)
+                traces.append((name, len(s.epochs), trace))
+                return trace
+
+            return run
+
+        for name, runner in list(cli._RUNNERS.items()):
+            monkeypatch.setitem(cli._RUNNERS, name, capture(name, runner))
+        raw = minimal_config(
+            tmp_path,
+            objective={"kind": "ridge", "n": 5, "l": 4, "m": 3, "c": 0.1, "noise": 0.1},
+            schedule=schedule,
+            algorithms=list(cli.ALGORITHMS),
+            max_iter=30,
+        )
+        summary = execute(ExperimentConfig.from_dict(raw))
+        assert [name for name, _, _ in traces] == list(cli.ALGORITHMS)
+        for name, epochs, trace in traces:
+            keeps_z = name == "dual_gd" and epochs == 1
+            assert len(trace.records) == 31 and not trace.aborted
+            for rec in trace.records:
+                kept = (rec.z, rec.z_tilde, rec.y_tilde)
+                assert all((a is not None) == keeps_z for a in kept), (name, rec.iter)
+        single = "epochs" in schedule
+        assert ("gd_contraction_bound" in summary["bounds"]) == single
 
 
 class TestBoundsCommand:
@@ -332,6 +391,23 @@ class TestMainExitCodes:
         assert main(["run", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_numerical_failure_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the fourth argmax of the run gets a NaN input, as from a blown-up state
+        calls = []
+        argmax = AggregateObjective.conj_argmax_cols
+
+        def poisoned(agg, z):
+            calls.append(None)
+            return argmax(agg, z if len(calls) < 4 else z * math.nan)
+
+        monkeypatch.setattr(AggregateObjective, "conj_argmax_cols", poisoned)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path)))
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and "must be finite" in err
+        assert len(calls) == 4
 
     def test_valid_override_reaches_diging(self, tmp_path):
         raw = minimal_config(

@@ -4,8 +4,8 @@ The runners copy recorded states into blocks and evaluate a whole block
 in one pass: dual values, consensus distances and the primal values that
 ``compute_metrics`` turns into primal gaps.  The references here evaluate
 one record at a time with the per-record arithmetic the blocks replaced,
-the gaps from each record's ``y_tilde``, and every float must match bit
-for bit.
+the primal values and gaps from each reference record's ``y``, and every
+float must match bit for bit.
 """
 
 import dataclasses
@@ -130,12 +130,18 @@ def ref_diging_records(agg, schedule, max_iter, record_every, stepsize):
     return out
 
 
-def ref_metrics(trace, agg, phi_star):
-    """compute_metrics as a loop over single records."""
+def ref_metrics(trace, agg, phi_star, ys=None):
+    """compute_metrics as a loop over single records.
+
+    ``ys`` holds each record's primal candidates, by default the records'
+    own ``y_tilde``; a lean trace keeps none, so its caller passes the
+    reference records' ``y``.
+    """
     f_star = -float(phi_star)
+    ys = [rec.y_tilde for rec in trace.records] if ys is None else ys
+    assert len(ys) == len(trace.records)
     rows = []
-    for rec in trace.records:
-        y_tilde = rec.y_tilde
+    for rec, y_tilde in zip(trace.records, ys):
         if y_tilde is None or not np.all(np.isfinite(y_tilde)):
             residual, gap = (math.inf if math.isfinite(f_star) else math.nan), math.inf
         else:
@@ -166,13 +172,23 @@ def same_array(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def assert_records_match(trace, reference):
+def assert_records_match(trace, reference, agg, lean=False):
+    """Every record field against the reference, primal values included.
+
+    The reference's abort record has an infinite consensus distance.  A
+    lean trace keeps no ``y_tilde`` but the abort record's NaN array.
+    """
     assert len(trace.records) == len(reference)
     for rec, (k, e, dual, dist, count, z, zt, y) in zip(trace.records, reference):
         assert (rec.iter, rec.epoch, rec.message_count) == (k, e, count)
         assert same_float(rec.dual_value, dual), k
         assert same_float(rec.consensus_dist, dist), k
-        assert same_array(rec.y_tilde, y), k
+        abort = dist == math.inf
+        if abort:
+            assert rec.primal_value is None, k
+        else:
+            assert same_float(rec.primal_value, ref_value_consensus(agg, y.mean(axis=1))), k
+        assert same_array(rec.y_tilde, None if lean and not abort else y), k
         assert same_array(rec.z, z) and same_array(rec.z_tilde, zt), k
 
 
@@ -231,18 +247,20 @@ class TestDriverRecords:
         reference = ref_dual_records(agg, schedule, max_iter, record_every, accelerated)
         if not keep:
             reference = [(*r[:5], None, None, r[7]) for r in reference]
-        assert_records_match(trace, reference)
+        assert_records_match(trace, reference, agg, lean=not keep)
 
     @settings(max_examples=40)
-    @given(aggregates(), runs, st.sampled_from((1.0, 30.0, 1e3, 1e5)))
-    def test_diging_records_equal_per_record_reference(self, agg, run, boost):
+    @given(aggregates(), runs, st.sampled_from((1.0, 30.0, 1e3, 1e5)), st.booleans())
+    def test_diging_records_equal_per_record_reference(self, agg, run, boost, keep):
         # large steps diverge and abort, at an iteration that moves with the step
         max_iter, record_every, period = run
         schedule = schedule_for(agg, period, max_iter)
         stepsize = boost * default_diging_stepsize(agg)
-        trace = run_diging(agg, schedule, stepsize, max_iter=max_iter, record_every=record_every)
+        trace = run_diging(
+            agg, schedule, stepsize, max_iter=max_iter, record_every=record_every, keep_state=keep
+        )
         reference = ref_diging_records(agg, schedule, max_iter, record_every, stepsize)
-        assert_records_match(trace, reference)
+        assert_records_match(trace, reference, agg, lean=not keep)
         # a run aborts exactly when its last record is the abort record
         assert trace.aborted == (reference[-1][3] == math.inf)
 
@@ -253,12 +271,12 @@ class TestDriverRecords:
         trace = run_diging(agg, schedule, stepsize, max_iter=40)
         # the records before the abort fill one block and part of the next
         assert trace.aborted and _BLOCK < len(trace.records) - 1 < 2 * _BLOCK
-        assert_records_match(trace, ref_diging_records(agg, schedule, 40, 1, stepsize))
+        assert_records_match(trace, ref_diging_records(agg, schedule, 40, 1, stepsize), agg)
         # cut at the abort iteration, the run aborts there: the final state is checked too
         k = trace.records[-1].iter
         cut = run_diging(agg, schedule, stepsize, max_iter=k)
         assert cut.aborted and cut.records[-1].iter == k and cut.records[-1].primal_value is None
-        assert_records_match(cut, ref_diging_records(agg, schedule, k, 1, stepsize))
+        assert_records_match(cut, ref_diging_records(agg, schedule, k, 1, stepsize), agg)
 
 
 class TestMetricBlocks:
@@ -284,9 +302,13 @@ class TestMetricBlocks:
                 agg, schedule, boost * default_diging_stepsize(agg), max_iter=max_iter,
                 record_every=record_every,
             )
+        ys = None
+        if method == "nesterov_lean":
+            reference = ref_dual_records(agg, schedule, max_iter, record_every, accelerated=True)
+            ys = [r[7] for r in reference]
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
-        assert_rows_match(rows, ref_metrics(trace, agg, phi_star))
+        assert_rows_match(rows, ref_metrics(trace, agg, phi_star, ys))
 
     def test_missing_and_non_finite_candidates_inside_a_block(self):
         # records without a primal value stand for lost candidates
