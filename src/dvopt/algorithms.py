@@ -139,10 +139,6 @@ class RunTrace:
     aborted: bool = False
     momentum_degenerate: bool = False
 
-    @property
-    def final_record(self) -> TraceRecord:
-        return self.records[-1]
-
 
 def _consensus_dists(block: np.ndarray, agent_axis: int) -> np.ndarray:
     """Frobenius distance of each entry of a block from its agent average.

@@ -26,11 +26,19 @@ A config is a JSON object::
       "overrides": {"diging_stepsize": 0.05}
     }
 
-Objective kinds: ``ridge``, ``logistic`` (synthetic, fields n/l/m/c and
-``noise`` for ridge), and ``dataset`` (fields path/n/c; sparse labeled
-text file, samples shuffled evenly across agents).  One root seed drives
+Objective kinds and their fields: ``ridge`` (n, l, m, and optional c
+and noise, both 0.1 by default) and ``logistic`` (n, l, m, c), both
+synthetic, and ``dataset`` (path, n, c; a sparse labeled text file whose
+samples are shuffled evenly across agents).  One root seed drives
 everything; the graph and data streams are derived from it with fixed
 labels, so adding an algorithm never changes the generated instance.
+
+Input is strict, and bad input exits 1 before any file is written.
+Every object (config, objective, schedule, alternating spec, epoch,
+topology params, overrides) rejects a missing or unknown field.  A count
+is an integer or an integral float, a real a finite number, neither a
+bool or a string.  ``algorithms`` are distinct; ``run_id`` is a
+non-empty string with no path separator.
 """
 
 from __future__ import annotations
@@ -40,20 +48,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import algorithms, graphs, metrics, theory
+from .graphs import ValidationError, _fields, _number
 from .linalg import pinv_sqrt_psd
 from .objectives import (
     AggregateObjective,
-    LogisticObjective,
     centralized_solve,
     dual_constants,
     gen_logistic_instance,
     gen_ridge_instance,
     load_sparse_labeled,
+    logistic_blocks,
 )
 
 __all__ = ["ExperimentConfig", "execute", "bounds_command", "graphinfo_command", "sweep", "main"]
@@ -63,9 +72,17 @@ _SEED_DATA = 0x64617461  # "data"
 
 OVERRIDES = ("diging_stepsize",)
 
-
-class ValidationError(ValueError):
-    """Bad config, bad arguments, or missing files."""
+# required and optional fields of each object, the objective's by kind
+_CONFIG_FIELDS = (
+    ("seed", "objective", "schedule", "algorithms", "max_iter"),
+    ("record_every", "output_dir", "run_id", "overrides"),
+)
+_OBJECTIVE_FIELDS = {
+    "ridge": (("kind", "n", "l", "m"), ("c", "noise")),
+    "logistic": (("kind", "n", "l", "m", "c"), ()),
+    "dataset": (("kind", "path", "n", "c"), ()),
+}
+_ALTERNATING_FIELDS = (("kinds", "n", "period"), ("horizon", "params", "seed"))
 
 
 class RunFailure(RuntimeError):
@@ -79,32 +96,12 @@ def _derive_seed(root: int, label: int) -> int:
 def _checked_overrides(raw) -> dict:
     # Checked before anything runs: a bad value would otherwise fail only
     # when DIGing starts, after the other algorithms have written files.
-    if not isinstance(raw, dict):
-        raise ValidationError("overrides must be a JSON object")
-    unknown = set(raw) - set(OVERRIDES)
-    if unknown:
-        raise ValidationError(
-            f"unknown override(s) {sorted(unknown)}; valid names: {list(OVERRIDES)}"
-        )
-    if "diging_stepsize" in raw:
-        step = raw["diging_stepsize"]
-        number = isinstance(step, (int, float)) and not isinstance(step, bool)
-        if not (number and 0 < step <= sys.float_info.max):
-            raise ValidationError(
-                f"diging_stepsize must be a finite positive number, got {step!r}"
-            )
-    return dict(raw)
-
-
-def _number_field(raw: dict, key: str, default=None, kind=int):
-    """``raw[key]`` (or ``default``) as ``kind``; an int may be an integral float, never a bool."""
-    value = raw.get(key, default)
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        noun = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{key} must be {noun}, got {value!r}")
-    return kind(value)
+    overrides = _fields(raw, "overrides", optional=OVERRIDES)
+    if "diging_stepsize" in overrides:
+        step = overrides["diging_stepsize"]
+        if not _number(step, "diging_stepsize", float) > 0:
+            raise ValidationError(f"diging_stepsize must be positive, got {step!r}")
+    return dict(overrides)
 
 
 def _resolve_file(base_dir: str, name: str, what: str) -> str:
@@ -130,130 +127,114 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ValidationError("config must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        for req in ("seed", "objective", "schedule", "algorithms", "max_iter"):
-            if req not in raw:
-                raise ValidationError(f"config missing required field '{req}'")
+        _fields(raw, "config", *_CONFIG_FIELDS)
         if not isinstance(raw["algorithms"], (list, tuple)):
             raise ValidationError(f"algorithms must be a list, got {raw['algorithms']!r}")
         algs = tuple(raw["algorithms"])
-        if not algs:
-            raise ValidationError("at least one algorithm required")
         bad = [a for a in algs if a not in ALGORITHMS]
         if bad:
             raise ValidationError(
                 f"unknown algorithm name(s) {bad}; valid names: {list(ALGORITHMS)}"
             )
-        max_iter = _number_field(raw, "max_iter")
+        if not algs or len(set(algs)) < len(algs):
+            raise ValidationError(f"algorithms must name at least one, each once, got {list(algs)}")
+        max_iter = _number(raw["max_iter"], "max_iter")
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        record_every = _number_field(raw, "record_every", 1)
+        record_every = _number(raw.get("record_every", 1), "record_every")
         if record_every < 1:
             raise ValidationError("record_every must be >= 1")
+        obj = raw["objective"]
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if not isinstance(kind, str) or kind not in _OBJECTIVE_FIELDS:
+            raise ValidationError(
+                f"objective must be an object with a kind in {list(_OBJECTIVE_FIELDS)}, got {obj!r}"
+            )
+        obj = dict(_fields(obj, f"{kind} objective", *_OBJECTIVE_FIELDS[kind]))
         # File references and output_dir are relative to the config's
         # directory; they are stored resolved so the run does not depend on
         # the working directory.
+        if kind == "dataset":
+            obj["path"] = _resolve_file(base_dir, obj["path"], "dataset")
         sched = raw["schedule"]
         if isinstance(sched, dict) and "file" in sched:
             sched = {**sched, "file": _resolve_file(base_dir, sched["file"], "schedule")}
-        obj = raw["objective"]
-        if not isinstance(obj, dict):
-            raise ValidationError(f"objective must be a JSON object, got {obj!r}")
-        if obj.get("kind") == "dataset":
-            obj = {**obj, "path": _resolve_file(base_dir, obj.get("path", ""), "dataset")}
-        output_dir = os.path.abspath(os.path.join(base_dir, str(raw.get("output_dir", "."))))
-        seed = _number_field(raw, "seed")
+        output_dir = raw.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ValidationError(f"output_dir must be a path string, got {output_dir!r}")
+        seed = _number(raw["seed"], "seed")
+        # the run id names the output files, so it must not lead out of output_dir
+        run_id = raw.get("run_id", f"run{seed}")
+        if not (isinstance(run_id, str) and run_id) or "/" in run_id or "\\" in run_id:
+            raise ValidationError(f"run_id must be a non-empty str without / or \\, got {run_id!r}")
         return cls(
             seed=seed,
-            objective=dict(obj),
+            objective=obj,
             schedule=dict(sched) if isinstance(sched, dict) else sched,
             algorithms=algs,
             max_iter=max_iter,
             record_every=record_every,
-            output_dir=output_dir,
-            run_id=str(raw.get("run_id", f"run{seed}")),
+            output_dir=os.path.abspath(os.path.join(base_dir, output_dir)),
+            run_id=run_id,
             overrides=_checked_overrides(raw.get("overrides", {})),
         )
 
 
 def _build_objective(cfg: ExperimentConfig) -> AggregateObjective:
     spec = cfg.objective
-    kind = spec.get("kind")
+    kind = spec["kind"]
     data_seed = _derive_seed(cfg.seed, _SEED_DATA)
+    n = _number(spec["n"], f"{kind} objective n")
+    c = _number(spec.get("c", 0.1), f"{kind} objective c", float)  # only ridge may omit c
     if kind == "ridge":
         return gen_ridge_instance(
-            n=_number_field(spec, "n"),
-            l=_number_field(spec, "l"),
-            m=_number_field(spec, "m"),
-            c=_number_field(spec, "c", 0.1, kind=float),
-            noise=_number_field(spec, "noise", 0.1, kind=float),
+            n=n,
+            l=_number(spec["l"], "ridge objective l"),
+            m=_number(spec["m"], "ridge objective m"),
+            c=c,
+            noise=_number(spec.get("noise", 0.1), "ridge objective noise", float),
             seed=data_seed,
         )
     if kind == "logistic":
         return gen_logistic_instance(
-            n=_number_field(spec, "n"),
-            l=_number_field(spec, "l"),
-            m=_number_field(spec, "m"),
-            c=_number_field(spec, "c", kind=float),
+            n=n,
+            l=_number(spec["l"], "logistic objective l"),
+            m=_number(spec["m"], "logistic objective m"),
+            c=c,
             seed=data_seed,
         )
-    if kind == "dataset":
-        n = _number_field(spec, "n")
-        c = _number_field(spec, "c", kind=float)
-        dense, labels = load_sparse_labeled(spec["path"]).to_dense()
-        total = dense.shape[0]
-        per_agent = total // n
-        if per_agent < 1:
-            raise ValidationError(f"dataset has {total} samples, fewer than {n} agents")
-        order = np.random.default_rng(data_seed).permutation(total)
-        locs = []
-        for i in range(n):
-            rows = order[i * per_agent : (i + 1) * per_agent]
-            locs.append(
-                LogisticObjective(
-                    dense[rows], labels[rows], ridge=c / n, scale=2.0 * n * per_agent
-                )
-            )
-        return AggregateObjective(tuple(locs))
-    raise ValidationError(f"unknown objective kind {kind!r}")
+    # dataset: samples shuffled, then split in consecutive equal blocks
+    dense, labels = load_sparse_labeled(spec["path"]).to_dense()
+    total = dense.shape[0]
+    per_agent = total // n
+    if per_agent < 1:
+        raise ValidationError(f"dataset has {total} samples, fewer than {n} agents")
+    rows = np.random.default_rng(data_seed).permutation(total)[: n * per_agent]
+    return logistic_blocks(dense[rows], labels[rows], n, c)
+
+
+def _alternating_spec(schedule) -> dict:
+    """The checked ``alternating`` object of an alternating schedule form."""
+    alt = _fields(schedule, "alternating schedule", ("alternating",))["alternating"]
+    return _fields(alt, "alternating", *_ALTERNATING_FIELDS)
 
 
 def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
     spec = cfg.schedule
-    if not isinstance(spec, dict):
-        raise ValidationError("schedule must be an object")
-    if "file" in spec:
-        return graphs.load_schedule(spec["file"])
-    if "alternating" in spec:
-        alt = spec["alternating"]
-        if not isinstance(alt, dict):
-            raise ValidationError(f"alternating schedule must be an object, got {alt!r}")
-        for req in ("kinds", "n", "period"):
-            if req not in alt:
-                raise ValidationError(f"alternating schedule missing '{req}'")
-        kinds = alt["kinds"]
-        if not (isinstance(kinds, (list, tuple)) and len(kinds) == 2):
-            raise ValidationError(f"alternating schedule needs exactly two kinds, got {kinds!r}")
-        params = alt.get("params", [None, None])
-        if not (
-            isinstance(params, (list, tuple))
-            and len(params) == 2
-            and all(p is None or isinstance(p, dict) for p in params)
-        ):
-            raise ValidationError(
-                f"alternating params must be two objects or nulls, got {params!r}"
-            )
+    if isinstance(spec, dict) and "file" in spec:
+        return graphs.load_schedule(_fields(spec, "schedule file", ("file",))["file"])
+    if isinstance(spec, dict) and "alternating" in spec:
+        alt = _alternating_spec(spec)
+        kinds, params = alt["kinds"], alt.get("params", [None, None])
+        if not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in (kinds, params)):
+            raise ValidationError(f"alternating kinds, params must be pairs: {kinds!r}, {params!r}")
         return graphs.alternating_schedule(
             tuple(kinds),
-            n=_number_field(alt, "n"),
-            period=_number_field(alt, "period"),
-            horizon=_number_field(alt, "horizon", cfg.max_iter),
+            n=_number(alt["n"], "alternating n"),
+            period=_number(alt["period"], "alternating period"),
+            horizon=_number(alt.get("horizon", cfg.max_iter), "alternating horizon"),
             params=tuple(params),
-            seed=_number_field(alt, "seed", _derive_seed(cfg.seed, _SEED_GRAPHS)),
+            seed=_number(alt.get("seed", _derive_seed(cfg.seed, _SEED_GRAPHS)), "alternating seed"),
         )
     return graphs.schedule_from_spec(spec)
 
@@ -411,9 +392,7 @@ def _run(
         run_one(name)
 
     spath = os.path.join(config.output_dir, f"{config.run_id}_summary.json")
-    with open(spath, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(spath, summary)
     summary["summary_path"] = spath
     return summary
 
@@ -569,9 +548,7 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
     """Run the alternating schedule for every (seed, period) cell."""
     if not seeds or not periods:
         raise ValidationError("sweep needs at least one seed and one period")
-    alternating = config.schedule.get("alternating") if isinstance(config.schedule, dict) else None
-    if not isinstance(alternating, dict):
-        raise ValidationError("sweep requires an 'alternating' schedule spec")
+    alternating = _alternating_spec(config.schedule)
     table = []
     for seed in seeds:
         for period in periods:
@@ -603,11 +580,20 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
 # entry point
 
 
-def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _load_config(path: str) -> ExperimentConfig:
+    with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    config = ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(args.config) or ".")
-    summary = execute(config)
+    return ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(path) or ".")
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _cmd_run(args) -> int:
+    summary = execute(_load_config(args.config))
     print(f"run {summary['run_id']}: wrote {len(summary['files'])} trace file(s)")
     for w in summary["warnings"]:
         print(f"warning: {w}")
@@ -645,9 +631,7 @@ def _cmd_graphinfo(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    config = ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(args.config) or ".")
+    config = _load_config(args.config)
     table = sweep(config, [int(s) for s in args.seeds], [int(p) for p in args.periods])
     header = f"{'seed':>6} {'period':>7} {'algorithm':>10} {'dual_residual':>14} {'primal_gap':>12} {'consensus':>12}"
     print(header)
@@ -658,9 +642,7 @@ def _cmd_sweep(args) -> int:
             f"{row['final_consensus_dist']:>12.6g}"
         )
     out = os.path.join(config.output_dir, f"{config.run_id}_sweep.json")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, table)
     print(f"sweep table: {out}")
     return 0
 

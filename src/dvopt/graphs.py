@@ -13,6 +13,7 @@ import bisect
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .linalg import _ZERO_EIG_REL_TOL, eig_sym, fro_norm
 
 __all__ = [
+    "ValidationError",
     "GenerationError",
     "Topology",
     "GraphSchedule",
@@ -46,6 +48,8 @@ TOPOLOGY_KINDS = (
     "erdos_renyi",
     "random_geometric",
 )
+# the optional params of each kind; the other kinds take none
+_TOPOLOGY_PARAMS = {"erdos_renyi": ("p",), "random_geometric": ("radius",)}
 
 
 class GenerationError(RuntimeError):
@@ -375,11 +379,16 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
         ``{"p": ...}`` for Erdos-Renyi (default ``2 ln(n)/n``),
         ``{"radius": ...}`` for random geometric (default
         ``sqrt(2 ln(n) / (pi n))``, grown by 1.1x until connected).
+        Any other key raises :class:`ValidationError`.
     seed : int
         Seed for the random kinds; fixed seed gives a fixed topology.
         Random draws are retried up to 100 times until connected.
     """
-    params = dict(params or {})
+    if kind not in TOPOLOGY_KINDS:
+        raise ValueError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
+    params = _fields(
+        {} if params is None else params, f"{kind} params", optional=_TOPOLOGY_PARAMS.get(kind, ())
+    )
     if n < 2:
         raise ValueError("need at least 2 nodes")
     if kind == "path":
@@ -408,46 +417,65 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
             f"no connected Erdos-Renyi graph with n={n}, p={p:.4g} "
             f"in {_MAX_GEN_ATTEMPTS} attempts"
         )
-    if kind == "random_geometric":
-        radius = _number(
-            params.get("radius", math.sqrt(2.0 * math.log(n) / (math.pi * n))), "radius", float
-        )
-        if not radius > 0:  # also rejects NaN, which would never connect
-            raise ValueError("radius must be positive")
-        rng = np.random.default_rng(seed)
-        for _ in range(_MAX_GEN_ATTEMPTS):
-            pts = rng.random((n, 2))
-            r = radius
-            # unit square: radius sqrt(2) connects everything, so this ends
-            while True:
-                d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-                edges = tuple(
-                    (i + 1, j + 1)
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                    if d2[i, j] <= r * r
-                )
-                t = Topology(n, edges)
-                if t.is_connected():
-                    return t
-                r *= 1.1
-        raise GenerationError("random geometric generation failed")
-    raise ValueError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
+    # random_geometric
+    radius = _number(
+        params.get("radius", math.sqrt(2.0 * math.log(n) / (math.pi * n))), "radius", float
+    )
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_GEN_ATTEMPTS):
+        pts = rng.random((n, 2))
+        r = radius
+        # unit square: radius sqrt(2) connects everything, so this ends
+        while True:
+            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            edges = tuple(
+                (i + 1, j + 1)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if d2[i, j] <= r * r
+            )
+            t = Topology(n, edges)
+            if t.is_connected():
+                return t
+            r *= 1.1
+    raise GenerationError("random geometric generation failed")
 
 
 # ---------------------------------------------------------------------------
-# Schedule construction
+# Schedule construction and the readers of outside JSON
 
-_SCHEDULE_KEYS = {"horizon", "epochs"}
-_EPOCH_KEYS = {"start", "kind", "n", "params", "seed"}
+
+class ValidationError(ValueError):
+    """Bad config, bad arguments, or missing files."""
 
 
 def _number(value, what: str, kind=int):
-    """``kind(value)``; anything that is not a number raises ValueError."""
-    try:
+    """``value`` as ``kind``, never from a bool or a string; an int may be an integral float."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else int)
+    # a float must be finite: abs() also bounds an int, on which math.isfinite
+    # raises OverflowError when it is beyond the float range (10**400)
+    if ok and (kind is int or abs(value) <= sys.float_info.max):
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    noun = "an integer" if kind is int else "a finite number"
+    raise ValidationError(f"{what} must be {noun}, got {value!r}")
+
+
+def _fields(raw, what: str, required=(), optional=()) -> dict:
+    """``raw`` if it is a JSON object with every ``required`` key and no key outside both lists."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {raw!r}")
+    valid = (*required, *optional)
+    unknown = [key for key in raw if key not in valid]
+    if unknown:
+        raise ValidationError(f"unknown {what} field(s) {unknown}; valid fields: {list(valid)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValidationError(f"{what} missing required field(s) {missing}")
+    return raw
 
 
 def schedule_from_spec(spec: dict) -> GraphSchedule:
@@ -459,36 +487,22 @@ def schedule_from_spec(spec: dict) -> GraphSchedule:
          "epochs": [{"start": k, "kind": "...", "n": n,
                      "params": {...}, "seed": s}, ...]}
 
-    ``params`` and ``seed`` are optional per epoch.  Malformed input
-    raises ValueError.
+    ``params`` and ``seed`` are optional per epoch.  Malformed input (not
+    an object, a missing or unknown field, a number that is not strict)
+    raises :class:`ValidationError`; a schedule that :class:`GraphSchedule`
+    rejects, such as one with a disconnected epoch, raises its ValueError.
     """
-    if not isinstance(spec, dict):
-        raise ValueError("schedule spec must be a mapping")
-    unknown = set(spec) - _SCHEDULE_KEYS
-    if unknown:
-        raise ValueError(f"unknown schedule fields: {sorted(unknown)}")
-    if "horizon" not in spec or "epochs" not in spec:
-        raise ValueError("schedule spec needs 'horizon' and 'epochs'")
+    horizon = _number(_fields(spec, "schedule", ("horizon", "epochs"))["horizon"], "horizon")
     if not isinstance(spec["epochs"], (list, tuple)):
-        raise ValueError("schedule 'epochs' must be a list")
+        raise ValidationError("schedule 'epochs' must be a list")
     epochs = []
-    for idx, e in enumerate(spec["epochs"]):
-        if not isinstance(e, dict):
-            raise ValueError(f"epoch {idx}: expected a mapping, got {e!r}")
-        unknown = set(e) - _EPOCH_KEYS
-        if unknown:
-            raise ValueError(f"epoch {idx}: unknown fields {sorted(unknown)}")
-        for key in ("start", "kind", "n"):
-            if key not in e:
-                raise ValueError(f"epoch {idx}: missing field '{key}'")
-        params = e.get("params")
-        if params is not None and not isinstance(params, dict):
-            raise ValueError(f"epoch {idx}: params must be a mapping, got {params!r}")
+    for idx, raw in enumerate(spec["epochs"]):
+        e = _fields(raw, f"epoch {idx}", ("start", "kind", "n"), ("params", "seed"))
+        start = _number(e["start"], f"epoch {idx}: start")
         n = _number(e["n"], f"epoch {idx}: n")
         seed = _number(e.get("seed", 0), f"epoch {idx}: seed")
-        topo = gen_topology(e["kind"], n, params, seed)
-        epochs.append((_number(e["start"], f"epoch {idx}: start"), topo))
-    return GraphSchedule(_number(spec["horizon"], "horizon"), tuple(epochs))
+        epochs.append((start, gen_topology(e["kind"], n, e.get("params"), seed)))
+    return GraphSchedule(horizon, tuple(epochs))
 
 
 def load_schedule(path) -> GraphSchedule:

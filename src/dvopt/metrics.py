@@ -184,8 +184,6 @@ def bound_check(rows: list[MetricRow], bound) -> BoundCheckReport:
             max_violation = violation
         if violation > 0 and first is None:
             first = row.iter
-    if checked == 0:
-        return BoundCheckReport(clean=True, max_violation=-math.inf, first_violation_iter=None, checked=0)
     return BoundCheckReport(
         clean=first is None,
         max_violation=max_violation,

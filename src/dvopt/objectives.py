@@ -48,6 +48,7 @@ __all__ = [
     "DualConstants",
     "gen_ridge_instance",
     "gen_logistic_instance",
+    "logistic_blocks",
     "load_sparse_labeled",
     "balance_strong_convexity",
     "centralized_solve",
@@ -558,8 +559,8 @@ def gen_logistic_instance(n: int, l: int, m: int, c: float, seed: int = 0) -> Ag
 
     Samples come from a separable two-Gaussian mixture: labels are
     uniform on {-1, +1} and each sample is ``2 * label * u + noise`` for
-    a fixed unit direction ``u``.  Agent ``i`` receives ``l`` consecutive
-    samples with loss scaled by 1/(2 n l) and ridge c/n.
+    a fixed unit direction ``u``, split among the agents by
+    :func:`logistic_blocks`.
     """
     if min(n, l, m) < 1:
         raise ValueError("counts must be >= 1")
@@ -570,6 +571,12 @@ def gen_logistic_instance(n: int, l: int, m: int, c: float, seed: int = 0) -> Ag
     direction /= np.linalg.norm(direction)
     labels = rng.choice((-1.0, 1.0), size=n * l)
     points = 2.0 * labels[:, None] * direction[None, :] + rng.standard_normal((n * l, m))
+    return logistic_blocks(points, labels, n, c)
+
+
+def logistic_blocks(points: np.ndarray, labels: np.ndarray, n: int, c: float) -> AggregateObjective:
+    """Agent ``i`` gets the ``i``-th of ``n`` equal sample blocks; loss 1/(2 n l), ridge c/n."""
+    l = len(labels) // n
     locals_ = tuple(
         LogisticObjective(
             points[i * l : (i + 1) * l],

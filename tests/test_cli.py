@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dvopt import cli, theory
@@ -15,7 +16,7 @@ from dvopt.cli import (
     main,
     sweep,
 )
-from dvopt.objectives import AggregateObjective
+from dvopt.objectives import AggregateObjective, LogisticObjective, load_sparse_labeled
 
 
 def minimal_config(tmp_path, **overrides):
@@ -126,6 +127,28 @@ class TestExecute:
         )
         summary = execute(ExperimentConfig.from_dict(raw, base_dir=str(tmp_path)))
         assert summary["algorithms"]["nesterov"]["final_dual_residual"] < 1.0
+
+    def test_dataset_agents_hold_shuffled_blocks_bit_for_bit(self, tmp_path):
+        # 7 samples over 2 agents: 3 each, and the last one shuffled in is left out
+        data = tmp_path / "data.txt"
+        data.write_text(
+            "+1 1:1.0 2:0.5\n-1 1:-0.8\n+1 2:1.1\n-1 2:-0.3\n+1 1:0.2 2:0.9\n-1 1:-1.5\n0 2:0.4\n"
+        )
+        raw = minimal_config(
+            tmp_path, objective={"kind": "dataset", "path": str(data), "n": 2, "c": 0.5}
+        )
+        agg = cli._build_objective(ExperimentConfig.from_dict(raw))
+        dense, labels = load_sparse_labeled(data).to_dense()
+        order = np.random.default_rng(cli._derive_seed(3, cli._SEED_DATA)).permutation(7)
+        assert agg.n == 2
+        for i, local in enumerate(agg.locals):
+            rows = order[3 * i : 3 * (i + 1)]
+            want = LogisticObjective(dense[rows], labels[rows], ridge=0.5 / 2, scale=2.0 * 2 * 3)
+            assert local.samples.tobytes() == want.samples.tobytes()
+            assert local.labels.tobytes() == want.labels.tobytes()
+            assert (local.ridge, local.scale, local.L, local.mu) == (
+                want.ridge, want.scale, want.L, want.mu,
+            )
 
     def test_gd_contraction_verdict_on_static_gd(self, tmp_path):
         raw = minimal_config(tmp_path, algorithms=["dual_gd"], max_iter=10)
@@ -320,6 +343,7 @@ class TestSweep:
 
 
 _ALT = {"kinds": ["path", "star"], "n": 2, "period": 2, "horizon": 10}
+_EPOCH = {"start": 0, "kind": "path", "n": 2}
 
 
 class TestMainExitCodes:
@@ -383,6 +407,25 @@ class TestMainExitCodes:
             {"schedule": {"alternating": {**_ALT, "params": [None]}}},
             {"schedule": {"file": 5}},
             {"objective": {"kind": "dataset", "path": 5, "n": 2, "c": 0.5}},
+            # a typo, fractional counts, a NaN, a repeated algorithm, run ids
+            # that are not a file name and a non-string output_dir
+            {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "nosie": 5.0}},
+            {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "noise": math.nan}},
+            {"schedule": {"alternating": {**_ALT, "horizn": 10}}},
+            {"schedule": {"horizon": 30.9, "epochs": [{"start": 0, "kind": "path", "n": 2}]}},
+            {"schedule": {"horizon": 10, "epochs": [{"start": 0, "kind": "path", "n": 2.5}]}},
+            {"schedule": {"horizon": 10, "epochs": [{"start": 0, "kind": "path", "n": 2, "seed": True}]}},
+            {
+                "schedule": {
+                    "horizon": 10,
+                    "epochs": [{"start": 0, "kind": "erdos_renyi", "n": 2, "params": {"p": "0.9"}}],
+                }
+            },
+            {"algorithms": ["nesterov", "nesterov"]},
+            {"run_id": 5},
+            {"run_id": "a/b"},
+            {"run_id": ""},
+            {"output_dir": 5},
         ],
     )
     def test_wrongly_typed_field_exits_one_before_any_file(self, tmp_path, capsys, field):
@@ -390,6 +433,53 @@ class TestMainExitCodes:
         p.write_text(json.dumps(minimal_config(tmp_path, **field)))
         assert main(["run", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ({"sed": 3}, "sed"),
+            ({"overrides": {"diging_stepsze": 0.05}}, "diging_stepsze"),
+            ({"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "nosie": 5.0}}, "nosie"),
+            ({"objective": {"kind": "logistic", "n": 2, "l": 4, "m": 2, "c": 1, "noise": 0}}, "noise"),
+            ({"objective": {"kind": "dataset", "path": "d.txt", "n": 2, "c": 0.5, "l": 4}}, "l"),
+            ({"schedule": {"file": "sched.json", "horizon": 10}}, "horizon"),
+            ({"schedule": {"alternating": _ALT, "period": 2}}, "period"),
+            ({"schedule": {"alternating": {**_ALT, "horizn": 10}}}, "horizn"),
+            ({"schedule": {"horizon": 10, "epochs": [], "epoch": []}}, "epoch"),
+            ({"schedule": {"horizon": 10, "epochs": [{**_EPOCH, "sed": 1}]}}, "sed"),
+            ({"schedule": {"horizon": 10, "epochs": [{**_EPOCH, "params": {"p": 1}}]}}, "p"),
+            (
+                {"schedule": {"alternating": {**_ALT, "params": [None, {"radius": 1}]}}},
+                "radius",
+            ),
+            (
+                {
+                    "schedule": {
+                        "horizon": 10,
+                        "epochs": [{**_EPOCH, "kind": "erdos_renyi", "params": {"q": 0.5}}],
+                    }
+                },
+                "q",
+            ),
+            (
+                {
+                    "schedule": {
+                        "horizon": 10,
+                        "epochs": [{**_EPOCH, "kind": "random_geometric", "params": {"r": 1}}],
+                    }
+                },
+                "r",
+            ),
+        ],
+    )
+    def test_unknown_key_exits_one_naming_it(self, tmp_path, capsys, field, key):
+        (tmp_path / "sched.json").write_text(json.dumps(minimal_config(tmp_path)["schedule"]))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path, **field)))
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and f"field(s) ['{key}']" in err
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -460,3 +550,10 @@ class TestMainExitCodes:
         p.write_text(json.dumps(spec))
         assert main(["graph-info", str(p)]) == 0
         assert main(["graph-info", str(tmp_path / "missing.json")]) == 1
+
+    def test_graphinfo_rejects_a_fractional_horizon(self, tmp_path, capsys):
+        spec = {"horizon": 30.9, "epochs": [{"start": 0, "kind": "complete", "n": 4}]}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(spec))
+        assert main(["graph-info", str(p)]) == 1
+        assert capsys.readouterr().err == "error: horizon must be an integer, got 30.9\n"

@@ -15,8 +15,10 @@ from dvopt.graphs import (
     GenerationError,
     GraphSchedule,
     Topology,
+    ValidationError,
     _epoch_of_iteration,
     _n_components,
+    _number,
     alternating_schedule,
     change_stats,
     gen_topology,
@@ -473,3 +475,41 @@ class TestScheduleSpec:
         assert s.epochs[0][1].edges == s.epochs[2][1].edges
         assert s.epochs[1][1].edges == s.epochs[3][1].edges
         assert s.epochs[0][1].edges != s.epochs[1][1].edges
+
+
+# Finite ints and floats, and the values no number field accepts.
+_FINITE = st.one_of(st.integers(-(10**300), 10**300), st.floats(allow_nan=False, allow_infinity=False))
+_NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+class TestNumber:
+    @given(_FINITE)
+    def test_float_fields_take_finite_ints_and_floats(self, value):
+        got = _number(value, "x", float)
+        assert type(got) is float and got == float(value)
+
+    @given(_FINITE)
+    def test_int_fields_take_ints_and_integral_floats(self, value):
+        if isinstance(value, int) or value.is_integer():
+            got = _number(value, "x")
+            assert type(got) is int and got == value
+        else:
+            with pytest.raises(ValidationError, match="x must be an integer"):
+                _number(value, "x")
+
+    @given(_NOT_NUMBERS, st.sampled_from([int, float]))
+    def test_everything_else_is_rejected(self, value, kind):
+        with pytest.raises(ValidationError, match="^x must be"):
+            _number(value, "x", kind)
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)])
+    def test_ints_beyond_the_float_range(self, big):
+        assert _number(big, "x") == big
+        with pytest.raises(ValidationError, match="x must be a finite number"):
+            _number(big, "x", float)

@@ -112,11 +112,13 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
         "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
-        "switching_abort_s3",
+        "switching_abort_s3", "dataset_s3",
     ]
     static = output_digest.configs([3])["logistic_static_s3"]
     assert static["algorithms"] == ["nesterov", "dual_gd", "diging"]
     assert len(static["schedule"]["epochs"]) == 1
+    dataset = output_digest.configs([3])["dataset_s3"]["objective"]
+    assert (dataset["kind"], dataset["path"]) == ("dataset", output_digest.DATASET_FILE)
 
 
 def test_aborting_config_aborts_also_when_cut_at_the_abort(tmp_path):

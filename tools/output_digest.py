@@ -6,7 +6,8 @@ Usage, from anywhere::
     python3 tools/output_digest.py --checkout . > change.txt
     diff parent.txt change.txt
 
-Each config below is written to a fresh temporary directory and run with
+Each config below is written to a fresh temporary directory, next to the
+sparse data file ``DATASET_FILE`` (see ``dataset_text``), and run with
 ``python3 -m dvopt.cli run`` with the checkout's ``src`` first on
 ``PYTHONPATH``.  Every CSV and summary the run writes gets one line
 ``<sha256>  <config>/<file>``, and every ``demos/*.py`` of the checkout
@@ -27,8 +28,9 @@ runs only on a single epoch), a ridge config over a star/cycle
 schedule switching every 5 iterations with all three algorithms, and
 that config again with a DIGing step of 50, where DIGing diverges (at
 seed 3 it aborts at iteration 14 of 200), so abort rows are compared
-too.  The script uses the Python standard library and the benchmark's
-config functions only.
+too, and a ``dataset`` objective over the data file, so the shuffle of
+samples among agents is compared.  The script uses the Python standard
+library and the benchmark's config functions only.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ALL_ALGORITHMS = ["nesterov", "dual_gd", "diging"]
 SWEEP_ARGS = ["--seeds", "3", "4", "--periods", "5", "50"]
+DATASET_FILE = "data.txt"
 
 
 def _bench_workloads():
@@ -83,6 +86,41 @@ def aborting_config(seed: int) -> dict:
     }
 
 
+def dataset_text(samples: int = 63, dim: int = 8) -> str:
+    """A fixed sparse labeled data set, one ``label idx:val ...`` line per sample.
+
+    Values come from a linear congruential generator, so the text is the
+    same on every platform.  About half the entries are left out, and the
+    label is the sign of a fixed linear score.
+    """
+    state = 12345
+    lines = []
+    for _ in range(samples):
+        feats = []
+        score = 0
+        for idx in range(1, dim + 1):
+            state = (1103515245 * state + 12345) % 2**31
+            if state >> 30:  # the high bits: an LCG's low bits cycle short
+                val = (state >> 8) % 2001 - 1000  # in thousandths
+                feats.append(f"{idx}:{val / 1000:.3f}")
+                score += (idx % 3 - 1) * val + 7
+        lines.append(" ".join(["+1" if score > 0 else "-1", *feats]))
+    return "\n".join(lines) + "\n"
+
+
+def dataset_config(seed: int) -> dict:
+    """Logistic loss on ``DATASET_FILE``'s 63 samples shuffled among 10 agents (6 each)."""
+    return {
+        "seed": seed,
+        "objective": {"kind": "dataset", "path": DATASET_FILE, "n": 10, "c": 0.1},
+        "schedule": {"alternating": {"kinds": ["erdos_renyi", "cycle"], "n": 10, "period": 50, "horizon": 200}},
+        "algorithms": ALL_ALGORITHMS,
+        "max_iter": 200,
+        "record_every": 1,
+        "run_id": "dataset",
+    }
+
+
 def configs(seeds: list[int]) -> dict[str, dict]:
     """Every config to digest, by name."""
     workloads = _bench_workloads()
@@ -97,6 +135,7 @@ def configs(seeds: list[int]) -> dict[str, dict]:
     }
     out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
     out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
+    out[f"dataset_s{seeds[0]}"] = dataset_config(seeds[0])
     return out
 
 
@@ -141,6 +180,7 @@ def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> lis
         out_dir = Path(tmp) / "out"
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({**config, "output_dir": str(out_dir)}), encoding="utf-8")
+        (Path(tmp) / DATASET_FILE).write_text(dataset_text(), encoding="utf-8")
         command = ["sweep", str(path), *sweep_args] if sweep_args else ["run", str(path)]
         proc = subprocess.run(
             [sys.executable, "-m", "dvopt.cli", *command],
