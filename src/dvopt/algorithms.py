@@ -77,9 +77,6 @@ class MessageLog:
 
     per_iteration: list = field(default_factory=list)
 
-    def append(self, pairs: np.ndarray) -> None:
-        self.per_iteration.append(pairs)
-
     def __len__(self) -> int:
         return len(self.per_iteration)
 
@@ -231,7 +228,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
             )
             block.clear()
 
-    log = MessageLog()
+    step = method.step
     epochs = _epoch_of_iteration(schedule, max_iter)
     # the final state, at k = max_iter, keeps the last iteration's epoch
     for k, e in enumerate(epochs + epochs[-1:]):
@@ -245,14 +242,14 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
             flush()
             break
         matrix, pairs = by_epoch[e]
-        log.append(pairs)
-        state = method.step(matrix, k % record_every == 0)
+        state = step(matrix, k % record_every == 0)
         if state is not None:
             keep(k, e, pairs.shape[0], state)
     return RunTrace(
         algorithm=method.name,
         records=records,
-        message_log=log,
+        # iterations 0..k-1 ran: the pairs of their epochs, shared per topology
+        message_log=MessageLog([by_epoch[e][1] for e in epochs[:k]]),
         final_state=method.final_state(k, records[-1]),
         aborted=records[-1].primal_value is None,
         momentum_degenerate=method.degenerate,
@@ -341,8 +338,11 @@ class _DualMethod:
         y = y.T if self.y_transposed else y
         return (self.z, y, self.zt) if self.keep_state else (self.z, y)
 
+    # The driver checks z before every step and look(), and _finite is False
+    # for any NaN or inf, so both call the family kernels without
+    # conj_argmax_cols' second finite pass.
     def step(self, w, record):
-        y = self.agg.conj_argmax_cols(self.z)
+        y = self.agg._map_cols("conj_argmax", self.z)
         state = self._state(y) if record else None
         zt_next = self.z - self.step_size * (y @ w)
         self.z = (1.0 + self.beta) * zt_next - self.beta * self.zt
@@ -350,7 +350,7 @@ class _DualMethod:
         return state
 
     def look(self):
-        self.y_final = self.agg.conj_argmax_cols(self.z)
+        self.y_final = self.agg._map_cols("conj_argmax", self.z)
         return self._state(self.y_final)
 
     def evaluate(self, rows):

@@ -93,6 +93,15 @@ def _derive_seed(root: int, label: int) -> int:
     return int(root) ^ label
 
 
+def _seed(value, what: str) -> int:
+    # numpy's generators take no negative seed, and neither does a derived
+    # seed: root ^ label is negative exactly when root is
+    seed = _number(value, what)
+    if seed < 0:
+        raise ValidationError(f"{what} must be >= 0, got {seed}")
+    return seed
+
+
 def _checked_overrides(raw) -> dict:
     # Checked before anything runs: a bad value would otherwise fail only
     # when DIGing starts, after the other algorithms have written files.
@@ -162,7 +171,7 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir", ".")
         if not isinstance(output_dir, str):
             raise ValidationError(f"output_dir must be a path string, got {output_dir!r}")
-        seed = _number(raw["seed"], "seed")
+        seed = _seed(raw["seed"], "seed")
         # the run id names the output files, so it must not lead out of output_dir
         run_id = raw.get("run_id", f"run{seed}")
         if not (isinstance(run_id, str) and run_id) or "/" in run_id or "\\" in run_id:
@@ -548,6 +557,7 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
     """Run the alternating schedule for every (seed, period) cell."""
     if not seeds or not periods:
         raise ValidationError("sweep needs at least one seed and one period")
+    seeds = [_seed(s, "sweep seed") for s in seeds]
     alternating = _alternating_spec(config.schedule)
     table = []
     for seed in seeds:

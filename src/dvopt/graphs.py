@@ -152,7 +152,9 @@ class GraphSchedule:
 
     ``epochs`` is an ordered tuple of (start_iteration, Topology); the
     first epoch starts at 0 and start iterations increase strictly.
-    Every epoch must be connected.
+    Every epoch must be connected.  The horizon and the starts are kept as
+    Python ints; each may be given as a Python or numpy int or an
+    integral float, and anything else raises a ValueError naming it.
 
     ``distinct_topologies`` holds the topologies without repeats, in order
     of first use (matched first by object identity, then by equality), and
@@ -173,16 +175,17 @@ class GraphSchedule:
     topology_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon < 1:
+        horizon = _number(self.horizon, "horizon")
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not self.epochs:
             raise ValueError("schedule needs at least one epoch")
-        starts = [int(s) for s, _ in self.epochs]
+        starts = [_number(s, f"epoch {idx}: start") for idx, (s, _) in enumerate(self.epochs)]
         if starts[0] != 0:
             raise ValueError("first epoch must start at iteration 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("epoch starts must increase strictly")
-        if starts[-1] >= self.horizon:
+        if starts[-1] >= horizon:
             raise ValueError("epoch start beyond the horizon")
         n0 = self.epochs[0][1].n
         distinct: list[Topology] = []
@@ -201,7 +204,8 @@ class GraphSchedule:
                     distinct.append(topo)
                 by_id[id(topo)] = j
             index.append(j)
-        object.__setattr__(self, "epochs", tuple((int(s), t) for s, t in self.epochs))
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "epochs", tuple(zip(starts, (t for _, t in self.epochs))))
         # Python ints, not an int64 array: a start may lie beyond 2**63
         object.__setattr__(self, "_starts", tuple(starts))
         object.__setattr__(self, "distinct_topologies", tuple(distinct))
@@ -452,10 +456,14 @@ class ValidationError(ValueError):
 
 
 def _number(value, what: str, kind=int):
-    """``value`` as ``kind``, never from a bool or a string; an int may be an integral float."""
+    """``value`` as ``kind``, never from a bool or a string; an int may be an integral float.
+
+    Python and numpy ints count as ints, Python and numpy float64 values as floats.
+    """
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else int)
+    ints = (int, np.integer)
+    ok = not isinstance(value, bool) and isinstance(value, (*ints, float) if kind is float else ints)
     # a float must be finite: abs() also bounds an int, on which math.isfinite
     # raises OverflowError when it is beyond the float range (10**400)
     if ok and (kind is int or abs(value) <= sys.float_info.max):

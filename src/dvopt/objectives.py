@@ -135,6 +135,11 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(a, axis=1)'s own formula for real input, without its wrapper
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0):
     """Solve ``grad(x) = z`` row by row by damped Newton started from zero.
 
@@ -152,15 +157,16 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
     drops to 1e-12.  The accepted trial's residual is the next step's
     residual, since ``x`` moves by the same ``x - t step``; only a row
     whose ``t`` fell through the floor moves to an unevaluated point and
-    is evaluated again.
+    is evaluated again.  An index that picks every entry is a slice, so
+    per-row arrays are copied only once a row drops out or accepts.
 
     Returns ``(x, failed, residuals)``: the rows still active after
     ``_NEWTON_CAP`` steps and their residual norms (both empty on success).
     """
     b = z.shape[0]
 
-    def take(idx):
-        return slice(None) if idx.size == b else idx
+    def take(idx, size=b):
+        return slice(None) if idx.size == size else idx
 
     # Every point and residual is C-contiguous, like the row copies the
     # evaluations see when rows drop out, so a row's bits never depend on
@@ -171,23 +177,26 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
     active = np.arange(b)
     res, h = grad0 - z, hess0
     for _ in range(_NEWTON_CAP):
-        norms = np.linalg.norm(res, axis=1)
-        keep = ~(norms <= targets[active])
-        active, res, norms = active[keep], res[keep], norms[keep]
-        if not active.size:
-            break
+        norms = _row_norms(res)
+        keep = ~(norms <= targets[take(active)])
+        if not keep.all():
+            active, res, norms = active[keep], res[keep], norms[keep]
+            if not active.size:
+                break
+            h = None if h is None else h[keep]
         rows = take(active)
-        h = hess(x[rows], rows) if h is None else h[keep]
+        if h is None:
+            h = hess(x[rows], rows)
         step = np.linalg.solve(h, res[..., None])[..., 0]
         h = None
         t = np.ones(active.size)
         trying = np.arange(active.size)
         while trying.size:
-            rows = take(active[trying])
-            x_try = x[rows] - t[trying, None] * step[trying]
-            res[trying] = grad(x_try, rows) - z[rows]
-            new_norms = np.linalg.norm(res[trying], axis=1)
-            trying = trying[~(new_norms <= (1.0 - 1e-4 * t[trying]) * norms[trying])]
+            tr = take(trying, active.size)
+            rows = take(active[tr])
+            trial = grad(x[rows] - t[tr, None] * step[tr], rows) - z[rows]
+            res[tr] = trial
+            trying = trying[~(_row_norms(trial) <= (1.0 - 1e-4 * t[tr]) * norms[tr])]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-12]
         x[take(active)] -= t[:, None] * step
@@ -196,7 +205,7 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
             rows = active[floored]
             res[floored] = grad(x[rows], rows) - z[rows]
     else:  # the cap is reached: the rows still active failed
-        norms = np.linalg.norm(res, axis=1)
+        norms = _row_norms(res)
     result[...] = x
     return result, active, norms
 
@@ -353,7 +362,7 @@ class _LogisticStack:
         return self.grad(zero), self.hess(zero)
 
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
-        targets = _CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
+        targets = _CONJ_TOL * (1.0 + _row_norms(z))
         x, failed, norms = _damped_newton(self.grad, self.hess, z, targets, *self.at_zero)
         if failed.size:
             if self.agents is None:

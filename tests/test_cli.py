@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dvopt import cli, theory
+from dvopt import cli, objectives, theory
 from dvopt.cli import (
     ExperimentConfig,
     ValidationError,
@@ -16,7 +16,7 @@ from dvopt.cli import (
     main,
     sweep,
 )
-from dvopt.objectives import AggregateObjective, LogisticObjective, load_sparse_labeled
+from dvopt.objectives import LogisticObjective, load_sparse_labeled
 
 
 def minimal_config(tmp_path, **overrides):
@@ -336,6 +336,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(self._sweep_config(tmp_path), [1], [])
 
+    def test_negative_seed_rejected_before_any_cell(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^sweep seed must be >= 0, got -2$"):
+            sweep(self._sweep_config(tmp_path), [1, -2], [10])
+        assert not (tmp_path / "sweep").exists()
+
     def test_requires_alternating_schedule(self, tmp_path):
         cfg = ExperimentConfig.from_dict(minimal_config(tmp_path))
         with pytest.raises(ValidationError):
@@ -391,6 +396,7 @@ class TestMainExitCodes:
             {"seed": math.inf},
             {"seed": True},
             {"seed": "1"},
+            {"seed": -1},
             {"max_iter": 9.7},
             {"record_every": "3"},
             {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "c": True}},
@@ -434,6 +440,13 @@ class TestMainExitCodes:
         assert main(["run", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_error_names_the_field(self, tmp_path, capsys):
+        # numpy's own message for a negative seed names no field
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path, seed=-1)))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize(
         "field, key",
@@ -483,15 +496,17 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):
-        # the fourth argmax of the run gets a NaN input, as from a blown-up state
+        # the family kernel that each step calls fails on its fourth call
         calls = []
-        argmax = AggregateObjective.conj_argmax_cols
+        argmax = objectives._QuadraticStack.conj_argmax
 
-        def poisoned(agg, z):
+        def failing(stack, z):
             calls.append(None)
-            return argmax(agg, z if len(calls) < 4 else z * math.nan)
+            if len(calls) == 4:
+                raise ValueError("argmax input must be finite")
+            return argmax(stack, z)
 
-        monkeypatch.setattr(AggregateObjective, "conj_argmax_cols", poisoned)
+        monkeypatch.setattr(objectives._QuadraticStack, "conj_argmax", failing)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(tmp_path)))
         assert main(["run", str(p)]) == 2

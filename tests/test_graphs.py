@@ -259,6 +259,31 @@ class TestSchedule:
         with pytest.raises(ValueError, match="epoch 1"):
             GraphSchedule(10, ((0, t), (5, disconnected)))
 
+    @pytest.mark.parametrize(
+        "horizon, start, message",
+        [
+            (10.7, 4, "horizon must be an integer, got 10.7"),
+            (10, 4.5, "epoch 1: start must be an integer, got 4.5"),
+            (10, True, "epoch 1: start must be an integer, got True"),
+            ("10", 4, "horizon must be an integer, got '10'"),
+        ],
+    )
+    def test_non_integral_horizon_or_start_is_named(self, horizon, start, message):
+        t = gen_topology("path", 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GraphSchedule(horizon, ((0, t), (start, t)))
+
+    @pytest.mark.parametrize(
+        "horizon, start",
+        [(10, 4), (np.int64(10), np.int32(4)), (10.0, 4.0), (np.float64(10.0), np.uint8(4))],
+    )
+    def test_integral_horizon_and_starts_become_ints(self, horizon, start):
+        t = gen_topology("path", 3)
+        s = GraphSchedule(horizon, ((0, t), (start, t)))
+        assert type(s.horizon) is int and s.horizon == 10
+        assert [type(k) for k, _ in s.epochs] == [int, int]
+        assert s == GraphSchedule(10, ((0, t), (4, t)))
+
     def test_epoch_lookup(self):
         s = GraphSchedule(
             30, ((0, gen_topology("path", 3)), (10, gen_topology("star", 3)))

@@ -5,6 +5,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from dvopt import objectives
 from dvopt.cli import ExperimentConfig, execute, main
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -132,3 +135,23 @@ def test_aborting_config_aborts_also_when_cut_at_the_abort(tmp_path):
         assert (diging["aborted"], diging["final_iter"]) == (True, 14), max_iter
         assert diging["final_consensus_dist"] == float("inf")
         assert not summary["algorithms"]["nesterov"]["aborted"]
+
+
+def test_dataset_config_drops_newton_rows(tmp_path, monkeypatch):
+    # A damped-Newton solve passes its row evaluations a slice while every
+    # row is active and an index array once some row is done, so the digest
+    # compares that second path only if some config's rows converge at
+    # different steps.  The dataset config's do; the benchmark's logistic
+    # config (n=20 on one static graph) never drops a row.
+    grad = objectives._LogisticStack.grad
+    subsets = []
+
+    def counted(stack, x, rows=slice(None)):
+        subsets.append(np.arange(stack.size)[rows].size < stack.size)
+        return grad(stack, x, rows)
+
+    monkeypatch.setattr(objectives._LogisticStack, "grad", counted)
+    (tmp_path / output_digest.DATASET_FILE).write_text(output_digest.dataset_text())
+    raw = {**output_digest.dataset_config(3), "output_dir": str(tmp_path / "out")}
+    execute(ExperimentConfig.from_dict(raw, base_dir=str(tmp_path)))
+    assert 0 < sum(subsets) < len(subsets)
