@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import algorithms, graphs, metrics, theory
-from .graphs import ValidationError, _fields, _number
+from .graphs import ValidationError, _fields, _number, _seed
 from .linalg import pinv_sqrt_psd
 from .objectives import (
     AggregateObjective,
@@ -90,16 +90,8 @@ class RunFailure(RuntimeError):
 
 
 def _derive_seed(root: int, label: int) -> int:
+    # a valid seed, as from_dict checks the root: root ^ label < 0 only if root < 0
     return int(root) ^ label
-
-
-def _seed(value, what: str) -> int:
-    # numpy's generators take no negative seed, and neither does a derived
-    # seed: root ^ label is negative exactly when root is
-    seed = _number(value, what)
-    if seed < 0:
-        raise ValidationError(f"{what} must be >= 0, got {seed}")
-    return seed
 
 
 def _checked_overrides(raw) -> dict:
@@ -243,7 +235,7 @@ def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
             period=_number(alt["period"], "alternating period"),
             horizon=_number(alt.get("horizon", cfg.max_iter), "alternating horizon"),
             params=tuple(params),
-            seed=_number(alt.get("seed", _derive_seed(cfg.seed, _SEED_GRAPHS)), "alternating seed"),
+            seed=_seed(alt.get("seed", _derive_seed(cfg.seed, _SEED_GRAPHS)), "alternating seed"),
         )
     return graphs.schedule_from_spec(spec)
 

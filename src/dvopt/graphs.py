@@ -180,7 +180,11 @@ class GraphSchedule:
             raise ValueError("horizon must be >= 1")
         if not self.epochs:
             raise ValueError("schedule needs at least one epoch")
-        starts = [_number(s, f"epoch {idx}: start") for idx, (s, _) in enumerate(self.epochs)]
+        # a Python int passes as it is, without building _number's field name
+        starts = [
+            s if type(s) is int else _number(s, f"epoch {idx}: start")
+            for idx, (s, _) in enumerate(self.epochs)
+        ]
         if starts[0] != 0:
             raise ValueError("first epoch must start at iteration 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
@@ -462,14 +466,22 @@ def _number(value, what: str, kind=int):
     """
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    ints = (int, np.integer)
-    ok = not isinstance(value, bool) and isinstance(value, (*ints, float) if kind is float else ints)
+    types = (int, np.integer, float) if kind is float else (int, np.integer)
+    ok = not isinstance(value, bool) and isinstance(value, types)
     # a float must be finite: abs() also bounds an int, on which math.isfinite
     # raises OverflowError when it is beyond the float range (10**400)
     if ok and (kind is int or abs(value) <= sys.float_info.max):
         return kind(value)
     noun = "an integer" if kind is int else "a finite number"
     raise ValidationError(f"{what} must be {noun}, got {value!r}")
+
+
+def _seed(value, what: str) -> int:
+    """``value`` as a seed: an int >= 0, which is all numpy's generators take."""
+    seed = _number(value, what)
+    if seed < 0:
+        raise ValidationError(f"{what} must be >= 0, got {seed}")
+    return seed
 
 
 def _fields(raw, what: str, required=(), optional=()) -> dict:
@@ -508,7 +520,7 @@ def schedule_from_spec(spec: dict) -> GraphSchedule:
         e = _fields(raw, f"epoch {idx}", ("start", "kind", "n"), ("params", "seed"))
         start = _number(e["start"], f"epoch {idx}: start")
         n = _number(e["n"], f"epoch {idx}: n")
-        seed = _number(e.get("seed", 0), f"epoch {idx}: seed")
+        seed = _seed(e.get("seed", 0), f"epoch {idx}: seed")
         epochs.append((start, gen_topology(e["kind"], n, e.get("params"), seed)))
     return GraphSchedule(horizon, tuple(epochs))
 

@@ -441,12 +441,27 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
-    def test_negative_seed_error_names_the_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "field, what",
+        [
+            ({"seed": -1}, "seed"),
+            (
+                {"schedule": {"alternating": {**_ALT, "kinds": ["erdos_renyi", "path"], "seed": -1}}},
+                "alternating seed",
+            ),
+            (
+                {"schedule": {"horizon": 10, "epochs": [{**_EPOCH, "kind": "erdos_renyi", "seed": -1}]}},
+                "epoch 0: seed",
+            ),
+        ],
+    )
+    def test_negative_seed_error_names_the_field(self, tmp_path, capsys, field, what):
         # numpy's own message for a negative seed names no field
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(minimal_config(tmp_path, seed=-1)))
+        p.write_text(json.dumps(minimal_config(tmp_path, **field)))
         assert main(["run", str(p)]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {what} must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field, key",
