@@ -511,18 +511,18 @@ def schedule_from_spec(spec: dict) -> GraphSchedule:
     an object, a missing or unknown field, a number that is not strict)
     raises :class:`ValidationError`; a schedule that :class:`GraphSchedule`
     rejects, such as one with a disconnected epoch, raises its ValueError.
+    The horizon and the starts are checked by :class:`GraphSchedule`.
     """
-    horizon = _number(_fields(spec, "schedule", ("horizon", "epochs"))["horizon"], "horizon")
+    _fields(spec, "schedule", ("horizon", "epochs"))
     if not isinstance(spec["epochs"], (list, tuple)):
         raise ValidationError("schedule 'epochs' must be a list")
     epochs = []
     for idx, raw in enumerate(spec["epochs"]):
         e = _fields(raw, f"epoch {idx}", ("start", "kind", "n"), ("params", "seed"))
-        start = _number(e["start"], f"epoch {idx}: start")
         n = _number(e["n"], f"epoch {idx}: n")
         seed = _seed(e.get("seed", 0), f"epoch {idx}: seed")
-        epochs.append((start, gen_topology(e["kind"], n, e.get("params"), seed)))
-    return GraphSchedule(horizon, tuple(epochs))
+        epochs.append((e["start"], gen_topology(e["kind"], n, e.get("params"), seed)))
+    return GraphSchedule(spec["horizon"], tuple(epochs))
 
 
 def load_schedule(path) -> GraphSchedule:
