@@ -69,7 +69,7 @@ residuals = xref.residuals(f_star)
 print(f"{'iter':>5} {'residual':>12} {'bound':>12}")
 worst_margin = math.inf
 for k in (0, 10, 39, 40, 60, 79, 80, 100, 120):
-    bound = nesterov_tv_bound(xref.l_f, xref.mu_f, xref.radius, xref.changes_before(k), k)
+    bound = nesterov_tv_bound(xref.l_f, xref.mu_f, xref.radius, sched.epoch_index(k), k)
     worst_margin = min(worst_margin, bound / max(residuals[k], 1e-300))
     print(f"{k:>5} {residuals[k]:>12.3e} {bound:>12.3e}")
 print(f"worst bound/measured margin at sampled iterations: {worst_margin:.1f}x")

@@ -14,7 +14,6 @@ from dvopt import (
     mixing_delta,
     mixing_matrix,
     spectral_info,
-    theta_bounds,
 )
 
 n = 12
@@ -36,7 +35,7 @@ sched = GraphSchedule(
         (50, gen_topology("path", n)),
     ),
 )
-theta_max, theta_min = theta_bounds(sched)
+theta_max, theta_min = sched.theta
 print(f"complete-then-path schedule: theta_max = {theta_max:.2f}, theta_min = {theta_min:.6f}")
 print(f"effective graph condition sqrt(theta_max/theta_min) = {np.sqrt(theta_max/theta_min):.1f}")
 

@@ -45,10 +45,10 @@ for period in (5, 50, 200):
 
 print()
 print("The admissible change fraction shrinks with the condition number:")
-from dvopt import alg1_complexity, dual_constants, theta_bounds
+from dvopt import alg1_complexity, dual_constants
 
 for kinds in (("complete", "path"), ("star", "cycle")):
     sched = alternating_schedule(kinds, n, 100, horizon, seed=5)
-    dc = dual_constants(agg, theta_bounds(sched))
+    dc = dual_constants(agg, sched.theta)
     ceiling = alg1_complexity(dc.kappa, 0.0, log_term=1.0).alpha_ceiling
     print(f"  {kinds[0]:>8} <-> {kinds[1]:<8} kappa = {dc.kappa:9.1f}, alpha ceiling = {ceiling:.2e}")

@@ -86,9 +86,9 @@ class TraceRecord:
     """State snapshot at the start of iteration ``iter``.
 
     ``primal_value`` is the aggregate objective at the agent average of
-    the primal candidates; the abort record has None.  Lean runs
-    (``keep_state=False``) keep no arrays, except the abort record's NaN
-    ``y_tilde``.
+    the primal candidates.  The abort record keeps None there and in
+    every array field, and lean runs (``keep_state=False``) keep no
+    arrays at all.
     """
 
     iter: int
@@ -234,8 +234,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     for k, e in enumerate(epochs + epochs[-1:]):
         if not _finite(method.watched):
             flush()
-            nan_y = np.full((agg.dim, agg.n), np.nan)
-            records.append(TraceRecord(k, e, method.abort_value, math.inf, None, 0, None, None, nan_y))
+            records.append(TraceRecord(k, e, method.abort_value, math.inf, None, 0, None, None, None))
             break
         if k == max_iter:
             keep(k, e, 0, method.look())
@@ -250,7 +249,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
         records=records,
         # iterations 0..k-1 ran: the pairs of their epochs, shared per topology
         message_log=MessageLog([by_epoch[e][1] for e in epochs[:k]]),
-        final_state=method.final_state(k, records[-1]),
+        final_state=method.final_state(k),
         aborted=records[-1].primal_value is None,
         momentum_degenerate=method.degenerate,
     )
@@ -271,8 +270,8 @@ def run_distributed_nesterov(
     number is 1 (up to 1e-12) the momentum coefficient degenerates and
     the run falls back to plain gradient steps with a trace flag.  With
     ``keep_state=False`` records keep no arrays: ``z``, ``z_tilde`` and
-    ``y_tilde`` are None, except the abort record's NaN ``y_tilde``.  The
-    final state is the same either way.
+    ``y_tilde`` are None.  The final state is the same either way; an
+    aborted run's ``y_tilde`` is all NaN.
     """
     return _drive(
         agg, schedule, max_iter, record_every,
@@ -365,17 +364,20 @@ class _DualMethod:
         none = [None] * len(ys)
         return zip(duals, dists, values, none, none, none)
 
-    def final_state(self, final_iter, last):
+    def final_state(self, final_iter):
         if self.accelerated:
-            # an aborted run ends before look(): its y_tilde is the abort record's NaN array
-            y = last.y_tilde if self.y_final is None else self.y_final
+            # an aborted run ends before look(), with no argmax of its final z
+            y = np.full_like(self.z, np.nan) if self.y_final is None else self.y_final
             return NesterovState(z=self.z, z_tilde=self.zt, y_tilde=y, iter=final_iter)
         return GDState(z=self.z, iter=final_iter)
 
 
-def default_diging_stepsize(agg: AggregateObjective, b: int = 1) -> float:
-    """Step 1.5/(mu_bar (J+1)) with J = 3 sqrt(kbar) B^2 (1 + 4 sqrt(n kbar))."""
-    return 1.5 / (agg.mu_bar * (_diging_j(agg.kappa_bar, agg.n, b) + 1.0))
+def default_diging_stepsize(agg: AggregateObjective) -> float:
+    """Step 1.5/(mu_bar (J+1)) with J = 3 sqrt(kbar) B^2 (1 + 4 sqrt(n kbar)).
+
+    B = 1 always: every epoch of a :class:`GraphSchedule` is connected.
+    """
+    return 1.5 / (agg.mu_bar * (_diging_j(agg.kappa_bar, agg.n, 1) + 1.0))
 
 
 def run_diging(
@@ -392,8 +394,7 @@ def run_diging(
     ``x_next = x V' - alpha u``, ``u_next = u V' + grad(x_next) - grad(x)``
     with ``u_0 = grad(x_0)``.  Each iteration mixes both x and u, so two
     messages cross every directed edge.  Records keep ``x`` as
-    ``y_tilde``; with ``keep_state=False`` they keep None, except the
-    abort record's NaN array.
+    ``y_tilde``; with ``keep_state=False`` they keep None.
     """
     return _drive(
         agg, schedule, max_iter, record_every, lambda: _DIGingMethod(agg, stepsize, keep_state)
@@ -445,7 +446,7 @@ class _DIGingMethod:
         kept = kept if self.keep_state else [None] * len(xs)
         return ((math.nan, dist, value, None, None, x) for dist, value, x in zip(dists, values, kept))
 
-    def final_state(self, final_iter, last):
+    def final_state(self, final_iter):
         return DIGingState(x=self.x, u=self.u, g_prev=self.g, stepsize=self.alpha, iter=final_iter)
 
 
@@ -491,10 +492,6 @@ class XSpaceTrace:
         return np.array(
             [self.f_value(self.epoch_of[k], self.ys[k]) - f_star for k in range(len(self.ys))]
         )
-
-    def changes_before(self, k: int) -> int:
-        """Graph changes at or before iteration k: epoch e starts after e changes."""
-        return self.schedule.epoch_index(k)
 
 
 def solve_dual_min_norm(

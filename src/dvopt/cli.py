@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -271,7 +270,7 @@ def _accel_bound_verdict(rows, dc, radius, schedule):
         # epoch e starts after e changes
         return theory.nesterov_tv_bound(dc.l_f, dc.mu_f, radius, schedule.epoch_index(k), k)
 
-    return asdict(metrics.bound_check(rows, bound))
+    return asdict(metrics.bound_check(((row.iter, row.dual_residual) for row in rows), bound))
 
 
 def _gd_contraction_verdict(trace, dc, x_star, schedule):
@@ -280,18 +279,14 @@ def _gd_contraction_verdict(trace, dc, x_star, schedule):
     pinv_sqrt = pinv_sqrt_psd(graphs.laplacian(schedule.topologies()[0]))
     radius = float(np.linalg.norm(x_star))
     rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
-    worst = -math.inf
-    first = None
-    for rec in trace.records:
-        if rec.z is None:
-            continue
-        x_k = -(rec.z @ pinv_sqrt)
-        violation = float(np.linalg.norm(x_k - x_star)) - (rho**rec.iter * radius + 1e-10)
-        if violation > worst:
-            worst = violation
-        if violation > 0 and first is None:
-            first = rec.iter
-    return {"clean": first is None, "max_violation": worst, "first_violation_iter": first}
+    dists = (
+        (rec.iter, float(np.linalg.norm(-(rec.z @ pinv_sqrt) - x_star)))
+        for rec in trace.records
+        if rec.z is not None
+    )
+    report = asdict(metrics.bound_check(dists, lambda k: rho**k * radius + 1e-10))
+    del report["checked"]  # the summary keeps the verdict's three keys
+    return report
 
 
 def _per_epoch_spectra(schedule: graphs.GraphSchedule) -> list[graphs.SpectralInfo]:
@@ -335,7 +330,7 @@ def _run(
             f"ceiling {ceiling:.6g}; convergence is not guaranteed"
         )
 
-    oracle = centralized_solve(agg, tol=1e-10)
+    oracle = centralized_solve(agg)
     x_star = algorithms.solve_dual_min_norm(agg, schedule, oracle[0])
     radius = float(np.linalg.norm(x_star))
 
@@ -427,9 +422,10 @@ def _parse_kv(pairs: list[str]) -> dict:
         key, _, val = token.partition("=")
         key = _UNICODE_KEYS.get(key, key)
         try:
-            out[key] = float(val)
+            value = float(val)
         except ValueError:
             raise ValidationError(f"non-numeric value in {token!r}") from None
+        out[key] = _number(value, key, float)
     return out
 
 
@@ -454,7 +450,7 @@ def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
             theory.BoundReport(
                 "thm3.residual_bound",
                 kv,
-                theory.nesterov_tv_bound(l_s, mu, radius, int(m), int(n_it)),
+                theory.nesterov_tv_bound(l_s, mu, radius, _number(m, "m"), _number(n_it, "N")),
             )
         )
     elif name == "thm5":
@@ -483,8 +479,8 @@ def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
         kbar, n = _need(kv, "kappa_bar", "n")
         lam0, lam = theory.diging_rates(
             kbar,
-            int(n),
-            b=int(kv.get("B", 1)),
+            _number(n, "n"),
+            b=_number(kv.get("B", 1), "B"),
             delta=kv.get("delta", 0.0),
             mu_bar=kv.get("mu_bar", 1.0),
             alpha=kv.get("alpha"),
@@ -499,7 +495,7 @@ def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
             l_smooth=kv.get("L", 1.0),
             mu=kv.get("mu", 1.0),
             delta=kv.get("delta", 0.0),
-            b=int(kv.get("B", 1)),
+            b=_number(kv.get("B", 1), "B"),
             c=kv.get("c"),
         )
         reports.append(theory.BoundReport("prop2.lambda0", kv, lam0))
@@ -546,18 +542,21 @@ def graphinfo_command(path) -> dict:
 
 
 def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> list[dict]:
-    """Run the alternating schedule for every (seed, period) cell."""
+    """Run the alternating schedule for every (seed, period) cell, checking them all first."""
     if not seeds or not periods:
         raise ValidationError("sweep needs at least one seed and one period")
     seeds = [_seed(s, "sweep seed") for s in seeds]
+    periods = [_number(p, "sweep period") for p in periods]
+    if min(periods) < 1:
+        raise ValidationError(f"sweep period must be >= 1, got {min(periods)}")
     alternating = _alternating_spec(config.schedule)
     table = []
     for seed in seeds:
         for period in periods:
-            alt = {**alternating, "period": int(period)}
+            alt = {**alternating, "period": period}
             cell = replace(
                 config,
-                seed=int(seed),
+                seed=seed,
                 schedule={**config.schedule, "alternating": alt},
                 output_dir=os.path.join(config.output_dir, f"s{seed}_p{period}"),
                 run_id=f"{config.run_id}_s{seed}_p{period}",
@@ -566,8 +565,8 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
             for name, stats in summary["algorithms"].items():
                 table.append(
                     {
-                        "seed": int(seed),
-                        "period": int(period),
+                        "seed": seed,
+                        "period": period,
                         "algorithm": name,
                         "final_dual_residual": stats["final_dual_residual"],
                         "final_primal_gap": stats["final_primal_gap"],
@@ -632,9 +631,17 @@ def _cmd_graphinfo(args) -> int:
     return 0
 
 
+def _flag_number(token: str):
+    # JSON keeps a large seed exact; a non-number fails sweep's checks, which name the option
+    try:
+        return json.loads(token)
+    except ValueError:  # JSONDecodeError, or an int beyond Python's digit limit
+        return token
+
+
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    table = sweep(config, [int(s) for s in args.seeds], [int(p) for p in args.periods])
+    table = sweep(config, [*map(_flag_number, args.seeds)], [*map(_flag_number, args.periods)])
     header = f"{'seed':>6} {'period':>7} {'algorithm':>10} {'dual_residual':>14} {'primal_gap':>12} {'consensus':>12}"
     print(header)
     for row in table:

@@ -222,7 +222,7 @@ class GraphSchedule:
     @property
     def change_iterations(self) -> tuple[int, ...]:
         """Iterations at which a new epoch begins (excluding 0)."""
-        return tuple(int(s) for s, _ in self.epochs[1:])
+        return self._starts[1:]
 
     def epoch_index(self, k: int) -> int:
         if k < 0:
@@ -390,7 +390,7 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
         Any other key raises :class:`ValidationError`.
     seed : int
         Seed for the random kinds; fixed seed gives a fixed topology.
-        Random draws are retried up to 100 times until connected.
+        Erdos-Renyi draws are retried up to 100 times until connected.
     """
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
@@ -431,24 +431,16 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
     )
     if not radius > 0:
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAX_GEN_ATTEMPTS):
-        pts = rng.random((n, 2))
-        r = radius
-        # unit square: radius sqrt(2) connects everything, so this ends
-        while True:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            edges = tuple(
-                (i + 1, j + 1)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if d2[i, j] <= r * r
-            )
-            t = Topology(n, edges)
-            if t.is_connected():
-                return t
-            r *= 1.1
-    raise GenerationError("random geometric generation failed")
+    pts = np.random.default_rng(seed).random((n, 2))
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    # unit square: radius sqrt(2) connects everything, so this ends
+    while True:
+        r2 = radius * radius
+        edges = tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if d2[i, j] <= r2)
+        t = Topology(n, edges)
+        if t.is_connected():
+            return t
+        radius *= 1.1
 
 
 # ---------------------------------------------------------------------------

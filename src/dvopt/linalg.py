@@ -82,9 +82,6 @@ def project_consensus_orth(x: np.ndarray) -> np.ndarray:
     matrix with identical columns, and the map is idempotent.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-        return (x - x.mean(axis=1, keepdims=True))[0]
     return x - x.mean(axis=1, keepdims=True)
 
 

@@ -166,24 +166,24 @@ def potential_trace(
     return rows
 
 
-def bound_check(rows: list[MetricRow], bound) -> BoundCheckReport:
-    """Compare measured dual residuals against a per-iteration bound.
+def bound_check(points, bound) -> BoundCheckReport:
+    """Compare measured values against a per-iteration bound.
 
-    ``bound`` maps an iteration index to the admissible residual.  Rows
-    whose residual is NaN are skipped (primal-only traces).
+    ``points`` are (iteration, value) pairs and ``bound`` maps an iteration
+    to the admissible value.  NaN values (primal-only residuals) are skipped.
     """
     max_violation = -math.inf
     first = None
     checked = 0
-    for row in rows:
-        if isinstance(row.dual_residual, float) and math.isnan(row.dual_residual):
+    for k, value in points:
+        if isinstance(value, float) and math.isnan(value):
             continue
         checked += 1
-        violation = row.dual_residual - bound(row.iter)
+        violation = value - bound(k)
         if violation > max_violation:
             max_violation = violation
         if violation > 0 and first is None:
-            first = row.iter
+            first = k
     return BoundCheckReport(
         clean=first is None,
         max_violation=max_violation,

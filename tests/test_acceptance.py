@@ -157,7 +157,7 @@ def test_criterion_03_nesterov_tv_bound():
                 0.5
                 * (l_f + mu_f)
                 * radius**2
-                * kappa ** xref.changes_before(k)
+                * kappa ** sched.epoch_index(k)
                 * (1.0 - 1.0 / math.sqrt(kappa)) ** k
             )
             if res > bound:

@@ -1,11 +1,13 @@
 """Experiment runner: configs, determinism, bound parity, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import dvopt.algorithms
 from dvopt import cli, objectives, theory
 from dvopt.cli import (
     ExperimentConfig,
@@ -16,7 +18,9 @@ from dvopt.cli import (
     main,
     sweep,
 )
-from dvopt.objectives import LogisticObjective, load_sparse_labeled
+from dvopt.graphs import GraphSchedule, gen_topology, laplacian
+from dvopt.linalg import pinv_sqrt_psd, project_consensus_orth
+from dvopt.objectives import LogisticObjective, dual_constants, gen_ridge_instance, load_sparse_labeled
 
 
 def minimal_config(tmp_path, **overrides):
@@ -310,20 +314,72 @@ class TestGraphInfo:
         assert graphinfo_command(p)["epochs"][0]["chi"] == pytest.approx(3.0, abs=1e-9)
 
 
+def ref_gd_contraction_verdict(trace, dc, x_star, schedule):
+    """The dual-GD contraction verdict as a loop of its own."""
+    pinv_sqrt = pinv_sqrt_psd(laplacian(schedule.topologies()[0]))
+    radius = float(np.linalg.norm(x_star))
+    rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
+    worst = -math.inf
+    first = None
+    for rec in trace.records:
+        if rec.z is None:
+            continue
+        x_k = -(rec.z @ pinv_sqrt)
+        violation = float(np.linalg.norm(x_k - x_star)) - (rho**rec.iter * radius + 1e-10)
+        if violation > worst:
+            worst = violation
+        if violation > 0 and first is None:
+            first = rec.iter
+    return {"clean": first is None, "max_violation": worst, "first_violation_iter": first}
+
+
+class TestGdContractionVerdict:
+    AGG = gen_ridge_instance(5, 4, 3, seed=2)
+    SCHED = GraphSchedule(80, ((0, gen_topology("cycle", 5)),))
+
+    def verdicts(self, trace, x_star):
+        dc = dual_constants(self.AGG, self.SCHED.theta)
+        got = cli._gd_contraction_verdict(trace, dc, x_star, self.SCHED)
+        # repr tells floats apart bit for bit
+        assert repr(got) == repr(ref_gd_contraction_verdict(trace, dc, x_star, self.SCHED))
+        return got["first_violation_iter"]
+
+    def test_matches_its_own_loop_bit_for_bit(self, monkeypatch):
+        full = dvopt.algorithms.run_dual_gradient(self.AGG, self.SCHED)
+        x_star = dvopt.algorithms.solve_dual_min_norm(self.AGG, self.SCHED)
+        radius = np.linalg.norm(x_star)
+        # a consensus direction: X* moves, the distance to every x_k grows
+        ones = np.ones_like(x_star) / math.sqrt(x_star.size)
+        assert self.verdicts(full, x_star) is None
+        assert 0 < self.verdicts(full, x_star + 0.3 * radius * ones) < 80
+        # the distance at iteration 0 is the radius, and radius + 1e-10 rounds
+        # to the radius: a violation of exactly 0, which is no violation
+        assert self.verdicts(full, x_star + 1e7 * ones) == 1
+        offset = 1e-2 * project_consensus_orth(np.random.default_rng(0).standard_normal(x_star.shape))
+        moved = [dataclasses.replace(r, z=r.z + offset) for r in full.records]
+        assert self.verdicts(dataclasses.replace(full, records=moved), x_star) == 0
+        # an aborted run's last record keeps no z
+        monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", np.linalg.norm(full.records[40].z))
+        aborted = dvopt.algorithms.run_dual_gradient(self.AGG, self.SCHED)
+        assert aborted.aborted and aborted.records[-1].z is None
+        assert self.verdicts(aborted, x_star) is None
+        assert 0 < self.verdicts(aborted, x_star + 0.5 * radius * ones) < aborted.records[-1].iter
+
+
+def sweep_raw(tmp_path):
+    return {
+        "seed": 1,
+        "objective": {"kind": "ridge", "n": 5, "l": 3, "m": 2, "c": 0.1, "noise": 0.1},
+        "schedule": {"alternating": {"kinds": ["star", "cycle"], "n": 5, "period": 10}},
+        "algorithms": ["nesterov"],
+        "max_iter": 40,
+        "output_dir": str(tmp_path / "sweep"),
+    }
+
+
 class TestSweep:
     def _sweep_config(self, tmp_path):
-        return ExperimentConfig.from_dict(
-            {
-                "seed": 1,
-                "objective": {"kind": "ridge", "n": 5, "l": 3, "m": 2, "c": 0.1, "noise": 0.1},
-                "schedule": {
-                    "alternating": {"kinds": ["star", "cycle"], "n": 5, "period": 10}
-                },
-                "algorithms": ["nesterov"],
-                "max_iter": 40,
-                "output_dir": str(tmp_path / "sweep"),
-            }
-        )
+        return ExperimentConfig.from_dict(sweep_raw(tmp_path))
 
     def test_single_cell_matches_execute(self, tmp_path):
         cfg = self._sweep_config(tmp_path)
@@ -339,6 +395,18 @@ class TestSweep:
     def test_negative_seed_rejected_before_any_cell(self, tmp_path):
         with pytest.raises(ValidationError, match=r"^sweep seed must be >= 0, got -2$"):
             sweep(self._sweep_config(tmp_path), [1, -2], [10])
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "periods, message",
+        [
+            ([5, 0], r"^sweep period must be >= 1, got 0$"),
+            ([5, 2.5], r"^sweep period must be an integer, got 2.5$"),
+        ],
+    )
+    def test_bad_period_rejected_before_any_cell(self, tmp_path, periods, message):
+        with pytest.raises(ValidationError, match=message):
+            sweep(self._sweep_config(tmp_path), [1], periods)
         assert not (tmp_path / "sweep").exists()
 
     def test_requires_alternating_schedule(self, tmp_path):
@@ -573,6 +641,46 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "0.99652" in out
         assert main(["bounds", "prop1", "kappa_bar=4"]) == 1
+
+    @pytest.mark.parametrize(
+        "args, constant",
+        [
+            (["thm3", "L=2", "mu=1", "R=1", "m=2.5", "N=10"], "m"),
+            (["thm3", "L=2", "mu=1", "R=1", "m=2", "N=10.5"], "N"),
+            (["prop1", "kappa_bar=4", "n=9.7"], "n"),
+            (["prop1", "kappa_bar=4", "n=9", "B=1.5"], "B"),
+            (["prop2", "kappa=4", "B=1.5"], "B"),
+            (["cor1", "L=2", "mu=1", "R=1", "eps=nan"], "eps"),
+            (["thm5", "kappa=inf"], "kappa"),
+        ],
+    )
+    def test_bounds_bad_constant_exits_one_naming_it(self, capsys, args, constant):
+        assert main(["bounds", *args]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {constant} must be ")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seeds", "1", "2.5", "--periods", "2"], "sweep seed must be an integer, got 2.5"),
+            (["--seeds", "abc", "--periods", "2"], "sweep seed must be an integer, got 'abc'"),
+            (["--seeds", "1", "--periods", "5", "0"], "sweep period must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_sweep_flags_exit_one_before_any_file(self, tmp_path, capsys, flags, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(sweep_raw(tmp_path)))
+        assert main(["sweep", str(p), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_flags_take_integral_floats_and_exact_large_seeds(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(sweep_raw(tmp_path)))
+        seed = 2**70 + 1  # beyond a float's exact range
+        assert main(["sweep", str(p), "--seeds", str(seed), "--periods", "2.0"]) == 0
+        table = json.loads((tmp_path / "sweep" / "run1_sweep.json").read_text())
+        assert [(row["seed"], row["period"]) for row in table] == [(seed, 2)]
+        assert (tmp_path / "sweep" / f"s{seed}_p2" / f"run1_s{seed}_p2_summary.json").exists()
 
     def test_graphinfo_exit(self, tmp_path, capsys):
         spec = {"horizon": 5, "epochs": [{"start": 0, "kind": "complete", "n": 4}]}

@@ -165,13 +165,11 @@ def _gamma(xref):
 
 class TestBoundCheck:
     def test_clean(self):
-        rows = [MetricRow(k, 0, 0.0, 0.5**k, 0.0, 0.0, 2) for k in range(5)]
-        rep = bound_check(rows, lambda k: 0.6**k * 2.0)
+        rep = bound_check([(k, 0.5**k) for k in range(5)], lambda k: 0.6**k * 2.0)
         assert rep.clean and rep.first_violation_iter is None
 
     def test_constructed_violation_of_one(self):
-        rows = [MetricRow(0, 0, 0.0, 3.0, 0.0, 0.0, 2)]
-        rep = bound_check(rows, lambda k: 2.0)
+        rep = bound_check([(0, 3.0)], lambda k: 2.0)
         assert not rep.clean
         assert rep.max_violation == pytest.approx(1.0)
         assert rep.first_violation_iter == 0
@@ -181,8 +179,7 @@ class TestBoundCheck:
         assert rep.clean and rep.checked == 0
 
     def test_nan_rows_skipped(self):
-        rows = [MetricRow(0, 0, math.nan, math.nan, 0.0, 0.0, 2)]
-        rep = bound_check(rows, lambda k: 0.0)
+        rep = bound_check([(0, math.nan)], lambda k: 0.0)
         assert rep.clean and rep.checked == 0
 
 
