@@ -475,7 +475,6 @@ class XSpaceTrace:
     mu_f: float
     l_f: float
     kappa: float
-    schedule: GraphSchedule
     agg: AggregateObjective
     sqrt_ws: list
     minimizer_residuals: list
@@ -572,7 +571,6 @@ def run_xspace_reference(
         mu_f=mu_f,
         l_f=l_f,
         kappa=kappa,
-        schedule=schedule,
         agg=agg,
         sqrt_ws=sqrt_ws,
         minimizer_residuals=residuals,

@@ -38,7 +38,9 @@ Every object (config, objective, schedule, alternating spec, epoch,
 topology params, overrides) rejects a missing or unknown field.  A count
 is an integer or an integral float, a real a finite number, neither a
 bool or a string.  ``algorithms`` are distinct; ``run_id`` is a
-non-empty string with no path separator.
+non-empty string with no path separator.  ``sweep``'s seeds and periods
+are distinct too, and ``bounds`` rejects a constant its bound does not
+read or one given twice.
 """
 
 from __future__ import annotations
@@ -421,6 +423,8 @@ def _parse_kv(pairs: list[str]) -> dict:
             raise ValidationError(f"expected key=value, got {token!r}")
         key, _, val = token.partition("=")
         key = _UNICODE_KEYS.get(key, key)
+        if key in out:
+            raise ValidationError(f"constant {key} given twice, again in {token!r}")
         try:
             value = float(val)
         except ValueError:
@@ -429,89 +433,76 @@ def _parse_kv(pairs: list[str]) -> dict:
     return out
 
 
-def _need(kv: dict, *names) -> list[float]:
-    missing = [n for n in names if n not in kv]
-    if missing:
-        raise ValidationError(f"missing constant(s): {', '.join(missing)}")
-    return [kv[n] for n in names]
+def _thm5(kappa, alpha=0.0, **given):
+    # alg1_complexity takes no default alpha; the CLI's is a static graph's 0
+    res = theory.alg1_complexity(kappa, alpha, **given)
+    return (res.n_iters, res.feasible), res.alpha_ceiling
+
+
+def _cor2(eps, **given):
+    # a zero dual gap certifies a zero primal gap without the other constants
+    if eps == 0.0:
+        return 0.0
+    c = _fields(given, "cor2 constants with eps > 0", ("kappa", "L", "mu", "norm_xstar"))
+    return theory.primal_from_dual_bound(eps, c["kappa"], c["L"], c["mu"], c["norm_xstar"])
+
+
+# Each bound: its function, the constants it takes in order, the optional
+# constants by the keyword each is passed as, and its reports' names.  The
+# function returns one value per report, a (value, satisfied) pair or None.
+_BOUNDS = {
+    "cor1": (theory.gd_iterations, ("L", "mu", "R", "eps"), {}, ("cor1.iterations",)),
+    "thm3": (theory.nesterov_tv_bound, ("L", "mu", "R", "m", "N"), {}, ("thm3.residual_bound",)),
+    "thm5": (
+        _thm5,
+        ("kappa",),
+        dict(alpha="alpha", L="l_smooth", mu="mu", R="radius", eps="eps", log_term="log_term"),
+        ("thm5.iterations", "thm5.alpha_ceiling"),
+    ),
+    "cor2": (
+        _cor2,
+        ("eps",),
+        dict(kappa="kappa", L="L", mu="mu", norm_xstar="norm_xstar"),
+        ("cor2.primal_gap_bound",),
+    ),
+    "prop1": (
+        theory.diging_rates,
+        ("kappa_bar", "n"),
+        dict(B="b", delta="delta", mu_bar="mu_bar", alpha="alpha"),
+        ("prop1.lambda0", "prop1.lambda_of_alpha"),
+    ),
+    "prop2": (
+        theory.panda_rates,
+        ("kappa",),
+        dict(L="l_smooth", mu="mu", delta="delta", B="b", c="c"),
+        ("prop2.lambda0", "prop2.alpha_step", "prop2.lambda_of_c"),
+    ),
+    "prop3": (
+        theory.static_nesterov_comparison,
+        ("lambda2", "kappa_phi", "chi"),
+        {},
+        ("prop3.favors_dual_accelerated", "prop3.lhs", "prop3.rhs"),
+    ),
+}
+_COUNTS = ("m", "N", "n", "B")
 
 
 def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
     """Evaluate one named bound from key=value constants."""
+    if name not in _BOUNDS:
+        raise ValidationError(f"unknown bound {name!r}; valid: {', '.join(_BOUNDS)}")
+    func, required, optional, names = _BOUNDS[name]
+    _fields(kv, f"{name} constants", required, optional)
+    args = {key: _number(val, key) if key in _COUNTS else val for key, val in kv.items()}
+    values = func(
+        *(args[key] for key in required),
+        **{optional[key]: args[key] for key in optional if key in args},
+    )
     reports = []
-    if name == "cor1":
-        l_s, mu, radius, eps = _need(kv, "L", "mu", "R", "eps")
-        reports.append(
-            theory.BoundReport("cor1.iterations", kv, theory.gd_iterations(l_s, mu, radius, eps))
-        )
-    elif name == "thm3":
-        l_s, mu, radius, m, n_it = _need(kv, "L", "mu", "R", "m", "N")
-        reports.append(
-            theory.BoundReport(
-                "thm3.residual_bound",
-                kv,
-                theory.nesterov_tv_bound(l_s, mu, radius, _number(m, "m"), _number(n_it, "N")),
-            )
-        )
-    elif name == "thm5":
-        (kappa,) = _need(kv, "kappa")
-        alpha = kv.get("alpha", 0.0)
-        res = theory.alg1_complexity(
-            kappa,
-            alpha,
-            l_smooth=kv.get("L"),
-            mu=kv.get("mu"),
-            radius=kv.get("R"),
-            eps=kv.get("eps"),
-            log_term=kv.get("log_term"),
-        )
-        reports.append(theory.BoundReport("thm5.iterations", kv, res.n_iters, res.feasible))
-        reports.append(theory.BoundReport("thm5.alpha_ceiling", kv, res.alpha_ceiling))
-    elif name == "cor2":
-        (eps,) = _need(kv, "eps")
-        if eps == 0.0:
-            value = 0.0
-        else:
-            kappa, l_s, mu, nx = _need(kv, "kappa", "L", "mu", "norm_xstar")
-            value = theory.primal_from_dual_bound(eps, kappa, l_s, mu, nx)
-        reports.append(theory.BoundReport("cor2.primal_gap_bound", kv, value))
-    elif name == "prop1":
-        kbar, n = _need(kv, "kappa_bar", "n")
-        lam0, lam = theory.diging_rates(
-            kbar,
-            _number(n, "n"),
-            b=_number(kv.get("B", 1), "B"),
-            delta=kv.get("delta", 0.0),
-            mu_bar=kv.get("mu_bar", 1.0),
-            alpha=kv.get("alpha"),
-        )
-        reports.append(theory.BoundReport("prop1.lambda0", kv, lam0))
-        if lam is not None:
-            reports.append(theory.BoundReport("prop1.lambda_of_alpha", kv, lam))
-    elif name == "prop2":
-        (kappa,) = _need(kv, "kappa")
-        lam0, alpha, lam = theory.panda_rates(
-            kappa,
-            l_smooth=kv.get("L", 1.0),
-            mu=kv.get("mu", 1.0),
-            delta=kv.get("delta", 0.0),
-            b=_number(kv.get("B", 1), "B"),
-            c=kv.get("c"),
-        )
-        reports.append(theory.BoundReport("prop2.lambda0", kv, lam0))
-        reports.append(theory.BoundReport("prop2.alpha_step", kv, alpha))
-        if lam is not None:
-            reports.append(theory.BoundReport("prop2.lambda_of_c", kv, lam))
-    elif name == "prop3":
-        lam2, kphi, chi = _need(kv, "lambda2", "kappa_phi", "chi")
-        verdict, lhs, rhs = theory.static_nesterov_comparison(lam2, kphi, chi)
-        reports.append(theory.BoundReport("prop3.favors_dual_accelerated", kv, verdict))
-        reports.append(theory.BoundReport("prop3.lhs", kv, lhs))
-        reports.append(theory.BoundReport("prop3.rhs", kv, rhs))
-    else:
-        raise ValidationError(
-            f"unknown bound {name!r}; valid: cor1, thm3, thm5, cor2, prop1, prop2, prop3"
-        )
+    for report, value in zip(names, values if len(names) > 1 else (values,)):
+        value, satisfied = value if isinstance(value, tuple) else (value, None)
+        if value is not None:
+            reports.append(theory.BoundReport(report, kv, value, satisfied))
     return reports
 
 
@@ -549,6 +540,10 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
     periods = [_number(p, "sweep period") for p in periods]
     if min(periods) < 1:
         raise ValidationError(f"sweep period must be >= 1, got {min(periods)}")
+    for what, values in (("seed", seeds), ("period", periods)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValidationError(f"sweep {what} {repeated[0]} given twice")
     alternating = _alternating_spec(config.schedule)
     table = []
     for seed in seeds:

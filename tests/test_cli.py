@@ -279,8 +279,41 @@ class TestBoundsCommand:
             bounds_command("cor1", {"L": 2.0, "R": 1.0, "eps": 0.1})
 
     def test_unknown_bound(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="valid: cor1, thm3, thm5, cor2, prop1, prop2, prop3"):
             bounds_command("thm9", {})
+
+    def test_unread_step_drops_its_rate(self):
+        names = [r.name for r in bounds_command("prop2", {"kappa": 4.0})]
+        assert names == ["prop2.lambda0", "prop2.alpha_step"]
+        names = [r.name for r in bounds_command("prop1", {"kappa_bar": 4.0, "n": 9.0, "alpha": 1e-4})]
+        assert names == ["prop1.lambda0", "prop1.lambda_of_alpha"]
+
+    def test_cor2_missing_constant_named(self):
+        with pytest.raises(ValidationError, match=r"\['L'\]"):
+            bounds_command("cor2", {"eps": 0.01, "kappa": 4.0, "mu": 1.0, "norm_xstar": 3.0})
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["thm5", "kappa=100", "alpah=0.5", "log_term=10"], "unknown thm5 constants field(s) ['alpah']"),
+            (["thm3", "L=2", "mu=1", "R=1", "m=2", "N=10", "nn=3"], "unknown thm3 constants field(s) ['nn']"),
+            (["cor1", "κ=3", "L=2", "mu=1", "R=1", "eps=0.1"], "unknown cor1 constants field(s) ['kappa']"),
+            (["thm3", "L=2", "L=3", "mu=1", "R=1", "m=2", "N=10"], "constant L given twice, again in 'L=3'"),
+            (["thm5", "kappa=1", "κ=100", "log_term=10"], "constant kappa given twice, again in 'κ=100'"),
+        ],
+    )
+    def test_unread_or_repeated_constant_exits_one_naming_it(self, capsys, args, message):
+        assert main(["bounds", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_aliases_print_the_same_lines(self, capsys):
+        assert main(["bounds", "thm5", "kappa=100", "alpha=0", "log_term=10"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["bounds", "thm5", "κ=100", "α=0", "logterm=10"]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.startswith("thm5.iterations [kappa=100 alpha=0 log_term=10] = 100 feasible=True\n")
 
 
 class TestGraphInfo:
@@ -664,6 +697,8 @@ class TestMainExitCodes:
             (["--seeds", "1", "2.5", "--periods", "2"], "sweep seed must be an integer, got 2.5"),
             (["--seeds", "abc", "--periods", "2"], "sweep seed must be an integer, got 'abc'"),
             (["--seeds", "1", "--periods", "5", "0"], "sweep period must be >= 1, got 0"),
+            (["--seeds", "1", "1", "--periods", "5"], "sweep seed 1 given twice"),
+            (["--seeds", "1", "--periods", "5", "5.0"], "sweep period 5 given twice"),
         ],
     )
     def test_bad_sweep_flags_exit_one_before_any_file(self, tmp_path, capsys, flags, message):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dvopt import objectives
+from dvopt import cli, objectives
 from dvopt.cli import ExperimentConfig, execute, main
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +22,10 @@ TINY = {
     "algorithms": ["nesterov", "diging"],
     "max_iter": 6,
     "run_id": "tiny",
+}
+TINY_SCHEDULE = {
+    "horizon": 6,
+    "epochs": [{"start": 0, "kind": "path", "n": 3}, {"start": 3, "kind": "star", "n": 3}],
 }
 
 
@@ -155,3 +159,33 @@ def test_dataset_config_drops_newton_rows(tmp_path, monkeypatch):
     raw = {**output_digest.dataset_config(3), "output_dir": str(tmp_path / "out")}
     execute(ExperimentConfig.from_dict(raw, base_dir=str(tmp_path)))
     assert 0 < sum(subsets) < len(subsets)
+
+
+def test_bounds_digest_lines_are_the_sha256_of_in_process_bounds(capsys):
+    assert list(output_digest.BOUNDS_ARGS) == list(cli._BOUNDS)
+    lines = output_digest.digest_bounds(_ROOT)
+    want = []
+    for name, args in output_digest.BOUNDS_ARGS.items():
+        assert main(["bounds", name, *args]) == 0
+        want.append(f"{_sha256(capsys.readouterr().out.encode())}  bounds/{name}")
+    assert lines == want
+    # the runs give the steps, thm5's constants for its log term, and a nonzero eps
+    given = {
+        name: dict(arg.split("=") for arg in args) for name, args in output_digest.BOUNDS_ARGS.items()
+    }
+    assert "alpha" in given["prop1"] and "c" in given["prop2"]
+    assert {"L", "mu", "R", "eps"} <= set(given["thm5"]) and "log_term" not in given["thm5"]
+    assert float(given["cor2"]["eps"]) > 0
+
+
+def test_graph_info_digest_line_is_the_sha256_of_an_in_process_run(tmp_path, capsys):
+    line = output_digest.digest_graph_info(_ROOT, "tiny", TINY_SCHEDULE)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(TINY_SCHEDULE), encoding="utf-8")
+    assert main(["graph-info", str(path)]) == 0
+    assert line == f"{_sha256(capsys.readouterr().out.encode())}  graph-info/tiny"
+
+
+def test_failed_command_line_carries_its_exit_code():
+    line = output_digest.digest_stdout(_ROOT, "bounds/thm9", "-m", "dvopt.cli", "bounds", "thm9")
+    assert line == f"{_sha256(b'')}  bounds/thm9 (exit 1)"

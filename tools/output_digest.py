@@ -1,4 +1,4 @@
-"""sha256 digests of ``dvopt run``/``sweep`` outputs and demo output, to compare two checkouts.
+"""sha256 digests of ``dvopt`` outputs and demo output, to compare two checkouts.
 
 Usage, from anywhere::
 
@@ -18,7 +18,10 @@ hashes only its verdicts (``alpha_feasible``, each algorithm's
 change that moves summary floats but no verdict keeps that line.  One
 ``dvopt sweep`` of the switching config over ``SWEEP_ARGS`` (two seeds,
 periods 5 and 50) adds a line for each cell's CSVs and summary and one
-for the sweep table: 17 files.
+for the sweep table: 17 files.  One valid ``dvopt bounds`` run per bound
+(``BOUNDS_ARGS``, which between them give every optional constant) and
+``dvopt graph-info`` on the ridge config's schedule each add a line for
+their stdout, with the exit code when it is not 0.
 
 The configs are the benchmark's ``ridge_config`` and ``logistic_config``
 (``bench/workloads.py`` next to this script, so both checkouts run the
@@ -49,6 +52,17 @@ HERE = Path(__file__).resolve().parent
 ALL_ALGORITHMS = ["nesterov", "dual_gd", "diging"]
 SWEEP_ARGS = ["--seeds", "3", "4", "--periods", "5", "50"]
 DATASET_FILE = "data.txt"
+# one valid constant set per bound: prop1 with its step alpha, prop2 with
+# its step c, thm5 with (L, mu, R, eps) for its log term, cor2 with eps > 0
+BOUNDS_ARGS = {
+    "cor1": ["L=2", "mu=1", "R=10", "eps=0.001"],
+    "thm3": ["L=4643", "mu=1", "R=1", "m=199", "N=1000"],
+    "thm5": ["kappa=100", "alpha=0.01", "L=2", "mu=1", "R=3", "eps=0.001"],
+    "cor2": ["eps=0.01", "kappa=4", "L=2", "mu=1", "norm_xstar=3"],
+    "prop1": ["kappa_bar=4", "n=9", "B=2", "delta=0.1", "mu_bar=2", "alpha=0.0001"],
+    "prop2": ["kappa=4", "L=2", "mu=0.5", "delta=0.1", "B=2", "c=0.01"],
+    "prop3": ["lambda2=0.5", "kappa_phi=10", "chi=4"],
+}
 
 
 def _bench_workloads():
@@ -197,16 +211,38 @@ def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> lis
         ]
 
 
+def digest_stdout(checkout: Path, label: str, *command: str) -> str:
+    """One digest line for the stdout of ``python3 <command>``, and its exit code when not 0."""
+    proc = subprocess.run(
+        [sys.executable, *command], env=_env(checkout), capture_output=True, check=False,
+    )
+    status = "" if proc.returncode == 0 else f" (exit {proc.returncode})"
+    return f"{_sha256(proc.stdout)}  {label}{status}"
+
+
+def digest_bounds(checkout: Path) -> list[str]:
+    """One digest line per ``dvopt bounds`` run of ``BOUNDS_ARGS``."""
+    return [
+        digest_stdout(checkout, f"bounds/{name}", "-m", "dvopt.cli", "bounds", name, *args)
+        for name, args in BOUNDS_ARGS.items()
+    ]
+
+
+def digest_graph_info(checkout: Path, name: str, schedule: dict) -> str:
+    """The digest line of ``dvopt graph-info`` on ``schedule``, written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.json"
+        path.write_text(json.dumps(schedule), encoding="utf-8")
+        command = ("-m", "dvopt.cli", "graph-info", str(path))
+        return digest_stdout(checkout, f"graph-info/{name}", *command)
+
+
 def digest_demos(checkout: Path) -> list[str]:
     """One digest line per demo script's stdout (and its exit code when not 0)."""
-    lines = []
-    for demo in sorted((checkout / "demos").glob("*.py")):
-        proc = subprocess.run(
-            [sys.executable, str(demo)], env=_env(checkout), capture_output=True, check=False,
-        )
-        status = "" if proc.returncode == 0 else f" (exit {proc.returncode})"
-        lines.append(f"{_sha256(proc.stdout)}  demos/{demo.name}{status}")
-    return lines
+    return [
+        digest_stdout(checkout, f"demos/{demo.name}", str(demo))
+        for demo in sorted((checkout / "demos").glob("*.py"))
+    ]
 
 
 def main(argv=None) -> int:
@@ -214,12 +250,17 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, required=True, help="checkout whose src runs")
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
     args = parser.parse_args(argv)
-    for name, config in configs(args.seeds).items():
+    runs = configs(args.seeds)
+    for name, config in runs.items():
         for line in digest_run(args.checkout, name, config):
             print(line, flush=True)
     sweep_config = switching_ridge_config(args.seeds[0])
     for line in digest_run(args.checkout, "switching_sweep", sweep_config, *SWEEP_ARGS):
         print(line, flush=True)
+    for line in digest_bounds(args.checkout):
+        print(line, flush=True)
+    ridge = f"ridge_s{args.seeds[0]}"
+    print(digest_graph_info(args.checkout, ridge, runs[ridge]["schedule"]), flush=True)
     for line in digest_demos(args.checkout):
         print(line, flush=True)
     return 0
