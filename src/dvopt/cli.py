@@ -448,39 +448,48 @@ def _cor2(eps, **given):
 
 
 # Each bound: its function, the constants it takes in order, the optional
-# constants by the keyword each is passed as, and its reports' names.  The
-# function returns one value per report, a (value, satisfied) pair or None.
+# constants by the keyword each is passed as, the optional constants it
+# reads only with (True) or only without (False) another one, and its
+# reports' names.  The function returns one value per report, a (value,
+# satisfied) pair or None.
 _BOUNDS = {
-    "cor1": (theory.gd_iterations, ("L", "mu", "R", "eps"), {}, ("cor1.iterations",)),
-    "thm3": (theory.nesterov_tv_bound, ("L", "mu", "R", "m", "N"), {}, ("thm3.residual_bound",)),
+    "cor1": (theory.gd_iterations, ("L", "mu", "R", "eps"), {}, None, ("cor1.iterations",)),
+    "thm3": (
+        theory.nesterov_tv_bound, ("L", "mu", "R", "m", "N"), {}, None, ("thm3.residual_bound",)
+    ),
     "thm5": (
         _thm5,
         ("kappa",),
         dict(alpha="alpha", L="l_smooth", mu="mu", R="radius", eps="eps", log_term="log_term"),
+        (("L", "mu", "R", "eps"), "log_term", False),
         ("thm5.iterations", "thm5.alpha_ceiling"),
     ),
     "cor2": (
         _cor2,
         ("eps",),
         dict(kappa="kappa", L="L", mu="mu", norm_xstar="norm_xstar"),
+        None,  # eps = 0 certifies 0 whatever the others are
         ("cor2.primal_gap_bound",),
     ),
     "prop1": (
         theory.diging_rates,
         ("kappa_bar", "n"),
         dict(B="b", delta="delta", mu_bar="mu_bar", alpha="alpha"),
+        (("B", "delta", "mu_bar"), "alpha", True),
         ("prop1.lambda0", "prop1.lambda_of_alpha"),
     ),
     "prop2": (
         theory.panda_rates,
         ("kappa",),
         dict(L="l_smooth", mu="mu", delta="delta", B="b", c="c"),
+        (("L", "B"), "c", True),
         ("prop2.lambda0", "prop2.alpha_step", "prop2.lambda_of_c"),
     ),
     "prop3": (
         theory.static_nesterov_comparison,
         ("lambda2", "kappa_phi", "chi"),
         {},
+        None,
         ("prop3.favors_dual_accelerated", "prop3.lhs", "prop3.rhs"),
     ),
 }
@@ -491,9 +500,15 @@ def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
     """Evaluate one named bound from key=value constants."""
     if name not in _BOUNDS:
         raise ValidationError(f"unknown bound {name!r}; valid: {', '.join(_BOUNDS)}")
-    func, required, optional, names = _BOUNDS[name]
+    func, required, optional, gated, names = _BOUNDS[name]
     _fields(kv, f"{name} constants", required, optional)
     args = {key: _number(val, key) if key in _COUNTS else val for key, val in kv.items()}
+    if gated:
+        keys, gate, read_with = gated
+        unread = [key for key in kv if key in keys and (gate in kv) != read_with]
+        if unread:
+            when = "with" if read_with else "without"
+            raise ValidationError(f"{name} reads constant(s) {unread} only {when} {gate}")
     values = func(
         *(args[key] for key in required),
         **{optional[key]: args[key] for key in optional if key in args},

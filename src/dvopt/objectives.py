@@ -24,8 +24,9 @@ logistic conjugate argmax (of an aggregate, or of one local as a batch
 of one) and the centralized reference solve.  Every agent keeps its own
 residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
 zero: a logistic stack computes its gradient and Hessian there once, and
-each step carries the accepted line-search trial's residual into the
-next, so a solve evaluates no point twice.
+each step carries the accepted trial's residual, norm and margins into
+the next, so a point's margins serve its gradient and its Hessian and a
+solve evaluates each point once.
 """
 
 from __future__ import annotations
@@ -129,12 +130,6 @@ class QuadraticObjective(_Local):
         return QuadraticObjective(self.quad + ridge_shift * np.eye(d), self.lin, self.const)
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-u) for u >= 0 and e^u/(1+e^u) below, so exp never overflows
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
     # np.linalg.norm(a, axis=1)'s own formula for real input, without its wrapper
     return np.sqrt(np.add.reduce(a * a, axis=1))
@@ -143,30 +138,28 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0):
     """Solve ``grad(x) = z`` row by row by damped Newton started from zero.
 
-    ``grad(x, rows)`` and ``hess(x, rows)`` evaluate rows ``rows`` of the
-    batch at ``x`` of shape (len(rows), d), with ``rows`` a slice over the
-    whole batch while every row is still active (so nothing is copied);
-    ``grad0`` (b, d) and ``hess0`` (b, d, d) are the gradient and Hessian
-    of every row at zero, so the first step evaluates nothing.  Row ``i``
-    of ``z`` (b, d) is done once its residual norm is at most
-    ``targets[i]``, and only rows still above their target take further
-    steps.  Each step backtracks on the residual norm (the full Newton
-    step wins near the solution, where a value-based test drowns in
-    rounding): ``t`` halves from 1 until
-    ``||grad(x - t step) - z|| <= (1 - 1e-4 t) ||grad(x) - z||`` or ``t``
-    drops to 1e-12.  The accepted trial's residual is the next step's
-    residual, since ``x`` moves by the same ``x - t step``; only a row
-    whose ``t`` fell through the floor moves to an unevaluated point and
-    is evaluated again.  An index that picks every entry is a slice, so
-    per-row arrays are copied only once a row drops out or accepts.
+    ``grad(x, rows)`` returns the gradient of rows ``rows`` of the batch at
+    ``x`` (len(rows), d) and a tuple of per-row ``parts`` (maybe empty),
+    from which ``hess(x, rows, parts)`` builds the Hessians at that point.
+    ``rows`` is a slice while every row is active (so nothing is copied).
+    ``grad0`` (b, d) and ``hess0`` (b, d, d) are every row's gradient and
+    Hessian at zero.  Row ``i`` of ``z`` (b, d) is done once its residual
+    norm is at most ``targets[i]``.  Each step tries the full Newton step
+    on every row; only rows that fail
+    ``||grad(x - t step) - z|| <= (1 - 1e-4 t) ||grad(x) - z||`` at t = 1
+    backtrack on the residual norm (a value-based test drowns in rounding
+    near the solution), ``t`` halving until the test passes or ``t`` drops
+    to 1e-12.  ``x`` moves to the accepted trial, whose residual, norm and
+    parts serve the next step; only a row whose ``t`` fell through the
+    floor is evaluated again where it lands.
 
     Returns ``(x, failed, residuals)``: the rows still active after
     ``_NEWTON_CAP`` steps and their residual norms (both empty on success).
     """
     b = z.shape[0]
 
-    def take(idx, size=b):
-        return slice(None) if idx.size == size else idx
+    def take(idx):
+        return slice(None) if idx.size == b else idx
 
     # Every point and residual is C-contiguous, like the row copies the
     # evaluations see when rows drop out, so a row's bits never depend on
@@ -175,37 +168,50 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
     z = np.ascontiguousarray(z)
     x = np.zeros_like(z)
     active = np.arange(b)
-    res, h = grad0 - z, hess0
+    res, h, parts = grad0 - z, hess0, ()
+    norms = _row_norms(res)
     for _ in range(_NEWTON_CAP):
-        norms = _row_norms(res)
         keep = ~(norms <= targets[take(active)])
         if not keep.all():
             active, res, norms = active[keep], res[keep], norms[keep]
             if not active.size:
                 break
             h = None if h is None else h[keep]
+            parts = tuple(p[keep] for p in parts)
         rows = take(active)
         if h is None:
-            h = hess(x[rows], rows)
+            h = hess(x[rows], rows, parts)
         step = np.linalg.solve(h, res[..., None])[..., 0]
         h = None
+        full = x[rows] - step
+        g, parts = grad(full, rows)
+        start, res = norms, g - z[rows]
+        norms = _row_norms(res)
+        trying = np.flatnonzero(~(norms <= (1.0 - 1e-4) * start))
+        if not trying.size:
+            x[rows] = full
+            continue
         t = np.ones(active.size)
-        trying = np.arange(active.size)
+        t[trying] = 0.5
         while trying.size:
-            tr = take(trying, active.size)
-            rows = take(active[tr])
-            trial = grad(x[rows] - t[tr, None] * step[tr], rows) - z[rows]
-            res[tr] = trial
-            trying = trying[~(_row_norms(trial) <= (1.0 - 1e-4 * t[tr]) * norms[tr])]
+            rows = take(active[trying])
+            g, got = grad(x[rows] - t[trying, None] * step[trying], rows)
+            res[trying] = g - z[rows]
+            norms[trying] = now = _row_norms(res[trying])
+            for part, fresh in zip(parts, got):
+                part[trying] = fresh
+            trying = trying[~(now <= (1.0 - 1e-4 * t[trying]) * start[trying])]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-12]
         x[take(active)] -= t[:, None] * step
         floored = np.flatnonzero(t <= 1e-12)
         if floored.size:
             rows = active[floored]
-            res[floored] = grad(x[rows], rows) - z[rows]
-    else:  # the cap is reached: the rows still active failed
-        norms = _row_norms(res)
+            g, got = grad(x[rows], rows)
+            res[floored] = g - z[rows]
+            norms[floored] = _row_norms(res[floored])
+            for part, fresh in zip(parts, got):
+                part[floored] = fresh
     result[...] = x
     return result, active, norms
 
@@ -324,6 +330,7 @@ class _LogisticStack:
             self.labels[r, :count] = o.labels
             self.weight[r, :count] = 1.0 / o.scale
         self.ridge = np.array([o.ridge for o in locals_])
+        self.ridge_eye = self.ridge[:, None, None] * np.eye(locals_[0].dim)
 
     def _margins(self, x: np.ndarray, rows) -> np.ndarray:
         return self.labels[rows] * (self.samples[rows] @ x[..., None])[..., 0]
@@ -343,27 +350,38 @@ class _LogisticStack:
         sq_norms = (points[:, None, :] @ points[..., None])[:, 0]  # (R, 1)
         return self._value(margins, sq_norms)
 
-    # ``rows`` picks the locals still active in a Newton solve.
-    def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        coeff = -self.labels[rows] * _sigmoid(-self._margins(x, rows)) * self.weight[rows]
-        return (coeff[:, None, :] @ self.samples[rows])[:, 0] + self.ridge[rows, None] * x
+    # ``rows`` picks the locals still active in a Newton solve.  sigmoid(u)
+    # is where(u >= 0, 1, e) / (1 + e), e = exp(-|u|), so exp never
+    # overflows; the gradient takes it at -m and the Hessian at m.
+    def grad_parts(self, x: np.ndarray, rows=slice(None)):
+        """The gradient at ``x`` and its parts (m, e, 1 + e), which ``hess`` takes."""
+        m = self._margins(x, rows)
+        e = np.exp(-np.abs(m))
+        parts = m, e, 1.0 + e
+        coeff = -self.labels[rows] * (np.where(m <= 0, 1.0, e) / parts[2]) * self.weight[rows]
+        return (coeff[:, None, :] @ self.samples[rows])[:, 0] + self.ridge[rows, None] * x, parts
 
-    def hess(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        sig = _sigmoid(self._margins(x, rows))
+    def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.grad_parts(x, rows)[0]
+
+    def hess(self, x: np.ndarray, rows=slice(None), parts=()) -> np.ndarray:
+        """The Hessian at ``x``, from ``x``'s parts when given."""
+        m, e, e1 = parts or self.grad_parts(x, rows)[1]
+        sig = np.where(m >= 0, 1.0, e) / e1
         a = self.samples[rows]
         w = sig * (1.0 - sig) * self.weight[rows]
-        eye = np.eye(a.shape[2])
-        return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge[rows, None, None] * eye
+        return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge_eye[rows]
 
     @cached_property
     def at_zero(self) -> tuple[np.ndarray, np.ndarray]:
         """Every local's gradient and Hessian at zero, where each solve starts."""
         zero = np.zeros((self.size, self.samples.shape[2]))
-        return self.grad(zero), self.hess(zero)
+        g, parts = self.grad_parts(zero)
+        return g, self.hess(zero, parts=parts)
 
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
         targets = _CONJ_TOL * (1.0 + _row_norms(z))
-        x, failed, norms = _damped_newton(self.grad, self.hess, z, targets, *self.at_zero)
+        x, failed, norms = _damped_newton(self.grad_parts, self.hess, z, targets, *self.at_zero)
         if failed.size:
             if self.agents is None:
                 listed = f"residual {norms[0]:.3e}"
@@ -675,19 +693,21 @@ def centralized_solve(agg: AggregateObjective, tol: float = 1e-10) -> tuple[np.n
         y_star = np.linalg.solve(stack.quad_sum, stack.lin_sum)
         return y_star, agg.value_consensus(y_star)
 
-    def summed(name):
-        def total(x, rows):
-            return sum(
-                getattr(stack, name)(np.broadcast_to(x, (stack.size, agg.dim))).sum(axis=0)
-                for stack in agg._stacks
-            )[None]
+    def total(name, x):
+        return sum(
+            getattr(stack, name)(np.broadcast_to(x, (stack.size, agg.dim))).sum(axis=0)
+            for stack in agg._stacks
+        )[None]
 
-        return total
+    def grad(x, rows):
+        return total("grad", x), ()
 
-    grad, hess = summed("grad"), summed("hess")
+    def hess(x, rows, parts):
+        return total("hess", x)
+
     zero = np.zeros((1, agg.dim))
     x, failed, norms = _damped_newton(
-        grad, hess, zero, np.array([tol]), grad(zero, slice(None)), hess(zero, slice(None))
+        grad, hess, zero, np.array([tol]), total("grad", zero), total("hess", zero)
     )
     if failed.size:
         raise SolverError(

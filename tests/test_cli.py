@@ -273,6 +273,16 @@ class TestBoundsCommand:
     def test_cor2_zero_eps(self):
         reports = bounds_command("cor2", {"eps": 0.0})
         assert reports[0].value == 0.0
+        # a zero gap certifies 0 whatever the other constants are, so they may be given
+        reports = bounds_command("cor2", {"eps": 0.0, "kappa": 4.0, "L": 2.0, "mu": 1.0})
+        assert reports[0].value == 0.0
+
+    def test_gated_constants_are_read_with_their_gate(self):
+        # the constants that need (or exclude) another one pass once it is given (or left out)
+        assert bounds_command("thm5", {"kappa": 100.0, "L": 2.0, "mu": 1.0, "R": 3.0, "eps": 0.001})
+        assert len(bounds_command("prop2", {"kappa": 4.0, "L": 7.0, "B": 3.0, "c": 0.01})) == 3
+        prop1 = {"kappa_bar": 4.0, "n": 9.0, "B": 2.0, "delta": 0.1, "mu_bar": 2.0, "alpha": 1e-4}
+        assert len(bounds_command("prop1", prop1)) == 2
 
     def test_missing_constant_named(self):
         with pytest.raises(ValidationError, match="mu"):
@@ -300,6 +310,18 @@ class TestBoundsCommand:
             (["cor1", "κ=3", "L=2", "mu=1", "R=1", "eps=0.1"], "unknown cor1 constants field(s) ['kappa']"),
             (["thm3", "L=2", "L=3", "mu=1", "R=1", "m=2", "N=10"], "constant L given twice, again in 'L=3'"),
             (["thm5", "kappa=1", "κ=100", "log_term=10"], "constant kappa given twice, again in 'κ=100'"),
+            (
+                ["thm5", "kappa=100", "L=2", "mu=1", "R=3", "eps=0.001", "log_term=10"],
+                "thm5 reads constant(s) ['L', 'mu', 'R', 'eps'] only without log_term",
+            ),
+            (["thm5", "kappa=100", "log_term=10", "eps=0.1"], "thm5 reads constant(s) ['eps'] only without log_term"),
+            (["prop2", "kappa=4", "L=7"], "prop2 reads constant(s) ['L'] only with c"),
+            (["prop2", "kappa=4", "B=3"], "prop2 reads constant(s) ['B'] only with c"),
+            (
+                ["prop1", "kappa_bar=4", "n=9", "mu_bar=5", "B=3"],
+                "prop1 reads constant(s) ['mu_bar', 'B'] only with alpha",
+            ),
+            (["prop1", "kappa_bar=4", "n=9", "delta=0.1"], "prop1 reads constant(s) ['delta'] only with alpha"),
         ],
     )
     def test_unread_or_repeated_constant_exits_one_naming_it(self, capsys, args, message):

@@ -488,14 +488,14 @@ class TestNewtonWork:
         agg = gen_logistic_instance(8, 6, 4, c=0.1, seed=5)
         rng = np.random.default_rng(2)
         agg.conj_argmax_cols(rng.standard_normal((4, 8)))  # builds the stack and its start
-        grad = objectives._LogisticStack.grad
+        grad_parts = objectives._LogisticStack.grad_parts
         points = []
 
         def recording(stack, x, rows=slice(None)):
             points.extend(zip(np.arange(stack.size)[rows].tolist(), (p.tobytes() for p in x)))
-            return grad(stack, x, rows)
+            return grad_parts(stack, x, rows)
 
-        monkeypatch.setattr(objectives._LogisticStack, "grad", recording)
+        monkeypatch.setattr(objectives._LogisticStack, "grad_parts", recording)
         for scale in (1e-3, 0.3, 3.0):
             points.clear()
             agg.conj_argmax_cols(scale * rng.standard_normal((4, 8)))
@@ -510,10 +510,13 @@ class TestNewtonWork:
         def grad(stack, x, rows=slice(None)):
             return (1.0 + 1e12 * np.linalg.norm(x, axis=1, keepdims=True)) * np.ones_like(x)
 
-        def hess(stack, x, rows=slice(None)):
+        def grad_parts(stack, x, rows=slice(None)):
+            return grad(stack, x, rows), ()
+
+        def hess(stack, x, rows=slice(None), parts=()):
             return np.broadcast_to(-np.eye(x.shape[1]), (x.shape[0],) + 2 * (x.shape[1],))
 
-        monkeypatch.setattr(objectives._LogisticStack, "grad", grad)
+        monkeypatch.setattr(objectives._LogisticStack, "grad_parts", grad_parts)
         monkeypatch.setattr(objectives._LogisticStack, "hess", hess)
         monkeypatch.setattr(objectives, "_NEWTON_CAP", 4)
         x = np.zeros((2, 3))
@@ -530,7 +533,7 @@ class TestNewtonWork:
         stack = agg._stacks[0]
         z = np.zeros((2, 3))
         got, failed, norms = objectives._damped_newton(
-            stack.grad, stack.hess, z, np.full(2, 1e-10), grad(None, z), hess(None, z)
+            stack.grad_parts, stack.hess, z, np.full(2, 1e-10), grad(None, z), hess(None, z)
         )
         assert np.array_equal(got, x)
         assert failed.tolist() == [0, 1]
@@ -540,19 +543,22 @@ class TestNewtonWork:
         # Each solve starts from the stack's cached state at zero and reuses
         # the accepted trial's residual: about 5.0 gradient and 4.0 Hessian
         # evaluations per call on this run, against 11.8 and 5.0 when every
-        # step evaluated its own residual and Hessian.  Only evaluations made
-        # inside a conjugate argmax count: DIGing's gradients and the
-        # centralized solve are not Newton work of the argmax.  The count is
-        # taken at the family kernel, which the runners call directly.
-        counts = {"grad": 0, "hess": 0, "argmax": 0}
+        # step evaluated its own residual and Hessian.  Each Hessian is built
+        # from the margins its point's gradient computed, so a call makes
+        # about 5.0 margin products (one per evaluated point), not 9.0.  Only
+        # evaluations made inside a conjugate argmax count: DIGing's
+        # gradients and the centralized solve are not Newton work of the
+        # argmax.  The count is taken at the family kernel, which the runners
+        # call directly.
+        counts = {"grad_parts": 0, "hess": 0, "_margins": 0, "argmax": 0}
         inside = [0]
-        for name in ("grad", "hess"):
+        for name in ("grad_parts", "hess", "_margins"):
             method = getattr(objectives._LogisticStack, name)
 
-            def counted(stack, *args, _method=method, _name=name):
+            def counted(stack, *args, _method=method, _name=name, **kwargs):
                 if inside[0]:
                     counts[_name] += 1
-                return _method(stack, *args)
+                return _method(stack, *args, **kwargs)
 
             monkeypatch.setattr(objectives._LogisticStack, name, counted)
         argmax = objectives._LogisticStack.conj_argmax
@@ -583,5 +589,6 @@ class TestNewtonWork:
         }
         execute(ExperimentConfig.from_dict(raw))
         assert counts["argmax"] > 200
-        assert counts["grad"] <= 5.1 * counts["argmax"]
+        assert counts["grad_parts"] <= 5.1 * counts["argmax"]
         assert counts["hess"] <= 4.05 * counts["argmax"]
+        assert counts["_margins"] == counts["grad_parts"]

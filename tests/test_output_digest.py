@@ -119,13 +119,26 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
         "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
-        "switching_abort_s3", "dataset_s3",
+        "switching_abort_s3", "dataset_s3", "dataset_units_s3",
     ]
     static = output_digest.configs([3])["logistic_static_s3"]
     assert static["algorithms"] == ["nesterov", "dual_gd", "diging"]
     assert len(static["schedule"]["epochs"]) == 1
     dataset = output_digest.configs([3])["dataset_s3"]["objective"]
     assert (dataset["kind"], dataset["path"]) == ("dataset", output_digest.DATASET_FILE)
+    units = output_digest.configs([3])["dataset_units_s3"]
+    assert units["objective"]["path"] == output_digest.DATASET_UNITS_FILE
+    assert units["run_id"] == "dataset_units"
+    # the same samples and labels, each value 1000 times larger
+    thousandths, whole = (
+        [line.split() for line in output_digest.dataset_text(units=u).splitlines()]
+        for u in (False, True)
+    )
+    for a, b in zip(thousandths, whole, strict=True):
+        assert a[0] == b[0]
+        for x, y in zip(a[1:], b[1:], strict=True):
+            (i, u), (j, v) = x.split(":"), y.split(":")
+            assert i == j and round(1000 * float(u)) == int(v)
 
 
 def test_aborting_config_aborts_also_when_cut_at_the_abort(tmp_path):
@@ -141,24 +154,72 @@ def test_aborting_config_aborts_also_when_cut_at_the_abort(tmp_path):
         assert not summary["algorithms"]["nesterov"]["aborted"]
 
 
+def _newton_work(tmp_path, monkeypatch, config):
+    """Run a dataset ``config``: whether each Newton gradient evaluation took a
+    strict subset of the rows, and the rows of each conjugate argmax that
+    backtracked.
+
+    A row makes one gradient evaluation per step and one Hessian per step
+    after its first, so it backtracked once it made more than one gradient
+    evaluation beyond its Hessians.
+    """
+    stack_type = objectives._LogisticStack
+    grad_parts, hess, argmax = stack_type.grad_parts, stack_type.hess, stack_type.conj_argmax
+    subsets, extra, backtracked = [], [], []
+
+    def counted_grad(stack, x, rows=slice(None)):
+        if extra:
+            subsets.append(np.arange(stack.size)[rows].size < stack.size)
+            extra[-1][rows] += 1
+        return grad_parts(stack, x, rows)
+
+    def counted_hess(stack, x, rows=slice(None), parts=()):
+        if extra:
+            extra[-1][rows] -= 1
+        return hess(stack, x, rows, parts)
+
+    def counted_argmax(stack, z):
+        extra.append(np.zeros(stack.size, dtype=int))
+        try:
+            return argmax(stack, z)
+        finally:
+            backtracked.append(int((extra.pop() > 1).sum()))
+
+    monkeypatch.setattr(stack_type, "grad_parts", counted_grad)
+    monkeypatch.setattr(stack_type, "hess", counted_hess)
+    monkeypatch.setattr(stack_type, "conj_argmax", counted_argmax)
+    (tmp_path / output_digest.DATASET_FILE).write_text(output_digest.dataset_text())
+    units = output_digest.dataset_text(units=True)
+    (tmp_path / output_digest.DATASET_UNITS_FILE).write_text(units)
+    raw = {**config, "output_dir": str(tmp_path / "out")}
+    execute(ExperimentConfig.from_dict(raw, base_dir=str(tmp_path)))
+    return subsets, backtracked
+
+
 def test_dataset_config_drops_newton_rows(tmp_path, monkeypatch):
     # A damped-Newton solve passes its row evaluations a slice while every
     # row is active and an index array once some row is done, so the digest
     # compares that second path only if some config's rows converge at
     # different steps.  The dataset config's do; the benchmark's logistic
-    # config (n=20 on one static graph) never drops a row.
-    grad = objectives._LogisticStack.grad
-    subsets = []
-
-    def counted(stack, x, rows=slice(None)):
-        subsets.append(np.arange(stack.size)[rows].size < stack.size)
-        return grad(stack, x, rows)
-
-    monkeypatch.setattr(objectives._LogisticStack, "grad", counted)
-    (tmp_path / output_digest.DATASET_FILE).write_text(output_digest.dataset_text())
-    raw = {**output_digest.dataset_config(3), "output_dir": str(tmp_path / "out")}
-    execute(ExperimentConfig.from_dict(raw, base_dir=str(tmp_path)))
+    # config (n=20 on one static graph) never drops a row.  No line search
+    # of this config backtracks.
+    subsets, backtracked = _newton_work(tmp_path, monkeypatch, output_digest.dataset_config(3))
     assert 0 < sum(subsets) < len(subsets)
+    assert backtracked and not any(backtracked)
+
+
+def test_dataset_units_config_backtracks(tmp_path, monkeypatch):
+    # The same data 1000 times larger: some full Newton steps fail the line
+    # search and their rows backtrack (77 backtracking steps at seed 3), so
+    # the digest compares that path too.  The runs neither abort nor break
+    # their bound, so every record is compared.
+    config = output_digest.dataset_config(3, output_digest.DATASET_UNITS_FILE, "dataset_units")
+    subsets, backtracked = _newton_work(tmp_path, monkeypatch, config)
+    assert 0 < sum(subsets) < len(subsets)
+    assert 0 < sum(backtracked)
+    summary = json.loads((tmp_path / "out" / "dataset_units_summary.json").read_text())
+    assert not any(run["aborted"] for run in summary["algorithms"].values())
+    assert all(bound["clean"] for bound in summary["bounds"].values())
 
 
 def test_bounds_digest_lines_are_the_sha256_of_in_process_bounds(capsys):

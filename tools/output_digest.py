@@ -7,7 +7,8 @@ Usage, from anywhere::
     diff parent.txt change.txt
 
 Each config below is written to a fresh temporary directory, next to the
-sparse data file ``DATASET_FILE`` (see ``dataset_text``), and run with
+sparse data files ``DATASET_FILE`` and ``DATASET_UNITS_FILE`` (see
+``dataset_text``), and run with
 ``python3 -m dvopt.cli run`` with the checkout's ``src`` first on
 ``PYTHONPATH``.  Every CSV and summary the run writes gets one line
 ``<sha256>  <config>/<file>``, and every ``demos/*.py`` of the checkout
@@ -31,9 +32,12 @@ runs only on a single epoch), a ridge config over a star/cycle
 schedule switching every 5 iterations with all three algorithms, and
 that config again with a DIGing step of 50, where DIGing diverges (at
 seed 3 it aborts at iteration 14 of 200), so abort rows are compared
-too, and a ``dataset`` objective over the data file, so the shuffle of
-samples among agents is compared.  The script uses the Python standard
-library and the benchmark's config functions only.
+too, and a ``dataset`` objective over each data file, so the shuffle of
+samples among agents is compared.  The second file holds the first's
+values 1000 times larger, so some of its Newton line searches backtrack
+(77 backtracking steps at seed 3), which no other config's do.  The
+script uses the Python standard library and the benchmark's config
+functions only.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ HERE = Path(__file__).resolve().parent
 ALL_ALGORITHMS = ["nesterov", "dual_gd", "diging"]
 SWEEP_ARGS = ["--seeds", "3", "4", "--periods", "5", "50"]
 DATASET_FILE = "data.txt"
+DATASET_UNITS_FILE = "data_units.txt"
 # one valid constant set per bound: prop1 with its step alpha, prop2 with
 # its step c, thm5 with (L, mu, R, eps) for its log term, cor2 with eps > 0
 BOUNDS_ARGS = {
@@ -100,12 +105,14 @@ def aborting_config(seed: int) -> dict:
     }
 
 
-def dataset_text(samples: int = 63, dim: int = 8) -> str:
+def dataset_text(samples: int = 63, dim: int = 8, units: bool = False) -> str:
     """A fixed sparse labeled data set, one ``label idx:val ...`` line per sample.
 
     Values come from a linear congruential generator, so the text is the
     same on every platform.  About half the entries are left out, and the
-    label is the sign of a fixed linear score.
+    label is the sign of a fixed linear score.  Values are integers from
+    -1000 to 1000 written in thousandths, or with ``units`` as they are,
+    1000 times larger.
     """
     state = 12345
     lines = []
@@ -115,23 +122,23 @@ def dataset_text(samples: int = 63, dim: int = 8) -> str:
         for idx in range(1, dim + 1):
             state = (1103515245 * state + 12345) % 2**31
             if state >> 30:  # the high bits: an LCG's low bits cycle short
-                val = (state >> 8) % 2001 - 1000  # in thousandths
-                feats.append(f"{idx}:{val / 1000:.3f}")
+                val = (state >> 8) % 2001 - 1000
+                feats.append(f"{idx}:{val}" if units else f"{idx}:{val / 1000:.3f}")
                 score += (idx % 3 - 1) * val + 7
         lines.append(" ".join(["+1" if score > 0 else "-1", *feats]))
     return "\n".join(lines) + "\n"
 
 
-def dataset_config(seed: int) -> dict:
-    """Logistic loss on ``DATASET_FILE``'s 63 samples shuffled among 10 agents (6 each)."""
+def dataset_config(seed: int, path: str = DATASET_FILE, run_id: str = "dataset") -> dict:
+    """Logistic loss on the 63 samples of ``path`` shuffled among 10 agents (6 each)."""
     return {
         "seed": seed,
-        "objective": {"kind": "dataset", "path": DATASET_FILE, "n": 10, "c": 0.1},
+        "objective": {"kind": "dataset", "path": path, "n": 10, "c": 0.1},
         "schedule": {"alternating": {"kinds": ["erdos_renyi", "cycle"], "n": 10, "period": 50, "horizon": 200}},
         "algorithms": ALL_ALGORITHMS,
         "max_iter": 200,
         "record_every": 1,
-        "run_id": "dataset",
+        "run_id": run_id,
     }
 
 
@@ -150,6 +157,7 @@ def configs(seeds: list[int]) -> dict[str, dict]:
     out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
     out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
     out[f"dataset_s{seeds[0]}"] = dataset_config(seeds[0])
+    out[f"dataset_units_s{seeds[0]}"] = dataset_config(seeds[0], DATASET_UNITS_FILE, "dataset_units")
     return out
 
 
@@ -195,6 +203,7 @@ def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> lis
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({**config, "output_dir": str(out_dir)}), encoding="utf-8")
         (Path(tmp) / DATASET_FILE).write_text(dataset_text(), encoding="utf-8")
+        (Path(tmp) / DATASET_UNITS_FILE).write_text(dataset_text(units=True), encoding="utf-8")
         command = ["sweep", str(path), *sweep_args] if sweep_args else ["run", str(path)]
         proc = subprocess.run(
             [sys.executable, "-m", "dvopt.cli", *command],
