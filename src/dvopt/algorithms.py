@@ -118,18 +118,18 @@ class GDState:
 
 @dataclass(frozen=True)
 class DIGingState:
+    """Final primal copies ``x``, gradient tracker ``u`` and step of a DIGing run."""
+
     x: np.ndarray
     u: np.ndarray
-    g_prev: np.ndarray
     stepsize: float
     iter: int
 
 
 @dataclass
 class RunTrace:
-    """Per-iteration records plus the final state of one run."""
+    """Per-iteration records, the message log and the final state of one run."""
 
-    algorithm: str
     records: list
     message_log: MessageLog
     final_state: object
@@ -245,7 +245,6 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
         if state is not None:
             keep(k, e, pairs.shape[0], state)
     return RunTrace(
-        algorithm=method.name,
         records=records,
         # iterations 0..k-1 ran: the pairs of their epochs, shared per topology
         message_log=MessageLog([by_epoch[e][1] for e in epochs[:k]]),
@@ -306,11 +305,9 @@ class _DualMethod:
         if accelerated:
             self.step_size = 1.0 / dc.l_f
             self.beta = _momentum(dc.kappa)
-            self.name = "nesterov"
         else:
             self.step_size = 2.0 / (dc.l_f + dc.mu_f)
             self.beta = 0.0
-            self.name = "dual_gd"
         self.degenerate = accelerated and dc.kappa < 1.0 + _KAPPA_DEGENERATE_TOL
         self.accelerated = accelerated
         self.keep_state = keep_state
@@ -404,7 +401,6 @@ def run_diging(
 class _DIGingMethod:
     """Primal copies x, gradient tracker u and the step alpha of DIGing."""
 
-    name = "diging"
     abort_value = math.nan
     degenerate = False
 
@@ -440,14 +436,14 @@ class _DIGingMethod:
 
     def evaluate(self, rows):
         (xs,) = rows
-        kept = xs.copy()
-        values = self.agg.value_consensus_batch(kept.mean(axis=2)).tolist()
+        # the block is C-contiguous, so the mean runs as on each record alone
+        values = self.agg.value_consensus_batch(xs.mean(axis=2)).tolist()
+        kept = xs.copy() if self.keep_state else [None] * len(xs)
         dists = _consensus_dists(xs, 2).tolist()  # x is always in C order
-        kept = kept if self.keep_state else [None] * len(xs)
         return ((math.nan, dist, value, None, None, x) for dist, value, x in zip(dists, values, kept))
 
     def final_state(self, final_iter):
-        return DIGingState(x=self.x, u=self.u, g_prev=self.g, stepsize=self.alpha, iter=final_iter)
+        return DIGingState(x=self.x, u=self.u, stepsize=self.alpha, iter=final_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +519,9 @@ def run_xspace_reference(
     heavy-ball extrapolation; ``method="gd"`` takes plain steps of size
     2/(L+mu).  The trace keeps every iterate, the closed-form minimum-norm
     solution of the epoch-0 dual, and its gradient norm under every epoch's
-    dual function (zero when all epochs share the minimizer).
+    dual function (zero when all epochs share the minimizer).  The lists
+    hold the iterates, not copies, so a ``gd`` run's three lists share
+    their arrays.
     """
     if method not in ("nesterov", "gd"):
         raise ValueError("method must be 'nesterov' or 'gd'")
@@ -539,9 +537,8 @@ def run_xspace_reference(
     # epoch_of[k] is the epoch of iteration k, clipped to the horizon
     epoch_of = epochs + [schedule.epoch_index(max_iter)]
 
-    x = np.zeros((agg.dim, agg.n))
-    y = x.copy()
-    xs, ys, zs = [x.copy()], [y.copy()], [x.copy()]
+    x = y = np.zeros((agg.dim, agg.n))
+    xs, ys, zs = [x], [y], [x]
     for k in range(max_iter):
         g = _xspace_grad(agg, sqrt_ws[epochs[k]], x)
         if method == "gd":
@@ -553,9 +550,9 @@ def run_xspace_reference(
             x = (1.0 + beta) * y_next - beta * y
             y = y_next
             z = x / tau - ((1.0 - tau) / tau) * y
-        xs.append(x.copy())
-        ys.append(y.copy())
-        zs.append(z.copy())
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
 
     x_star = solve_dual_min_norm(agg, schedule)
     distinct_residuals = [fro_norm(_xspace_grad(agg, sw, x_star)) for sw in distinct]

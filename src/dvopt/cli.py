@@ -33,7 +33,9 @@ samples are shuffled evenly across agents).  One root seed drives
 everything; the graph and data streams are derived from it with fixed
 labels, so adding an algorithm never changes the generated instance.
 
-Input is strict, and bad input exits 1 before any file is written.
+Input is strict, and bad input exits 1 before any file is written: a
+config or schedule file that cannot be read and an ``output_dir`` that
+cannot be created are bad input too.
 Every object (config, objective, schedule, alternating spec, epoch,
 topology params, overrides) rejects a missing or unknown field.  A count
 is an integer or an integral float, a real a finite number, neither a
@@ -83,6 +85,8 @@ _OBJECTIVE_FIELDS = {
     "logistic": (("kind", "n", "l", "m", "c"), ()),
     "dataset": (("kind", "path", "n", "c"), ()),
 }
+# the objective fields that are reals; every other numeric field is a count
+_OBJECTIVE_REALS = ("c", "noise")
 _ALTERNATING_FIELDS = (("kinds", "n", "period"), ("horizon", "params", "seed"))
 
 
@@ -186,26 +190,20 @@ def _build_objective(cfg: ExperimentConfig) -> AggregateObjective:
     spec = cfg.objective
     kind = spec["kind"]
     data_seed = _derive_seed(cfg.seed, _SEED_DATA)
-    n = _number(spec["n"], f"{kind} objective n")
-    c = _number(spec.get("c", 0.1), f"{kind} objective c", float)  # only ridge may omit c
+    # the numeric fields given; an omitted optional one takes the generator's default
+    given = {
+        key: _number(value, f"{kind} objective {key}", float if key in _OBJECTIVE_REALS else int)
+        for key, value in spec.items()
+        if key not in ("kind", "path")
+    }
     if kind == "ridge":
-        return gen_ridge_instance(
-            n=n,
-            l=_number(spec["l"], "ridge objective l"),
-            m=_number(spec["m"], "ridge objective m"),
-            c=c,
-            noise=_number(spec.get("noise", 0.1), "ridge objective noise", float),
-            seed=data_seed,
-        )
+        return gen_ridge_instance(**given, seed=data_seed)
     if kind == "logistic":
-        return gen_logistic_instance(
-            n=n,
-            l=_number(spec["l"], "logistic objective l"),
-            m=_number(spec["m"], "logistic objective m"),
-            c=c,
-            seed=data_seed,
-        )
+        return gen_logistic_instance(**given, seed=data_seed)
     # dataset: samples shuffled, then split in consecutive equal blocks
+    n, c = given["n"], given["c"]
+    if n < 1:
+        raise ValidationError(f"dataset objective n must be >= 1, got {n}")
     dense, labels = load_sparse_labeled(spec["path"]).to_dense()
     total = dense.shape[0]
     per_agent = total // n
@@ -291,8 +289,18 @@ def _gd_contraction_verdict(trace, dc, x_star, schedule):
     return report
 
 
-def _per_epoch_spectra(schedule: graphs.GraphSchedule) -> list[graphs.SpectralInfo]:
-    return [schedule.spectra[i] for i in schedule.topology_index]
+def _epoch_rows(schedule: graphs.GraphSchedule) -> list[dict]:
+    """Each epoch's start and spectrum; spectra are computed once per distinct topology."""
+    spectra = [schedule.spectra[j] for j in schedule.topology_index]
+    return [
+        {
+            "start": start,
+            "lambda_max": info.lambda_max,
+            "lambda_min_pos": info.lambda_min_pos,
+            "chi": info.chi,
+        }
+        for (start, _), info in zip(schedule.epochs, spectra)
+    ]
 
 
 def execute(config: ExperimentConfig) -> dict:
@@ -311,6 +319,10 @@ def execute(config: ExperimentConfig) -> dict:
     if config.max_iter > schedule.horizon:
         raise ValidationError("max_iter exceeds the schedule horizon")
     try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path below one
+        raise ValidationError(f"cannot create output_dir: {exc}") from None
+    try:
         return _run(config, agg, schedule)
     except ValueError as exc:
         raise RunFailure(str(exc)) from exc
@@ -319,11 +331,9 @@ def execute(config: ExperimentConfig) -> dict:
 def _run(
     config: ExperimentConfig, agg: AggregateObjective, schedule: graphs.GraphSchedule
 ) -> dict:
-    os.makedirs(config.output_dir, exist_ok=True)
     theta = schedule.theta
     dc = dual_constants(agg, theta)
     m_changes, alpha = graphs.change_stats(schedule)
-    per_epoch = _per_epoch_spectra(schedule)
     ceiling = theory.alg1_complexity(dc.kappa, 0.0, log_term=1.0).alpha_ceiling
     warnings = []
     if alpha >= ceiling:
@@ -341,15 +351,7 @@ def _run(
         "seed": config.seed,
         "dual_constants": {"mu_f": dc.mu_f, "L_f": dc.l_f, "kappa": dc.kappa},
         "theta": {"theta_max": theta[0], "theta_min": theta[1]},
-        "per_epoch": [
-            {
-                "start": start,
-                "lambda_max": info.lambda_max,
-                "lambda_min_pos": info.lambda_min_pos,
-                "chi": info.chi,
-            }
-            for (start, _), info in zip(schedule.epochs, per_epoch)
-        ],
+        "per_epoch": _epoch_rows(schedule),
         "changes": {"m": m_changes, "alpha": alpha},
         "alpha_ceiling": ceiling,
         "alpha_feasible": alpha < ceiling,
@@ -523,23 +525,12 @@ def bounds_command(name: str, kv: dict) -> list[theory.BoundReport]:
 
 def graphinfo_command(path) -> dict:
     """Spectral summary of a schedule file."""
-    schedule = graphs.load_schedule(path)
+    schedule = graphs.schedule_from_spec(_read_json(path, "schedule"))
     theta = schedule.theta
     m_changes, alpha = graphs.change_stats(schedule)
-    epochs = []
-    for (start, topo), info in zip(schedule.epochs, _per_epoch_spectra(schedule)):
-        epochs.append(
-            {
-                "start": start,
-                "n": topo.n,
-                "edges": len(topo.edges),
-                "lambda_max": info.lambda_max,
-                "lambda_min_pos": info.lambda_min_pos,
-                "chi": info.chi,
-            }
-        )
+    rows = zip(_epoch_rows(schedule), schedule.epochs)
     return {
-        "epochs": epochs,
+        "epochs": [{**row, "n": topo.n, "edges": len(topo.edges)} for row, (_, topo) in rows],
         "theta_max": theta[0],
         "theta_min": theta[1],
         "m": m_changes,
@@ -591,9 +582,16 @@ def sweep(config: ExperimentConfig, seeds: list[int], periods: list[int]) -> lis
 # entry point
 
 
+def _read_json(path, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ValidationError(f"cannot read {what}: {exc}") from None
+
+
 def _load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, "config")
     return ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(path) or ".")
 
 

@@ -137,8 +137,9 @@ def primal_from_dual_bound(
 
 @dataclass(frozen=True)
 class DeltaReport:
+    """The smallest slack over the sample points, and whether it is above -1e-9."""
+
     worst_slack: float
-    worst_point: object
     satisfied: bool
 
 
@@ -152,14 +153,11 @@ def delta_bound_check(f_k, f_next, f_star: float, l_smooth: float, mu: float, po
     if not (l_smooth >= mu > 0):
         raise ValueError("need L >= mu > 0")
     worst = math.inf
-    worst_pt = None
     for x in points:
         delta = f_next(x) - f_k(x)
         bound = (l_smooth - mu) / mu * (f_k(x) - f_star)
-        slack = bound - delta
-        if slack < worst:
-            worst, worst_pt = slack, x
-    return DeltaReport(worst_slack=worst, worst_point=worst_pt, satisfied=worst >= -1e-9)
+        worst = min(worst, bound - delta)
+    return DeltaReport(worst_slack=worst, satisfied=worst >= -1e-9)
 
 
 def _diging_j(kappa_bar: float, n: int, b: int) -> float:

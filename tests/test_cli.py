@@ -122,6 +122,26 @@ class TestExecute:
         with pytest.raises(ValidationError, match="agents"):
             execute(ExperimentConfig.from_dict(raw))
 
+    @pytest.mark.parametrize("omitted", [("c",), ("noise",), ("c", "noise")])
+    def test_ridge_defaults_write_the_same_csv_bytes(self, tmp_path, omitted):
+        # the generator holds the defaults c = noise = 0.1, which the runner does not restate
+        names = ("run3_nesterov.csv", "run3_dual_gd.csv", "run3_diging.csv")
+        given = {"kind": "ridge", "n": 2, "l": 4, "m": 2, "c": 0.1, "noise": 0.1}
+        outputs = []
+        for label, objective in (
+            ("given", given),
+            ("omitted", {k: v for k, v in given.items() if k not in omitted}),
+        ):
+            raw = minimal_config(
+                tmp_path,
+                objective=objective,
+                algorithms=["nesterov", "dual_gd", "diging"],
+                output_dir=str(tmp_path / label),
+            )
+            execute(ExperimentConfig.from_dict(raw))
+            outputs.append([(tmp_path / label / n).read_bytes() for n in names])
+        assert outputs[0] == outputs[1]
+
     def test_dataset_objective(self, tmp_path):
         data = tmp_path / "data.txt"
         data.write_text("+1 1:1.0 2:0.5\n-1 1:-0.8\n+1 2:1.1\n-1 2:-0.3\n")
@@ -322,6 +342,8 @@ class TestBoundsCommand:
                 "prop1 reads constant(s) ['mu_bar', 'B'] only with alpha",
             ),
             (["prop1", "kappa_bar=4", "n=9", "delta=0.1"], "prop1 reads constant(s) ['delta'] only with alpha"),
+            (["thm3", "L2", "mu=1", "R=1", "m=2", "N=10"], "expected key=value, got 'L2'"),
+            (["thm3", "L=abc", "mu=1", "R=1", "m=2", "N=10"], "non-numeric value in 'L=abc'"),
         ],
     )
     def test_unread_or_repeated_constant_exits_one_naming_it(self, capsys, args, message):
@@ -632,6 +654,50 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown ") and f"field(s) ['{key}']" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"record_every": 0}, "record_every must be >= 1"),
+            ({"max_iter": 11}, "max_iter exceeds the schedule horizon"),
+            ({"objective": {"kind": "dataset", "path": "d.txt", "n": 5, "c": 0.5}}, "dataset has 4 samples, fewer than 5 agents"),
+            ({"objective": {"kind": "dataset", "path": "d.txt", "n": 0, "c": 0.5}}, "dataset objective n must be >= 1, got 0"),
+            ({"objective": {"kind": "dataset", "path": "d.txt", "n": -1, "c": 0.5}}, "dataset objective n must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, field, message):
+        (tmp_path / "d.txt").write_text("+1 1:1.0 2:0.5\n-1 1:-0.8\n+1 2:1.1\n-1 2:-0.3\n")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(tmp_path, **field)))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "adir"], "Is a directory: 'adir'"),
+            (["graph-info", "adir"], "Is a directory: 'adir'"),
+            (["sweep", "adir", "--seeds", "1", "--periods", "2"], "Is a directory: 'adir'"),
+            (["run", "afile.json"], "File exists: '{tmp}/afile.json'"),
+            (["run", "below.json"], "Not a directory: '{tmp}/afile.json/out'"),
+            (["sweep", "afile.json", "--seeds", "1", "--periods", "2"], "Not a directory: '{tmp}/afile.json/s1_p2'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_unusable_path_or_no_command_exits_one_naming_it(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        # a directory read as a file, an output_dir that is a file or lies below one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile.json").write_text(json.dumps(sweep_raw(tmp_path) | {"output_dir": "afile.json"}))
+        (tmp_path / "below.json").write_text(json.dumps(minimal_config(tmp_path, output_dir="afile.json/out")))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and named.format(tmp=tmp_path) in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_numerical_failure_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):
         # the family kernel that each step calls fails on its fourth call

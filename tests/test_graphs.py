@@ -102,6 +102,21 @@ class TestGeneration:
         t = gen_topology("random_geometric", 15, seed=4)
         assert t.is_connected()
 
+    def test_random_geometric_grows_a_radius_too_small_to_connect(self):
+        # radius 0.15 links 6 pairs of these 12 points, not all of them
+        pts = np.random.default_rng(4).random((12, 2))
+        start = {
+            (i + 1, j + 1)
+            for i in range(12)
+            for j in range(i + 1, 12)
+            if np.sum((pts[i] - pts[j]) ** 2) <= 0.15**2
+        }
+        assert start and not Topology(12, tuple(sorted(start))).is_connected()
+        t = gen_topology("random_geometric", 12, {"radius": 0.15}, seed=4)
+        assert t.is_connected()
+        assert t.edges == gen_topology("random_geometric", 12, {"radius": 0.15}, seed=4).edges
+        assert start < set(t.edges)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_topology("torus", 4)

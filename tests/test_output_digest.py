@@ -119,8 +119,12 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
         "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
-        "switching_abort_s3", "dataset_s3", "dataset_units_s3",
+        "switching_abort_s3", "ridge_defaults_s3", "dataset_s3", "dataset_units_s3",
     ]
+    defaults = output_digest.configs([3])["ridge_defaults_s3"]
+    assert defaults["objective"] == {"kind": "ridge", "n": 20, "l": 10, "m": 5}
+    switching = output_digest.configs([3])["switching_s3"]
+    assert {**defaults, "objective": switching["objective"], "run_id": "switching"} == switching
     static = output_digest.configs([3])["logistic_static_s3"]
     assert static["algorithms"] == ["nesterov", "dual_gd", "diging"]
     assert len(static["schedule"]["epochs"]) == 1

@@ -187,6 +187,25 @@ class TestDigingRates:
         with pytest.raises(ValueError):
             diging_rates(2.0, 3, mu_bar=1.0, alpha=100.0)
 
+    def test_step_dependent_rate_above_alpha0(self):
+        # kbar=4, n=9, B=2: J = 3 * 2 * 4 * (1 + 4 * sqrt(36)) = 600
+        kbar, n, b, delta, mu_bar, j = 4.0, 9, 2, 0.1, 2.0, 600.0
+        # at alpha_max = 1.5 (1 - delta)^2 / (mu_bar J), sqrt(alpha mu_bar J / 1.5) = 1 - delta
+        alpha_max = 1.5 * (1.0 - delta) ** 2 / (mu_bar * j)
+        assert alpha_max == pytest.approx(0.0010125, abs=1e-15)
+        assert diging_rates(kbar, n, b, delta, mu_bar, alpha_max)[1] == pytest.approx(1.0, abs=1e-12)
+        # the branches meet where 1 - s^2 = (s sqrt(J) + delta)^2, s = sqrt(alpha mu_bar / 1.5)
+        s = (math.sqrt(1.0 + j - delta**2) - delta * math.sqrt(j)) / (1.0 + j)
+        alpha0 = 1.5 * s * s / mu_bar
+        assert alpha0 == pytest.approx(1.01098e-3, abs=1e-8)
+        below, above = alpha0 * (1.0 - 1e-12), alpha0 * (1.0 + 1e-12)
+        lam_below = diging_rates(kbar, n, b, delta, mu_bar, below)[1]
+        lam_above = diging_rates(kbar, n, b, delta, mu_bar, above)[1]
+        assert lam_below == (1.0 - below * mu_bar / 1.5) ** (1.0 / (2 * b))
+        assert lam_above == (math.sqrt(above * mu_bar * j / 1.5) + delta) ** (1.0 / b)
+        assert lam_below == pytest.approx(0.999662834990811, abs=1e-12)
+        assert lam_above == pytest.approx(0.9996628349908111, abs=1e-12)
+
 
 class TestPandaRates:
     def test_hand_values(self):

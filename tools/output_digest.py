@@ -29,10 +29,12 @@ The configs are the benchmark's ``ridge_config`` and ``logistic_config``
 same ones) at each ``--seeds`` seed, the logistic one on its static
 graph with nesterov, dual_gd and diging (the dual-GD contraction verdict
 runs only on a single epoch), a ridge config over a star/cycle
-schedule switching every 5 iterations with all three algorithms, and
+schedule switching every 5 iterations with all three algorithms,
 that config again with a DIGing step of 50, where DIGing diverges (at
 seed 3 it aborts at iteration 14 of 200), so abort rows are compared
-too, and a ``dataset`` objective over each data file, so the shuffle of
+too, that config again without the ridge fields ``c`` and ``noise``, so
+the objective's defaults are compared (every other config gives both),
+and a ``dataset`` objective over each data file, so the shuffle of
 samples among agents is compared.  The second file holds the first's
 values 1000 times larger, so some of its Newton line searches backtrack
 (77 backtracking steps at seed 3), which no other config's do.  The
@@ -96,6 +98,12 @@ def switching_ridge_config(seed: int) -> dict:
     }
 
 
+def ridge_defaults_config(seed: int) -> dict:
+    """The switching config without ``c`` and ``noise``, so the defaults apply."""
+    objective = {"kind": "ridge", "n": 20, "l": 10, "m": 5}
+    return {**switching_ridge_config(seed), "objective": objective, "run_id": "ridge_defaults"}
+
+
 def aborting_config(seed: int) -> dict:
     """The switching config with a DIGing step of 50, which makes DIGing abort."""
     return {
@@ -156,6 +164,7 @@ def configs(seeds: list[int]) -> dict[str, dict]:
     }
     out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
     out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
+    out[f"ridge_defaults_s{seeds[0]}"] = ridge_defaults_config(seeds[0])
     out[f"dataset_s{seeds[0]}"] = dataset_config(seeds[0])
     out[f"dataset_units_s{seeds[0]}"] = dataset_config(seeds[0], DATASET_UNITS_FILE, "dataset_units")
     return out
