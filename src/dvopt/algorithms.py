@@ -353,7 +353,10 @@ class _DualMethod:
         zs, ys, *zts = rows
         cols = ys.transpose(0, 2, 1) if self.y_transposed else ys
         duals = self.agg.dual_value_batch(zs, cols).tolist()
-        y_tildes = cols.copy()
+        # The mean runs on a C-contiguous block as on each record alone: a
+        # logistic block already is one, a transposed quadratic one is copied
+        # (kept records need the copy anyway, as _consensus_dists overwrites ys)
+        y_tildes = cols.copy() if zts or self.y_transposed else cols
         values = self.agg.value_consensus_batch(y_tildes.mean(axis=2)).tolist()
         dists = _consensus_dists(ys, 1 if self.y_transposed else 2).tolist()
         if zts:

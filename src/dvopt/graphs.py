@@ -373,6 +373,11 @@ def _complete_edges(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _picked_edges(upper, mask) -> tuple:
+    """The 1-based pairs of ``upper`` (a ``triu_indices`` pair of rows) where ``mask`` holds."""
+    return tuple(zip((upper[0][mask] + 1).tolist(), (upper[1][mask] + 1).tolist()))
+
+
 def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Topology:
     """Generate a connected topology of the requested kind.
 
@@ -414,11 +419,9 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
         if not (0.0 < p <= 1.0):
             raise ValueError("edge probability must be in (0, 1]")
         rng = np.random.default_rng(seed)
-        all_pairs = _complete_edges(n)
+        upper = np.triu_indices(n, 1)  # every pair (i, j), i < j, in _complete_edges order
         for _ in range(_MAX_GEN_ATTEMPTS):
-            draws = rng.random(len(all_pairs))
-            edges = tuple(e for e, u in zip(all_pairs, draws) if u < p)
-            t = Topology(n, edges)
+            t = Topology(n, _picked_edges(upper, rng.random(len(upper[0])) < p))
             if t.is_connected():
                 return t
         raise GenerationError(
@@ -432,12 +435,11 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
     if not radius > 0:
         raise ValueError("radius must be positive")
     pts = np.random.default_rng(seed).random((n, 2))
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    upper = np.triu_indices(n, 1)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)[upper]
     # unit square: radius sqrt(2) connects everything, so this ends
     while True:
-        r2 = radius * radius
-        edges = tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if d2[i, j] <= r2)
-        t = Topology(n, edges)
+        t = Topology(n, _picked_edges(upper, d2 <= radius * radius))
         if t.is_connected():
             return t
         radius *= 1.1

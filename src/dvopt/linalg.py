@@ -86,22 +86,54 @@ def project_consensus_orth(x: np.ndarray) -> np.ndarray:
 
 
 def eig_sym(m: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a dense symmetric real matrix.
+    """Full eigendecomposition of a dense symmetric real matrix, or of a stack.
 
-    ``m`` must be square, finite, and symmetric to ``1e-10 * max(||M||_F, 1)``;
-    it is symmetrized and handed to LAPACK ``eigh``.  Eigenvalues come back
-    in ascending order, byte-identical for identical inputs on the same
-    machine and BLAS.
+    ``m`` is one (n, n) matrix or a (k, n, n) stack of them.  Each must be
+    finite and symmetric to ``1e-10 * max(||M||_F, 1)``; the error of a
+    stack names the first failing matrix by its index.  The matrices are
+    symmetrized and handed to LAPACK ``eigh`` in one call, and a stack's
+    spectrum holds (k, n) eigenvalues and (k, n, n) eigenvectors.  Each
+    matrix's norms are sums over its own contiguous entries and ``eigh``
+    runs the same routine on each matrix, so a matrix gives the same bits
+    alone as in any stack.  Eigenvalues come back in ascending order,
+    byte-identical for identical inputs on the same machine and BLAS.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    stacked = a.ndim == 3
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    if fro_norm(a - a.T) > _SYM_CHECK_TOL * max(fro_norm(a), 1.0):
-        raise ValueError("matrix is not symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
-    return Spectrum(eigenvalues, eigenvectors)
+    a = a if stacked else a[None]
+
+    def reject(bad, what):
+        if bad.any():
+            index = f" {int(np.argmax(bad))} of the stack" if stacked else ""
+            raise ValueError(f"matrix{index} {what}")
+
+    reject(~np.isfinite(a).all(axis=(1, 2)), "has non-finite entries")
+    turned = a.transpose(0, 2, 1)
+    norms = np.sqrt(_row_sums(a * a))
+    # one scratch stack, squared and then halved in place, serves the
+    # symmetry check and the symmetrized matrices: a large stack's set-up
+    # holds one temporary of its size at a time
+    work = a - turned
+    asym = np.sqrt(_row_sums(np.multiply(work, work, out=work)))
+    reject(asym > _SYM_CHECK_TOL * np.maximum(norms, 1.0), "is not symmetric")
+    np.add(a, turned, out=work)
+    eigenvalues, eigenvectors = np.linalg.eigh(np.multiply(work, 0.5, out=work))
+    if stacked:
+        return Spectrum(eigenvalues, eigenvectors)
+    return Spectrum(eigenvalues[0], eigenvectors[0])
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each entry of a C-contiguous batch.
+
+    Every entry is one contiguous row, so numpy's pairwise sum runs over
+    it exactly as over the entry alone (and as ``fro_norm``'s sum runs
+    over a C-contiguous array): a batch of one and a block give the same
+    bits.
+    """
+    return a.reshape(len(a), math.prod(a.shape[1:])).sum(axis=1)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

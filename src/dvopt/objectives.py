@@ -11,6 +11,14 @@ Both are strongly convex and smooth, so the conjugate argmax
 iteration) is single-valued: closed form for quadratics, damped Newton
 for the logistic case.
 
+Construction is batched per family too.  ``gen_ridge_instance`` forms
+every agent's quadratic, linear and constant terms as stacked matmuls,
+and ``logistic_blocks`` every agent's Gram matrix; each family's
+constructor then runs its checks once and makes one ``eig_sym`` call for
+mu and L (quadratics also one ``inv``).  A single
+:class:`QuadraticObjective` or :class:`LogisticObjective` is that
+constructor on a batch of one, with the same bits as the generated local.
+
 An :class:`AggregateObjective` evaluates its agents family by family: on
 first use it stacks each family's locals (quadratics as ``(n, d, d)``
 matrices, logistic samples as zero-padded ``(n, l, m)`` arrays) and then
@@ -37,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import eig_sym
+from .linalg import _row_sums, eig_sym
 
 __all__ = [
     "ParseError",
@@ -103,15 +111,7 @@ class QuadraticObjective(_Local):
         g = np.asarray(lin, dtype=float).ravel()
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] != g.shape[0]:
             raise ValueError("quadratic term and linear term shapes disagree")
-        self.quad = 0.5 * (h + h.T)
-        self.lin = g
-        self.const = float(const)
-        eigs = eig_sym(self.quad).eigenvalues
-        if eigs[0] <= 0:
-            raise ValueError("quadratic term must be positive definite")
-        self.mu = float(eigs[0])
-        self.L = float(eigs[-1])
-        self._quad_inv = np.linalg.inv(self.quad)
+        _build_quadratics(h[None], g[None], np.array([const], dtype=float), [self])
 
     @classmethod
     def from_offset(cls, a: np.ndarray, scale: float = 1.0) -> "QuadraticObjective":
@@ -128,6 +128,27 @@ class QuadraticObjective(_Local):
         """Copy with (ridge_shift/2)||y||^2 added."""
         d = self.dim
         return QuadraticObjective(self.quad + ridge_shift * np.eye(d), self.lin, self.const)
+
+
+def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, locals_=None) -> list:
+    """k quadratic locals from (k, d, d), (k, d) and (k,) stacks.
+
+    The quadratic terms are symmetrized together and take one ``eig_sym``
+    (for mu and L) and one ``inv``; each local keeps its slice of the
+    stacks.  ``locals_`` are the objects to set up, new ones when None.
+    """
+    if locals_ is None:
+        locals_ = [QuadraticObjective.__new__(QuadraticObjective) for _ in quad]
+    quad = quad + quad.transpose(0, 2, 1)
+    quad *= 0.5
+    eigs = eig_sym(quad).eigenvalues
+    if (eigs[:, 0] <= 0).any():
+        raise ValueError("quadratic term must be positive definite")
+    inv = np.linalg.inv(quad)
+    for o, h, g, c, lam, h_inv in zip(locals_, quad, lin, const, eigs, inv):
+        o.quad, o.lin, o.const, o._quad_inv = h, g, float(c), h_inv
+        o.mu, o.L = float(lam[0]), float(lam[-1])
+    return locals_
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -230,18 +251,7 @@ class LogisticObjective(_Local):
         y = np.asarray(labels, dtype=float).ravel()
         if a.shape[0] != y.shape[0]:
             raise ValueError("one label per sample required")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        if ridge <= 0 or scale <= 0:
-            raise ValueError("ridge and scale must be positive")
-        self.samples = a
-        self.labels = y
-        self.ridge = float(ridge)
-        self.scale = float(scale)
-        gram = a.T @ a
-        lam_max = eig_sym(gram).eigenvalues[-1] if a.size else 0.0
-        self.mu = self.ridge
-        self.L = self.ridge + float(lam_max) / (4.0 * self.scale)
+        _build_logistics(a[None], y[None], ridge, scale, [self])
 
     @property
     def dim(self) -> int:
@@ -251,14 +261,29 @@ class LogisticObjective(_Local):
         return LogisticObjective(self.samples, self.labels, self.ridge + ridge_shift, self.scale)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of each entry of a C-contiguous batch.
+def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, locals_=None) -> list:
+    """k logistic locals from (k, l, m) samples and (k, l) labels.
 
-    Every entry is one contiguous row, so numpy's pairwise sum runs over
-    it exactly as over the entry alone: a batch of one and a block give
-    the same bits.
+    The checks run once, and the Gram matrices take one ``eig_sym`` for
+    every local's L; each local keeps its slice of the stacks.
+    ``locals_`` are the objects to set up, new ones when None.
     """
-    return a.reshape(len(a), -1).sum(axis=1)
+    if locals_ is None:
+        locals_ = [LogisticObjective.__new__(LogisticObjective) for _ in samples]
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    if ridge <= 0 or scale <= 0:
+        raise ValueError("ridge and scale must be positive")
+    ridge, scale = float(ridge), float(scale)
+    if samples.size:
+        lam_max = eig_sym(samples.transpose(0, 2, 1) @ samples).eigenvalues[:, -1]
+    else:
+        lam_max = np.zeros(len(samples))
+    for o, a, y, lam in zip(locals_, samples, labels, lam_max):
+        o.samples, o.labels, o.ridge, o.scale = a, y, ridge, scale
+        o.mu = ridge
+        o.L = ridge + float(lam) / (4.0 * scale)
+    return locals_
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +595,18 @@ def gen_ridge_instance(
     data = rng.standard_normal((n * l, m))
     b = data @ x_ref + noise * rng.standard_normal(n * l)
     scale = n * l
-    locals_ = []
-    for i in range(n):
-        hi = data[i * l : (i + 1) * l]
-        bi = b[i * l : (i + 1) * l]
-        quad = hi.T @ hi / scale + (c / n) * np.eye(m)
-        lin = hi.T @ bi / scale
-        const = 0.5 * float(bi @ bi) / scale
-        locals_.append(QuadraticObjective(quad, lin, const))
-    return AggregateObjective(tuple(locals_))
+    # Each agent's slice of a stacked matmul runs the BLAS call its own
+    # block would (H_i'H_i as one symmetric product), so the terms have
+    # the bits of the per-agent formulas in the docstring.
+    blocks = data.reshape(n, l, m)
+    responses = b.reshape(n, l)
+    turned = blocks.transpose(0, 2, 1)
+    quad = turned @ blocks
+    quad /= scale
+    quad += (c / n) * np.eye(m)
+    lin = (turned @ responses[..., None])[..., 0] / scale
+    const = 0.5 * (responses[:, None, :] @ responses[..., None])[:, 0, 0] / scale
+    return AggregateObjective(tuple(_build_quadratics(quad, lin, const)))
 
 
 def gen_logistic_instance(n: int, l: int, m: int, c: float, seed: int = 0) -> AggregateObjective:
@@ -604,16 +632,12 @@ def gen_logistic_instance(n: int, l: int, m: int, c: float, seed: int = 0) -> Ag
 def logistic_blocks(points: np.ndarray, labels: np.ndarray, n: int, c: float) -> AggregateObjective:
     """Agent ``i`` gets the ``i``-th of ``n`` equal sample blocks; loss 1/(2 n l), ridge c/n."""
     l = len(labels) // n
-    locals_ = tuple(
-        LogisticObjective(
-            points[i * l : (i + 1) * l],
-            labels[i * l : (i + 1) * l],
-            ridge=c / n,
-            scale=2.0 * n * l,
-        )
-        for i in range(n)
-    )
-    return AggregateObjective(locals_)
+    points = np.asarray(points, dtype=float)
+    if len(points) < n * l:
+        raise ValueError("one label per sample required")
+    samples = points[: n * l].reshape(n, l, points.shape[-1])
+    signs = np.asarray(labels, dtype=float)[: n * l].reshape(n, l)
+    return AggregateObjective(tuple(_build_logistics(samples, signs, c / n, 2.0 * n * l)))
 
 
 def load_sparse_labeled(path) -> Dataset:

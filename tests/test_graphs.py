@@ -73,6 +73,47 @@ class TestTopology:
         assert t.edges == ((1, 3), (1, 2))
 
 
+def _er_reference(n, p, seed):
+    """Erdos-Renyi edges picked pair by pair from the generator's draws, and the retries taken."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for retries in range(100):
+        draws = rng.random(len(pairs))
+        edges = tuple(pair for pair, u in zip(pairs, draws) if u < p)
+        if Topology(n, edges).is_connected():
+            return edges, retries
+    raise AssertionError("no connected draw")
+
+
+def _rgg_reference(n, radius, seed):
+    """Random geometric edges picked pair by pair from the drawn points, and the growths taken."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    for growths in range(100):
+        edges = tuple(
+            (i + 1, j + 1)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if np.sum((pts[i] - pts[j]) ** 2) <= radius * radius
+        )
+        if Topology(n, edges).is_connected():
+            return edges, growths
+        radius *= 1.1
+    raise AssertionError("no connected radius")
+
+
+def _default_p(n):
+    return min(1.0, 2.0 * math.log(n) / n)
+
+
+def _default_radius(n):
+    return math.sqrt(2.0 * math.log(n) / (math.pi * n))
+
+
+# (n, p or radius, seed); None takes the default
+ER_CASES = [(2, 0.5, 0), (7, 0.3, 1), (12, 0.25, 5), (20, None, 3), (30, 0.1, 2), (100, 0.1, 9)]
+RGG_CASES = [(2, 0.5, 0), (9, 0.3, 1), (15, None, 4), (25, 0.1, 6), (50, 0.2, 3), (80, 0.05, 11)]
+
+
 class TestGeneration:
     def test_path(self):
         assert gen_topology("path", 3).edges == ((1, 2), (2, 3))
@@ -116,6 +157,25 @@ class TestGeneration:
         assert t.is_connected()
         assert t.edges == gen_topology("random_geometric", 12, {"radius": 0.15}, seed=4).edges
         assert start < set(t.edges)
+
+    @pytest.mark.parametrize("n, p, seed", ER_CASES)
+    def test_erdos_renyi_edges_are_the_pairs_drawn_below_p(self, n, p, seed):
+        params = None if p is None else {"p": p}
+        edges, _ = _er_reference(n, _default_p(n) if p is None else p, seed)
+        assert gen_topology("erdos_renyi", n, params, seed=seed).edges == edges
+
+    @pytest.mark.parametrize("n, radius, seed", RGG_CASES)
+    def test_random_geometric_edges_are_the_pairs_within_the_radius(self, n, radius, seed):
+        params = None if radius is None else {"radius": radius}
+        edges, _ = _rgg_reference(n, _default_radius(n) if radius is None else radius, seed)
+        assert gen_topology("random_geometric", n, params, seed=seed).edges == edges
+
+    def test_pinned_cases_retry_and_grow(self):
+        # the cases above include draws that retry and radii that grow
+        retries = [_er_reference(n, p or _default_p(n), seed)[1] for n, p, seed in ER_CASES]
+        growths = [_rgg_reference(n, r or _default_radius(n), seed)[1] for n, r, seed in RGG_CASES]
+        assert max(retries) > 1 and 0 in retries
+        assert max(growths) > 1 and 0 in growths
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,61 @@ class TestEigSym:
         assert np.allclose(np.abs(s.eigenvectors[:, 0]), 1.0 / np.sqrt(n), rtol=0.0, atol=1e-12)
 
 
+@st.composite
+def symmetric_stacks(draw):
+    # k random symmetric n x n matrices, some of them with repeated eigenvalues
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((k, n, n))
+    a = a + a.transpose(0, 2, 1)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a[0] = (q * rng.choice([-1.0, 2.0], n)) @ q.T
+    return a
+
+
+class TestEigSymStack:
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_stacks())
+    def test_stack_is_each_matrix_alone_byte_for_byte(self, a):
+        s = eig_sym(a)
+        assert s.eigenvalues.shape == a.shape[:2] and s.eigenvectors.shape == a.shape
+        for i, m in enumerate(a):
+            alone = eig_sym(m.copy())
+            assert s.eigenvalues[i].tobytes() == alone.eigenvalues.tobytes()
+            assert s.eigenvectors[i].tobytes() == alone.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_bad_matrix_is_named_by_its_index(self, index):
+        a = np.stack([np.eye(3)] * 5)
+        a[index, 0, 1] = np.inf
+        with pytest.raises(ValueError, match=rf"^matrix {index} of the stack has non-finite entries$"):
+            eig_sym(a)
+        a[index, 0, 1] = 1.0
+        with pytest.raises(ValueError, match=rf"^matrix {index} of the stack is not symmetric$"):
+            eig_sym(a)
+        # the first failing matrix is named
+        a[4, 1, 2] = 5.0
+        with pytest.raises(ValueError, match=rf"^matrix {index} of the stack is not symmetric$"):
+            eig_sym(a)
+
+    def test_matrix_messages_name_no_index(self):
+        for m, message in (
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "matrix has non-finite entries"),
+            (np.array([[1.0, 2.0], [0.0, 1.0]]), "matrix is not symmetric"),
+            (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+            (np.zeros(4), "expected a square matrix, got shape (4,)"),
+            (np.zeros((2, 2, 3)), "expected a square matrix, got shape (2, 2, 3)"),
+            (np.zeros((1, 2, 2, 2)), "expected a square matrix, got shape (1, 2, 2, 2)"),
+        ):
+            with pytest.raises(ValueError) as info:
+                eig_sym(m)
+            assert str(info.value) == message
+
+    def test_empty_stack(self):
+        s = eig_sym(np.zeros((0, 3, 3)))
+        assert s.eigenvalues.shape == (0, 3) and s.eigenvectors.shape == (0, 3, 3)
+
+
 class TestSqrtPsd:
     def test_identity(self):
         assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)

@@ -166,6 +166,65 @@ class TestLogisticInstance:
             assert o.L <= c / n + lam / (8 * n * l) + 1e-12
 
 
+QUADRATIC_FIELDS = ("quad", "lin", "const", "mu", "L", "_quad_inv")
+LOGISTIC_FIELDS = ("samples", "labels", "ridge", "scale", "mu", "L")
+
+
+def field_bytes(o, names):
+    return [np.asarray(getattr(o, name)).tobytes() for name in names]
+
+
+class TestBatchedConstructors:
+    @pytest.mark.parametrize(
+        "n, l, m, seed", [(20, 10, 5, 0), (20, 10, 5, 2), (7, 3, 4, 11), (1, 5, 1, 3), (4, 1, 3, 8)]
+    )
+    def test_ridge_locals_are_single_quadratics(self, n, l, m, seed):
+        c, noise, scale = 0.3, 0.2, n * l
+        agg = gen_ridge_instance(n, l, m, c=c, noise=noise, seed=seed)
+        rng = np.random.default_rng(seed)  # replay the documented draw order
+        x_ref = rng.standard_normal(m)
+        data = rng.standard_normal((n * l, m))
+        b = data @ x_ref + noise * rng.standard_normal(n * l)
+        for i, o in enumerate(agg.locals):
+            hi, bi = data[i * l : (i + 1) * l], b[i * l : (i + 1) * l]
+            alone = QuadraticObjective(
+                hi.T @ hi / scale + (c / n) * np.eye(m), hi.T @ bi / scale, 0.5 * float(bi @ bi) / scale
+            )
+            assert field_bytes(o, QUADRATIC_FIELDS) == field_bytes(alone, QUADRATIC_FIELDS)
+
+    @pytest.mark.parametrize("n, count, m, seed", [(20, 400, 10, 0), (4, 23, 3, 1), (3, 3, 2, 2)])
+    def test_logistic_block_locals_are_single_logistics(self, n, count, m, seed):
+        # 23 samples for 4 agents: blocks of 5, the last 3 samples unused
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((count, m))
+        labels = rng.choice((-1.0, 1.0), size=count)
+        agg = objectives.logistic_blocks(points, labels, n, 0.3)
+        l = count // n
+        for i, o in enumerate(agg.locals):
+            rows = slice(i * l, (i + 1) * l)
+            alone = LogisticObjective(points[rows], labels[rows], ridge=0.3 / n, scale=2.0 * n * l)
+            assert field_bytes(o, LOGISTIC_FIELDS) == field_bytes(alone, LOGISTIC_FIELDS)
+
+    def test_logistic_blocks_check_labels_once(self):
+        points = np.ones((6, 2))
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            objectives.logistic_blocks(points, np.array([1.0, -1.0, 1.0, 0.0, 1.0, 1.0]), 3, 0.1)
+        with pytest.raises(ValueError, match="one label per sample required"):
+            objectives.logistic_blocks(points[:5], np.ones(6), 3, 0.1)
+
+    def test_one_non_positive_definite_quadratic_rejects_the_batch(self):
+        # lower the ridge until exactly the flattest agent's quadratic term
+        # has a negative eigenvalue
+        n, l, m = 5, 6, 3
+        mus = sorted(o.mu for o in gen_ridge_instance(n, l, m, c=0.0, seed=4).locals)
+        c = -n * 0.5 * (mus[0] + mus[1])
+        with pytest.raises(ValueError, match="quadratic term must be positive definite"):
+            gen_ridge_instance(n, l, m, c=c, seed=4)
+        quad = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
+        with pytest.raises(ValueError, match="quadratic term must be positive definite"):
+            objectives._build_quadratics(quad, np.zeros((3, 2)), np.zeros(3))
+
+
 class TestParser:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "a.txt"

@@ -9,6 +9,7 @@ import numpy as np
 
 from dvopt import cli, objectives
 from dvopt.cli import ExperimentConfig, execute, main
+from dvopt.graphs import Topology
 
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("output_digest", _ROOT / "tools" / "output_digest.py")
@@ -119,8 +120,17 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
         "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
-        "switching_abort_s3", "ridge_defaults_s3", "dataset_s3", "dataset_units_s3",
+        "switching_abort_s3", "ridge_defaults_s3", "geometric_s3", "dataset_s3", "dataset_units_s3",
     ]
+    geometric = output_digest.configs([3])["geometric_s3"]
+    assert {e["kind"] for e in geometric["schedule"]["epochs"]} == {"random_geometric"}
+    # the second epoch's radius leaves its points disconnected, so it grows
+    second = geometric["schedule"]["epochs"][1]
+    n, radius = second["n"], second["params"]["radius"]
+    pts = np.random.default_rng(second["seed"]).random((n, 2))
+    close = np.sum((pts[:, None] - pts[None]) ** 2, axis=-1) <= radius**2
+    pairs = tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if close[i, j])
+    assert not Topology(n, pairs).is_connected()
     defaults = output_digest.configs([3])["ridge_defaults_s3"]
     assert defaults["objective"] == {"kind": "ridge", "n": 20, "l": 10, "m": 5}
     switching = output_digest.configs([3])["switching_s3"]

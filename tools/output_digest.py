@@ -34,7 +34,10 @@ that config again with a DIGing step of 50, where DIGing diverges (at
 seed 3 it aborts at iteration 14 of 200), so abort rows are compared
 too, that config again without the ridge fields ``c`` and ``noise``, so
 the objective's defaults are compared (every other config gives both),
-and a ``dataset`` objective over each data file, so the shuffle of
+that config again over two random geometric epochs, the second with a
+radius that has to grow before its graph connects, so the edges picked
+from the drawn points are compared (every other random epoch is
+Erdos-Renyi), and a ``dataset`` objective over each data file, so the shuffle of
 samples among agents is compared.  The second file holds the first's
 values 1000 times larger, so some of its Newton line searches backtrack
 (77 backtracking steps at seed 3), which no other config's do.  The
@@ -104,6 +107,23 @@ def ridge_defaults_config(seed: int) -> dict:
     return {**switching_ridge_config(seed), "objective": objective, "run_id": "ridge_defaults"}
 
 
+def geometric_config(seed: int) -> dict:
+    """The switching config over two random geometric epochs.
+
+    The first takes the default radius; the second's radius, 0.1, leaves
+    20 points disconnected, so generation grows it.
+    """
+    epochs = [
+        {"start": 0, "kind": "random_geometric", "n": 20, "seed": seed},
+        {"start": 100, "kind": "random_geometric", "n": 20, "params": {"radius": 0.1}, "seed": seed + 1},
+    ]
+    return {
+        **switching_ridge_config(seed),
+        "schedule": {"horizon": 200, "epochs": epochs},
+        "run_id": "geometric",
+    }
+
+
 def aborting_config(seed: int) -> dict:
     """The switching config with a DIGing step of 50, which makes DIGing abort."""
     return {
@@ -165,6 +185,7 @@ def configs(seeds: list[int]) -> dict[str, dict]:
     out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
     out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
     out[f"ridge_defaults_s{seeds[0]}"] = ridge_defaults_config(seeds[0])
+    out[f"geometric_s{seeds[0]}"] = geometric_config(seeds[0])
     out[f"dataset_s{seeds[0]}"] = dataset_config(seeds[0])
     out[f"dataset_units_s{seeds[0]}"] = dataset_config(seeds[0], DATASET_UNITS_FILE, "dataset_units")
     return out
