@@ -133,7 +133,7 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     over a C-contiguous array): a batch of one and a block give the same
     bits.
     """
-    return a.reshape(len(a), math.prod(a.shape[1:])).sum(axis=1)
+    return a.reshape(len(a), -1).sum(axis=1)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -175,10 +175,6 @@ class TestEigSymStack:
                 eig_sym(m)
             assert str(info.value) == message
 
-    def test_empty_stack(self):
-        s = eig_sym(np.zeros((0, 3, 3)))
-        assert s.eigenvalues.shape == (0, 3) and s.eigenvectors.shape == (0, 3, 3)
-
 
 class TestSqrtPsd:
     def test_identity(self):
