@@ -204,7 +204,10 @@ def _build_objective(cfg: ExperimentConfig) -> AggregateObjective:
     n, c = given["n"], given["c"]
     if n < 1:
         raise ValidationError(f"dataset objective n must be >= 1, got {n}")
-    dense, labels = load_sparse_labeled(spec["path"]).to_dense()
+    try:
+        dense, labels = load_sparse_labeled(spec["path"]).to_dense()
+    except OSError as exc:  # a file the user may not read
+        raise ValidationError(f"cannot read dataset: {exc}") from None
     total = dense.shape[0]
     per_agent = total // n
     if per_agent < 1:
@@ -222,7 +225,8 @@ def _alternating_spec(schedule) -> dict:
 def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
     spec = cfg.schedule
     if isinstance(spec, dict) and "file" in spec:
-        return graphs.load_schedule(_fields(spec, "schedule file", ("file",))["file"])
+        path = _fields(spec, "schedule file", ("file",))["file"]
+        return graphs.schedule_from_spec(_read_json(path, "schedule"))
     if isinstance(spec, dict) and "alternating" in spec:
         alt = _alternating_spec(spec)
         kinds, params = alt["kinds"], alt.get("params", [None, None])

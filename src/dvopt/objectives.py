@@ -15,26 +15,26 @@ Construction is batched per family too.  ``gen_ridge_instance`` forms
 every agent's quadratic, linear and constant terms as stacked matmuls,
 and ``logistic_blocks`` every agent's Gram matrix; each family's
 constructor then runs its checks once and makes one ``eig_sym`` call for
-mu and L (quadratics also one ``inv``).  A single
-:class:`QuadraticObjective` or :class:`LogisticObjective` is that
-constructor on a batch of one, with the same bits as the generated local.
+mu and L.  A single :class:`QuadraticObjective` or
+:class:`LogisticObjective` is that constructor on a batch of one, with
+the same bits as the generated local.
 
 An :class:`AggregateObjective` evaluates its agents family by family: on
 first use it stacks each family's locals (quadratics as ``(n, d, d)``
-matrices, logistic samples as zero-padded ``(n, l, m)`` arrays) and then
-maps all columns of a family in one batched numpy call.  Values also take
-a leading batch axis, one entry per run record (``value_cols_batch``,
-``value_consensus_batch``, ``dual_value_batch``), and the per-record
-``value_cols``, ``value_consensus`` and ``dual_value`` are batches of
-one with the same bits.  One damped
-Newton routine, batched over rows with a per-row active mask, serves the
-logistic conjugate argmax (of an aggregate, or of one local as a batch
-of one) and the centralized reference solve.  Every agent keeps its own
-residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
-zero: a logistic stack computes its gradient and Hessian there once, and
-each step carries the accepted trial's residual, norm and margins into
-the next, so a point's margins serve its gradient and its Hessian and a
-solve evaluates each point once.
+matrices, inverted in one ``inv`` call; logistic samples as zero-padded
+``(n, l, m)`` arrays) and then maps all columns of a family in one
+batched numpy call.  Values also take a leading batch axis, one entry
+per run record (``value_cols_batch``, ``value_consensus_batch``,
+``dual_value_batch``), and the per-record ``value_cols``,
+``value_consensus`` and ``dual_value`` are batches of one with the same
+bits.  One damped Newton routine, batched over rows with a per-row
+active mask, serves the logistic conjugate argmax (of an aggregate, or
+of one local as a batch of one) and the centralized reference solve.
+Every agent keeps its own residual tolerance ``1e-10 (1 + ||z_i||)``,
+and every solve starts from zero: a logistic stack computes its gradient
+and Hessian there once, and each step carries the accepted trial's
+residual, norm and margins into the next, so a point's margins serve its
+gradient and its Hessian and a solve evaluates each point once.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ class QuadraticObjective(_Local):
     def from_offset(cls, a: np.ndarray, scale: float = 1.0) -> "QuadraticObjective":
         """Build 0.5 * scale * ||y - a||^2."""
         a = np.asarray(a, dtype=float).ravel()
-        d = a.shape[0]
-        return cls(scale * np.eye(d), scale * a, 0.5 * scale * float(a @ a))
+        return cls(scale * np.eye(a.shape[0]), scale * a, 0.5 * scale * float(a @ a))
 
     @property
     def dim(self) -> int:
@@ -126,16 +125,16 @@ class QuadraticObjective(_Local):
 
     def shifted(self, ridge_shift: float) -> "QuadraticObjective":
         """Copy with (ridge_shift/2)||y||^2 added."""
-        d = self.dim
-        return QuadraticObjective(self.quad + ridge_shift * np.eye(d), self.lin, self.const)
+        return QuadraticObjective(self.quad + ridge_shift * np.eye(self.dim), self.lin, self.const)
 
 
 def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, locals_=None) -> list:
     """k quadratic locals from (k, d, d), (k, d) and (k,) stacks.
 
     The quadratic terms are symmetrized together and take one ``eig_sym``
-    (for mu and L) and one ``inv``; each local keeps its slice of the
-    stacks.  ``locals_`` are the objects to set up, new ones when None.
+    for mu and L; each local keeps its slice of the stacks, and a stack
+    made of them inverts the terms (``_QuadraticStack``).  ``locals_`` are
+    the objects to set up, new ones when None.
     """
     if locals_ is None:
         locals_ = [QuadraticObjective.__new__(QuadraticObjective) for _ in quad]
@@ -144,10 +143,8 @@ def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, loca
     eigs = eig_sym(quad).eigenvalues
     if (eigs[:, 0] <= 0).any():
         raise ValueError("quadratic term must be positive definite")
-    inv = np.linalg.inv(quad)
-    for o, h, g, c, lam, h_inv in zip(locals_, quad, lin, const, eigs, inv):
-        o.quad, o.lin, o.const, o._quad_inv = h, g, float(c), h_inv
-        o.mu, o.L = float(lam[0]), float(lam[-1])
+    for o, h, g, c, lam in zip(locals_, quad, lin, const, eigs):
+        o.quad, o.lin, o.const, o.mu, o.L = h, g, float(c), float(lam[0]), float(lam[-1])
     return locals_
 
 
@@ -281,8 +278,7 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
         lam_max = np.zeros(len(samples))
     for o, a, y, lam in zip(locals_, samples, labels, lam_max):
         o.samples, o.labels, o.ridge, o.scale = a, y, ridge, scale
-        o.mu = ridge
-        o.L = ridge + float(lam) / (4.0 * scale)
+        o.mu, o.L = ridge, ridge + float(lam) / (4.0 * scale)
     return locals_
 
 
@@ -304,7 +300,7 @@ class _QuadraticStack:
         self.agents = agents
         self.size = len(locals_)
         self.quad = np.stack([o.quad for o in locals_])
-        self.inv = np.stack([o._quad_inv for o in locals_])
+        self.inv = np.linalg.inv(self.quad)
         self.lin = np.stack([o.lin for o in locals_])
         self.const = float(sum(o.const for o in locals_))
         self.quad_sum = self.quad.sum(axis=0)
@@ -511,8 +507,7 @@ class AggregateObjective:
 
     def value_consensus(self, point: np.ndarray) -> float:
         """sum_i phi_i(y) at a single shared point."""
-        point = np.asarray(point, dtype=float).ravel()
-        return float(self.value_consensus_batch(point[None])[0])
+        return float(self.value_consensus_batch(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
     def value_consensus_batch(self, points: np.ndarray) -> np.ndarray:
         """sum_i phi_i(y) at each row y of a (R, d) batch."""

@@ -503,3 +503,21 @@ class TestClosedFormDualSolution:
         assert fro_norm(image - project_consensus_orth(g)) <= 1e-10 * fro_norm(g)
         rel = 1e-9 if kind == "ridge" else 1e-7
         assert fro_norm(x_star - accelerated_dual_solve(agg, sched)) <= rel * scale
+
+
+_STATIC = GraphSchedule(10, ((0, gen_topology("path", 2)),))
+
+# Each input check with the exact message it raises.
+_BAD_INPUTS = [
+    (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, record_every=0), "record_every must be >= 1"),
+    (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=0.0), "stepsize must be positive"),
+    (lambda: run_xspace_reference(two_agent_instance(), _STATIC, method="heavy_ball"), "method must be 'nesterov' or 'gd'"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", _BAD_INPUTS, ids=[m for _, m in _BAD_INPUTS])
+    def test_bad_input_raises_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

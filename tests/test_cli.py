@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -659,6 +660,7 @@ class TestMainExitCodes:
         "field, message",
         [
             ({"record_every": 0}, "record_every must be >= 1"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
             ({"max_iter": 11}, "max_iter exceeds the schedule horizon"),
             ({"objective": {"kind": "dataset", "path": "d.txt", "n": 5, "c": 0.5}}, "dataset has 4 samples, fewer than 5 agents"),
             ({"objective": {"kind": "dataset", "path": "d.txt", "n": 0, "c": 0.5}}, "dataset objective n must be >= 1, got 0"),
@@ -697,6 +699,36 @@ class TestMainExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "error: " in err and named.format(tmp=tmp_path) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv, field, what",
+        [
+            (["run", "cfg.json"], {"schedule": {"file": "locked"}}, "schedule"),
+            (["run", "cfg.json"], {"objective": {"kind": "dataset", "path": "locked", "n": 2, "c": 0.5}}, "dataset"),
+            (["graph-info", "locked"], {}, "schedule"),
+        ],
+    )
+    def test_unreadable_file_exits_one_naming_it(
+        self, tmp_path, capsys, monkeypatch, argv, field, what
+    ):
+        # a file the user may not read; root reads a mode-000 file, so open refuses it
+        monkeypatch.chdir(tmp_path)
+        locked = tmp_path / "locked"
+        locked.write_text("")
+        (tmp_path / "cfg.json").write_text(json.dumps(minimal_config(tmp_path, **field)))
+        real_open = open
+
+        def refusing(path, *args, **kwargs):
+            if os.path.abspath(path) == str(locked):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        named = str(locked) if argv[0] == "run" else "locked"
+        assert capsys.readouterr().err == f"error: cannot read {what}: [Errno 13] Permission denied: '{named}'\n"
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_numerical_failure_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):

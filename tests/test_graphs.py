@@ -608,3 +608,34 @@ class TestNumber:
         assert _number(big, "x") == big
         with pytest.raises(ValidationError, match="x must be a finite number"):
             _number(big, "x", float)
+
+
+_PATH3 = gen_topology("path", 3)
+
+# Each input check with the exact message it raises.
+_BAD_INPUTS = [
+    (lambda: Topology(0, ()), "node count must be >= 1"),
+    (lambda: Topology(3, ((1, 2), (2, 1))), "duplicate edge (1, 2)"),
+    (lambda: Topology(3, ((1, 2),), (1.0, 2.0)), "one weight per edge required"),
+    (lambda: GraphSchedule(0, ((0, _PATH3),)), "horizon must be >= 1"),
+    (lambda: GraphSchedule(5, ()), "schedule needs at least one epoch"),
+    (lambda: GraphSchedule(5, ((0, _PATH3),)).epoch_index(-1), "iteration index must be >= 0"),
+    (lambda: spectral_info(Topology(2, ())), "graph has no edges"),
+    (lambda: mixing_delta(GraphSchedule(5, ((0, _PATH3),)), 0), "window length must be >= 1"),
+    (lambda: mixing_delta(GraphSchedule(3, ((0, _PATH3),)), 4), "horizon shorter than the window"),
+    (lambda: gen_topology("path", 1), "need at least 2 nodes"),
+    (lambda: gen_topology("cycle", 2), "cycle needs at least 3 nodes"),
+    (lambda: alternating_schedule(("star", "cycle"), 4, 0, 10), "period must be >= 1"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", _BAD_INPUTS, ids=[m for _, m in _BAD_INPUTS])
+    def test_bad_input_raises_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_edgeless_directed_pairs_are_an_empty_pair_array(self):
+        pairs = Topology(3, ()).directed_pairs()
+        assert pairs.shape == (0, 2) and pairs.dtype == np.asarray([1]).dtype

@@ -266,3 +266,17 @@ class TestEmit:
     def test_io_error_surfaces_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit([], "csv", "no/such/dir/file.csv")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "text",
+        ["", "iter,dual_value\n0,1.0\n"],
+        ids=["empty", "foreign header"],
+    )
+    def test_bad_csv_raises_its_message(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_csv(p)
+        assert str(info.value) == "unrecognized CSV header"

@@ -7,6 +7,7 @@ directly.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestLogisticInstance:
             assert o.L <= c / n + lam / (8 * n * l) + 1e-12
 
 
-QUADRATIC_FIELDS = ("quad", "lin", "const", "mu", "L", "_quad_inv")
+QUADRATIC_FIELDS = ("quad", "lin", "const", "mu", "L")
 LOGISTIC_FIELDS = ("samples", "labels", "ridge", "scale", "mu", "L")
 
 
@@ -174,7 +175,26 @@ def field_bytes(o, names):
     return [np.asarray(getattr(o, name)).tobytes() for name in names]
 
 
+@st.composite
+def positive_definite_stacks(draw):
+    # k random symmetric positive definite d x d matrices
+    k, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal((k, d, d))
+    return b @ b.transpose(0, 2, 1) + rng.uniform(0.01, 2.0) * np.eye(d)
+
+
 class TestBatchedConstructors:
+    @settings(max_examples=100, deadline=None)
+    @given(positive_definite_stacks())
+    def test_stack_inverse_is_each_matrix_inverted_alone(self, quad):
+        k, d = quad.shape[:2]
+        locals_ = objectives._build_quadratics(quad, np.zeros((k, d)), np.zeros(k))
+        stack = objectives._QuadraticStack(locals_, np.arange(k))
+        assert stack.inv.shape == (k, d, d)
+        for i, o in enumerate(locals_):
+            assert stack.inv[i].tobytes() == np.linalg.inv(o.quad.copy()).tobytes()
+
     @pytest.mark.parametrize(
         "n, l, m, seed", [(20, 10, 5, 0), (20, 10, 5, 2), (7, 3, 4, 11), (1, 5, 1, 3), (4, 1, 3, 8)]
     )
@@ -191,6 +211,8 @@ class TestBatchedConstructors:
                 hi.T @ hi / scale + (c / n) * np.eye(m), hi.T @ bi / scale, 0.5 * float(bi @ bi) / scale
             )
             assert field_bytes(o, QUADRATIC_FIELDS) == field_bytes(alone, QUADRATIC_FIELDS)
+            # the aggregate's stack inverts each matrix as the local's stack of one does
+            assert agg._stacks[0].inv[i].tobytes() == alone._stack.inv[0].tobytes()
 
     @pytest.mark.parametrize("n, count, m, seed", [(20, 400, 10, 0), (4, 23, 3, 1), (3, 3, 2, 2)])
     def test_logistic_block_locals_are_single_logistics(self, n, count, m, seed):
@@ -651,3 +673,58 @@ class TestNewtonWork:
         assert counts["grad_parts"] <= 5.1 * counts["argmax"]
         assert counts["hess"] <= 4.05 * counts["argmax"]
         assert counts["_margins"] == counts["grad_parts"]
+
+
+def _unparsable(tmp_path, monkeypatch):
+    p = tmp_path / "bad.txt"
+    p.write_text("+1 1:2\nyes 1:1\n")
+    load_sparse_labeled(p)
+
+
+def _centralized_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(objectives, "_NEWTON_CAP", 1)
+    centralized_solve(gen_logistic_instance(3, 4, 2, c=0.1, seed=0))
+
+
+_ONE_QUAD = QuadraticObjective.from_offset(np.zeros(2))
+
+# Each input check with the exact message it raises; a pattern where the
+# message carries a computed residual.
+_BAD_INPUTS = [
+    (lambda *_: QuadraticObjective(np.eye(2), np.ones(3)), ValueError, "quadratic term and linear term shapes disagree"),
+    (lambda *_: LogisticObjective(np.ones((3, 2)), np.ones(2), 0.1, 1.0), ValueError, "one label per sample required"),
+    (lambda *_: LogisticObjective(np.ones((2, 2)), np.ones(2), 0.0, 1.0), ValueError, "ridge and scale must be positive"),
+    (lambda *_: LogisticObjective(np.ones((2, 2)), np.ones(2), 0.1, -1.0), ValueError, "ridge and scale must be positive"),
+    (lambda *_: AggregateObjective(()), ValueError, "need at least one local objective"),
+    (
+        lambda *_: AggregateObjective((_ONE_QUAD, QuadraticObjective.from_offset(np.zeros(3)))),
+        ValueError,
+        "all locals must share the decision dimension",
+    ),
+    (
+        lambda *_: AggregateObjective((_ONE_QUAD, _ONE_QUAD)).conj_argmax_cols(np.full((2, 2), np.inf)),
+        ValueError,
+        "conjugate argmax input must be finite",
+    ),
+    (lambda *_: gen_ridge_instance(0, 1, 1), ValueError, "counts must be >= 1"),
+    (lambda *_: gen_logistic_instance(1, 0, 1, c=0.1), ValueError, "counts must be >= 1"),
+    (lambda *_: gen_logistic_instance(1, 1, 1, c=0.0), ValueError, "ridge coefficient must be positive"),
+    (_unparsable, ParseError, "line 2: label 'yes' is not numeric"),
+    (lambda *_: centralized_solve(AggregateObjective((_ONE_QUAD,)), tol=0.0), ValueError, "tolerance must be positive"),
+    (
+        _centralized_cap,
+        SolverError,
+        re.compile(r"centralized solve exceeded its iteration cap \(gradient norm \d\.\d{3}e[-+]\d\d\)"),
+    ),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", _BAD_INPUTS)
+    def test_bad_input_raises_its_message(self, tmp_path, monkeypatch, call, error, message):
+        with pytest.raises(error) as info:
+            call(tmp_path, monkeypatch)
+        if isinstance(message, str):
+            assert str(info.value) == message
+        else:
+            assert message.fullmatch(str(info.value))

@@ -255,3 +255,42 @@ class TestStaticComparison:
             kappa = float(rng.uniform(1.0, 50.0))
             lam0, _, _ = panda_rates(kappa)
             assert 0.0 <= lam0 < 1.0
+
+
+# Each input check with the exact message it raises.
+_BAD_INPUTS = [
+    (lambda: gd_iterations(1.0, 2.0, 1.0, 1.0), "need L >= mu > 0"),
+    (lambda: gd_iterations(2.0, 1.0, -1.0, 1.0), "need R >= 0 and eps > 0"),
+    (lambda: gd_iterations(2.0, 1.0, 1.0, 0.0), "need R >= 0 and eps > 0"),
+    (lambda: nesterov_tv_bound(1.0, 0.0, 1.0, 0, 0), "need L >= mu > 0"),
+    (lambda: nesterov_tv_bound(2.0, 1.0, 1.0, -1, 0), "m and N must be >= 0"),
+    (lambda: nesterov_tv_bound(2.0, 1.0, 1.0, 0, -1), "m and N must be >= 0"),
+    (lambda: alg1_complexity(0.5, 0.0, log_term=1.0), "kappa must be >= 1"),
+    (lambda: alg1_complexity(2.0, -0.1, log_term=1.0), "alpha must be >= 0"),
+    (lambda: alg1_complexity(2.0, 0.0, l_smooth=2.0, mu=1.0, radius=1.0), "need either log_term or all of (L, mu, R, eps)"),
+    (lambda: alg1_complexity(2.0, 0.0, l_smooth=2.0, mu=1.0, radius=1.0, eps=0.0), "eps must be positive"),
+    (lambda: primal_from_dual_bound(1.0, 1.0, 1.0, 0.0, 1.0), "inputs must be nonnegative with mu > 0"),
+    (lambda: primal_from_dual_bound(-1.0, 1.0, 1.0, 1.0, 1.0), "inputs must be nonnegative with mu > 0"),
+    (lambda: delta_bound_check(abs, abs, 0.0, 1.0, 2.0, [0.0]), "need L >= mu > 0"),
+    (lambda: diging_rates(0.5, 1), "need kappa_bar >= 1, n >= 1, B >= 1"),
+    (lambda: diging_rates(1.0, 1, b=0), "need kappa_bar >= 1, n >= 1, B >= 1"),
+    (lambda: diging_rates(1.0, 1, delta=1.0), "delta must be in [0, 1)"),
+    # kappa_bar = n = B = 1: J = 15 and alpha_max = 1.5 / 15
+    (lambda: diging_rates(1.0, 1, alpha=0.0), "step size outside (0, 0.1]"),
+    (lambda: panda_rates(0.5), "kappa must be >= 1"),
+    (lambda: panda_rates(1.0, delta=-0.1), "delta must be in [0, 1)"),
+    (lambda: panda_rates(1.0, b=0), "B must be >= 1"),
+    # kappa = mu = 1, delta = 0: alpha = 2 (3 / 9)^2 = 2/9
+    (lambda: panda_rates(1.0, c=0.0), "step size outside (0, 0.222222]"),
+    (lambda: static_nesterov_comparison(1.5, 1.0, 1.0), "lambda2 must be in [0, 1]"),
+    (lambda: static_nesterov_comparison(0.5, 0.5, 1.0), "kappa_phi and chi must be >= 1"),
+    (lambda: static_nesterov_comparison(0.5, 1.0, 0.5), "kappa_phi and chi must be >= 1"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", _BAD_INPUTS)
+    def test_bad_input_raises_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -15,8 +15,11 @@ metric values with ``correct``/``failed``, and for each end-to-end metric
 of the change's ``BENCHMARK.json`` each side's median and quartiles, the
 pairs the change wins (ties count for neither), the parent's
 interquartile range and ``gain``: the change won at least nine tenths of
-the pairs and the medians differ by more than that range.  Running it
-again for another workload or other seeds adds an entry and keeps the rest.
+the pairs and the medians differ by more than that range.  Each entry
+also records both checkouts' resolved paths; the tool prints a warning
+when their lengths differ, since the length of a checkout's path alone
+moves ``peak_rss_mb`` by a few tenths of a MB.  Running it again for
+another workload or other seeds adds an entry and keeps the rest.
 """
 
 from __future__ import annotations
@@ -81,8 +84,21 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def entry(workload: str, seeds: list[int], seconds: float, pairs: list[dict], spec: dict) -> dict:
-    """The file entry of one workload from its pairs and the benchmark spec."""
+def length_warning(checkouts: dict) -> str | None:
+    """A warning when the resolved checkout paths differ in length, else None."""
+    parent, change = len(checkouts["parent"]), len(checkouts["change"])
+    if parent == change:
+        return None
+    return (
+        f"warning: the checkout paths have {parent} and {change} characters; "
+        "peak_rss_mb moves with a path's length alone, so use paths of equal length"
+    )
+
+
+def entry(
+    workload: str, seeds: list[int], seconds: float, pairs: list[dict], spec: dict, checkouts: dict
+) -> dict:
+    """The file entry of one workload from its pairs, the benchmark spec and the checkout paths."""
     good = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
     summary = {}
     for metric in spec["end_to_end"] if good else ():
@@ -96,6 +112,7 @@ def entry(workload: str, seeds: list[int], seconds: float, pairs: list[dict], sp
         "workload": workload,
         "seeds": seeds,
         "seconds": seconds,
+        "checkouts": checkouts,
         "env": next((p[s]["env"] for p in good for s in ("parent", "change")), None),
         "pairs": pairs,
         "failed": {
@@ -126,6 +143,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    checkouts = {side: str(getattr(args, side).resolve()) for side in ("parent", "change")}
+    warning = length_warning(checkouts)
+    if warning:
+        print(warning, file=sys.stderr, flush=True)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -136,7 +157,7 @@ def main(argv=None) -> int:
         shown = {s: pair[s].get("metrics", pair[s].get("error")) for s in ("parent", "change")}
         print(f"seed {seed} ({order[0]} first): {json.dumps(shown)}", flush=True)
 
-    new = entry(args.workload, args.seeds, args.seconds, pairs, spec)
+    new = entry(args.workload, args.seeds, args.seconds, pairs, spec, checkouts)
     args.out.write_text(json.dumps(merge(args.out, new), indent=1) + "\n", encoding="utf-8")
     for name, s in new["summary"].items():
         print(
