@@ -660,11 +660,11 @@ class TestMainExitCodes:
         "field, message",
         [
             ({"record_every": 0}, "record_every must be >= 1"),
-            ({"max_iter": 0}, "max_iter must be >= 1"),
             ({"max_iter": 11}, "max_iter exceeds the schedule horizon"),
             ({"objective": {"kind": "dataset", "path": "d.txt", "n": 5, "c": 0.5}}, "dataset has 4 samples, fewer than 5 agents"),
             ({"objective": {"kind": "dataset", "path": "d.txt", "n": 0, "c": 0.5}}, "dataset objective n must be >= 1, got 0"),
             ({"objective": {"kind": "dataset", "path": "d.txt", "n": -1, "c": 0.5}}, "dataset objective n must be >= 1, got -1"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
         ],
     )
     def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, field, message):
