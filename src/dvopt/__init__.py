@@ -30,7 +30,6 @@ from .graphs import (
     change_stats,
     gen_topology,
     laplacian,
-    load_schedule,
     mixing_delta,
     mixing_matrix,
     schedule_from_spec,

@@ -17,13 +17,13 @@ and schedule.
   same dynamics using explicit Laplacian square roots, for verifying the
   convergence bounds; not message-passing.
 
-The three message-passing runners share one loop, which owns validation,
-the epoch of each iteration, the divergence check, the message log and
-the records; each method supplies its per-topology operator, built once
-per distinct topology, and its step.  The divergence check is one pass
-over the watched state, before every step and on the final state: its
-Frobenius norm, which is NaN or inf whenever an entry is, must stay at
-or below 1e12.  Every runner's ``keep_state`` (default True) decides
+All four runners share one loop, which owns validation, the epoch of
+each iteration, the divergence check, the message log and the records;
+each method supplies its per-topology operator, built once per distinct
+topology, and its step.  The divergence check is one pass over the
+watched state, before every step and on the final state: its Frobenius
+norm, which is NaN or inf whenever an entry is, must stay at or below
+1e12.  The message-passing runners' ``keep_state`` (default True) decides
 whether records keep arrays (``z``, ``z_tilde`` and ``y_tilde``, or
 DIGing's ``x``) or only scalars; the metrics read only the scalars.
 Records are evaluated in blocks: the loop copies each recorded state
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -172,17 +173,8 @@ def _xspace_grad(agg, sw, x):
     return -(agg.conj_argmax_cols(-(x @ sw)) @ sw)
 
 
-def _checked_max_iter(agg, schedule, max_iter) -> int:
-    max_iter = schedule.horizon if max_iter is None else int(max_iter)
-    if not (1 <= max_iter <= schedule.horizon):
-        raise ValueError("max_iter must be in 1..horizon")
-    if agg.n != schedule.n:
-        raise ValueError("agent count of objective and schedule disagree")
-    return max_iter
-
-
 def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
-    """The iteration loop shared by the message-passing runners.
+    """The iteration loop shared by every runner, the x-space reference included.
 
     ``start()`` builds the method once the arguments are valid.  Its
     ``operator(topology)``, a (matrix, message pairs) pair, is built once
@@ -200,7 +192,11 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    max_iter = _checked_max_iter(agg, schedule, max_iter)
+    max_iter = schedule.horizon if max_iter is None else int(max_iter)
+    if not (1 <= max_iter <= schedule.horizon):
+        raise ValueError("max_iter must be in 1..horizon")
+    if agg.n != schedule.n:
+        raise ValueError("agent count of objective and schedule disagree")
     method = start()
     ops = [method.operator(t) for t in schedule.distinct_topologies]
     by_epoch = [ops[j] for j in schedule.topology_index]
@@ -460,8 +456,10 @@ class XSpaceTrace:
     ``xs[k]`` is the extrapolated point where gradients are queried,
     ``ys[k]`` the gradient-step iterate, and ``zs[k]`` the auxiliary
     sequence ``z_{k+1} = x_{k+1}/tau - (1-tau)/tau * y_{k+1}`` used by the
-    potential diagnostics.  ``x_star`` is the minimum-norm dual solution
-    and ``radius = ||X_0 - x_star||_F``.
+    potential diagnostics.  ``epoch_of[k]`` is the epoch of iteration k,
+    clipped to the horizon, and ``values[k]`` is f of that epoch at
+    ``ys[k]``, evaluated with the run.  ``x_star`` is the minimum-norm
+    dual solution and ``radius = ||X_0 - x_star||_F``.
     """
 
     method: str
@@ -469,6 +467,7 @@ class XSpaceTrace:
     ys: list
     zs: list
     epoch_of: list
+    values: np.ndarray
     x_star: np.ndarray
     radius: float
     mu_f: float
@@ -487,9 +486,7 @@ class XSpaceTrace:
 
     def residuals(self, f_star: float) -> np.ndarray:
         """f_k(y_k) - f_star for every recorded iteration."""
-        return np.array(
-            [self.f_value(self.epoch_of[k], self.ys[k]) - f_star for k in range(len(self.ys))]
-        )
+        return self.values - f_star
 
 
 def solve_dual_min_norm(
@@ -520,58 +517,102 @@ def run_xspace_reference(
 
     ``method="nesterov"`` runs ``y_{k+1} = x_k - grad f_k(x_k)/L`` with
     heavy-ball extrapolation; ``method="gd"`` takes plain steps of size
-    2/(L+mu).  The trace keeps every iterate, the closed-form minimum-norm
-    solution of the epoch-0 dual, and its gradient norm under every epoch's
-    dual function (zero when all epochs share the minimizer).  The lists
-    hold the iterates, not copies, so a ``gd`` run's three lists share
-    their arrays.
+    2/(L+mu).  The trace keeps every iterate and its value f_k(y_k), the
+    closed-form minimum-norm solution of the epoch-0 dual, and its
+    gradient norm under every epoch's dual function (zero when all epochs
+    share the minimizer).  The lists hold copies made per record block; a
+    ``gd`` run's three lists share one array per iterate.  A run whose
+    ``x`` leaves the shared loop's divergence bound raises ValueError
+    naming the iteration.
     """
     if method not in ("nesterov", "gd"):
         raise ValueError("method must be 'nesterov' or 'gd'")
-    max_iter = _checked_max_iter(agg, schedule, max_iter)
-
-    dc = dual_constants(agg, schedule.theta)
-    l_f, mu_f, kappa = dc.l_f, dc.mu_f, dc.kappa
-    beta = _momentum(kappa)
-    tau = 1.0 / (math.sqrt(kappa) + 1.0)
-    distinct = [sqrt_psd(laplacian(t)) for t in schedule.distinct_topologies]
-    sqrt_ws = [distinct[j] for j in schedule.topology_index]
-    epochs = _epoch_of_iteration(schedule, max_iter)
-    # epoch_of[k] is the epoch of iteration k, clipped to the horizon
-    epoch_of = epochs + [schedule.epoch_index(max_iter)]
-
-    x = y = np.zeros((agg.dim, agg.n))
-    xs, ys, zs = [x], [y], [x]
-    for k in range(max_iter):
-        g = _xspace_grad(agg, sqrt_ws[epochs[k]], x)
-        if method == "gd":
-            x = x - (2.0 / (l_f + mu_f)) * g
-            y = x
-            z = x
-        else:
-            y_next = x - g / l_f
-            x = (1.0 + beta) * y_next - beta * y
-            y = y_next
-            z = x / tau - ((1.0 - tau) / tau) * y
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
-
+    run = _drive(agg, schedule, max_iter, 1, lambda: _XSpaceMethod(agg, schedule, method))
+    if run.aborted:
+        raise ValueError(f"x-space {method} run diverged at iteration {run.records[-1].iter}")
+    ref = run.final_state
+    fields = attrgetter("epoch", "dual_value", "z", "z_tilde", "y_tilde")
+    epoch_of, values, xs, ys, zs = map(list, zip(*map(fields, run.records)))
+    epoch_of[-1] = schedule.epoch_index(ref.steps)
     x_star = solve_dual_min_norm(agg, schedule)
-    distinct_residuals = [fro_norm(_xspace_grad(agg, sw, x_star)) for sw in distinct]
-    residuals = [distinct_residuals[j] for j in schedule.topology_index]
+    distinct = list(map(lambda sw: fro_norm(_xspace_grad(agg, sw, x_star)), ref.roots))
     return XSpaceTrace(
         method=method,
         xs=xs,
         ys=ys,
         zs=zs,
         epoch_of=epoch_of,
+        values=np.array(values),
         x_star=x_star,
         radius=fro_norm(xs[0] - x_star),
-        mu_f=mu_f,
-        l_f=l_f,
-        kappa=kappa,
+        mu_f=ref.dc.mu_f,
+        l_f=ref.dc.l_f,
+        kappa=ref.dc.kappa,
         agg=agg,
-        sqrt_ws=sqrt_ws,
-        minimizer_residuals=residuals,
+        sqrt_ws=list(map(ref.roots.__getitem__, schedule.topology_index)),
+        minimizer_residuals=list(map(distinct.__getitem__, schedule.topology_index)),
     )
+
+
+class _XSpaceMethod:
+    """Iterates x, y, z of Nesterov or GD on f_k(X) = Phi*(-X sqrt(W_k)).
+
+    A state is the iterates (x alone for GD, where y = z = x), then
+    Q = -(y sqrt(W_k)) and its argmax, from which blocks value f_k(y_k).
+    """
+
+    abort_value = math.inf
+    degenerate = False
+
+    def __init__(self, agg, schedule, method):
+        self.dc = dual_constants(agg, schedule.theta)
+        self.beta = _momentum(self.dc.kappa)
+        self.tau = 1.0 / (math.sqrt(self.dc.kappa) + 1.0)
+        self.gd = method == "gd"
+        self.agg, self.schedule = agg, schedule
+        self.x = self.y = self.z = np.zeros((agg.dim, agg.n))
+        self.roots = []  # sqrt(W) of each distinct topology, in order
+        self.steps = 0
+
+    @property
+    def watched(self):
+        return self.x
+
+    def operator(self, topo):
+        self.roots.append(sqrt_psd(laplacian(topo)))
+        return self.roots[-1], np.empty((0, 2), dtype=int)
+
+    def _state(self, sw):
+        q = -(self.y @ sw)
+        y = self.agg.conj_argmax_cols(q)
+        return (*((self.x,) if self.gd else (self.x, self.y, self.z)), q, y), y
+
+    def step(self, sw, record):
+        state, y = self._state(sw)
+        self.steps += 1
+        l_f, mu_f, beta, tau = self.dc.l_f, self.dc.mu_f, self.beta, self.tau
+        if self.gd:
+            g = -(y @ sw)  # the gradient at x = y
+            self.x = self.y = self.z = self.x - (2.0 / (l_f + mu_f)) * g
+        else:
+            g = _xspace_grad(self.agg, sw, self.x)
+            y_next = self.x - g / l_f
+            self.x = (1.0 + beta) * y_next - beta * self.y
+            self.y = y_next
+            self.z = self.x / tau - ((1.0 - tau) / tau) * self.y
+        return state
+
+    def look(self):  # valued in the epoch of iteration max_iter, clipped to the horizon
+        j = self.schedule.topology_index[self.schedule.epoch_index(self.steps)]
+        return self._state(self.roots[j])[0]
+
+    def evaluate(self, rows):
+        *iterates, qs, ys = rows
+        # the dual value's sums run in C order whatever the argmax's memory order
+        duals = self.agg.dual_value_batch(qs, ys)
+        kept = [list(iterates[0].copy())] * 3 if self.gd else [a.copy() for a in iterates]
+        nan = [math.nan] * len(qs)
+        return zip(duals.tolist(), nan, nan, *kept)
+
+    def final_state(self, final_iter):
+        return self  # run_xspace_reference reads dc, roots and steps

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -34,7 +33,6 @@ __all__ = [
     "mixing_matrix",
     "mixing_delta",
     "schedule_from_spec",
-    "load_schedule",
     "alternating_schedule",
 ]
 
@@ -517,12 +515,6 @@ def schedule_from_spec(spec: dict) -> GraphSchedule:
         seed = _seed(e.get("seed", 0), f"epoch {idx}: seed")
         epochs.append((e["start"], gen_topology(e["kind"], n, e.get("params"), seed)))
     return GraphSchedule(spec["horizon"], tuple(epochs))
-
-
-def load_schedule(path) -> GraphSchedule:
-    """Read a schedule spec file (JSON) and build the schedule."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_spec(json.load(fh))
 
 
 def alternating_schedule(

@@ -294,17 +294,20 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
 
 
 class _QuadraticStack:
-    """Quadratic locals as (k, d, d) H and H^-1 stacks, plus their sums."""
+    """Quadratic locals as (k, d, d) H and (on first use) H^-1 stacks, plus their sums."""
 
     def __init__(self, locals_, agents: np.ndarray | None):
         self.agents = agents
         self.size = len(locals_)
         self.quad = np.stack([o.quad for o in locals_])
-        self.inv = np.linalg.inv(self.quad)
         self.lin = np.stack([o.lin for o in locals_])
         self.const = float(sum(o.const for o in locals_))
         self.quad_sum = self.quad.sum(axis=0)
         self.lin_sum = self.lin.sum(axis=0)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return np.linalg.inv(self.quad)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         """Sum of the locals' values for each entry of ``y`` (R, k, d), local i at row i."""

@@ -235,6 +235,21 @@ class TestXSpaceEquivalence:
             assert dist <= prev + 1e-12
             prev = dist
 
+    def test_divergence_stops_at_the_shared_bound(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        agg = random_instance(rng, 5, 3)
+        sched = GraphSchedule(40, ((0, gen_topology("cycle", 5)),))
+        for method in ("nesterov", "gd"):
+            xs = run_xspace_reference(agg, sched, method=method).xs
+            norms = [math.sqrt(np.dot(x.ravel(), x.ravel())) for x in xs]
+            # the first six iterates stay inside the bound, a later one leaves it
+            limit = max(norms[:6])
+            k = next(k for k, norm in enumerate(norms) if norm > limit)
+            monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", limit)
+            with pytest.raises(ValueError, match=f"^x-space {method} run diverged at iteration {k}$"):
+                run_xspace_reference(agg, sched, method=method)
+            monkeypatch.undo()
+
     def test_min_norm_solution_is_stationary(self):
         rng = np.random.default_rng(13)
         agg = random_instance(rng, 4, 2)

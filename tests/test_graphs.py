@@ -1,6 +1,5 @@
 """Topology generation, Laplacians, spectra, schedules, mixing matrices."""
 
-import json
 import math
 import tracemalloc
 
@@ -22,7 +21,6 @@ from dvopt.graphs import (
     change_stats,
     gen_topology,
     laplacian,
-    load_schedule,
     mixing_delta,
     mixing_matrix,
     schedule_from_spec,
@@ -539,22 +537,6 @@ class TestScheduleSpec:
         assert schedule_from_spec(_valid_spec()).horizon == 20
         with pytest.raises(ValueError):
             schedule_from_spec(spec)
-
-    def test_roundtrip(self, tmp_path):
-        spec = {
-            "horizon": 40,
-            "epochs": [
-                {"start": 0, "kind": "complete", "n": 5},
-                {"start": 20, "kind": "erdos_renyi", "n": 5, "params": {"p": 0.8}, "seed": 3},
-            ],
-        }
-        p = tmp_path / "sched.json"
-        p.write_text(json.dumps(spec))
-        s = load_schedule(p)
-        assert s.horizon == 40
-        assert len(s.epochs) == 2
-        assert s.epochs[1][0] == 20
-        assert schedule_from_spec(spec).epochs[1][1].edges == s.epochs[1][1].edges
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):

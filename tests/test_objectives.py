@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -187,13 +187,27 @@ def positive_definite_stacks(draw):
 class TestBatchedConstructors:
     @settings(max_examples=100, deadline=None)
     @given(positive_definite_stacks())
+    @example(np.stack([o.quad for o in gen_ridge_instance(100, 20, 20, seed=7).locals]))
     def test_stack_inverse_is_each_matrix_inverted_alone(self, quad):
         k, d = quad.shape[:2]
         locals_ = objectives._build_quadratics(quad, np.zeros((k, d)), np.zeros(k))
         stack = objectives._QuadraticStack(locals_, np.arange(k))
+        assert "inv" not in vars(stack)  # inverted on first use
         assert stack.inv.shape == (k, d, d)
         for i, o in enumerate(locals_):
             assert stack.inv[i].tobytes() == np.linalg.inv(o.quad.copy()).tobytes()
+
+    def test_only_a_conjugate_argmax_inverts(self, monkeypatch):
+        agg = gen_ridge_instance(100, 20, 20, seed=7)
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        y_star, _ = centralized_solve(agg)
+        agg.grad_cols(np.repeat(y_star[:, None], agg.n, axis=1))
+        assert shapes == []
+        agg.conj_argmax_cols(np.zeros((20, 100)))
+        agg.conj_argmax_cols(np.ones((20, 100)))
+        assert shapes == [(100, 20, 20)]
 
     @pytest.mark.parametrize(
         "n, l, m, seed", [(20, 10, 5, 0), (20, 10, 5, 2), (7, 3, 4, 11), (1, 5, 1, 3), (4, 1, 3, 8)]

@@ -5,13 +5,16 @@ in one pass: dual values, consensus distances and the primal values that
 ``compute_metrics`` turns into primal gaps.  The references here evaluate
 one record at a time with the per-record arithmetic the blocks replaced,
 the primal values and gaps from each reference record's ``y``, and every
-float must match bit for bit.
+float must match bit for bit.  The matrix-space reference run is checked
+the same way against its own per-iterate loop, which valued each f_k(y_k)
+through ``dual_value``.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +25,14 @@ from dvopt.algorithms import (
     run_diging,
     run_distributed_nesterov,
     run_dual_gradient,
+    run_xspace_reference,
 )
-from dvopt.graphs import alternating_schedule, laplacian, mixing_matrix
-from dvopt.metrics import MetricRow, compute_metrics
+from dvopt.graphs import GraphSchedule, Topology, alternating_schedule, gen_topology, laplacian, mixing_matrix
+from dvopt.linalg import sqrt_psd
+from dvopt.metrics import MetricRow, compute_metrics, potential_trace
 from dvopt.objectives import (
     AggregateObjective,
+    QuadraticObjective,
     centralized_solve,
     dual_constants,
     gen_logistic_instance,
@@ -130,6 +136,38 @@ def ref_diging_records(agg, schedule, max_iter, record_every, stepsize):
     return out
 
 
+def ref_xspace(agg, schedule, max_iter, method):
+    """The matrix-space loop valued one iterate at a time, as before the shared driver.
+
+    Returns the iterates, each one's epoch (the final iterate's is the epoch
+    of iteration ``max_iter``, clipped to the horizon), f_k(y_k) of each
+    through ``dual_value`` and the root of each epoch.
+    """
+    dc = dual_constants(agg, schedule.theta)
+    l_f, mu_f = dc.l_f, dc.mu_f
+    beta, tau = _momentum(dc.kappa), 1.0 / (math.sqrt(dc.kappa) + 1.0)
+    sqrt_ws = [sqrt_psd(laplacian(t)) for _, t in schedule.epochs]
+    epoch_of = [schedule.epoch_index(k) for k in range(max_iter + 1)]
+    x = y = np.zeros((agg.dim, agg.n))
+    xs, ys, zs = [x], [y], [x]
+    for k in range(max_iter):
+        sw = sqrt_ws[epoch_of[k]]
+        g = -(agg.conj_argmax_cols(-(x @ sw)) @ sw)
+        if method == "gd":
+            x = x - (2.0 / (l_f + mu_f)) * g
+            y = z = x
+        else:
+            y_next = x - g / l_f
+            x = (1.0 + beta) * y_next - beta * y
+            y = y_next
+            z = x / tau - ((1.0 - tau) / tau) * y
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+    values = [agg.dual_value(-(y @ sqrt_ws[e])) for y, e in zip(ys, epoch_of)]
+    return xs, ys, zs, epoch_of, values, sqrt_ws
+
+
 def ref_metrics(trace, agg, phi_star, ys=None):
     """compute_metrics as a loop over single records.
 
@@ -195,9 +233,29 @@ def assert_records_match(trace, reference, agg, lean=False):
 def assert_rows_match(rows, reference):
     assert len(rows) == len(reference)
     for row, ref in zip(rows, reference):
-        for name in MetricRow.__dataclass_fields__:
-            a, b = getattr(row, name), getattr(ref, name)
-            assert same_float(a, b) if isinstance(b, float) else a == b, (row.iter, name)
+        for f in dataclasses.fields(row):
+            a, b = getattr(row, f.name), getattr(ref, f.name)
+            assert same_float(a, b) if isinstance(b, float) else a == b, (row.iter, f.name)
+
+
+def assert_xspace_matches(agg, schedule, max_iter, method):
+    """A reference run's trace, residuals and potential rows against the per-iterate loop."""
+    f_star = -centralized_solve(agg)[1]
+    xref = run_xspace_reference(agg, schedule, max_iter=max_iter, method=method)
+    xs, ys, zs, epoch_of, values, sqrt_ws = ref_xspace(agg, schedule, max_iter, method)
+    assert xref.epoch_of == epoch_of
+    assert xref.residuals(f_star).tobytes() == np.array([v - f_star for v in values]).tobytes()
+    for got, want in ((xref.xs, xs), (xref.ys, ys), (xref.zs, zs), (xref.sqrt_ws, sqrt_ws)):
+        assert len(got) == len(want) and all(map(same_array, got, want))
+    if method == "gd":  # one array per iterate, as x = y = z
+        assert all(x is y is z for x, y, z in zip(xref.xs, xref.ys, xref.zs))
+    elif xref.kappa > 1.0:
+        by_iterate = dataclasses.replace(
+            xref, xs=xs, ys=ys, zs=zs, epoch_of=epoch_of, values=np.array(values), sqrt_ws=sqrt_ws
+        )
+        rows = potential_trace(xref, xref.l_f, xref.mu_f, f_star)
+        assert any(r.at_change for r in rows) == (len(set(epoch_of)) > 1)
+        assert_rows_match(rows, potential_trace(by_iterate, xref.l_f, xref.mu_f, f_star))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +287,60 @@ def aggregates(draw):
 
 def schedule_for(agg, period, horizon):
     return alternating_schedule(("path", "star"), agg.n, period, horizon)
+
+
+def common_minimizer_instance(n, d, seed, c_max):
+    """Criteria 3 and 5's instances: a complete graph and a weight-n star share X*."""
+    rng = np.random.default_rng(seed)
+    star = gen_topology("star", n)
+    tops = (gen_topology("complete", n), Topology(n, star.edges, (float(n),) * len(star.edges)))
+    raw = rng.standard_normal((d, n))
+    raw[:, 0] = 0.0
+    raw -= raw[:, 1:].mean(axis=1, keepdims=True)
+    raw[:, 0] = 0.0
+    y_star, g_star = rng.standard_normal(d), -math.sqrt(n) * raw
+    cs = rng.uniform(1.0, c_max, size=n)
+    cs[0], cs[-1] = 1.0, c_max
+    offsets = (y_star - g_star[:, i] / cs[i] for i in range(n))
+    locs = tuple(QuadraticObjective.from_offset(o, scale=float(c)) for o, c in zip(offsets, cs))
+    return AggregateObjective(locs), tops
+
+
+def criterion_3(seed):
+    """Criterion 3's instance of a seed: up to three change points over 500 iterations."""
+    agg, tops = common_minimizer_instance(4 + seed % 3, 2 + seed % 3, seed, 400.0)
+    rng = np.random.default_rng(seed + 1000)
+    starts = [0] + sorted(rng.choice(np.arange(10, 450), size=seed % 4, replace=False).tolist())
+    return agg, GraphSchedule(500, tuple((s, tops[i % 2]) for i, s in enumerate(starts)))
+
+
+def xspace_cases():
+    """(aggregate, schedule, max_iter, method) by name."""
+    quad, tops = common_minimizer_instance(5, 3, 7, 30.0)
+    c5, c5_tops = common_minimizer_instance(4, 2, 4, 16.0)
+    logistic = gen_logistic_instance(5, 4, 3, c=0.1, seed=2)
+    ridge = gen_ridge_instance(6, 3, 4, seed=3)
+    # epochs start at 40 and 70: a run cut there ends where an epoch starts
+    three = GraphSchedule(100, ((0, tops[0]), (40, tops[1]), (70, tops[0])))
+    cases = {
+        "criterion 3, seed 3": (*criterion_3(3), 500, "nesterov"),
+        "criterion 3, seed 6": (*criterion_3(6), 500, "nesterov"),
+        "criterion 5, seed 4": (
+            c5, GraphSchedule(80, ((0, c5_tops[0]), (25, c5_tops[1]), (50, c5_tops[0]))), 80, "nesterov"
+        ),
+        "gd on ridge": (
+            ridge, GraphSchedule(200, ((0, gen_topology("erdos_renyi", 6, {"p": 0.7}, seed=3)),)), 200, "gd"
+        ),
+        "logistic, cut at 40": (logistic, three, 40, "nesterov"),
+        "logistic, gd": (logistic, three, 100, "gd"),
+    }
+    for k in (39, 40, 41, 70, 100):
+        for method in ("nesterov", "gd"):
+            cases[f"cut at {k}, {method}"] = (quad, three, k, method)
+    return cases
+
+
+XSPACE_CASES = xspace_cases()
 
 
 # A run of up to 40 iterations recorded every 1-3 of them makes 2 to 41
@@ -277,6 +389,17 @@ class TestDriverRecords:
         cut = run_diging(agg, schedule, stepsize, max_iter=k)
         assert cut.aborted and cut.records[-1].iter == k and cut.records[-1].primal_value is None
         assert_records_match(cut, ref_diging_records(agg, schedule, k, 1, stepsize), agg)
+
+
+class TestXSpaceRecords:
+    @pytest.mark.parametrize("case", list(XSPACE_CASES))
+    def test_reference_run_equals_per_iterate_loop(self, case):
+        assert_xspace_matches(*XSPACE_CASES[case])
+
+    @settings(max_examples=25)
+    @given(aggregates(), st.integers(1, 40), st.integers(1, 7), st.sampled_from(("nesterov", "gd")))
+    def test_any_aggregate_and_block_fill(self, agg, max_iter, period, method):
+        assert_xspace_matches(agg, schedule_for(agg, period, 40), max_iter, method)
 
 
 class TestMetricBlocks:
