@@ -322,9 +322,10 @@ class _DualMethod:
         return laplacian(topo), topo.directed_pairs()
 
     def _state(self, y):
-        # A quadratic argmax comes out in Fortran order, fixed by the
-        # aggregate.  The block then keeps y transposed, a plain copy in y's
-        # own memory order, which the value and consensus reductions need.
+        # An aggregate holds one family, so every argmax of a run has one
+        # layout: a quadratic one comes out in Fortran order, a logistic one
+        # C-contiguous.  The block then keeps y transposed, a plain copy in
+        # y's own memory order, which the value and consensus reductions need.
         if self.y_transposed is None:
             self.y_transposed = not y.flags.c_contiguous
         y = y.T if self.y_transposed else y
@@ -334,7 +335,7 @@ class _DualMethod:
     # for any NaN or inf, so both call the family kernels without
     # conj_argmax_cols' second finite pass.
     def step(self, w, record):
-        y = self.agg._map_cols("conj_argmax", self.z)
+        y = self.agg._stack.conj_argmax(self.z.T).T
         state = self._state(y) if record else None
         zt_next = self.z - self.step_size * (y @ w)
         self.z = (1.0 + self.beta) * zt_next - self.beta * self.zt
@@ -342,7 +343,7 @@ class _DualMethod:
         return state
 
     def look(self):
-        self.y_final = self.agg._map_cols("conj_argmax", self.z)
+        self.y_final = self.agg._stack.conj_argmax(self.z.T).T
         return self._state(self.y_final)
 
     def evaluate(self, rows):
@@ -405,7 +406,7 @@ class _DIGingMethod:
 
     def __init__(self, agg, stepsize, keep_state):
         self.alpha = default_diging_stepsize(agg) if stepsize is None else float(stepsize)
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # NaN fails too
             raise ValueError("stepsize must be positive")
         self.keep_state = keep_state
         self.agg = agg

@@ -60,6 +60,7 @@ from .graphs import ValidationError, _fields, _number, _seed
 from .linalg import pinv_sqrt_psd
 from .objectives import (
     AggregateObjective,
+    ParseError,
     centralized_solve,
     dual_constants,
     gen_logistic_instance,
@@ -208,6 +209,8 @@ def _build_objective(cfg: ExperimentConfig) -> AggregateObjective:
         dense, labels = load_sparse_labeled(spec["path"]).to_dense()
     except OSError as exc:  # a file the user may not read
         raise ValidationError(f"cannot read dataset: {exc}") from None
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read dataset: {spec['path']!r}: {exc}") from None
     total = dense.shape[0]
     per_agent = total // n
     if per_agent < 1:
@@ -592,6 +595,8 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:  # a missing file, a directory, no permission
         raise ValidationError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # not JSON, not UTF-8, or an int beyond Python's digit limit
+        raise ValidationError(f"cannot read {what}: {path!r}: {exc}") from None
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -704,7 +709,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit with 2

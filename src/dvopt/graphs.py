@@ -87,8 +87,10 @@ class Topology:
             w = tuple(float(x) for x in self.weights)
             if len(w) != len(self.edges):
                 raise ValueError("one weight per edge required")
-            if any(x <= 0 for x in w):
+            if not all(x > 0 for x in w):  # NaN fails too
                 raise ValueError("edge weights must be positive")
+            if not all(math.isfinite(x) for x in w):
+                raise ValueError("edge weights must be finite")
             object.__setattr__(self, "weights", w)
 
     def neighbor_lists(self) -> list[list[int]]:

@@ -19,10 +19,12 @@ mu and L.  A single :class:`QuadraticObjective` or
 :class:`LogisticObjective` is that constructor on a batch of one, with
 the same bits as the generated local.
 
-An :class:`AggregateObjective` evaluates its agents family by family: on
-first use it stacks each family's locals (quadratics as ``(n, d, d)``
-matrices, inverted in one ``inv`` call; logistic samples as zero-padded
-``(n, l, m)`` arrays) and then maps all columns of a family in one
+An :class:`AggregateObjective` holds locals of one family, as every
+generator and transformation here builds them, so its agents are the
+rows of one family stack in order and no column is gathered or
+scattered.  On first use it stacks the locals (quadratics as
+``(n, d, d)`` matrices, inverted in one ``inv`` call; logistic samples
+as zero-padded ``(n, l, m)`` arrays) and then maps all columns in one
 batched numpy call.  Values also take a leading batch axis, one entry
 per run record (``value_cols_batch``, ``value_consensus_batch``,
 ``dual_value_batch``), and the per-record ``value_cols``,
@@ -86,7 +88,9 @@ class _Local:
 
     @cached_property
     def _stack(self):
-        return _STACKS[self.kind]((self,), None)
+        stack = _STACKS[self.kind]((self,))
+        stack.numbered = False  # outside an aggregate, a row is no agent
+        return stack
 
     def value(self, y: np.ndarray) -> float:
         return float(self._stack.value(np.asarray(y, dtype=float).reshape(1, 1, -1))[0])
@@ -269,7 +273,7 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
         locals_ = [LogisticObjective.__new__(LogisticObjective) for _ in samples]
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    if ridge <= 0 or scale <= 0:
+    if not (ridge > 0 and scale > 0):  # NaN fails too
         raise ValueError("ridge and scale must be positive")
     ridge, scale = float(ridge), float(scale)
     if samples.size:
@@ -289,16 +293,13 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
 # (R, d) consensus points in, one value per entry out.  Batches are
 # C-contiguous and every product is a stacked per-slice matmul, so each
 # entry runs the BLAS kernel and the pairwise sum a batch of one runs and
-# its bits do not depend on the batch.  ``agents`` are the aggregate
-# columns the locals occupy, or None for a standalone local.
+# its bits do not depend on the batch.
 
 
 class _QuadraticStack:
     """Quadratic locals as (k, d, d) H and (on first use) H^-1 stacks, plus their sums."""
 
-    def __init__(self, locals_, agents: np.ndarray | None):
-        self.agents = agents
-        self.size = len(locals_)
+    def __init__(self, locals_):
         self.quad = np.stack([o.quad for o in locals_])
         self.lin = np.stack([o.lin for o in locals_])
         self.const = float(sum(o.const for o in locals_))
@@ -324,9 +325,6 @@ class _QuadraticStack:
     def grad(self, y: np.ndarray) -> np.ndarray:
         return (self.quad @ y[..., None])[..., 0] - self.lin
 
-    def hess(self, y: np.ndarray) -> np.ndarray:
-        return self.quad
-
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
         return (self.inv @ (z + self.lin)[..., None])[..., 0]
 
@@ -337,12 +335,13 @@ class _LogisticStack:
     Locals with fewer than ``l`` samples are padded with zero rows whose
     row weight is 0; the weight (0/1 times 1/scale) multiplies every
     per-sample term, so padding adds nothing to the value, the gradient
-    or the Hessian.  Solver errors name the failing locals by ``agents``
-    (a standalone local, with ``agents`` None, is not numbered).
+    or the Hessian.  Solver errors name the failing rows as agents, unless
+    ``numbered`` is False (a standalone local's stack of one).
     """
 
-    def __init__(self, locals_, agents: np.ndarray | None):
-        self.agents = agents
+    numbered = True
+
+    def __init__(self, locals_):
         self.size = len(locals_)
         l = max(o.samples.shape[0] for o in locals_)
         self.samples = np.zeros((self.size, l, locals_[0].dim))
@@ -407,12 +406,10 @@ class _LogisticStack:
         targets = _CONJ_TOL * (1.0 + _row_norms(z))
         x, failed, norms = _damped_newton(self.grad_parts, self.hess, z, targets, *self.at_zero)
         if failed.size:
-            if self.agents is None:
-                listed = f"residual {norms[0]:.3e}"
+            if self.numbered:
+                listed = ", ".join(f"agent {a} (residual {r:.3e})" for a, r in zip(failed, norms))
             else:
-                listed = ", ".join(
-                    f"agent {a} (residual {r:.3e})" for a, r in zip(self.agents[failed], norms)
-                )
+                listed = f"residual {norms[0]:.3e}"
             raise SolverError(
                 f"conjugate argmax did not converge in {_NEWTON_CAP} Newton steps: {listed}"
             )
@@ -424,10 +421,12 @@ _STACKS = {"quadratic": _QuadraticStack, "logistic": _LogisticStack}
 
 @dataclass(frozen=True)
 class AggregateObjective:
-    """Ordered collection of local objectives, one per agent.
+    """Ordered collection of local objectives of one family, one per agent.
 
-    The column maps evaluate each objective family's locals as one stack
-    (see ``_stacks``), not agent by agent.
+    The column maps evaluate the locals as one family stack (``_stack``),
+    not agent by agent.  Every generator and transformation here builds
+    one family, and agent ``i`` is then the stack's row ``i``: no column is
+    gathered or scattered, and a failed Newton row names its agent.
     """
 
     locals: tuple
@@ -438,8 +437,11 @@ class AggregateObjective:
         d = self.locals[0].dim
         if any(o.dim != d for o in self.locals):
             raise ValueError("all locals must share the decision dimension")
-        if any(o.kind not in _STACKS for o in self.locals):
+        kinds = {o.kind for o in self.locals}
+        if not kinds <= _STACKS.keys():
             raise ValueError(f"local objective kinds must be among {sorted(_STACKS)}")
+        if len(kinds) > 1:
+            raise ValueError(f"all locals must share one objective kind, got {sorted(kinds)}")
         object.__setattr__(self, "locals", tuple(self.locals))
 
     @property
@@ -467,30 +469,12 @@ class AggregateObjective:
         return sum(o.L / o.mu for o in self.locals) / self.n
 
     def all_quadratic(self) -> bool:
-        return all(o.kind == "quadratic" for o in self.locals)
+        return self.locals[0].kind == "quadratic"
 
     @cached_property
-    def _stacks(self) -> tuple:
-        # one stack per family present, built on first use
-        kinds = np.array([o.kind for o in self.locals])
-        stacks = []
-        for kind, stack in _STACKS.items():
-            agents = np.flatnonzero(kinds == kind)
-            if agents.size:
-                stacks.append(stack([self.locals[i] for i in agents], agents))
-        return tuple(stacks)
-
-    def _map_cols(self, name: str, y: np.ndarray) -> np.ndarray:
-        stacks = self._stacks
-        if len(stacks) == 1:
-            # one family holds every column in order: skipping the gather and
-            # scatter cuts the benchmark's wall_s by 14% on switching_sweep
-            # (n=20) and 6% on ridge_run (n=100)
-            return getattr(stacks[0], name)(y.T).T
-        out = np.empty_like(y)
-        for stack in stacks:
-            out[:, stack.agents] = getattr(stack, name)(y.T[stack.agents]).T
-        return out
+    def _stack(self):
+        # built on first use; agent i is row i
+        return _STACKS[self.locals[0].kind](self.locals)
 
     def value_cols(self, y: np.ndarray) -> float:
         """Phi(Y) = sum_i phi_i(y_i) over the columns of Y."""
@@ -499,14 +483,8 @@ class AggregateObjective:
     def value_cols_batch(self, ys: np.ndarray) -> np.ndarray:
         """Phi(Y) of each entry of a (R, d, n) batch."""
         rows = np.asarray(ys, dtype=float).transpose(0, 2, 1)
-        stacks = self._stacks
-        if len(stacks) == 1:
-            # one family holds every column in order, and a run's transposed y
-            # block is already C-contiguous: skipping the copy cut ridge_run's
-            # peak_rss_mb by 0.1 MB in 10 of 10 benchmark pairs, and its wall_s
-            # by 3% in 9 of 10 (BENCH_9_value_copy.json)
-            return stacks[0].value(np.ascontiguousarray(rows))
-        return sum(stack.value(np.ascontiguousarray(rows[:, stack.agents])) for stack in stacks)
+        # a run's transposed y block is already C-contiguous, so this copies nothing
+        return self._stack.value(np.ascontiguousarray(rows))
 
     def value_consensus(self, point: np.ndarray) -> float:
         """sum_i phi_i(y) at a single shared point."""
@@ -514,17 +492,16 @@ class AggregateObjective:
 
     def value_consensus_batch(self, points: np.ndarray) -> np.ndarray:
         """sum_i phi_i(y) at each row y of a (R, d) batch."""
-        points = np.ascontiguousarray(points, dtype=float)
-        return sum(stack.consensus_value(points) for stack in self._stacks)
+        return self._stack.consensus_value(np.ascontiguousarray(points, dtype=float))
 
     def grad_cols(self, y: np.ndarray) -> np.ndarray:
-        return self._map_cols("grad", np.asarray(y, dtype=float))
+        return self._stack.grad(np.asarray(y, dtype=float).T).T
 
     def conj_argmax_cols(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if not np.isfinite(z).all():
             raise ValueError("conjugate argmax input must be finite")
-        return self._map_cols("conj_argmax", z)
+        return self._stack.conj_argmax(z.T).T
 
     def dual_value(self, z: np.ndarray, y_tilde: np.ndarray | None = None) -> float:
         """sum_i [<z_i, y_i> - phi_i(y_i)] at y_i = conj_argmax(z_i)."""
@@ -617,7 +594,7 @@ def gen_logistic_instance(n: int, l: int, m: int, c: float, seed: int = 0) -> Ag
     """
     if min(n, l, m) < 1:
         raise ValueError("counts must be >= 1")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("ridge coefficient must be positive")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(m)
@@ -670,6 +647,8 @@ def load_sparse_labeled(path) -> Dataset:
                     val = float(val_s)
                 except ValueError:
                     raise ParseError(f"line {lineno}: malformed pair {tok!r}") from None
+                if not math.isfinite(val):
+                    raise ParseError(f"line {lineno}: non-finite value in pair {tok!r}")
                 if idx < 1:
                     raise ParseError(f"line {lineno}: feature index must be >= 1, got {idx}")
                 if idx <= prev_idx:
@@ -708,29 +687,22 @@ def centralized_solve(agg: AggregateObjective, tol: float = 1e-10) -> tuple[np.n
     damped Newton runs, as a batch of one on the summed gradient and
     Hessian, until the gradient norm drops below ``tol``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
+    stack = agg._stack
     if agg.all_quadratic():
-        (stack,) = agg._stacks
         y_star = np.linalg.solve(stack.quad_sum, stack.lin_sum)
         return y_star, agg.value_consensus(y_star)
+    shape = (agg.n, agg.dim)
 
-    def total(name, x):
-        return sum(
-            getattr(stack, name)(np.broadcast_to(x, (stack.size, agg.dim))).sum(axis=0)
-            for stack in agg._stacks
-        )[None]
+    def grad(x, rows=None):
+        return stack.grad(np.broadcast_to(x, shape)).sum(axis=0)[None], ()
 
-    def grad(x, rows):
-        return total("grad", x), ()
-
-    def hess(x, rows, parts):
-        return total("hess", x)
+    def hess(x, rows=None, parts=()):
+        return stack.hess(np.broadcast_to(x, shape)).sum(axis=0)[None]
 
     zero = np.zeros((1, agg.dim))
-    x, failed, norms = _damped_newton(
-        grad, hess, zero, np.array([tol]), total("grad", zero), total("hess", zero)
-    )
+    x, failed, norms = _damped_newton(grad, hess, zero, np.array([tol]), grad(zero)[0], hess(zero))
     if failed.size:
         raise SolverError(
             f"centralized solve exceeded its iteration cap (gradient norm {norms[0]:.3e})"

@@ -528,10 +528,19 @@ _BAD_INPUTS = [
     (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=0.0), "stepsize must be positive"),
     (lambda: run_xspace_reference(two_agent_instance(), _STATIC, method="heavy_ball"), "method must be 'nesterov' or 'gd'"),
 ]
+# A NaN passes a bare ``x <= 0`` test, so positivity checks are also given
+# one.  These share an earlier case's message, so their ids are marked.
+_NAN_INPUTS = [
+    (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=math.nan), "stepsize must be positive"),
+]
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("call, message", _BAD_INPUTS, ids=[m for _, m in _BAD_INPUTS])
+    @pytest.mark.parametrize(
+        "call, message",
+        _BAD_INPUTS + _NAN_INPUTS,
+        ids=[m for _, m in _BAD_INPUTS] + [f"nan: {m}" for _, m in _NAN_INPUTS],
+    )
     def test_bad_input_raises_its_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

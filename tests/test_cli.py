@@ -731,6 +731,54 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: cannot read {what}: [Errno 13] Permission denied: '{named}'\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "argv, field, content, what, reason",
+        [
+            (
+                ["run", "cfg.json"],
+                {"schedule": {"file": "bad"}},
+                b'{"horizon": 10, "epochs": [',
+                "schedule",
+                "Expecting value: line 1 column 28 (char 27)",
+            ),
+            (["graph-info", "bad"], {}, b'{"horizon": 10, "epochs": [', "schedule", "Expecting value: line 1 column 28 (char 27)"),
+            (["run", "bad"], {}, b'{"seed": 3', "config", "Expecting ',' delimiter: line 1 column 11 (char 10)"),
+            (
+                ["run", "cfg.json"],
+                {"objective": {"kind": "dataset", "path": "bad", "n": 2, "c": 0.5}},
+                b"+1 1:1\n-1 1:\xff\n",
+                "dataset",
+                "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+            ),
+            (
+                ["run", "cfg.json"],
+                {"objective": {"kind": "dataset", "path": "bad", "n": 2, "c": 0.5}},
+                b"+1 1:1.0 2:0.5\n-1 1:nan\n+1 2:1.1\n-1 2:-0.3\n",
+                "dataset",
+                "line 2: non-finite value in pair '1:nan'",
+            ),
+            (
+                ["run", "cfg.json"],
+                {"objective": {"kind": "dataset", "path": "bad", "n": 2, "c": 0.5}},
+                b"+1 1:1.0 2:0.5\n-1 1:-0.8\n+1 2:inf\n-1 2:-0.3\n",
+                "dataset",
+                "line 3: non-finite value in pair '2:inf'",
+            ),
+        ],
+    )
+    def test_malformed_file_exits_one_naming_it(
+        self, tmp_path, capsys, monkeypatch, argv, field, content, what, reason
+    ):
+        # a truncated JSON file, bytes that are not UTF-8, a non-finite feature
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_bytes(content)
+        (tmp_path / "cfg.json").write_text(json.dumps(minimal_config(tmp_path, **field)))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        named = str(tmp_path / "bad") if argv[1] == "cfg.json" else "bad"
+        assert capsys.readouterr().err == f"error: cannot read {what}: '{named}': {reason}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_numerical_failure_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):
         # the family kernel that each step calls fails on its fourth call
         calls = []

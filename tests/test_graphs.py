@@ -599,6 +599,8 @@ _BAD_INPUTS = [
     (lambda: Topology(0, ()), "node count must be >= 1"),
     (lambda: Topology(3, ((1, 2), (2, 1))), "duplicate edge (1, 2)"),
     (lambda: Topology(3, ((1, 2),), (1.0, 2.0)), "one weight per edge required"),
+    (lambda: Topology(2, ((1, 2),), (math.nan,)), "edge weights must be positive"),
+    (lambda: Topology(2, ((1, 2),), (math.inf,)), "edge weights must be finite"),
     (lambda: GraphSchedule(0, ((0, _PATH3),)), "horizon must be >= 1"),
     (lambda: GraphSchedule(5, ()), "schedule needs at least one epoch"),
     (lambda: GraphSchedule(5, ((0, _PATH3),)).epoch_index(-1), "iteration index must be >= 0"),

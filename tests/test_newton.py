@@ -100,7 +100,7 @@ def _same_solves(grad, hess, z, targets, grad0, hess0):
 @lru_cache(maxsize=None)
 def _stack(b):
     # 10 features: a residual norm then sums its squares pairwise, not in a row
-    return gen_logistic_instance(b, 6, 10, c=0.1, seed=b)._stacks[0]
+    return gen_logistic_instance(b, 6, 10, c=0.1, seed=b)._stack
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,7 +162,7 @@ def test_carried_hessians_are_fresh_on_a_backtracking_stack():
     # test_floored_rows_match_the_reference, where rows move.
     agg = gen_logistic_instance(6, 6, 5, c=0.1, seed=1)
     scaled = [LogisticObjective(1e4 * o.samples, o.labels, o.ridge, o.scale) for o in agg.locals]
-    stack = AggregateObjective(tuple(scaled))._stacks[0]
+    stack = AggregateObjective(tuple(scaled))._stack
     rng = np.random.default_rng(1)
     z = 10.0 ** rng.uniform(-3.0, 2.0, 6)[:, None] * rng.standard_normal((6, 5))
     targets = objectives._CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))

@@ -191,7 +191,7 @@ class TestBatchedConstructors:
     def test_stack_inverse_is_each_matrix_inverted_alone(self, quad):
         k, d = quad.shape[:2]
         locals_ = objectives._build_quadratics(quad, np.zeros((k, d)), np.zeros(k))
-        stack = objectives._QuadraticStack(locals_, np.arange(k))
+        stack = objectives._QuadraticStack(locals_)
         assert "inv" not in vars(stack)  # inverted on first use
         assert stack.inv.shape == (k, d, d)
         for i, o in enumerate(locals_):
@@ -226,7 +226,7 @@ class TestBatchedConstructors:
             )
             assert field_bytes(o, QUADRATIC_FIELDS) == field_bytes(alone, QUADRATIC_FIELDS)
             # the aggregate's stack inverts each matrix as the local's stack of one does
-            assert agg._stacks[0].inv[i].tobytes() == alone._stack.inv[0].tobytes()
+            assert agg._stack.inv[i].tobytes() == alone._stack.inv[0].tobytes()
 
     @pytest.mark.parametrize("n, count, m, seed", [(20, 400, 10, 0), (4, 23, 3, 1), (3, 3, 2, 2)])
     def test_logistic_block_locals_are_single_logistics(self, n, count, m, seed):
@@ -285,7 +285,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "line",
-        ["+1 0:1", "+1 3:x", "+1 junk", "2 1:1", "+1 3:1 2:1"],
+        ["+1 0:1", "+1 3:x", "+1 junk", "2 1:1", "+1 3:1 2:1", "+1 1:nan", "+1 2:-inf", "+1 1:1e400"],
     )
     def test_malformed_lines(self, tmp_path, line):
         p = tmp_path / "bad.txt"
@@ -341,13 +341,18 @@ class TestBalance:
     @given(
         st.integers(0, 2**32 - 1),
         arrays(float, 3, elements=st.floats(-30.0, 30.0)),
+        st.sampled_from(("quadratic", "logistic")),
     )
-    def test_value_consensus_unchanged_at_random_points(self, seed, y):
-        # quadratic and logistic locals with unequal strong convexity
+    def test_value_consensus_unchanged_at_random_points(self, seed, y, kind):
+        # locals of one family with unequal strong convexity
         rng = np.random.default_rng(seed)
-        logistic = gen_logistic_instance(3, 4, 3, c=rng.uniform(0.05, 1.0), seed=seed)
-        locs = logistic.locals[:2] + (logistic.locals[2].shifted(rng.uniform(0.0, 2.0)),)
-        locs += tuple(rand_quadratic(rng, 3) for _ in range(rng.integers(0, 3)))
+        if kind == "logistic":
+            logistic = gen_logistic_instance(3, 4, 3, c=rng.uniform(0.05, 1.0), seed=seed)
+            locs = logistic.locals[:2] + (logistic.locals[2].shifted(rng.uniform(0.0, 2.0)),)
+        else:
+            count = rng.integers(1, 6)
+            offsets, scales = rng.standard_normal((count, 3)), rng.uniform(0.05, 3.0, count)
+            locs = tuple(QuadraticObjective.from_offset(a, s) for a, s in zip(offsets, scales))
         agg = AggregateObjective(locs)
         before = agg.value_consensus(y)
         after = balance_strong_convexity(agg).value_consensus(y)
@@ -475,7 +480,7 @@ def local_grad(o, y):
 
 @st.composite
 def aggregates(draw, family):
-    """Small aggregates of one family, or quadratics and logistics mixed."""
+    """Small aggregates of one family; ragged ones pad unequal sample counts."""
     seed = draw(st.integers(0, 2**16))
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 4))
@@ -485,13 +490,8 @@ def aggregates(draw, family):
     if family == "logistic":
         c = draw(st.floats(0.05, 1.0))
         return gen_logistic_instance(n, draw(st.integers(1, 5)), d, c=c, seed=seed)
-    if family == "ragged":
-        counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-        return AggregateObjective(tuple(rand_logistic(rng, c, d) for c in counts))
-    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return AggregateObjective(
-        tuple(rand_logistic(rng, 4, d) if is_logistic else rand_quadratic(rng, d) for is_logistic in kinds)
-    )
+    counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return AggregateObjective(tuple(rand_logistic(rng, c, d) for c in counts))
 
 
 @st.composite
@@ -501,7 +501,7 @@ def aggregate_and_points(draw, family):
     return agg, draw(cols)
 
 
-FAMILIES = ("ridge", "logistic", "ragged", "mixed")
+FAMILIES = ("ridge", "logistic", "ragged")
 
 
 class TestStackedKernels:
@@ -542,24 +542,21 @@ class TestStackedKernels:
         np.testing.assert_array_equal(o.grad(y[:, 0]), agg.grad_cols(y)[:, 0])
         np.testing.assert_array_equal(o.conj_argmax(z[:, 0]), agg.conj_argmax_cols(z)[:, 0])
 
-    def test_mixed_columns_keep_agent_order(self):
-        rng = np.random.default_rng(8)
-        locs = (rand_quadratic(rng, 3), rand_logistic(rng, 5, 3), rand_quadratic(rng, 3),
-                rand_logistic(rng, 2, 3))
-        agg = AggregateObjective(locs)
-        z = rng.standard_normal((3, 4))
-        y = agg.conj_argmax_cols(z)
-        for i, o in enumerate(locs):
-            assert np.allclose(y[:, i], o.conj_argmax(z[:, i]), atol=1e-9)
-
     def test_newton_failure_names_agents(self, monkeypatch):
         rng = np.random.default_rng(3)
-        locs = (rand_quadratic(rng, 3), rand_logistic(rng, 5, 3), rand_quadratic(rng, 3),
-                rand_logistic(rng, 6, 3))
+        locs = tuple(rand_logistic(rng, count, 3) for count in (4, 5, 2, 6))
         agg = AggregateObjective(locs)
+        # agents 0 and 2 are solved at zero, where each solve starts, so
+        # only rows 1 and 3 are left when the one allowed step is taken
+        z = rng.standard_normal((3, 4))
+        for i in (0, 2):
+            z[:, i] = locs[i].grad(np.zeros(3))
         monkeypatch.setattr(objectives, "_NEWTON_CAP", 1)
-        with pytest.raises(SolverError, match=r"agent 1 \(residual .*agent 3 \(residual"):
-            agg.conj_argmax_cols(rng.standard_normal((3, 4)))
+        with pytest.raises(SolverError) as info:
+            agg.conj_argmax_cols(z)
+        assert re.fullmatch(
+            r".*: agent 1 \(residual [^)]*\), agent 3 \(residual [^)]*\)", str(info.value)
+        )
         with pytest.raises(SolverError) as info:
             locs[1].conj_argmax(rng.standard_normal(3))
         assert "agent" not in str(info.value)
@@ -625,7 +622,7 @@ class TestNewtonWork:
         listed = f"agent 0 (residual {fresh[0]:.3e}), agent 1 (residual {fresh[1]:.3e})"
         assert str(info.value).endswith(listed)
 
-        stack = agg._stacks[0]
+        stack = agg._stack
         z = np.zeros((2, 3))
         got, failed, norms = objectives._damped_newton(
             stack.grad_parts, stack.hess, z, np.full(2, 1e-10), grad(None, z), hess(None, z)
@@ -701,6 +698,34 @@ def _centralized_cap(tmp_path, monkeypatch):
 
 
 _ONE_QUAD = QuadraticObjective.from_offset(np.zeros(2))
+_ONE_LOGISTIC = LogisticObjective(np.ones((1, 2)), np.ones(1), 0.1, 1.0)
+_OTHER_KIND = type("Other", (), {"kind": "other", "dim": 2})()
+
+
+# A NaN passes a bare ``x <= 0`` test, so each positivity check is also
+# given one.  Each is a named function: a lambda with the same message as
+# an earlier case would rename that case's test id.
+def _nan_ridge(*_):
+    LogisticObjective(np.ones((2, 2)), np.ones(2), math.nan, 1.0)
+
+
+def _nan_scale(*_):
+    LogisticObjective(np.ones((2, 2)), np.ones(2), 0.1, math.nan)
+
+
+def _nan_ridge_coefficient(*_):
+    gen_logistic_instance(1, 1, 1, c=math.nan)
+
+
+def _nan_tolerance(*_):
+    centralized_solve(AggregateObjective((_ONE_QUAD,)), tol=math.nan)
+
+
+def _non_finite_feature(tmp_path, monkeypatch):
+    p = tmp_path / "bad.txt"
+    p.write_text("+1 1:2\n-1 1:1 2:inf\n")
+    load_sparse_labeled(p)
+
 
 # Each input check with the exact message it raises; a pattern where the
 # message carries a computed residual.
@@ -730,6 +755,21 @@ _BAD_INPUTS = [
         SolverError,
         re.compile(r"centralized solve exceeded its iteration cap \(gradient norm \d\.\d{3}e[-+]\d\d\)"),
     ),
+    (
+        lambda *_: AggregateObjective((_ONE_QUAD, _ONE_LOGISTIC)),
+        ValueError,
+        "all locals must share one objective kind, got ['logistic', 'quadratic']",
+    ),
+    (
+        lambda *_: AggregateObjective((_ONE_QUAD, _OTHER_KIND)),
+        ValueError,
+        "local objective kinds must be among ['logistic', 'quadratic']",
+    ),
+    (_nan_ridge, ValueError, "ridge and scale must be positive"),
+    (_nan_scale, ValueError, "ridge and scale must be positive"),
+    (_nan_ridge_coefficient, ValueError, "ridge coefficient must be positive"),
+    (_nan_tolerance, ValueError, "tolerance must be positive"),
+    (_non_finite_feature, ParseError, "line 2: non-finite value in pair '2:inf'"),
 ]
 
 
