@@ -1,10 +1,12 @@
 """Topologies, graph Laplacians, spectral data, and time-varying schedules.
 
-Nodes are labeled 1..n.  A :class:`GraphSchedule` is piecewise constant:
-the communication graph is fixed between change events, and every epoch
-must be connected.  Spectral quantities feed the dual step sizes and the
-closed-form rate bounds; they come from the LAPACK-backed eigensolver in
-:mod:`dvopt.linalg`.
+Nodes are labeled 1..n.  A :class:`Topology` checks its edges with array
+operations, builds its Laplacian from their endpoint arrays in one
+scatter, and walks its connectivity once.  A :class:`GraphSchedule` is
+piecewise constant: the communication graph is fixed between change
+events, and every epoch must be connected.  Spectral quantities feed the
+dual step sizes and the closed-form rate bounds; they come from the
+LAPACK-backed eigensolver in :mod:`dvopt.linalg`.
 """
 
 from __future__ import annotations
@@ -58,8 +60,13 @@ class GenerationError(RuntimeError):
 class Topology:
     """Undirected graph on nodes 1..n with optional positive edge weights.
 
-    ``edges`` holds unordered pairs stored as (i, j) with i < j.  When
-    ``weights`` is None every edge has weight 1.
+    ``edges`` is given as pairs or as an (m, 2) integer array and stored
+    as a tuple of pairs (i, j) with i < j, in the given order; only a
+    faulty input is walked pair by pair, to name its first bad edge.  When
+    ``weights`` is None every edge has weight 1.  The 0-based endpoints
+    are cached outside the fields, so equality and hashing are unchanged,
+    as a read-only (2, m) array ``_ends`` (each edge's i, then its j), and
+    connectivity is walked at the first :meth:`is_connected` only.
     """
 
     n: int
@@ -69,29 +76,32 @@ class Topology:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("node count must be >= 1")
-        canon = []
-        seen = set()
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) outside 1..{self.n}")
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                raise ValueError(f"duplicate edge {pair}")
-            seen.add(pair)
-            canon.append(pair)
-        object.__setattr__(self, "edges", tuple(canon))
+        try:
+            given = np.asarray(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
+        except OverflowError:  # an endpoint beyond int64 is out of range
+            _raise_first_fault(self.n, self.edges)
+        lo, hi = np.minimum(given[:, 0], given[:, 1]), np.maximum(given[:, 0], given[:, 1])
+        if len(lo) and not (lo.min() >= 1 and hi.max() <= self.n):
+            _raise_first_fault(self.n, self.edges)
+        i, j = ends = np.array([lo, hi]) - 1
+        # a self-loop marks one entry and a repeated pair none, so 2m marks
+        # mean m distinct edges (n x n bytes, an eighth of the Laplacian)
+        marks = np.zeros((self.n, self.n), dtype=bool)
+        marks[i, j] = marks[j, i] = True
+        if np.count_nonzero(marks) != 2 * len(lo):
+            _raise_first_fault(self.n, self.edges)
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
+        ends.flags.writeable = False
+        object.__setattr__(self, "_ends", ends)
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(self.edges):
+            w = np.asarray(self.weights, dtype=float)
+            if w.shape != (len(lo),):
                 raise ValueError("one weight per edge required")
-            if not all(x > 0 for x in w):  # NaN fails too
+            if not (w > 0).all():  # NaN fails too
                 raise ValueError("edge weights must be positive")
-            if not all(math.isfinite(x) for x in w):
+            if not np.isfinite(w).all():
                 raise ValueError("edge weights must be finite")
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", tuple(w.tolist()))
 
     def neighbor_lists(self) -> list[list[int]]:
         nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -102,13 +112,28 @@ class Topology:
 
     def directed_pairs(self) -> np.ndarray:
         """All (sender, receiver) pairs, both directions per edge."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=int)
-        e = np.asarray(self.edges, dtype=int)
+        e = self._ends.T + 1
         return np.vstack([e, e[:, ::-1]])
 
     def is_connected(self) -> bool:
-        return _n_components(self) == 1
+        if "_connected" not in self.__dict__:
+            object.__setattr__(self, "_connected", _n_components(self) == 1)
+        return self._connected
+
+
+def _raise_first_fault(n: int, edges) -> None:
+    """Raise the message of the first self-loop, out-of-range or repeated edge."""
+    seen = set()
+    for e in edges:
+        i, j = int(e[0]), int(e[1])
+        if i == j:
+            raise ValueError(f"self-loop on node {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i},{j}) outside 1..{n}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ValueError(f"duplicate edge {pair}")
+        seen.add(pair)
 
 
 def _n_components(t: Topology) -> int:
@@ -263,10 +288,8 @@ def _epoch_of_iteration(s: GraphSchedule, stop: int) -> list[int]:
 def laplacian(t: Topology) -> np.ndarray:
     """Weighted graph Laplacian: degrees on the diagonal, -w_ij off it."""
     w = np.zeros((t.n, t.n))
-    weights = t.weights if t.weights is not None else (1.0,) * len(t.edges)
-    for (i, j), wij in zip(t.edges, weights):
-        w[i - 1, j - 1] = -wij
-        w[j - 1, i - 1] = -wij
+    i, j = t._ends
+    w[i, j] = w[j, i] = -1.0 if t.weights is None else -np.array(t.weights)
     np.fill_diagonal(w, -w.sum(axis=1))
     return w
 
@@ -357,27 +380,6 @@ def mixing_delta(s: GraphSchedule, b: int = 1) -> float:
 # Topology generation
 
 
-def _path_edges(n):
-    return [(i, i + 1) for i in range(1, n)]
-
-
-def _cycle_edges(n):
-    return _path_edges(n) + [(1, n)]
-
-
-def _star_edges(n):
-    return [(1, j) for j in range(2, n + 1)]
-
-
-def _complete_edges(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _picked_edges(upper, mask) -> tuple:
-    """The 1-based pairs of ``upper`` (a ``triu_indices`` pair of rows) where ``mask`` holds."""
-    return tuple(zip((upper[0][mask] + 1).tolist(), (upper[1][mask] + 1).tolist()))
-
-
 def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Topology:
     """Generate a connected topology of the requested kind.
 
@@ -404,24 +406,26 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
     )
     if n < 2:
         raise ValueError("need at least 2 nodes")
+    nodes = np.arange(1, n + 1)
     if kind == "path":
-        return Topology(n, tuple(_path_edges(n)))
+        return Topology(n, np.array([nodes[:-1], nodes[1:]]).T)
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle needs at least 3 nodes")
-        return Topology(n, tuple(_cycle_edges(n)))
+        return Topology(n, np.array([nodes, nodes % n + 1]).T)  # (n, 1) closes it
     if kind == "star":
-        return Topology(n, tuple(_star_edges(n)))
+        return Topology(n, np.array([np.ones_like(nodes[1:]), nodes[1:]]).T)
+    upper = np.triu_indices(n, 1)
+    pairs = np.array(upper).T + 1  # every (i, j), i < j, row by row
     if kind == "complete":
-        return Topology(n, tuple(_complete_edges(n)))
+        return Topology(n, pairs)
     if kind == "erdos_renyi":
         p = _number(params.get("p", min(1.0, 2.0 * math.log(n) / n)), "edge probability", float)
         if not (0.0 < p <= 1.0):
             raise ValueError("edge probability must be in (0, 1]")
         rng = np.random.default_rng(seed)
-        upper = np.triu_indices(n, 1)  # every pair (i, j), i < j, in _complete_edges order
         for _ in range(_MAX_GEN_ATTEMPTS):
-            t = Topology(n, _picked_edges(upper, rng.random(len(upper[0])) < p))
+            t = Topology(n, pairs[rng.random(len(pairs)) < p])
             if t.is_connected():
                 return t
         raise GenerationError(
@@ -435,11 +439,10 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
     if not radius > 0:
         raise ValueError("radius must be positive")
     pts = np.random.default_rng(seed).random((n, 2))
-    upper = np.triu_indices(n, 1)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)[upper]
     # unit square: radius sqrt(2) connects everything, so this ends
     while True:
-        t = Topology(n, _picked_edges(upper, d2 <= radius * radius))
+        t = Topology(n, pairs[d2 <= radius * radius])
         if t.is_connected():
             return t
         radius *= 1.1

@@ -42,7 +42,7 @@ def gd_iterations(l_smooth: float, mu: float, radius: float, eps: float) -> int:
     """
     if not (l_smooth >= mu > 0):
         raise ValueError("need L >= mu > 0")
-    if radius < 0 or eps <= 0:
+    if not (radius >= 0 and eps > 0):  # NaN fails too
         raise ValueError("need R >= 0 and eps > 0")
     if radius <= eps:
         return 0
@@ -60,7 +60,7 @@ def nesterov_tv_bound(l_smooth: float, mu: float, radius: float, m: int, n_iters
     """
     if not (l_smooth >= mu > 0):
         raise ValueError("need L >= mu > 0")
-    if m < 0 or n_iters < 0:
+    if not (m >= 0 and n_iters >= 0):
         raise ValueError("m and N must be >= 0")
     kappa = l_smooth / mu
     contraction = 1.0 - 1.0 / math.sqrt(kappa)
@@ -107,16 +107,18 @@ def alg1_complexity(
     logarithmic factor can be passed directly as ``log_term`` instead of
     (L, mu, R, eps).
     """
-    if kappa < 1:
+    if not kappa >= 1:  # NaN fails too
         raise ValueError("kappa must be >= 1")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     if log_term is None:
         if None in (l_smooth, mu, radius, eps):
             raise ValueError("need either log_term or all of (L, mu, R, eps)")
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         log_term = math.log((l_smooth + mu) * radius**2 / (2.0 * eps))
+    if not math.isfinite(log_term):
+        raise ValueError("log_term must be finite")
     ceiling = math.inf if kappa == 1.0 else 1.0 / (math.sqrt(kappa) * math.log(kappa))
     n = (math.sqrt(kappa) + alpha * math.log(kappa)) * log_term
     return ComplexityResult(
@@ -130,7 +132,7 @@ def primal_from_dual_bound(
     eps: float, kappa: float, l_smooth: float, mu: float, norm_xstar: float
 ) -> float:
     """Primal gap certified by a dual gap eps: 2 kappa eps + L ||X*|| sqrt(2 eps / mu)."""
-    if min(eps, kappa, l_smooth, norm_xstar) < 0 or mu <= 0:
+    if not (all(x >= 0 for x in (eps, kappa, l_smooth, norm_xstar)) and mu > 0):  # NaN fails too
         raise ValueError("inputs must be nonnegative with mu > 0")
     return 2.0 * kappa * eps + l_smooth * norm_xstar * math.sqrt(2.0 * eps / mu)
 
@@ -182,7 +184,7 @@ def diging_rates(
 
     with J = 3 sqrt(kbar) B^2 (1 + 4 sqrt(n kbar)).
     """
-    if kappa_bar < 1 or n < 1 or b < 1:
+    if not (kappa_bar >= 1 and n >= 1 and b >= 1):  # NaN fails too
         raise ValueError("need kappa_bar >= 1, n >= 1, B >= 1")
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
@@ -222,11 +224,11 @@ def panda_rates(
 
     and for a step c in (0, alpha] the rate is (1 - c/(2L))^{1/(2B)}.
     """
-    if kappa < 1:
+    if not kappa >= 1:  # NaN fails too
         raise ValueError("kappa must be >= 1")
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    if b < 1:
+    if not b >= 1:
         raise ValueError("B must be >= 1")
     lambda0 = 1.0 - (9.0 / 64.0) * kappa**-1.5
     inner = math.sqrt((1.0 - delta * delta) * kappa ** (-2.0 / 3.0) + 8.0) - 8.0 * delta
@@ -250,7 +252,7 @@ def static_nesterov_comparison(
     """
     if not (0.0 <= lambda2 <= 1.0):
         raise ValueError("lambda2 must be in [0, 1]")
-    if kappa_phi < 1 or chi < 1:
+    if not (kappa_phi >= 1 and chi >= 1):  # NaN fails too
         raise ValueError("kappa_phi and chi must be >= 1")
     lhs = (lambda2 * (1.0 - lambda2)) ** 1.5 / 250.0 * math.sqrt(chi)
     rhs = kappa_phi ** (3.0 / 14.0)

@@ -71,6 +71,160 @@ class TestTopology:
         assert t.edges == ((1, 3), (1, 2))
 
 
+def _loop_edges(n, edges):
+    """Canonical edges by a pair-by-pair walk: the reference for the array checks."""
+    canon = []
+    seen = set()
+    for e in edges:
+        i, j = int(e[0]), int(e[1])
+        if i == j:
+            raise ValueError(f"self-loop on node {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i},{j}) outside 1..{n}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ValueError(f"duplicate edge {pair}")
+        seen.add(pair)
+        canon.append(pair)
+    return tuple(canon)
+
+
+def _loop_laplacian(t):
+    w = np.zeros((t.n, t.n))
+    weights = t.weights if t.weights is not None else (1.0,) * len(t.edges)
+    for (i, j), wij in zip(t.edges, weights):
+        w[i - 1, j - 1] = -wij
+        w[j - 1, i - 1] = -wij
+    np.fill_diagonal(w, -w.sum(axis=1))
+    return w
+
+
+def _loop_directed_pairs(t):
+    if not t.edges:
+        return np.zeros((0, 2), dtype=int)
+    e = np.asarray(t.edges, dtype=int)
+    return np.vstack([e, e[:, ::-1]])
+
+
+# an endpoint as a Python int, a numpy int or an integral float
+_AS_NUMBER = st.sampled_from([int, np.int64, np.int32, float])
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges, as_array): pairs with reversals, repeats, self-loops and nodes outside 1..n."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(-1, n + 2) if draw(st.booleans()) else st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=12))
+    if pairs and draw(st.booleans()):  # repeat a drawn pair, maybe reversed
+        i, j = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([(i, j), (j, i)])))
+    if draw(st.booleans()):  # keep only what a valid input holds
+        pairs = [(i, j) for i, j in pairs if i != j and 1 <= min(i, j) and max(i, j) <= n]
+        pairs = list({(min(p), max(p)): p for p in pairs}.values())
+    as_array = draw(st.booleans())
+    if not as_array:
+        pairs = [(draw(_AS_NUMBER)(i), draw(_AS_NUMBER)(j)) for i, j in pairs]
+        if draw(st.integers(0, 9)) == 0:  # an endpoint beyond int64
+            pairs.append((1, 2**70))
+    return n, tuple(pairs) if not as_array else np.array(pairs, dtype=int).reshape(-1, 2), as_array
+
+
+@st.composite
+def topologies(draw):
+    """Topologies on up to 9 nodes, weighted or not, edgeless ones included, edges in any order."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in edges]
+    weights = None
+    if draw(st.booleans()):
+        weights = tuple(draw(st.lists(st.floats(0.01, 100.0), min_size=len(edges), max_size=len(edges))))
+    return Topology(n, tuple(edges), weights)
+
+
+class TestEdgeArrays:
+    """Array checks, scatters and the cached connectivity against pair-by-pair loops."""
+
+    @given(edge_inputs())
+    def test_edges_and_messages_match_the_pair_loop(self, drawn):
+        n, edges, _ = drawn
+        try:
+            want = _loop_edges(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Topology(n, edges)
+            assert str(info.value) == str(exc)
+            return
+        t = Topology(n, edges)
+        assert t.edges == want
+        assert all(type(v) is int for pair in t.edges for v in pair)
+        assert np.array_equal(t._ends.T + 1, np.array(want, dtype=int).reshape(-1, 2))
+
+    def test_the_drawn_inputs_cover_every_fault_and_both_forms(self):
+        # derandomized draws: check the strategy reaches each case it is meant to
+        outcomes = set()
+
+        @given(edge_inputs())
+        def collect(drawn):
+            n, edges, as_array = drawn
+            try:
+                _loop_edges(n, edges)
+                outcomes.add(("valid", as_array))
+            except ValueError as exc:
+                outcomes.add((str(exc).split(" ")[0], as_array))
+
+        collect()
+        for form in (False, True):
+            assert {("valid", form), ("self-loop", form), ("edge", form), ("duplicate", form)} <= outcomes
+
+    def test_array_and_pair_inputs_give_equal_topologies(self):
+        a = Topology(4, ((2, 1), (4, 3)), (1.0, 2.0))
+        b = Topology(4, np.array([[1, 2], [3, 4]]), np.array([1.0, 2.0]))
+        assert a == b and hash(a) == hash(b) and a.weights == (1.0, 2.0)
+        assert repr(a) == repr(b)
+
+    def test_endpoints_are_read_only(self):
+        with pytest.raises(ValueError):
+            gen_topology("path", 3)._ends[0, 0] = 5
+
+    @given(topologies())
+    def test_laplacian_has_the_bytes_of_the_pair_loop(self, t):
+        got, want = laplacian(t), _loop_laplacian(t)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @given(topologies())
+    def test_directed_pairs_have_the_bytes_of_the_pair_loop(self, t):
+        got, want = t.directed_pairs(), _loop_directed_pairs(t)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_fixed_kinds_have_the_listed_edges(self, n):
+        listed = {
+            "path": [(i, i + 1) for i in range(1, n)],
+            "cycle": [(i, i + 1) for i in range(1, n)] + [(1, n)],
+            "star": [(1, j) for j in range(2, n + 1)],
+            "complete": [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+        }
+        for kind, edges in listed.items():
+            if kind != "cycle" or n >= 3:
+                assert gen_topology(kind, n).edges == tuple(edges)
+
+    def test_two_generated_epochs_are_walked_once_each(self, monkeypatch):
+        walks = []
+        n_components = dvopt.graphs._n_components
+        monkeypatch.setattr(
+            dvopt.graphs, "_n_components", lambda t: walks.append(t) or n_components(t)
+        )
+        epoch = {"kind": "erdos_renyi", "n": 12, "params": {"p": 0.6}}
+        spec = {"horizon": 10, "epochs": [{**epoch, "start": 0, "seed": 1}, {**epoch, "start": 5, "seed": 2}]}
+        sched = schedule_from_spec(spec)
+        assert len(sched.distinct_topologies) == 2
+        assert walks == list(sched.distinct_topologies)  # each drawn once, connected at once
+
+
 def _er_reference(n, p, seed):
     """Erdos-Renyi edges picked pair by pair from the generator's draws, and the retries taken."""
     rng = np.random.default_rng(seed)
@@ -610,11 +764,23 @@ _BAD_INPUTS = [
     (lambda: gen_topology("path", 1), "need at least 2 nodes"),
     (lambda: gen_topology("cycle", 2), "cycle needs at least 3 nodes"),
     (lambda: alternating_schedule(("star", "cycle"), 4, 0, 10), "period must be >= 1"),
+    (lambda: Topology(3, ((2, 2),)), "self-loop on node 2"),
+    (lambda: Topology(3, ((1, 4),)), "edge (1,4) outside 1..3"),
+    (lambda: Topology(3, ((2, 1), (1, 2), (3, 3))), "duplicate edge (1, 2)"),
 ]
 
 
+def _ids(messages):
+    """The messages as test ids; a repeated one gets its count, so earlier ids stay as they are."""
+    ids = []
+    for i, m in enumerate(messages):
+        k = messages[:i].count(m)
+        ids.append(f"{m} #{k + 1}" if k else m)
+    return ids
+
+
 class TestInputChecks:
-    @pytest.mark.parametrize("call, message", _BAD_INPUTS, ids=[m for _, m in _BAD_INPUTS])
+    @pytest.mark.parametrize("call, message", _BAD_INPUTS, ids=_ids([m for _, m in _BAD_INPUTS]))
     def test_bad_input_raises_its_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

@@ -287,9 +287,33 @@ _BAD_INPUTS = [
     (lambda: static_nesterov_comparison(0.5, 1.0, 0.5), "kappa_phi and chi must be >= 1"),
 ]
 
+# NaN fails every guard it reaches.  These rows are named explicitly: a message
+# repeated from a row above would otherwise renumber that row's automatic id.
+_NAN_INPUTS = [
+    (lambda: gd_iterations(2.0, 1.0, math.nan, 1.0), "need R >= 0 and eps > 0"),
+    (lambda: gd_iterations(2.0, 1.0, 1.0, math.nan), "need R >= 0 and eps > 0"),
+    (lambda: nesterov_tv_bound(2.0, 1.0, 1.0, math.nan, 0), "m and N must be >= 0"),
+    (lambda: alg1_complexity(math.nan, 0.0, log_term=1.0), "kappa must be >= 1"),
+    (lambda: alg1_complexity(2.0, math.nan, log_term=1.0), "alpha must be >= 0"),
+    (lambda: alg1_complexity(2.0, 0.0, log_term=math.nan), "log_term must be finite"),
+    (lambda: alg1_complexity(2.0, 0.0, l_smooth=math.nan, mu=1.0, radius=1.0, eps=1.0), "log_term must be finite"),
+    (lambda: alg1_complexity(2.0, 0.0, l_smooth=2.0, mu=1.0, radius=1.0, eps=math.nan), "eps must be positive"),
+    (lambda: alg1_complexity(2.0, 0.0, log_term=math.inf), "log_term must be finite"),
+    (lambda: primal_from_dual_bound(math.nan, 2.0, 1.0, 1.0, 1.0), "inputs must be nonnegative with mu > 0"),
+    (lambda: primal_from_dual_bound(1.0, 2.0, 1.0, math.nan, 1.0), "inputs must be nonnegative with mu > 0"),
+    (lambda: primal_from_dual_bound(1.0, 2.0, 1.0, 1.0, math.nan), "inputs must be nonnegative with mu > 0"),
+    (lambda: diging_rates(math.nan, 1), "need kappa_bar >= 1, n >= 1, B >= 1"),
+    (lambda: panda_rates(math.nan), "kappa must be >= 1"),
+    (lambda: panda_rates(1.0, b=math.nan), "B must be >= 1"),
+    (lambda: static_nesterov_comparison(0.5, math.nan, 1.0), "kappa_phi and chi must be >= 1"),
+    (lambda: static_nesterov_comparison(0.5, 1.0, math.nan), "kappa_phi and chi must be >= 1"),
+]
+_BAD_INPUTS += _NAN_INPUTS
+_IDS = [None] * (len(_BAD_INPUTS) - len(_NAN_INPUTS)) + [f"nan-{m}" for _, m in _NAN_INPUTS]
+
 
 class TestInputChecks:
-    @pytest.mark.parametrize("call, message", _BAD_INPUTS)
+    @pytest.mark.parametrize("call, message", _BAD_INPUTS, ids=_IDS)
     def test_bad_input_raises_its_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
