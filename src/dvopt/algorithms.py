@@ -42,7 +42,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .graphs import GraphSchedule, _epoch_of_iteration, laplacian, mixing_matrix
+from .graphs import GraphSchedule, _epoch_of_iteration, _number, laplacian, mixing_matrix
 from .linalg import fro_norm, pinv_sqrt_psd, project_consensus_orth, sqrt_psd
 from .objectives import AggregateObjective, centralized_solve, dual_constants
 from .theory import _diging_j
@@ -190,9 +190,10 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     records keep, copied out; it may overwrite the rows): when the block
     is full, before an abort record and after the final record.
     """
+    record_every = _number(record_every, "record_every")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    max_iter = schedule.horizon if max_iter is None else int(max_iter)
+    max_iter = schedule.horizon if max_iter is None else _number(max_iter, "max_iter")
     if not (1 <= max_iter <= schedule.horizon):
         raise ValueError("max_iter must be in 1..horizon")
     if agg.n != schedule.n:
@@ -408,6 +409,8 @@ class _DIGingMethod:
         self.alpha = default_diging_stepsize(agg) if stepsize is None else float(stepsize)
         if not self.alpha > 0:  # NaN fails too
             raise ValueError("stepsize must be positive")
+        if self.alpha == math.inf:
+            raise ValueError("stepsize must be finite")
         self.keep_state = keep_state
         self.agg = agg
         self.x = np.zeros((agg.dim, agg.n))

@@ -351,6 +351,7 @@ def mixing_delta(s: GraphSchedule, b: int = 1) -> float:
     eigendecomposition of M^T M.  Mixing matrices are built once per
     distinct topology, and each window of topologies is evaluated once.
     """
+    b = _number(b, "window length")
     if b < 1:
         raise ValueError("window length must be >= 1")
     if s.horizon < b:
@@ -531,6 +532,9 @@ def alternating_schedule(
     seed: int = 0,
 ) -> GraphSchedule:
     """Schedule that switches between two topologies every ``period`` steps."""
+    if len(kinds) != 2 or len(params) != 2:
+        raise ValueError("kinds and params must be pairs")
+    period = _number(period, "period")
     if period < 1:
         raise ValueError("period must be >= 1")
     topos = (

@@ -23,20 +23,22 @@ An :class:`AggregateObjective` holds locals of one family, as every
 generator and transformation here builds them, so its agents are the
 rows of one family stack in order and no column is gathered or
 scattered.  On first use it stacks the locals (quadratics as
-``(n, d, d)`` matrices, inverted in one ``inv`` call; logistic samples
-as zero-padded ``(n, l, m)`` arrays) and then maps all columns in one
-batched numpy call.  Values also take a leading batch axis, one entry
-per run record (``value_cols_batch``, ``value_consensus_batch``,
-``dual_value_batch``), and the per-record ``value_cols``,
-``value_consensus`` and ``dual_value`` are batches of one with the same
-bits.  One damped Newton routine, batched over rows with a per-row
-active mask, serves the logistic conjugate argmax (of an aggregate, or
-of one local as a batch of one) and the centralized reference solve.
-Every agent keeps its own residual tolerance ``1e-10 (1 + ||z_i||)``,
-and every solve starts from zero: a logistic stack computes its gradient
-and Hessian there once, and each step carries the accepted trial's
-residual, norm and margins into the next, so a point's margins serve its
-gradient and its Hessian and a solve evaluates each point once.
+``(n, d, d)`` matrices, inverted in one ``inv`` call as the stack is
+built; logistic samples times their labels, zero-padded to ``(n, l, m)``)
+and then maps all columns in one batched numpy call.  A stack computes
+its constants when it is built and keeps no lazy state.  Values also
+take a leading batch axis, one entry per run record
+(``value_cols_batch``, ``value_consensus_batch``, ``dual_value_batch``),
+and the per-record ``value_cols``, ``value_consensus`` and
+``dual_value`` are batches of one with the same bits.  One damped Newton
+routine, batched over rows with a per-row active mask, serves the
+logistic conjugate argmax (of an aggregate, or of one local as a batch
+of one) and the centralized reference solve.  Every agent keeps its own
+residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
+zero: a logistic stack computes its gradient and Hessian there as it is
+built, and each step carries the accepted trial's residual, norm and
+margins into the next, so a point's margins serve its gradient and its
+Hessian and a solve evaluates each point once.
 """
 
 from __future__ import annotations
@@ -136,9 +138,10 @@ def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, loca
     """k quadratic locals from (k, d, d), (k, d) and (k,) stacks.
 
     The quadratic terms are symmetrized together and take one ``eig_sym``
-    for mu and L; each local keeps its slice of the stacks, and a stack
-    made of them inverts the terms (``_QuadraticStack``).  ``locals_`` are
-    the objects to set up, new ones when None.
+    for mu and L, and the linear and constant terms must be finite; each
+    local keeps its slice of the stacks, and a stack made of them inverts
+    the terms when it is built (``_QuadraticStack``).  ``locals_`` are the
+    objects to set up, new ones when None.
     """
     if locals_ is None:
         locals_ = [QuadraticObjective.__new__(QuadraticObjective) for _ in quad]
@@ -147,6 +150,8 @@ def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, loca
     eigs = eig_sym(quad).eigenvalues
     if (eigs[:, 0] <= 0).any():
         raise ValueError("quadratic term must be positive definite")
+    if not (np.isfinite(lin).all() and np.isfinite(const).all()):
+        raise ValueError("linear and constant terms must be finite")
     for o, h, g, c, lam in zip(locals_, quad, lin, const, eigs):
         o.quad, o.lin, o.const, o.mu, o.L = h, g, float(c), float(lam[0]), float(lam[-1])
     return locals_
@@ -276,6 +281,8 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
     if not (ridge > 0 and scale > 0):  # NaN fails too
         raise ValueError("ridge and scale must be positive")
     ridge, scale = float(ridge), float(scale)
+    if math.inf in (ridge, scale):
+        raise ValueError("ridge and scale must be finite")
     if samples.size:
         lam_max = eig_sym(samples.transpose(0, 2, 1) @ samples).eigenvalues[:, -1]
     else:
@@ -297,18 +304,15 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
 
 
 class _QuadraticStack:
-    """Quadratic locals as (k, d, d) H and (on first use) H^-1 stacks, plus their sums."""
+    """Quadratic locals as (k, d, d) H and H^-1 stacks, plus their sums."""
 
     def __init__(self, locals_):
         self.quad = np.stack([o.quad for o in locals_])
+        self.inv = np.linalg.inv(self.quad)
         self.lin = np.stack([o.lin for o in locals_])
         self.const = float(sum(o.const for o in locals_))
         self.quad_sum = self.quad.sum(axis=0)
         self.lin_sum = self.lin.sum(axis=0)
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.quad)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         """Sum of the locals' values for each entry of ``y`` (R, k, d), local i at row i."""
@@ -330,13 +334,17 @@ class _QuadraticStack:
 
 
 class _LogisticStack:
-    """Logistic locals as (k, l, m) samples and (k, l) labels.
+    """Logistic locals as (k, l, m) signed samples ``labels * samples``.
 
-    Locals with fewer than ``l`` samples are padded with zero rows whose
-    row weight is 0; the weight (0/1 times 1/scale) multiplies every
-    per-sample term, so padding adds nothing to the value, the gradient
-    or the Hessian.  Solver errors name the failing rows as agents, unless
-    ``numbered`` is False (a standalone local's stack of one).
+    A margin ``label * <sample, x>`` is then one product with the signed
+    sample.  A factor of -1 is exact, so values, gradients and Hessians
+    keep the bits of the label products; only a zero margin may change
+    sign, and nothing reads that sign.  Locals with fewer than ``l``
+    samples are padded with zero rows whose row weight is 0; the weight
+    (0/1 times 1/scale) multiplies every per-sample term, so padding adds
+    nothing to the value, the gradient or the Hessian.  Solver errors name
+    the failing rows as agents, unless ``numbered`` is False (a standalone
+    local's stack of one).
     """
 
     numbered = True
@@ -345,18 +353,20 @@ class _LogisticStack:
         self.size = len(locals_)
         l = max(o.samples.shape[0] for o in locals_)
         self.samples = np.zeros((self.size, l, locals_[0].dim))
-        self.labels = np.zeros((self.size, l))
         self.weight = np.zeros((self.size, l))
         for r, o in enumerate(locals_):
             count = o.samples.shape[0]
-            self.samples[r, :count] = o.samples
-            self.labels[r, :count] = o.labels
+            self.samples[r, :count] = o.labels[:, None] * o.samples
             self.weight[r, :count] = 1.0 / o.scale
         self.ridge = np.array([o.ridge for o in locals_])
         self.ridge_eye = self.ridge[:, None, None] * np.eye(locals_[0].dim)
+        # every local's gradient and Hessian at zero, where each solve starts
+        zero = np.zeros((self.size, locals_[0].dim))
+        g, parts = self.grad_parts(zero)
+        self.at_zero = g, self.hess(zero, parts=parts)
 
     def _margins(self, x: np.ndarray, rows) -> np.ndarray:
-        return self.labels[rows] * (self.samples[rows] @ x[..., None])[..., 0]
+        return (self.samples[rows] @ x[..., None])[..., 0]
 
     def _value(self, margins: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
         # margins (R, k, l) and squared norms (R, k): one value per entry
@@ -369,7 +379,7 @@ class _LogisticStack:
 
     def consensus_value(self, points: np.ndarray) -> np.ndarray:
         """Sum of the locals' values at each row of ``points`` (R, m)."""
-        margins = self.labels * (self.samples @ points[:, None, :, None])[..., 0]
+        margins = (self.samples @ points[:, None, :, None])[..., 0]
         sq_norms = (points[:, None, :] @ points[..., None])[:, 0]  # (R, 1)
         return self._value(margins, sq_norms)
 
@@ -381,7 +391,7 @@ class _LogisticStack:
         m = self._margins(x, rows)
         e = np.exp(-np.abs(m))
         parts = m, e, 1.0 + e
-        coeff = -self.labels[rows] * (np.where(m <= 0, 1.0, e) / parts[2]) * self.weight[rows]
+        coeff = -(np.where(m <= 0, 1.0, e) / parts[2]) * self.weight[rows]
         return (coeff[:, None, :] @ self.samples[rows])[:, 0] + self.ridge[rows, None] * x, parts
 
     def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -394,13 +404,6 @@ class _LogisticStack:
         a = self.samples[rows]
         w = sig * (1.0 - sig) * self.weight[rows]
         return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge_eye[rows]
-
-    @cached_property
-    def at_zero(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every local's gradient and Hessian at zero, where each solve starts."""
-        zero = np.zeros((self.size, self.samples.shape[2]))
-        g, parts = self.grad_parts(zero)
-        return g, self.hess(zero, parts=parts)
 
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
         targets = _CONJ_TOL * (1.0 + _row_norms(z))
@@ -689,6 +692,8 @@ def centralized_solve(agg: AggregateObjective, tol: float = 1e-10) -> tuple[np.n
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if tol == math.inf:
+        raise ValueError("tolerance must be finite")
     stack = agg._stack
     if agg.all_quadratic():
         y_star = np.linalg.solve(stack.quad_sum, stack.lin_sum)

@@ -527,6 +527,12 @@ _BAD_INPUTS = [
     (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, record_every=0), "record_every must be >= 1"),
     (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=0.0), "stepsize must be positive"),
     (lambda: run_xspace_reference(two_agent_instance(), _STATIC, method="heavy_ball"), "method must be 'nesterov' or 'gd'"),
+    (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    (lambda: run_dual_gradient(two_agent_instance(), _STATIC, max_iter="3"), "max_iter must be an integer, got '3'"),
+    (lambda: run_diging(two_agent_instance(), _STATIC, max_iter=True), "max_iter must be an integer, got True"),
+    (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, record_every=1.5), "record_every must be an integer, got 1.5"),
+    (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=math.inf), "stepsize must be finite"),
+    (lambda: run_dual_gradient(two_agent_instance(), _STATIC, max_iter=11), "max_iter must be in 1..horizon"),
 ]
 # A NaN passes a bare ``x <= 0`` test, so positivity checks are also given
 # one.  These share an earlier case's message, so their ids are marked.
@@ -545,3 +551,9 @@ class TestInputChecks:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    def test_integral_floats_count_as_ints(self):
+        agg = two_agent_instance()
+        want = run_distributed_nesterov(agg, _STATIC, max_iter=4, record_every=2)
+        got = run_distributed_nesterov(agg, _STATIC, max_iter=4.0, record_every=np.int64(2))
+        assert [r.iter for r in got.records] == [r.iter for r in want.records] == [0, 2, 4]

@@ -11,7 +11,12 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}
+SPEC = {
+    "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+    ]
+}
 
 
 CHECKOUTS = {"parent": "/work/parent", "change": "/work/change"}
@@ -32,18 +37,48 @@ def test_summarize_counts_wins_and_compares_medians_with_the_parent_iqr():
     parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
     change = [p - 5.0 for p in parent]
     change[3] = 13.0  # one tie: counts for neither side
-    s = bench_pairs.summarize(parent, change, "lower")
+    s = bench_pairs.summarize(parent, change, "lower", 0.2)
     assert s["change_wins"] == 9 and s["pairs"] == 10
     assert s["parent"] == {"q1": 11.0, "median": 12.0, "q3": 13.0}
     assert s["parent_iqr"] == 2.0
     assert s["change"]["median"] == 7.0
     assert s["gain"]
 
-    close = bench_pairs.summarize(parent, [p - 1.0 for p in parent], "lower")
+    close = bench_pairs.summarize(parent, [p - 1.0 for p in parent], "lower", 0.2)
     assert close["change_wins"] == 10 and not close["gain"]  # 1.0 is inside the IQR of 2.0
-    higher = bench_pairs.summarize(parent, [p + 5.0 for p in parent], "higher")
+    higher = bench_pairs.summarize(parent, [p + 5.0 for p in parent], "higher", 0.2)
     assert higher["change_wins"] == 10 and higher["gain"]
-    assert bench_pairs.summarize(parent, [p + 5.0 for p in parent], "lower")["change_wins"] == 0
+    assert bench_pairs.summarize(parent, [p + 5.0 for p in parent], "lower", 0.2)["change_wins"] == 0
+
+
+def test_worse_compares_medians_with_the_relative_bound():
+    # parent median 12, IQR 2; a 0.2 bound allows the change median up to 14.4
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    inside = bench_pairs.summarize(parent, [p + 2.0 for p in parent], "lower", 0.2)
+    assert inside["bound"] == 0.2 and not inside["worse"] and not inside["unresolved"]
+    assert bench_pairs.summarize(parent, [p + 2.5 for p in parent], "lower", 0.2)["worse"]
+    # for a metric where higher is better, a lower change median is the worse one
+    assert bench_pairs.summarize(parent, [p - 2.5 for p in parent], "higher", 0.2)["worse"]
+    assert not bench_pairs.summarize(parent, [p + 2.5 for p in parent], "higher", 0.2)["worse"]
+
+
+def test_unresolved_needs_a_parent_iqr_wider_than_the_margin_unless_every_change_run_is_better():
+    # parent median 12, IQR 2; a 0.1 bound gives a margin of 1.2, narrower than the IQR
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    same = bench_pairs.summarize(parent, list(parent), "lower", 0.1)
+    assert same["unresolved"] and not same["worse"]
+    # every change run (at most 9.5) reads better than every parent run (at least 10)
+    better = bench_pairs.summarize(parent, [9.0 + (p - 12.0) / 4 for p in parent], "lower", 0.1)
+    assert not better["unresolved"] and not better["worse"]
+    higher = bench_pairs.summarize(parent, [15.0 + (p - 12.0) / 4 for p in parent], "higher", 0.1)
+    assert not higher["unresolved"]
+    # all worse is no separation that resolves a spread this wide
+    worse = bench_pairs.summarize(parent, [17.0 + (p - 12.0) / 4 for p in parent], "lower", 0.1)
+    assert worse["worse"] and worse["unresolved"]
+    # a margin of 2.4 covers the IQR of 2, so the same runs are resolved
+    assert not bench_pairs.summarize(parent, list(parent), "lower", 0.2)["unresolved"]
+    # without a bound (the tier-1 wall time has none) there is no such verdict
+    assert {"bound", "worse", "unresolved"}.isdisjoint(bench_pairs.summarize(parent, parent, "lower"))
 
 
 def test_entry_leaves_failed_pairs_out_of_the_summary_and_merge_replaces_same_runs(tmp_path):
@@ -78,7 +113,9 @@ def test_main_records_resolved_paths_and_warns_on_unequal_lengths(tmp_path, monk
     # a stub run per side, so no benchmark runs
     for name in ("head", "proto"):
         (tmp_path / name).mkdir()
-    (tmp_path / "proto" / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "wall_s", "better": "lower"}]}')
+    (tmp_path / "proto" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}'
+    )
     monkeypatch.setattr(bench_pairs, "run_bench", lambda checkout, *_: _side(1.0, 2.0))
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "bench.json"
@@ -89,4 +126,6 @@ def test_main_records_resolved_paths_and_warns_on_unequal_lengths(tmp_path, monk
     base = tmp_path.resolve()
     assert recorded["checkouts"] == {"parent": str(base / "head"), "change": str(base / "proto")}
     n = len(str(base))
-    assert f"warning: the checkout paths have {n + 5} and {n + 6} characters;" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"warning: the checkout paths have {n + 5} and {n + 6} characters;" in captured.err
+    assert "gain False, worse False, unresolved False" in captured.out

@@ -767,6 +767,10 @@ _BAD_INPUTS = [
     (lambda: Topology(3, ((2, 2),)), "self-loop on node 2"),
     (lambda: Topology(3, ((1, 4),)), "edge (1,4) outside 1..3"),
     (lambda: Topology(3, ((2, 1), (1, 2), (3, 3))), "duplicate edge (1, 2)"),
+    (lambda: alternating_schedule(("star",), 4, 2, 10), "kinds and params must be pairs"),
+    (lambda: alternating_schedule(("star", "cycle"), 4, 2, 10, params=({},)), "kinds and params must be pairs"),
+    (lambda: alternating_schedule(("star", "cycle"), 4, 1.5, 10), "period must be an integer, got 1.5"),
+    (lambda: mixing_delta(GraphSchedule(5, ((0, _PATH3),)), 1.5), "window length must be an integer, got 1.5"),
 ]
 
 

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from dvopt import objectives
 from dvopt.cli import ExperimentConfig, execute
 from dvopt.graphs import gen_topology, laplacian, theta_bounds, GraphSchedule
-from dvopt.linalg import eig_sym, fro_norm, project_consensus_orth, sqrt_psd
+from dvopt.linalg import _row_sums, eig_sym, fro_norm, project_consensus_orth, sqrt_psd
 from dvopt.objectives import (
     AggregateObjective,
     ParseError,
@@ -192,19 +192,17 @@ class TestBatchedConstructors:
         k, d = quad.shape[:2]
         locals_ = objectives._build_quadratics(quad, np.zeros((k, d)), np.zeros(k))
         stack = objectives._QuadraticStack(locals_)
-        assert "inv" not in vars(stack)  # inverted on first use
         assert stack.inv.shape == (k, d, d)
         for i, o in enumerate(locals_):
             assert stack.inv[i].tobytes() == np.linalg.inv(o.quad.copy()).tobytes()
 
-    def test_only_a_conjugate_argmax_inverts(self, monkeypatch):
+    def test_one_aggregate_inverts_once(self, monkeypatch):
         agg = gen_ridge_instance(100, 20, 20, seed=7)
         shapes = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
         y_star, _ = centralized_solve(agg)
         agg.grad_cols(np.repeat(y_star[:, None], agg.n, axis=1))
-        assert shapes == []
         agg.conj_argmax_cols(np.zeros((20, 100)))
         agg.conj_argmax_cols(np.ones((20, 100)))
         assert shapes == [(100, 20, 20)]
@@ -572,6 +570,114 @@ class TestStackedKernels:
 
 
 # ---------------------------------------------------------------------------
+# Signed samples: the logistic stack against the label formulas it replaced
+
+
+class _LabelStack:
+    """The logistic stack as it was with unsigned samples and a label factor."""
+
+    def __init__(self, locals_):
+        k, l, m = len(locals_), max(o.samples.shape[0] for o in locals_), locals_[0].dim
+        self.samples, self.labels, self.weight = np.zeros((k, l, m)), np.zeros((k, l)), np.zeros((k, l))
+        for r, o in enumerate(locals_):
+            count = o.samples.shape[0]
+            self.samples[r, :count] = o.samples
+            self.labels[r, :count] = o.labels
+            self.weight[r, :count] = 1.0 / o.scale
+        self.ridge = np.array([o.ridge for o in locals_])
+        self.ridge_eye = self.ridge[:, None, None] * np.eye(m)
+
+    def _margins(self, x, rows):
+        return self.labels[rows] * (self.samples[rows] @ x[..., None])[..., 0]
+
+    def _value(self, margins, sq_norms):
+        loss = _row_sums(self.weight * np.logaddexp(0.0, -margins))
+        return loss + 0.5 * np.sum(self.ridge * sq_norms, axis=1)
+
+    def value(self, x):
+        return self._value(self._margins(x, slice(None)), np.sum(x * x, axis=-1))
+
+    def consensus_value(self, points):
+        margins = self.labels * (self.samples @ points[:, None, :, None])[..., 0]
+        return self._value(margins, (points[:, None, :] @ points[..., None])[:, 0])
+
+    def grad_parts(self, x, rows=slice(None)):
+        m = self._margins(x, rows)
+        e = np.exp(-np.abs(m))
+        parts = m, e, 1.0 + e
+        coeff = -self.labels[rows] * (np.where(m <= 0, 1.0, e) / parts[2]) * self.weight[rows]
+        return (coeff[:, None, :] @ self.samples[rows])[:, 0] + self.ridge[rows, None] * x, parts
+
+    def hess(self, x, rows=slice(None), parts=()):
+        m, e, e1 = parts or self.grad_parts(x, rows)[1]
+        sig = np.where(m >= 0, 1.0, e) / e1
+        a = self.samples[rows]
+        w = sig * (1.0 - sig) * self.weight[rows]
+        return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge_eye[rows]
+
+    def at_zero(self):
+        zero = np.zeros((len(self.ridge), self.samples.shape[2]))
+        g, parts = self.grad_parts(zero)
+        return g, self.hess(zero, parts=parts)
+
+    def conj_argmax(self, z):
+        targets = objectives._CONJ_TOL * (1.0 + objectives._row_norms(z))
+        x, failed, _ = objectives._damped_newton(self.grad_parts, self.hess, z, targets, *self.at_zero())
+        assert not failed.size
+        return x
+
+
+@st.composite
+def labelled_locals(draw):
+    """Ragged logistic locals (0 to 6 samples) whose drawn feature columns are all zero."""
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    zero_cols = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    locals_ = []
+    for count in counts:
+        samples = rng.standard_normal((count, m))
+        samples[:, zero_cols] = 0.0  # -0.0 once signed by a -1 label
+        labels = rng.choice((-1.0, 1.0), size=count)
+        locals_.append(LogisticObjective(samples, labels, rng.uniform(0.05, 1.0), rng.uniform(1.0, 20.0)))
+    return locals_
+
+
+def _bytes(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestSignedSamples:
+    @settings(max_examples=80, deadline=None)
+    @given(locals_=labelled_locals(), data=st.data())
+    def test_stack_keeps_the_label_formulas_bits(self, locals_, data):
+        stack, old = objectives._LogisticStack(locals_), _LabelStack(locals_)
+        assert not hasattr(stack, "labels")
+        k, m = len(locals_), locals_[0].dim
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # at x = 0 every margin is +0 or -0, whichever way it is formed
+        x = np.zeros((2, k, m)) if data.draw(st.booleans()) else 2.0 * rng.standard_normal((2, k, m))
+        assert _bytes(stack.value(x)) == _bytes(old.value(x))
+        points = np.ascontiguousarray(x[:, 0])
+        assert _bytes(stack.consensus_value(points)) == _bytes(old.consensus_value(points))
+        assert _bytes(*stack.at_zero) == _bytes(*old.at_zero())
+
+        keep = data.draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any))
+        for rows in (slice(None), np.flatnonzero(keep)):
+            at = x[0][rows]
+            (g, parts), (g_old, parts_old) = stack.grad_parts(at, rows), old.grad_parts(at, rows)
+            assert _bytes(g) == _bytes(g_old)
+            # a zero margin's sign may differ, and no result reads it
+            np.testing.assert_array_equal(parts[0], parts_old[0])
+            assert _bytes(*parts[1:]) == _bytes(*parts_old[1:])
+            assert _bytes(stack.hess(at, rows, parts)) == _bytes(old.hess(at, rows, parts_old))
+            assert _bytes(stack.hess(at, rows)) == _bytes(old.hess(at, rows))
+
+        z = data.draw(st.sampled_from([0.0, 0.1, 1.0])) * rng.standard_normal((k, m))
+        assert _bytes(stack.conj_argmax(z)) == _bytes(old.conj_argmax(z))
+
+
+# ---------------------------------------------------------------------------
 # Work done by the batched damped Newton
 
 
@@ -727,6 +833,40 @@ def _non_finite_feature(tmp_path, monkeypatch):
     load_sparse_labeled(p)
 
 
+# Finiteness checks; named functions too, so that repeated messages keep
+# distinct test ids.
+def _infinite_tolerance(*_):
+    centralized_solve(gen_logistic_instance(5, 4, 3, 0.1, seed=1), tol=math.inf)
+
+
+def _nan_linear_term(*_):
+    QuadraticObjective(np.eye(2), [math.nan, 0.0])
+
+
+def _infinite_linear_term(*_):
+    QuadraticObjective(np.eye(2), [math.inf, 0.0])
+
+
+def _infinite_constant(*_):
+    QuadraticObjective(np.eye(2), np.zeros(2), const=math.inf)
+
+
+def _nan_offset(*_):
+    QuadraticObjective.from_offset([math.nan])
+
+
+def _nan_noise(*_):
+    gen_ridge_instance(3, 2, 2, noise=math.nan)
+
+
+def _infinite_ridge(*_):
+    LogisticObjective(np.ones((2, 2)), np.ones(2), math.inf, 1.0)
+
+
+def _infinite_scale(*_):
+    LogisticObjective(np.ones((2, 2)), np.ones(2), 0.1, math.inf)
+
+
 # Each input check with the exact message it raises; a pattern where the
 # message carries a computed residual.
 _BAD_INPUTS = [
@@ -770,6 +910,14 @@ _BAD_INPUTS = [
     (_nan_ridge_coefficient, ValueError, "ridge coefficient must be positive"),
     (_nan_tolerance, ValueError, "tolerance must be positive"),
     (_non_finite_feature, ParseError, "line 2: non-finite value in pair '2:inf'"),
+    (_infinite_tolerance, ValueError, "tolerance must be finite"),
+    (_nan_linear_term, ValueError, "linear and constant terms must be finite"),
+    (_infinite_linear_term, ValueError, "linear and constant terms must be finite"),
+    (_infinite_constant, ValueError, "linear and constant terms must be finite"),
+    (_nan_offset, ValueError, "linear and constant terms must be finite"),
+    (_nan_noise, ValueError, "linear and constant terms must be finite"),
+    (_infinite_ridge, ValueError, "ridge and scale must be finite"),
+    (_infinite_scale, ValueError, "ridge and scale must be finite"),
 ]
 
 

@@ -43,31 +43,40 @@ from dvopt.objectives import (
 # Per-record arithmetic: one record at a time, as before record blocks.
 
 
-def _stack_value(stack, rows):
-    if hasattr(stack, "quad"):
+def _labelled(agg):
+    """Every local's (l,) labels and (l, m) samples stacked, as the generators give equal counts."""
+    return np.stack([o.labels for o in agg.locals]), np.stack([o.samples for o in agg.locals])
+
+
+def _stack_value(agg, rows):
+    stack = agg._stack
+    if agg.all_quadratic():
         hy = (stack.quad @ rows[..., None])[..., 0]
         return float(0.5 * np.sum(rows * hy) - np.sum(stack.lin * rows) + stack.const)
-    margins = stack.labels * (stack.samples @ rows[..., None])[..., 0]
+    labels, samples = _labelled(agg)
+    margins = labels * (samples @ rows[..., None])[..., 0]
     loss = np.sum(stack.weight * np.logaddexp(0.0, -margins))
     return float(loss + 0.5 * np.sum(stack.ridge * np.sum(rows * rows, axis=1)))
 
 
-def _stack_consensus_value(stack, point):
-    if hasattr(stack, "quad"):
+def _stack_consensus_value(agg, point):
+    stack = agg._stack
+    if agg.all_quadratic():
         return float(
             0.5 * point @ (stack.quad_sum @ point) - stack.lin_sum @ point + stack.const
         )
-    margins = stack.labels * (stack.samples @ point)
+    labels, samples = _labelled(agg)
+    margins = labels * (samples @ point)
     loss = np.sum(stack.weight * np.logaddexp(0.0, -margins))
     return float(loss + 0.5 * np.sum(stack.ridge * (point @ point)))
 
 
 def ref_value_cols(agg, y):
-    return _stack_value(agg._stack, np.ascontiguousarray(y.T))
+    return _stack_value(agg, np.ascontiguousarray(y.T))
 
 
 def ref_value_consensus(agg, point):
-    return _stack_consensus_value(agg._stack, point)
+    return _stack_consensus_value(agg, point)
 
 
 def ref_dual_value(agg, z, y):

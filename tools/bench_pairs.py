@@ -15,7 +15,12 @@ metric values with ``correct``/``failed``, and for each end-to-end metric
 of the change's ``BENCHMARK.json`` each side's median and quartiles, the
 pairs the change wins (ties count for neither), the parent's
 interquartile range and ``gain``: the change won at least nine tenths of
-the pairs and the medians differ by more than that range.  Each entry
+the pairs and the medians differ by more than that range.  Two fields
+give the no-regression verdict against the metric's relative ``bound``,
+whose margin is ``bound`` times the parent median: ``worse``, the change
+median is worse than the parent median by more than the margin, and
+``unresolved``, the parent's interquartile range is wider than the margin
+and not every change run reads better than every parent run.  Each entry
 also records both checkouts' resolved paths; the tool prints a warning
 when their lengths differ, since the length of a checkout's path alone
 moves ``peak_rss_mb`` by a few tenths of a MB.  Running it again for
@@ -47,13 +52,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Pair wins, quartiles and the gain verdict of one metric."""
+def summarize(
+    parent: list[float], change: list[float], better: str, bound: float | None = None
+) -> dict:
+    """Pair wins, quartiles and ``gain``; given a ``bound``, also ``worse`` and ``unresolved``."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     pq, cq = quartiles(parent), quartiles(change)
     iqr = pq[2] - pq[0]
-    return {
+    summary = {
         "parent": dict(zip(("q1", "median", "q3"), pq)),
         "change": dict(zip(("q1", "median", "q3"), cq)),
         "change_wins": wins,
@@ -61,6 +68,12 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "parent_iqr": iqr,
         "gain": wins >= WIN_SHARE * len(parent) and sign * (pq[1] - cq[1]) > iqr,
     }
+    if bound is not None:
+        margin = bound * abs(pq[1])
+        apart = all(sign * (p - c) > 0 for p in parent for c in change)
+        worse = sign * (cq[1] - pq[1]) > margin
+        summary.update(bound=bound, worse=worse, unresolved=iqr > margin and not apart)
+    return summary
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,6 +120,7 @@ def entry(
             [p["parent"]["metrics"][name] for p in good],
             [p["change"]["metrics"][name] for p in good],
             metric["better"],
+            metric["bound"],
         )
     return {
         "workload": workload,
@@ -163,7 +177,8 @@ def main(argv=None) -> int:
         print(
             f"{args.workload} {name}: parent median {s['parent']['median']:.6g} "
             f"(IQR {s['parent_iqr']:.3g}), change median {s['change']['median']:.6g}, "
-            f"change wins {s['change_wins']}/{s['pairs']}, gain {s['gain']}"
+            f"change wins {s['change_wins']}/{s['pairs']}, gain {s['gain']}, "
+            f"worse {s['worse']}, unresolved {s['unresolved']}"
         )
     print(f"failed: {new['failed']}")
     return 0
