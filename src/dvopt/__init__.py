@@ -49,6 +49,7 @@ from .metrics import (
     CSV_HEADER,
     BoundCheckReport,
     MetricRow,
+    MetricTable,
     PotentialRow,
     agentwise_primal_gap,
     bound_check,

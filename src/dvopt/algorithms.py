@@ -23,21 +23,29 @@ each method supplies its per-topology operator, built once per distinct
 topology, and its step.  The divergence check is one pass over the
 watched state, before every step and on the final state: its Frobenius
 norm, which is NaN or inf whenever an entry is, must stay at or below
-1e12.  The message-passing runners' ``keep_state`` (default True) decides
-whether records keep arrays (``z``, ``z_tilde`` and ``y_tilde``, or
-DIGing's ``x``) or only scalars; the metrics read only the scalars.
-Records are evaluated in blocks: the loop copies each recorded state
-into a block of up to 16 records and evaluates the whole block's dual
-values, consensus distances and aggregate values at the agent average
-in one pass, with the bits a record-by-record evaluation gives; kept
-arrays are views into a fresh copy per block.  Step sizes come from the
-schedule's spectra, computed once per distinct topology.
+1e12.  A :class:`RunTrace` holds its records as columns, one row per
+record: ``iter``, ``epoch`` and ``message_count`` int arrays and
+``dual_value``, ``consensus_dist`` and ``primal_value`` float arrays;
+the metrics read only these.  The message-passing runners' ``keep_state``
+(default True) decides whether a trace also keeps arrays (``z``,
+``z_tilde`` and ``y_tilde``, or DIGing's ``x`` as ``y_tilde``), which it
+holds as the copies of whole record blocks.  Records are evaluated in
+blocks: the loop copies each recorded state into a block of up to 16
+records and evaluates the whole block's dual values, consensus distances
+and aggregate values at the agent average in one pass, with the bits a
+record-by-record evaluation gives, straight into the columns.
+``RunTrace.records`` gives the rows as :class:`TraceRecord` objects, built
+on first read; no code in the package reads them.  Step sizes come from
+the schedule's spectra, computed once per distinct topology.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -70,6 +78,9 @@ _DIVERGENCE_LIMIT = 1e12
 # 38 us in blocks of 8, and `dvopt run` took 3-4% less time with blocks of
 # 16 than of 8, for 0.25 MB more peak memory in block scratch arrays.
 _BLOCK = 16
+# TraceRecord's fields: the scalars, then the arrays
+_SCALAR_FIELDS = ("iter", "epoch", "dual_value", "consensus_dist", "primal_value", "message_count")
+_ARRAY_FIELDS = ("z", "z_tilde", "y_tilde")
 
 
 @dataclass
@@ -84,7 +95,7 @@ class MessageLog:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """State snapshot at the start of iteration ``iter``.
+    """One row of a :class:`RunTrace`: the state at the start of iteration ``iter``.
 
     ``primal_value`` is the aggregate objective at the agent average of
     the primal candidates.  The abort record keeps None there and in
@@ -127,15 +138,61 @@ class DIGingState:
     iter: int
 
 
-@dataclass
+@dataclass(init=False)
 class RunTrace:
-    """Per-iteration records, the message log and the final state of one run."""
+    """The records of one run as columns, its message log and its final state.
 
-    records: list
+    Row r is the record at the start of iteration ``iter[r]``: its epoch,
+    dual value, consensus distance, primal value and the messages sent in
+    that iteration (0 for the final record).  A row without a primal value
+    holds NaN there: the abort row, which is the last row of an aborted
+    run.  ``states`` maps each array field a run keeps (``z``, ``z_tilde``,
+    ``y_tilde``) to its rows in blocks, the copies of the run's record
+    blocks; ``kept`` lists them one per row.  ``records`` is a view of the
+    rows as TraceRecords, which no code in the package reads.  Records
+    passed as ``records`` (``dataclasses.replace`` passes them) replace
+    the columns.
+    """
+
+    iter: np.ndarray
+    epoch: np.ndarray
+    dual_value: np.ndarray
+    consensus_dist: np.ndarray
+    primal_value: np.ndarray
+    message_count: np.ndarray
+    states: dict
     message_log: MessageLog
     final_state: object
     aborted: bool = False
     momentum_degenerate: bool = False
+
+    def __init__(
+        self, iter, epoch, dual_value, consensus_dist, primal_value, message_count, states,
+        message_log, final_state, aborted=False, momentum_degenerate=False, records=None,
+    ):
+        if records is not None:
+            self.records = records = list(records)  # the cached view
+            columns = zip(*map(attrgetter(*_SCALAR_FIELDS), records))
+            iter, epoch, dual_value, consensus_dist, primal_value, message_count = map(np.array, columns)
+            primal_value = primal_value.astype(float)  # None is NaN
+            states = {name: [[getattr(r, name) for r in records]] for name in _ARRAY_FIELDS}
+        self.iter, self.epoch, self.message_count = iter, epoch, message_count
+        self.dual_value, self.consensus_dist = dual_value, consensus_dist
+        self.primal_value, self.states = primal_value, states
+        self.message_log, self.final_state = message_log, final_state
+        self.aborted, self.momentum_degenerate = aborted, momentum_degenerate
+
+    def kept(self, name: str) -> list:
+        """The ``name`` array of every row, None where the row keeps none."""
+        rows = [*chain.from_iterable(self.states.get(name, ()))]
+        return rows + [None] * (len(self.iter) - len(rows))
+
+    @cached_property
+    def records(self) -> list:
+        """The rows as TraceRecords, built on first read and cached."""
+        columns = [getattr(self, name).tolist() for name in _SCALAR_FIELDS]
+        columns[4] = [None if math.isnan(v) else v for v in columns[4]]  # no primal value
+        return list(map(TraceRecord, *columns, *map(self.kept, _ARRAY_FIELDS)))
 
 
 def _consensus_dists(block: np.ndarray, agent_axis: int) -> np.ndarray:
@@ -182,13 +239,16 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     and, when recording, returns the pre-step state arrays, which
     ``look()`` gives at the current state; ``watched`` is the state the
     divergence check reads, before every step and on the final state;
-    the run aborts exactly when its last record is the abort record.
+    the run aborts exactly when its last row is the abort row.
     Recorded states are copied into a block of up to ``_BLOCK`` records,
     one array per state array allocated once per run, and
-    ``evaluate(rows)`` turns the filled rows into record fields in one
-    pass (dual value, consensus distance, primal value, then the arrays
-    records keep, copied out; it may overwrite the rows): when the block
-    is full, before an abort record and after the final record.
+    ``evaluate(rows)`` turns the filled rows into the block's dual values,
+    consensus distances and primal values (arrays, or one value for every
+    row) and a dict of the copies it keeps by record field, in one pass
+    that may overwrite the rows: when the block is full, before the abort
+    row and after the final record.  The int columns follow from the
+    last row's iteration: rows sit at every ``record_every``-th iteration
+    before it.
     """
     record_every = _number(record_every, "record_every")
     if record_every < 1:
@@ -201,52 +261,60 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     method = start()
     ops = [method.operator(t) for t in schedule.distinct_topologies]
     by_epoch = [ops[j] for j in schedule.topology_index]
-    records: list[TraceRecord] = []
     # a run without abort records every record_every-th iteration and the final state
-    size = min(_BLOCK, -(-max_iter // record_every) + 1)
-    block: list[tuple] = []  # (iter, epoch, message count) of the records in ``rows``
-    rows: list[np.ndarray] = []
+    size = -(-max_iter // record_every) + 1
+    floats = np.empty((3, size))  # dual value, consensus distance, primal value of each row
+    states: dict = {}
+    rows: list[np.ndarray] = []  # the block, one array per state array
+    filled = held = 0  # rows evaluated, rows in the block
 
-    def keep(k, e, count, state):
+    def keep(state):
+        nonlocal held
         if not rows:
-            rows.extend(np.empty((size, *a.shape)) for a in state)
+            rows.extend(np.empty((min(_BLOCK, size), *a.shape)) for a in state)
         for buf, a in zip(rows, state):
-            buf[len(block)] = a
-        block.append((k, e, count))
-        if len(block) == size:
+            buf[held] = a
+        held += 1
+        if held == len(rows[0]):
             flush()
 
     def flush():
-        if block:
-            fields = method.evaluate([buf[: len(block)] for buf in rows])
-            records.extend(
-                TraceRecord(k, e, dual, dist, value, count, *arrays)
-                for (k, e, count), (dual, dist, value, *arrays) in zip(block, fields)
-            )
-            block.clear()
+        nonlocal filled, held
+        if held:
+            *values, kept = method.evaluate([buf[:held] for buf in rows])
+            for column, value in zip(floats, values):
+                column[filled : filled + held] = value
+            for name, copy in kept.items():
+                states.setdefault(name, []).append(copy)
+            filled, held = filled + held, 0
 
     step = method.step
     epochs = _epoch_of_iteration(schedule, max_iter)
+    aborted = False
     # the final state, at k = max_iter, keeps the last iteration's epoch
     for k, e in enumerate(epochs + epochs[-1:]):
         if not _finite(method.watched):
             flush()
-            records.append(TraceRecord(k, e, method.abort_value, math.inf, None, 0, None, None, None))
+            floats[:, filled] = method.abort_value, math.inf, math.nan
+            filled, aborted = filled + 1, True
             break
         if k == max_iter:
-            keep(k, e, 0, method.look())
+            keep(method.look())
             flush()
             break
-        matrix, pairs = by_epoch[e]
-        state = step(matrix, k % record_every == 0)
+        state = step(by_epoch[e][0], k % record_every == 0)
         if state is not None:
-            keep(k, e, pairs.shape[0], state)
+            keep(state)
+    iters = np.append(np.arange(0, k, record_every), k)
+    epoch = np.array(epochs + epochs[-1:])[iters]
+    message_count = np.array([pairs.shape[0] for _, pairs in by_epoch])[epoch]
+    message_count[-1] = 0  # the final or abort row sends nothing
     return RunTrace(
-        records=records,
+        iters, epoch, *floats[:, :filled], message_count, states,
         # iterations 0..k-1 ran: the pairs of their epochs, shared per topology
         message_log=MessageLog([by_epoch[e][1] for e in epochs[:k]]),
         final_state=method.final_state(k),
-        aborted=records[-1].primal_value is None,
+        aborted=aborted,
         momentum_degenerate=method.degenerate,
     )
 
@@ -350,17 +418,15 @@ class _DualMethod:
     def evaluate(self, rows):
         zs, ys, *zts = rows
         cols = ys.transpose(0, 2, 1) if self.y_transposed else ys
-        duals = self.agg.dual_value_batch(zs, cols).tolist()
+        duals = self.agg.dual_value_batch(zs, cols)
         # The mean runs on a C-contiguous block as on each record alone: a
         # logistic block already is one, a transposed quadratic one is copied
         # (kept records need the copy anyway, as _consensus_dists overwrites ys)
         y_tildes = cols.copy() if zts or self.y_transposed else cols
-        values = self.agg.value_consensus_batch(y_tildes.mean(axis=2)).tolist()
-        dists = _consensus_dists(ys, 1 if self.y_transposed else 2).tolist()
-        if zts:
-            return zip(duals, dists, values, zs.copy(), zts[0].copy(), y_tildes)
-        none = [None] * len(ys)
-        return zip(duals, dists, values, none, none, none)
+        values = self.agg.value_consensus_batch(y_tildes.mean(axis=2))
+        dists = _consensus_dists(ys, 1 if self.y_transposed else 2)
+        kept = {"z": zs.copy(), "z_tilde": zts[0].copy(), "y_tilde": y_tildes} if zts else {}
+        return duals, dists, values, kept
 
     def final_state(self, final_iter):
         if self.accelerated:
@@ -406,11 +472,15 @@ class _DIGingMethod:
     degenerate = False
 
     def __init__(self, agg, stepsize, keep_state):
-        self.alpha = default_diging_stepsize(agg) if stepsize is None else float(stepsize)
-        if not self.alpha > 0:  # NaN fails too
+        alpha = default_diging_stepsize(agg) if stepsize is None else stepsize
+        number = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+        if number and not alpha > 0:  # NaN fails too
             raise ValueError("stepsize must be positive")
-        if self.alpha == math.inf:
+        if number and alpha == math.inf:
             raise ValueError("stepsize must be finite")
+        if not number:  # a string or a bool, which float() would take
+            raise ValueError(f"stepsize must be a real number, got {alpha!r}")
+        self.alpha = float(alpha)
         self.keep_state = keep_state
         self.agg = agg
         self.x = np.zeros((agg.dim, agg.n))
@@ -440,10 +510,10 @@ class _DIGingMethod:
     def evaluate(self, rows):
         (xs,) = rows
         # the block is C-contiguous, so the mean runs as on each record alone
-        values = self.agg.value_consensus_batch(xs.mean(axis=2)).tolist()
-        kept = xs.copy() if self.keep_state else [None] * len(xs)
-        dists = _consensus_dists(xs, 2).tolist()  # x is always in C order
-        return ((math.nan, dist, value, None, None, x) for dist, value, x in zip(dists, values, kept))
+        values = self.agg.value_consensus_batch(xs.mean(axis=2))
+        kept = {"y_tilde": xs.copy()} if self.keep_state else {}
+        dists = _consensus_dists(xs, 2)  # x is always in C order
+        return math.nan, dists, values, kept
 
     def final_state(self, final_iter):
         return DIGingState(x=self.x, u=self.u, stepsize=self.alpha, iter=final_iter)
@@ -533,11 +603,13 @@ def run_xspace_reference(
         raise ValueError("method must be 'nesterov' or 'gd'")
     run = _drive(agg, schedule, max_iter, 1, lambda: _XSpaceMethod(agg, schedule, method))
     if run.aborted:
-        raise ValueError(f"x-space {method} run diverged at iteration {run.records[-1].iter}")
+        raise ValueError(f"x-space {method} run diverged at iteration {run.iter[-1]}")
     ref = run.final_state
-    fields = attrgetter("epoch", "dual_value", "z", "z_tilde", "y_tilde")
-    epoch_of, values, xs, ys, zs = map(list, zip(*map(fields, run.records)))
+    epoch_of = run.epoch.tolist()
     epoch_of[-1] = schedule.epoch_index(ref.steps)
+    xs = run.kept("z")
+    # a GD run's x, y and z are one array per iterate
+    ys, zs = (xs[:], xs[:]) if method == "gd" else (run.kept("z_tilde"), run.kept("y_tilde"))
     x_star = solve_dual_min_norm(agg, schedule)
     distinct = list(map(lambda sw: fro_norm(_xspace_grad(agg, sw, x_star)), ref.roots))
     return XSpaceTrace(
@@ -546,7 +618,7 @@ def run_xspace_reference(
         ys=ys,
         zs=zs,
         epoch_of=epoch_of,
-        values=np.array(values),
+        values=run.dual_value,
         x_star=x_star,
         radius=fro_norm(xs[0] - x_star),
         mu_f=ref.dc.mu_f,
@@ -614,9 +686,8 @@ class _XSpaceMethod:
         *iterates, qs, ys = rows
         # the dual value's sums run in C order whatever the argmax's memory order
         duals = self.agg.dual_value_batch(qs, ys)
-        kept = [list(iterates[0].copy())] * 3 if self.gd else [a.copy() for a in iterates]
-        nan = [math.nan] * len(qs)
-        return zip(duals.tolist(), nan, nan, *kept)
+        # x, y and z as z, z_tilde and y_tilde; a GD state is x alone
+        return duals, math.nan, math.nan, dict(zip(_ARRAY_FIELDS, [a.copy() for a in iterates]))
 
     def final_state(self, final_iter):
         return self  # run_xspace_reference reads dc, roots and steps

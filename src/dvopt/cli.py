@@ -246,9 +246,9 @@ def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
     return graphs.schedule_from_spec(spec)
 
 
-# Records keep scalars only, since the metrics read nothing else.  The one
-# array read is z, by the dual-GD contraction verdict of a single-epoch
-# schedule.
+# Traces keep their columns only, which are all the metrics read.  The one
+# array kept is z, which the dual-GD contraction verdict of a single-epoch
+# schedule reads.
 _RUNNERS = {
     "nesterov": lambda agg, s, cfg: algorithms.run_distributed_nesterov(
         agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every, keep_state=False
@@ -272,12 +272,13 @@ _RUNNERS = {
 ALGORITHMS = tuple(_RUNNERS)
 
 
-def _accel_bound_verdict(rows, dc, radius, schedule):
+def _accel_bound_verdict(table, dc, radius, schedule):
     def bound(k):
         # epoch e starts after e changes
         return theory.nesterov_tv_bound(dc.l_f, dc.mu_f, radius, schedule.epoch_index(k), k)
 
-    return asdict(metrics.bound_check(((row.iter, row.dual_residual) for row in rows), bound))
+    points = zip(table.iter.tolist(), table.dual_residual.tolist())
+    return asdict(metrics.bound_check(points, bound))
 
 
 def _gd_contraction_verdict(trace, dc, x_star, schedule):
@@ -287,9 +288,9 @@ def _gd_contraction_verdict(trace, dc, x_star, schedule):
     radius = float(np.linalg.norm(x_star))
     rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
     dists = (
-        (rec.iter, float(np.linalg.norm(-(rec.z @ pinv_sqrt) - x_star)))
-        for rec in trace.records
-        if rec.z is not None
+        (k, float(np.linalg.norm(-(z @ pinv_sqrt) - x_star)))
+        for k, z in zip(trace.iter.tolist(), trace.kept("z"))
+        if z is not None
     )
     report = asdict(metrics.bound_check(dists, lambda k: rho**k * radius + 1e-10))
     del report["checked"]  # the summary keeps the verdict's three keys
@@ -371,24 +372,23 @@ def _run(
     }
 
     def run_one(name):
-        # A function scope, so each run's trace and rows are freed before
+        # A function scope, so each run's trace and table are freed before
         # the next algorithm starts.
         trace = _RUNNERS[name](agg, schedule, config)
-        rows = metrics.compute_metrics(trace, agg, oracle)
+        table = metrics.compute_metrics(trace, agg, oracle)
         basename = f"{config.run_id}_{name}.csv"
-        metrics.emit(rows, "csv", os.path.join(config.output_dir, basename))
+        metrics.emit(table, "csv", os.path.join(config.output_dir, basename))
         summary["files"].append(basename)
-        last = rows[-1]
         summary["algorithms"][name] = {
             "aborted": trace.aborted,
-            "final_iter": last.iter,
-            "final_dual_residual": last.dual_residual,
-            "final_primal_gap": last.primal_gap,
-            "final_consensus_dist": last.consensus_dist,
+            "final_iter": table.iter[-1].item(),
+            "final_dual_residual": table.dual_residual[-1].item(),
+            "final_primal_gap": table.primal_gap[-1].item(),
+            "final_consensus_dist": table.consensus_dist[-1].item(),
         }
         if name == "nesterov":
             summary["bounds"]["accel_residual_bound"] = _accel_bound_verdict(
-                rows, dc, radius, schedule
+                table, dc, radius, schedule
             )
         if name == "dual_gd" and len(schedule.epochs) == 1:
             summary["bounds"]["gd_contraction_bound"] = _gd_contraction_verdict(

@@ -3,17 +3,21 @@
 The optimal dual value is ``-phi_star`` where ``phi_star`` is the
 centralized optimum of the separable objective (linear consensus
 constraints, so strong duality holds); every residual here is measured
-against that reference.  :func:`compute_metrics` reads only the
-records' scalars, which the runners evaluate in blocks, and :func:`emit`
-formats each CSV row with one %-format; both give the bytes a
+against that reference.  :func:`compute_metrics` reads only a trace's
+columns, which the runners evaluate in blocks, and returns columns: a
+:class:`MetricTable`, which builds :class:`MetricRow` objects only when
+indexed or iterated.  :func:`emit` formats every CSV row in one
+%-format over the columns as Python lists.  Both give the bytes a
 record-by-record evaluation gives.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .objectives import AggregateObjective
 
 __all__ = [
     "MetricRow",
+    "MetricTable",
     "PotentialRow",
     "BoundCheckReport",
     "compute_metrics",
@@ -34,9 +39,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "iter,epoch,dual_value,dual_residual,consensus_dist,primal_gap,message_count"
-
-
 @dataclass(frozen=True)
 class MetricRow:
     iter: int
@@ -46,6 +48,45 @@ class MetricRow:
     consensus_dist: float
     primal_gap: float
     message_count: int
+
+
+_COLUMNS = tuple(f.name for f in fields(MetricRow))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class MetricTable(Sequence):
+    """The metric rows of one trace as columns, one array per MetricRow field.
+
+    ``len()``, indexing and iteration give :class:`MetricRow` objects of
+    Python numbers, built when asked.
+    """
+
+    iter: np.ndarray
+    epoch: np.ndarray
+    dual_value: np.ndarray
+    dual_residual: np.ndarray
+    consensus_dist: np.ndarray
+    primal_gap: np.ndarray
+    message_count: np.ndarray
+
+    def columns(self) -> list[list]:
+        """Every column as a Python list, in CSV order."""
+        return [getattr(self, name).tolist() for name in _COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self.iter)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return MetricRow(*(getattr(self, name)[i].item() for name in _COLUMNS))
+
+    def __iter__(self):
+        return map(MetricRow, *self.columns())
+
+    def __repr__(self) -> str:
+        return f"MetricTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -80,32 +121,29 @@ def compute_metrics(
     trace: RunTrace,
     agg: AggregateObjective,
     oracle: tuple[np.ndarray, float],
-) -> list[MetricRow]:
+) -> MetricTable:
     """Per-record residual metrics against the centralized oracle.
 
     ``oracle`` is ``(y_star, phi_star)`` from a high-accuracy centralized
     solve.  ``dual_residual`` is measured against ``f_star = -phi_star``
     and ``primal_gap`` is the record's ``primal_value``, the aggregate at
     the agent average of the primal candidates, minus ``phi_star``; a
-    record without a primal value (the abort record) gets an infinite
-    gap.  The runners evaluate those values, so ``agg`` is unused.
+    row without a primal value (the abort row) gets an infinite gap, and
+    an infinite residual when f_star is finite (NaN when it is not).  The
+    runners evaluate those values, so ``agg`` is unused.
     """
     _, phi_star = oracle
     phi_star = float(phi_star)
     f_star = -phi_star
-    lost = math.inf if math.isfinite(f_star) else math.nan
-    return [
-        MetricRow(
-            iter=rec.iter,
-            epoch=rec.epoch,
-            dual_value=rec.dual_value,
-            dual_residual=lost if rec.primal_value is None else rec.dual_value - f_star,
-            consensus_dist=rec.consensus_dist,
-            primal_gap=math.inf if rec.primal_value is None else rec.primal_value - phi_star,
-            message_count=rec.message_count,
-        )
-        for rec in trace.records
-    ]
+    residual = trace.dual_value - f_star
+    gap = trace.primal_value - phi_star
+    lost = np.isnan(trace.primal_value)
+    residual[lost] = math.inf if math.isfinite(f_star) else math.nan
+    gap[lost] = math.inf
+    return MetricTable(
+        trace.iter, trace.epoch, trace.dual_value, residual, trace.consensus_dist, gap,
+        trace.message_count,
+    )
 
 
 def agentwise_primal_gap(y_tilde: np.ndarray, agg: AggregateObjective, phi_star: float) -> float:
@@ -198,33 +236,42 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-_INTS = (int, np.integer)
 # '%.17g' formats a float as format(x, '.17g') does; %s is str()
 _CSV_ROW = "%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
+_FLOAT_COLUMNS = (2, 3, 4, 5)
 
 
-def _csv_line(r: MetricRow) -> str:
-    floats = (r.dual_value, r.dual_residual, r.consensus_dist, r.primal_gap)
-    a, b, c, d = floats
-    if isinstance(a, _INTS) or isinstance(b, _INTS) or isinstance(c, _INTS) or isinstance(d, _INTS):
-        # an integer in a float field prints exactly, as _fmt does ('%.17g' % 10**20 is 1e+20)
-        return ",".join((str(r.iter), str(r.epoch), *map(_fmt, floats), str(r.message_count)))
-    return _CSV_ROW % (r.iter, r.epoch, a, b, c, d, r.message_count)
+def _csv_text(columns) -> str:
+    """The header and a line per row of seven columns, in one %-format.
+
+    A float column holding anything but Python floats is formatted value
+    by value with ``_fmt``: an integer there prints exactly ('%.17g' %
+    10**20 is 1e+20), any other number as '%.17g' formats it.
+    """
+    columns, specs = list(columns), _CSV_ROW.split(",")
+    for j in _FLOAT_COLUMNS:
+        if not set(map(type, columns[j])) <= {float}:
+            columns[j] = list(map(_fmt, columns[j]))
+            specs[j] = "%s"
+    line = ",".join(specs) + "\n"
+    return f"{CSV_HEADER}\n" + (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def emit(rows: list[MetricRow], fmt: str, path) -> None:
-    """Write metric rows to ``path`` as CSV or JSON.
+def emit(rows, fmt: str, path) -> None:
+    """Write metric rows, a :class:`MetricTable` or a list of MetricRows, to ``path`` as CSV.
 
     CSV uses the fixed header and 17-significant-digit decimals, so the
     write/parse roundtrip is lossless and identical rows give identical
-    bytes.  Each row is one %-format operation.
+    bytes.  A list is turned into Python-list columns, so its ints print
+    exactly however large; every row is formatted in one %-format.
     """
-    if fmt == "csv":
-        payload = "\n".join([CSV_HEADER, *map(_csv_line, rows)]) + "\n"
-    elif fmt == "json":
-        payload = json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
+    if fmt != "csv":
+        raise ValueError("format must be 'csv'")
+    if isinstance(rows, MetricTable):
+        columns = rows.columns()
     else:
-        raise ValueError("format must be 'csv' or 'json'")
+        columns = list(zip(*map(attrgetter(*_COLUMNS), rows))) or [()] * len(_COLUMNS)
+    payload = _csv_text(columns)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)

@@ -137,14 +137,16 @@ class QuadraticObjective(_Local):
 def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, locals_=None) -> list:
     """k quadratic locals from (k, d, d), (k, d) and (k,) stacks.
 
-    The quadratic terms are symmetrized together and take one ``eig_sym``
-    for mu and L, and the linear and constant terms must be finite; each
+    Every term must be finite.  The quadratic terms are symmetrized
+    together and take one ``eig_sym`` for mu and L; each
     local keeps its slice of the stacks, and a stack made of them inverts
     the terms when it is built (``_QuadraticStack``).  ``locals_`` are the
     objects to set up, new ones when None.
     """
     if locals_ is None:
         locals_ = [QuadraticObjective.__new__(QuadraticObjective) for _ in quad]
+    if not np.isfinite(quad).all():
+        raise ValueError("quadratic term must be finite")
     quad = quad + quad.transpose(0, 2, 1)
     quad *= 0.5
     eigs = eig_sym(quad).eigenvalues
@@ -270,7 +272,8 @@ class LogisticObjective(_Local):
 def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, locals_=None) -> list:
     """k logistic locals from (k, l, m) samples and (k, l) labels.
 
-    The checks run once, and the Gram matrices take one ``eig_sym`` for
+    The checks run once (labels, ridge and scale, then finite samples),
+    and the Gram matrices take one ``eig_sym`` for
     every local's L; each local keeps its slice of the stacks.
     ``locals_`` are the objects to set up, new ones when None.
     """
@@ -283,6 +286,8 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
     ridge, scale = float(ridge), float(scale)
     if math.inf in (ridge, scale):
         raise ValueError("ridge and scale must be finite")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     if samples.size:
         lam_max = eig_sym(samples.transpose(0, 2, 1) @ samples).eigenvalues[:, -1]
     else:
@@ -568,6 +573,8 @@ def gen_ridge_instance(
     """
     if min(n, l, m) < 1:
         raise ValueError("counts must be >= 1")
+    if not math.isfinite(c):
+        raise ValueError("ridge coefficient must be finite")
     rng = np.random.default_rng(seed)
     x_ref = rng.standard_normal(m)
     data = rng.standard_normal((n * l, m))

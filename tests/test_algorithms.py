@@ -533,6 +533,8 @@ _BAD_INPUTS = [
     (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, record_every=1.5), "record_every must be an integer, got 1.5"),
     (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=math.inf), "stepsize must be finite"),
     (lambda: run_dual_gradient(two_agent_instance(), _STATIC, max_iter=11), "max_iter must be in 1..horizon"),
+    (lambda: run_diging(two_agent_instance(), _STATIC, stepsize="0.1"), "stepsize must be a real number, got '0.1'"),
+    (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=True), "stepsize must be a real number, got True"),
 ]
 # A NaN passes a bare ``x <= 0`` test, so positivity checks are also given
 # one.  These share an earlier case's message, so their ids are marked.

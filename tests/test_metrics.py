@@ -6,14 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dvopt.algorithms import run_distributed_nesterov, run_xspace_reference
 from dvopt.graphs import GraphSchedule, Topology, gen_topology
 from dvopt.metrics import (
+    _CSV_ROW,
     CSV_HEADER,
     MetricRow,
+    MetricTable,
+    _fmt,
     agentwise_primal_gap,
     bound_check,
     compute_metrics,
@@ -183,6 +186,30 @@ class TestBoundCheck:
         assert rep.clean and rep.checked == 0
 
 
+# Floats at the edges of '%.17g': NaN, both infinities, both zeros, the
+# smallest subnormal, a subnormal with a full mantissa and the largest floats.
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+_FLOAT = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+_INT = st.integers(-(2**63), 2**63 - 1)
+_ROW = st.tuples(_INT, _INT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _INT)
+_NUMBER = st.one_of(_FLOAT, st.integers(-(2**80), 2**80), st.builds(np.float64, _FLOAT))
+_MIXED_ROW = st.tuples(_INT, _INT, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _INT)
+
+
+def _per_row_csv(rows) -> bytes:
+    """The CSV bytes of rows formatted one at a time, with _CSV_ROW or, for a row
+    with an integer in a float field, _fmt."""
+    lines = [CSV_HEADER]
+    for row in rows:
+        floats = row[2:6]
+        if any(isinstance(v, (int, np.integer)) for v in floats):
+            lines.append(",".join((str(row[0]), str(row[1]), *map(_fmt, floats), str(row[6]))))
+        else:
+            lines.append(_CSV_ROW % tuple(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestEmit:
     def test_zero_row_exact_bytes(self, tmp_path):
         p = tmp_path / "z.csv"
@@ -249,15 +276,34 @@ class TestEmit:
         emit(rows, "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_json_mirror(self, tmp_path):
-        import json
+    @given(rows=st.lists(_ROW, max_size=40))
+    @example(rows=[(k, k % 3, v, -v, v, v, 2) for k, v in enumerate(_SPECIAL)])
+    def test_bulk_format_writes_the_per_row_bytes(self, rows):
+        want = _per_row_csv(rows)
+        columns = zip(*rows) if rows else [()] * 7
+        table = MetricTable(
+            *(np.array(c, dtype=float if j in (2, 3, 4, 5) else np.int64) for j, c in enumerate(columns))
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            for given_rows in (table, [MetricRow(*r) for r in rows]):
+                path = Path(tmp) / "b.csv"
+                emit(given_rows, "csv", path)
+                assert path.read_bytes() == want
 
-        rows = [MetricRow(0, 0, 1.5, 0.5, 0.0, 0.25, 2)]
-        p = tmp_path / "m.json"
-        emit(rows, "json", p)
-        data = json.loads(p.read_text())
-        assert data[0]["dual_value"] == 1.5
-        assert set(data[0]) == set(CSV_HEADER.split(","))
+    @given(rows=st.lists(_MIXED_ROW, max_size=12))
+    @example(rows=[(2**63, -(2**63), 10**20, -3, np.int64(2**62), np.float64(0.1), 2**64)])
+    def test_integers_in_float_fields_print_as_per_row(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            emit([MetricRow(*r) for r in rows], "csv", path)
+            assert path.read_bytes() == _per_row_csv(rows)
+
+    def test_table_rows_are_python_numbers(self):
+        table = MetricTable(*(np.array([1, 2]),) * 2, *(np.array([0.5, -0.0]),) * 4, np.array([3, 0]))
+        rows = [MetricRow(1, 1, 0.5, 0.5, 0.5, 0.5, 3), MetricRow(2, 2, -0.0, -0.0, -0.0, -0.0, 0)]
+        assert len(table) == 2 and list(table) == rows and table[-1] == rows[-1] and table[:1] == rows[:1]
+        assert all(type(v) in (int, float) for row in table for v in vars(row).values())
+        assert repr(table) == f"MetricTable({rows!r})"
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ directly.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -867,6 +868,21 @@ def _infinite_scale(*_):
     LogisticObjective(np.ones((2, 2)), np.ones(2), 0.1, math.inf)
 
 
+def _nan_sample(*_):
+    LogisticObjective([[math.nan, 1.0]], [1.0], 0.1, 1.0)
+
+
+def _nan_quadratic_term(*_):
+    QuadraticObjective([[math.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])
+
+
+def _infinite_ridge_coefficient(*_):
+    # checked before the first product, which would warn on inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gen_ridge_instance(3, 2, 2, c=math.inf)
+
+
 # Each input check with the exact message it raises; a pattern where the
 # message carries a computed residual.
 _BAD_INPUTS = [
@@ -918,6 +934,9 @@ _BAD_INPUTS = [
     (_nan_noise, ValueError, "linear and constant terms must be finite"),
     (_infinite_ridge, ValueError, "ridge and scale must be finite"),
     (_infinite_scale, ValueError, "ridge and scale must be finite"),
+    (_nan_sample, ValueError, "samples must be finite"),
+    (_nan_quadratic_term, ValueError, "quadratic term must be finite"),
+    (_infinite_ridge_coefficient, ValueError, "ridge coefficient must be finite"),
 ]
 
 
