@@ -41,7 +41,6 @@ from .linalg import (
     Spectrum,
     eig_sym,
     fro_norm,
-    frobenius,
     project_consensus_orth,
     sqrt_psd,
 )
@@ -64,7 +63,6 @@ from .objectives import (
     DualConstants,
     LogisticObjective,
     QuadraticObjective,
-    balance_strong_convexity,
     centralized_solve,
     dual_constants,
     gen_logistic_instance,
@@ -74,7 +72,6 @@ from .objectives import (
 from .theory import (
     BoundReport,
     alg1_complexity,
-    delta_bound_check,
     diging_rates,
     gd_iterations,
     nesterov_tv_bound,

@@ -34,9 +34,10 @@ blocks: the loop copies each recorded state into a block of up to 16
 records and evaluates the whole block's dual values, consensus distances
 and aggregate values at the agent average in one pass, with the bits a
 record-by-record evaluation gives, straight into the columns.
-``RunTrace.records`` gives the rows as :class:`TraceRecord` objects, built
-on first read; no code in the package reads them.  Step sizes come from
-the schedule's spectra, computed once per distinct topology.
+A trace is built from its columns only; ``RunTrace.records`` gives the
+rows as :class:`TraceRecord` objects, built from them on first read, and
+no code in the package reads them.  Step sizes come from the schedule's
+spectra, computed once per distinct topology.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class DIGingState:
     iter: int
 
 
-@dataclass(init=False)
+@dataclass
 class RunTrace:
     """The records of one run as columns, its message log and its final state.
 
@@ -149,9 +149,7 @@ class RunTrace:
     run.  ``states`` maps each array field a run keeps (``z``, ``z_tilde``,
     ``y_tilde``) to its rows in blocks, the copies of the run's record
     blocks; ``kept`` lists them one per row.  ``records`` is a view of the
-    rows as TraceRecords, which no code in the package reads.  Records
-    passed as ``records`` (``dataclasses.replace`` passes them) replace
-    the columns.
+    rows as TraceRecords, which no code in the package reads.
     """
 
     iter: np.ndarray
@@ -165,22 +163,6 @@ class RunTrace:
     final_state: object
     aborted: bool = False
     momentum_degenerate: bool = False
-
-    def __init__(
-        self, iter, epoch, dual_value, consensus_dist, primal_value, message_count, states,
-        message_log, final_state, aborted=False, momentum_degenerate=False, records=None,
-    ):
-        if records is not None:
-            self.records = records = list(records)  # the cached view
-            columns = zip(*map(attrgetter(*_SCALAR_FIELDS), records))
-            iter, epoch, dual_value, consensus_dist, primal_value, message_count = map(np.array, columns)
-            primal_value = primal_value.astype(float)  # None is NaN
-            states = {name: [[getattr(r, name) for r in records]] for name in _ARRAY_FIELDS}
-        self.iter, self.epoch, self.message_count = iter, epoch, message_count
-        self.dual_value, self.consensus_dist = dual_value, consensus_dist
-        self.primal_value, self.states = primal_value, states
-        self.message_log, self.final_state = message_log, final_state
-        self.aborted, self.momentum_degenerate = aborted, momentum_degenerate
 
     def kept(self, name: str) -> list:
         """The ``name`` array of every row, None where the row keeps none."""

@@ -377,7 +377,8 @@ def _run(
         trace = _RUNNERS[name](agg, schedule, config)
         table = metrics.compute_metrics(trace, agg, oracle)
         basename = f"{config.run_id}_{name}.csv"
-        metrics.emit(table, "csv", os.path.join(config.output_dir, basename))
+        # the path by keyword: bench/tracer.py reads it as args[2] or kwargs["path"]
+        metrics.emit(table, path=os.path.join(config.output_dir, basename))
         summary["files"].append(basename)
         summary["algorithms"][name] = {
             "aborted": trace.aborted,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _ZERO_EIG_REL_TOL, eig_sym, fro_norm
+from .linalg import _ZERO_EIG_REL_TOL, eig_sym
 
 __all__ = [
     "ValidationError",
@@ -61,12 +61,14 @@ class Topology:
     """Undirected graph on nodes 1..n with optional positive edge weights.
 
     ``edges`` is given as pairs or as an (m, 2) integer array and stored
-    as a tuple of pairs (i, j) with i < j, in the given order; only a
-    faulty input is walked pair by pair, to name its first bad edge.  When
-    ``weights`` is None every edge has weight 1.  The 0-based endpoints
-    are cached outside the fields, so equality and hashing are unchanged,
-    as a read-only (2, m) array ``_ends`` (each edge's i, then its j), and
-    connectivity is walked at the first :meth:`is_connected` only.
+    as a tuple of pairs (i, j) with i < j, in the given order.  The count
+    and each endpoint given in pairs is an int or an integral float, never
+    a bool or a string; only a faulty input is walked pair by pair, to
+    name its first bad edge.  When ``weights`` is None every edge has
+    weight 1.  The 0-based endpoints are cached outside the fields, so
+    equality and hashing are unchanged, as a read-only (2, m) array
+    ``_ends`` (each edge's i, then its j), and connectivity is walked at
+    the first :meth:`is_connected` only.
     """
 
     n: int
@@ -74,10 +76,16 @@ class Topology:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _number(self.n, "node count"))
         if self.n < 1:
             raise ValueError("node count must be >= 1")
+        edges = self.edges
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+            # int64 would truncate 2.5 and take True or "1": check each endpoint
+            edges = [[v if type(v) is int else _number(v, "edge endpoint") for v in e] for e in edges]
         try:
-            given = np.asarray(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
+            given = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         except OverflowError:  # an endpoint beyond int64 is out of range
             _raise_first_fault(self.n, self.edges)
         lo, hi = np.minimum(given[:, 0], given[:, 1]), np.maximum(given[:, 0], given[:, 1])
@@ -537,6 +545,7 @@ def alternating_schedule(
     period = _number(period, "period")
     if period < 1:
         raise ValueError("period must be >= 1")
+    horizon = _number(horizon, "horizon")
     topos = (
         gen_topology(kinds[0], n, params[0], seed),
         gen_topology(kinds[1], n, params[1], seed + 1),

@@ -21,7 +21,6 @@ __all__ = [
     "sqrt_psd",
     "pinv_sqrt_psd",
     "project_consensus_orth",
-    "frobenius",
     "fro_norm",
 ]
 
@@ -64,15 +63,6 @@ def fro_norm(a: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=float)
     return math.sqrt((a * a).sum())
-
-
-def frobenius(x: np.ndarray, y: np.ndarray) -> float:
-    """Frobenius (entrywise) inner product of two equally shaped arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.sum(x * y))
 
 
 def project_consensus_orth(x: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ constraints, so strong duality holds); every residual here is measured
 against that reference.  :func:`compute_metrics` reads only a trace's
 columns, which the runners evaluate in blocks, and returns columns: a
 :class:`MetricTable`, which builds :class:`MetricRow` objects only when
-indexed or iterated.  :func:`emit` formats every CSV row in one
-%-format over the columns as Python lists.  Both give the bytes a
-record-by-record evaluation gives.
+indexed or iterated.  :func:`emit` takes a table and a path and formats
+every CSV row in one %-format over the table's columns as Python lists.
+Both give the bytes a record-by-record evaluation gives.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -230,73 +229,41 @@ def bound_check(points, bound) -> BoundCheckReport:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 # '%.17g' formats a float as format(x, '.17g') does; %s is str()
 _CSV_ROW = "%s,%s,%.17g,%.17g,%.17g,%.17g,%s"
-_FLOAT_COLUMNS = (2, 3, 4, 5)
+_PARSERS = (int, int, float, float, float, float, int)
 
 
-def _csv_text(columns) -> str:
-    """The header and a line per row of seven columns, in one %-format.
-
-    A float column holding anything but Python floats is formatted value
-    by value with ``_fmt``: an integer there prints exactly ('%.17g' %
-    10**20 is 1e+20), any other number as '%.17g' formats it.
-    """
-    columns, specs = list(columns), _CSV_ROW.split(",")
-    for j in _FLOAT_COLUMNS:
-        if not set(map(type, columns[j])) <= {float}:
-            columns[j] = list(map(_fmt, columns[j]))
-            specs[j] = "%s"
-    line = ",".join(specs) + "\n"
-    return f"{CSV_HEADER}\n" + (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
-
-
-def emit(rows, fmt: str, path) -> None:
-    """Write metric rows, a :class:`MetricTable` or a list of MetricRows, to ``path`` as CSV.
+def emit(table: MetricTable, path) -> None:
+    """Write a :class:`MetricTable` to ``path`` as CSV.
 
     CSV uses the fixed header and 17-significant-digit decimals, so the
-    write/parse roundtrip is lossless and identical rows give identical
-    bytes.  A list is turned into Python-list columns, so its ints print
-    exactly however large; every row is formatted in one %-format.
+    write/parse roundtrip is lossless and identical tables give identical
+    bytes.  Every row is formatted in one %-format over the columns as
+    Python lists, whose ints print exactly however large.
     """
-    if fmt != "csv":
-        raise ValueError("format must be 'csv'")
-    if isinstance(rows, MetricTable):
-        columns = rows.columns()
-    else:
-        columns = list(zip(*map(attrgetter(*_COLUMNS), rows))) or [()] * len(_COLUMNS)
-    payload = _csv_text(columns)
+    columns = table.columns()
+    rows = ((_CSV_ROW + "\n") * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.write(f"{CSV_HEADER}\n{rows}")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def parse_csv(path) -> list[MetricRow]:
-    """Read back a CSV produced by :func:`emit`."""
+    """Read back a CSV produced by :func:`emit`; a malformed row's error names its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), 1) if ln]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError("unrecognized CSV header")
     rows = []
-    for ln in lines[1:]:
-        it, ep, dv, dr, cd, pg, mc = ln.split(",")
-        rows.append(
-            MetricRow(
-                iter=int(it),
-                epoch=int(ep),
-                dual_value=float(dv),
-                dual_residual=float(dr),
-                consensus_dist=float(cd),
-                primal_gap=float(pg),
-                message_count=int(mc),
-            )
-        )
+    for k, ln in lines[1:]:
+        values = ln.split(",")
+        if len(values) != len(_PARSERS):
+            raise ValueError(f"{path}, line {k}: expected {len(_PARSERS)} fields, got {len(values)}")
+        try:
+            rows.append(MetricRow(*(parse(v) for parse, v in zip(_PARSERS, values))))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {k}: {exc}") from None
     return rows

@@ -20,12 +20,12 @@ mu and L.  A single :class:`QuadraticObjective` or
 the same bits as the generated local.
 
 An :class:`AggregateObjective` holds locals of one family, as every
-generator and transformation here builds them, so its agents are the
-rows of one family stack in order and no column is gathered or
-scattered.  On first use it stacks the locals (quadratics as
-``(n, d, d)`` matrices, inverted in one ``inv`` call as the stack is
-built; logistic samples times their labels, zero-padded to ``(n, l, m)``)
-and then maps all columns in one batched numpy call.  A stack computes
+generator here builds them, so its agents are the rows of one family
+stack in order and no column is gathered or scattered.  On first use it
+stacks the locals (quadratics as ``(n, d, d)`` matrices, inverted in one
+``inv`` call as the stack is built; logistic samples times their labels,
+zero-padded to ``(n, l, m)``) and then maps all columns in one batched
+numpy call.  A stack computes
 its constants when it is built and keeps no lazy state.  Values also
 take a leading batch axis, one entry per run record
 (``value_cols_batch``, ``value_consensus_batch``, ``dual_value_batch``),
@@ -63,7 +63,6 @@ __all__ = [
     "gen_logistic_instance",
     "logistic_blocks",
     "load_sparse_labeled",
-    "balance_strong_convexity",
     "centralized_solve",
     "dual_constants",
 ]
@@ -128,10 +127,6 @@ class QuadraticObjective(_Local):
     @property
     def dim(self) -> int:
         return self.lin.shape[0]
-
-    def shifted(self, ridge_shift: float) -> "QuadraticObjective":
-        """Copy with (ridge_shift/2)||y||^2 added."""
-        return QuadraticObjective(self.quad + ridge_shift * np.eye(self.dim), self.lin, self.const)
 
 
 def _build_quadratics(quad: np.ndarray, lin: np.ndarray, const: np.ndarray, locals_=None) -> list:
@@ -264,9 +259,6 @@ class LogisticObjective(_Local):
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    def shifted(self, ridge_shift: float) -> "LogisticObjective":
-        return LogisticObjective(self.samples, self.labels, self.ridge + ridge_shift, self.scale)
 
 
 def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, locals_=None) -> list:
@@ -432,9 +424,9 @@ class AggregateObjective:
     """Ordered collection of local objectives of one family, one per agent.
 
     The column maps evaluate the locals as one family stack (``_stack``),
-    not agent by agent.  Every generator and transformation here builds
-    one family, and agent ``i`` is then the stack's row ``i``: no column is
-    gathered or scattered, and a failed Newton row names its agent.
+    not agent by agent.  Every generator here builds one family, and
+    agent ``i`` is then the stack's row ``i``: no column is gathered or
+    scattered, and a failed Newton row names its agent.
     """
 
     locals: tuple
@@ -674,20 +666,7 @@ def load_sparse_labeled(path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Transformations and reference solves
-
-
-def balance_strong_convexity(agg: AggregateObjective) -> AggregateObjective:
-    """Even out strong convexity by shifting ridge mass between agents.
-
-    Each local gains ``(mu_bar - mu_i)/2 * ||y||^2`` where ``mu_bar`` is
-    the mean strong-convexity constant; the shifts sum to zero, so the
-    aggregate objective is unchanged pointwise while every local ends up
-    with constant ``mu_bar``.
-    """
-    mu_bar = agg.mu_bar
-    shifted = tuple(o.shifted(mu_bar - o.mu) for o in agg.locals)
-    return AggregateObjective(shifted)
+# Reference solves
 
 
 def centralized_solve(agg: AggregateObjective, tol: float = 1e-10) -> tuple[np.ndarray, float]:

@@ -7,7 +7,7 @@ against measured traces elsewhere.  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "BoundReport",
@@ -16,8 +16,6 @@ __all__ = [
     "alg1_complexity",
     "ComplexityResult",
     "primal_from_dual_bound",
-    "delta_bound_check",
-    "DeltaReport",
     "diging_rates",
     "panda_rates",
     "static_nesterov_comparison",
@@ -135,31 +133,6 @@ def primal_from_dual_bound(
     if not (all(x >= 0 for x in (eps, kappa, l_smooth, norm_xstar)) and mu > 0):  # NaN fails too
         raise ValueError("inputs must be nonnegative with mu > 0")
     return 2.0 * kappa * eps + l_smooth * norm_xstar * math.sqrt(2.0 * eps / mu)
-
-
-@dataclass(frozen=True)
-class DeltaReport:
-    """The smallest slack over the sample points, and whether it is above -1e-9."""
-
-    worst_slack: float
-    satisfied: bool
-
-
-def delta_bound_check(f_k, f_next, f_star: float, l_smooth: float, mu: float, points) -> DeltaReport:
-    """Check f_next(x) - f_k(x) <= (L-mu)/mu * (f_k(x) - f_star) at sample points.
-
-    Both functions must share their minimizer and optimal value f_star.
-    Reports the worst slack (bound minus measured change); slack below
-    -1e-9 marks the report unsatisfied.
-    """
-    if not (l_smooth >= mu > 0):
-        raise ValueError("need L >= mu > 0")
-    worst = math.inf
-    for x in points:
-        delta = f_next(x) - f_k(x)
-        bound = (l_smooth - mu) / mu * (f_k(x) - f_star)
-        worst = min(worst, bound - delta)
-    return DeltaReport(worst_slack=worst, satisfied=worst >= -1e-9)
 
 
 def _diging_j(kappa_bar: float, n: int, b: int) -> float:

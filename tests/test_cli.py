@@ -434,8 +434,8 @@ class TestGdContractionVerdict:
         # to the radius: a violation of exactly 0, which is no violation
         assert self.verdicts(full, x_star + 1e7 * ones) == 1
         offset = 1e-2 * project_consensus_orth(np.random.default_rng(0).standard_normal(x_star.shape))
-        moved = [dataclasses.replace(r, z=r.z + offset) for r in full.records]
-        assert self.verdicts(dataclasses.replace(full, records=moved), x_star) == 0
+        moved = {**full.states, "z": [block + offset for block in full.states["z"]]}
+        assert self.verdicts(dataclasses.replace(full, states=moved), x_star) == 0
         # an aborted run's last record keeps no z
         monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", np.linalg.norm(full.records[40].z))
         aborted = dvopt.algorithms.run_dual_gradient(self.AGG, self.SCHED)

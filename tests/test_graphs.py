@@ -771,6 +771,15 @@ _BAD_INPUTS = [
     (lambda: alternating_schedule(("star", "cycle"), 4, 2, 10, params=({},)), "kinds and params must be pairs"),
     (lambda: alternating_schedule(("star", "cycle"), 4, 1.5, 10), "period must be an integer, got 1.5"),
     (lambda: mixing_delta(GraphSchedule(5, ((0, _PATH3),)), 1.5), "window length must be an integer, got 1.5"),
+    (lambda: Topology(3, ((1, 2.5), (2, 3))), "edge endpoint must be an integer, got 2.5"),
+    (lambda: Topology(3, ((1, 3.9),)), "edge endpoint must be an integer, got 3.9"),
+    (lambda: Topology(3, (("1", "2"),)), "edge endpoint must be an integer, got '1'"),
+    (lambda: Topology(3, ((True, 2),)), "edge endpoint must be an integer, got True"),
+    (lambda: Topology(3.5, ()), "node count must be an integer, got 3.5"),
+    (lambda: Topology(True, ()), "node count must be an integer, got True"),
+    (lambda: Topology("3", ()), "node count must be an integer, got '3'"),
+    (lambda: alternating_schedule(("star", "cycle"), 4, 2, 10.5), "horizon must be an integer, got 10.5"),
+    (lambda: alternating_schedule(("star", "cycle"), 4, 2, True), "horizon must be an integer, got True"),
 ]
 
 
@@ -789,6 +798,20 @@ class TestInputChecks:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    def test_integral_floats_are_counts_and_endpoints(self):
+        want = Topology(3, ((1, 3), (2, 3)))
+        for n, edges in ((3.0, ((1.0, 3.0), (2, 3))), (np.int64(3), np.array([[3, 1], [2, 3]])),
+                         (3, np.array([[1.0, 3.0], [3.0, 2.0]]))):
+            got = Topology(n, edges)
+            assert got == want and type(got.n) is int and got.edges == want.edges
+            assert all(type(v) is int for e in got.edges for v in e)
+        assert alternating_schedule(("star", "cycle"), 4, 2, 10.0).horizon == 10
+
+    @pytest.mark.parametrize("edges", [np.array([[1.0, 2.5]]), np.array([[True, False]])], ids=["float", "bool"])
+    def test_edge_arrays_of_other_dtypes_are_checked_by_endpoint(self, edges):
+        with pytest.raises(ValueError, match="^edge endpoint must be an integer, got "):
+            Topology(3, edges)
 
     def test_edgeless_directed_pairs_are_an_empty_pair_array(self):
         pairs = Topology(3, ()).directed_pairs()

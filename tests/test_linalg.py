@@ -18,7 +18,6 @@ from dvopt.linalg import (
     NotPSDError,
     eig_sym,
     fro_norm,
-    frobenius,
     project_consensus_orth,
     sqrt_psd,
 )
@@ -236,24 +235,10 @@ class TestProjection:
         p = project_consensus_orth(x)
         assert np.allclose(project_consensus_orth(p), p, atol=1e-14)
         consensus = np.outer(rng.standard_normal(3), np.ones(7))
-        assert abs(frobenius(p, consensus)) <= 1e-10
+        assert abs(np.vdot(p, consensus)) <= 1e-10
 
 
 class TestFrobenius:
-    def test_identity(self):
-        assert frobenius(np.eye(2), np.eye(2)) == 2.0
-
-    def test_zero(self):
-        assert frobenius(np.ones((2, 3)), np.zeros((2, 3))) == 0.0
-
-    def test_hand_value(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert frobenius(x, x) == 30.0  # 1 + 4 + 9 + 16
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius(np.ones((2, 2)), np.ones((3, 2)))
-
     @given(arrays(float, st.tuples(st.integers(1, 7), st.integers(1, 7))))
     def test_fro_norm_bits_match_sum_of_squares(self, a):
         # C and F order, transposed, reversed and strided views; NaN, inf
@@ -271,10 +256,10 @@ class TestFrobenius:
         for _ in range(20):
             y = rng.standard_normal((4, 6))
             ny = fro_norm(y)
-            assert abs(frobenius(y / ny, y) - ny) <= 1e-12 * ny
+            assert abs(np.vdot(y / ny, y) - ny) <= 1e-12 * ny
             x = rng.standard_normal((4, 6))
             x /= fro_norm(x)
-            assert frobenius(x, y) <= ny + 1e-12
+            assert np.vdot(x, y) <= ny + 1e-12
 
     def test_operator_norm_inequality(self):
         rng = np.random.default_rng(9)

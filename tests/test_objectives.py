@@ -19,14 +19,13 @@ from hypothesis.extra.numpy import arrays
 from dvopt import objectives
 from dvopt.cli import ExperimentConfig, execute
 from dvopt.graphs import gen_topology, laplacian, theta_bounds, GraphSchedule
-from dvopt.linalg import _row_sums, eig_sym, fro_norm, project_consensus_orth, sqrt_psd
+from dvopt.linalg import _row_sums, fro_norm, project_consensus_orth, sqrt_psd
 from dvopt.objectives import (
     AggregateObjective,
     ParseError,
     QuadraticObjective,
     LogisticObjective,
     SolverError,
-    balance_strong_convexity,
     centralized_solve,
     dual_constants,
     gen_logistic_instance,
@@ -310,59 +309,6 @@ class TestParser:
         dense, labels = load_sparse_labeled(p).to_dense()
         assert np.array_equal(dense, [[2.0, 0.0, 1.0], [0.0, 5.0, 0.0]])
         assert np.array_equal(labels, [1.0, -1.0])
-
-
-class TestBalance:
-    def test_two_agent_example(self):
-        a1 = QuadraticObjective.from_offset(np.zeros(2), scale=1.0)
-        a2 = QuadraticObjective.from_offset(np.ones(2), scale=3.0)
-        bal = balance_strong_convexity(AggregateObjective((a1, a2)))
-        assert [o.mu for o in bal.locals] == [2.0, 2.0]
-
-    def test_identity_when_equal(self):
-        agg = AggregateObjective(
-            tuple(QuadraticObjective.from_offset(np.full(2, i), 2.0) for i in range(3))
-        )
-        bal = balance_strong_convexity(agg)
-        for o, p in zip(agg.locals, bal.locals):
-            assert np.allclose(o.quad, p.quad)
-
-    def test_sum_preserved_pointwise(self):
-        rng = np.random.default_rng(17)
-        agg = AggregateObjective(tuple(rand_quadratic(rng, 3) for _ in range(4)))
-        bal = balance_strong_convexity(agg)
-        for _ in range(100):
-            y = rng.standard_normal(3)
-            assert abs(agg.value_consensus(y) - bal.value_consensus(y)) < 1e-12 * (
-                1 + abs(agg.value_consensus(y))
-            )
-
-    @given(
-        st.integers(0, 2**32 - 1),
-        arrays(float, 3, elements=st.floats(-30.0, 30.0)),
-        st.sampled_from(("quadratic", "logistic")),
-    )
-    def test_value_consensus_unchanged_at_random_points(self, seed, y, kind):
-        # locals of one family with unequal strong convexity
-        rng = np.random.default_rng(seed)
-        if kind == "logistic":
-            logistic = gen_logistic_instance(3, 4, 3, c=rng.uniform(0.05, 1.0), seed=seed)
-            locs = logistic.locals[:2] + (logistic.locals[2].shifted(rng.uniform(0.0, 2.0)),)
-        else:
-            count = rng.integers(1, 6)
-            offsets, scales = rng.standard_normal((count, 3)), rng.uniform(0.05, 3.0, count)
-            locs = tuple(QuadraticObjective.from_offset(a, s) for a, s in zip(offsets, scales))
-        agg = AggregateObjective(locs)
-        before = agg.value_consensus(y)
-        after = balance_strong_convexity(agg).value_consensus(y)
-        assert abs(after - before) <= 1e-12 * abs(before)
-
-    def test_logistic_balance(self):
-        agg = gen_logistic_instance(3, 4, 2, c=0.3, seed=0)
-        mixed = AggregateObjective(agg.locals[:2] + (agg.locals[2].shifted(0.5),))
-        bal = balance_strong_convexity(mixed)
-        mus = [o.mu for o in bal.locals]
-        assert max(mus) - min(mus) < 1e-15
 
 
 class TestCentralizedSolve:

@@ -438,11 +438,11 @@ class TestMetricBlocks:
         # records without a primal value stand for lost candidates
         agg = gen_ridge_instance(9, 4, 5, seed=3)
         trace = run_distributed_nesterov(agg, schedule_for(agg, 2, 20), max_iter=20)
-        records = list(trace.records)
+        primal, ys = trace.primal_value.copy(), trace.kept("y_tilde")
         nan_y = np.full((agg.dim, agg.n), np.nan)
         for k, y in ((1, None), (3, nan_y), (4, None), (_BLOCK + 2, nan_y)):
-            records[k] = dataclasses.replace(records[k], primal_value=None, y_tilde=y)
-        trace = dataclasses.replace(trace, records=records)
+            primal[k], ys[k] = math.nan, y
+        trace = dataclasses.replace(trace, primal_value=primal, states={**trace.states, "y_tilde": [ys]})
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
         assert_rows_match(rows, ref_metrics(trace, agg, phi_star))

@@ -7,7 +7,6 @@ import pytest
 
 from dvopt.theory import (
     alg1_complexity,
-    delta_bound_check,
     diging_rates,
     gd_iterations,
     nesterov_tv_bound,
@@ -130,32 +129,6 @@ class TestPrimalFromDual:
         )
 
 
-class TestDeltaBoundCheck:
-    def test_equality_case(self):
-        # f_k = x^2/2, f_next = x^2 (mu=1, L=2): bound is tight everywhere
-        rep = delta_bound_check(
-            lambda x: 0.5 * x * x,
-            lambda x: x * x,
-            0.0,
-            2.0,
-            1.0,
-            [0.5, -1.0, 2.0],
-        )
-        assert rep.satisfied
-        assert abs(rep.worst_slack) < 1e-12
-
-    def test_no_change(self):
-        f = lambda x: x * x
-        rep = delta_bound_check(f, f, 0.0, 3.0, 1.0, [1.0, 2.0])
-        assert rep.satisfied and rep.worst_slack >= 0.0
-
-    def test_at_minimizer(self):
-        rep = delta_bound_check(
-            lambda x: 0.5 * x * x, lambda x: x * x, 0.0, 2.0, 1.0, [0.0]
-        )
-        assert abs(rep.worst_slack) < 1e-15
-
-
 class TestDigingRates:
     def test_hand_values(self):
         lam0, _ = diging_rates(4.0, 9)
@@ -271,7 +244,6 @@ _BAD_INPUTS = [
     (lambda: alg1_complexity(2.0, 0.0, l_smooth=2.0, mu=1.0, radius=1.0, eps=0.0), "eps must be positive"),
     (lambda: primal_from_dual_bound(1.0, 1.0, 1.0, 0.0, 1.0), "inputs must be nonnegative with mu > 0"),
     (lambda: primal_from_dual_bound(-1.0, 1.0, 1.0, 1.0, 1.0), "inputs must be nonnegative with mu > 0"),
-    (lambda: delta_bound_check(abs, abs, 0.0, 1.0, 2.0, [0.0]), "need L >= mu > 0"),
     (lambda: diging_rates(0.5, 1), "need kappa_bar >= 1, n >= 1, B >= 1"),
     (lambda: diging_rates(1.0, 1, b=0), "need kappa_bar >= 1, n >= 1, B >= 1"),
     (lambda: diging_rates(1.0, 1, delta=1.0), "delta must be in [0, 1)"),
