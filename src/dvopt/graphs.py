@@ -81,9 +81,9 @@ class Topology:
         if self.n < 1:
             raise ValueError("node count must be >= 1")
         edges = self.edges
-        if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,)):
             # int64 would truncate 2.5 and take True or "1": check each endpoint
-            edges = [[v if type(v) is int else _number(v, "edge endpoint") for v in e] for e in edges]
+            edges = [[v if type(v) is int else _number(v, "edge endpoint") for v in _pair(e)] for e in edges]
         try:
             given = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         except OverflowError:  # an endpoint beyond int64 is out of range
@@ -127,6 +127,14 @@ class Topology:
         if "_connected" not in self.__dict__:
             object.__setattr__(self, "_connected", _n_components(self) == 1)
         return self._connected
+
+
+def _pair(edge):
+    """``edge`` if it is a pair of endpoints (a sized sequence of two)."""
+    if not (hasattr(edge, "__len__") and len(edge) == 2):
+        shown = edge.tolist() if isinstance(edge, (np.ndarray, np.generic)) else edge
+        raise ValidationError(f"each edge must be a pair of endpoints, got {shown!r}")
+    return edge
 
 
 def _raise_first_fault(n: int, edges) -> None:
@@ -413,6 +421,7 @@ def gen_topology(kind: str, n: int, params: dict | None = None, seed: int = 0) -
     params = _fields(
         {} if params is None else params, f"{kind} params", optional=_TOPOLOGY_PARAMS.get(kind, ())
     )
+    n = _number(n, "node count")
     if n < 2:
         raise ValueError("need at least 2 nodes")
     nodes = np.arange(1, n + 1)

@@ -25,15 +25,16 @@ stack in order and no column is gathered or scattered.  On first use it
 stacks the locals (quadratics as ``(n, d, d)`` matrices, inverted in one
 ``inv`` call as the stack is built; logistic samples times their labels,
 zero-padded to ``(n, l, m)``) and then maps all columns in one batched
-numpy call.  A stack computes
+numpy call, the only place a kernel runs: a local is data, evaluated as
+a one-agent aggregate.  A stack computes
 its constants when it is built and keeps no lazy state.  Values also
 take a leading batch axis, one entry per run record
 (``value_cols_batch``, ``value_consensus_batch``, ``dual_value_batch``),
 and the per-record ``value_cols``, ``value_consensus`` and
 ``dual_value`` are batches of one with the same bits.  One damped Newton
 routine, batched over rows with a per-row active mask, serves the
-logistic conjugate argmax (of an aggregate, or of one local as a batch
-of one) and the centralized reference solve.  Every agent keeps its own
+logistic conjugate argmax of an aggregate and the centralized reference
+solve.  Every agent keeps its own
 residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
 zero: a logistic stack computes its gradient and Hessian there as it is
 built, and each step carries the accepted trial's residual, norm and
@@ -79,34 +80,7 @@ class SolverError(RuntimeError):
     """An inner iterative solver failed to reach its tolerance."""
 
 
-class _Local:
-    """Value, gradient and conjugate argmax of one local objective.
-
-    Each runs its family's stacked kernel (``_STACKS[kind]``) on a batch
-    of one, so a local and the aggregate's column for it give the same
-    bits.
-    """
-
-    @cached_property
-    def _stack(self):
-        stack = _STACKS[self.kind]((self,))
-        stack.numbered = False  # outside an aggregate, a row is no agent
-        return stack
-
-    def value(self, y: np.ndarray) -> float:
-        return float(self._stack.value(np.asarray(y, dtype=float).reshape(1, 1, -1))[0])
-
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        return self._stack.grad(np.asarray(y, dtype=float).reshape(1, -1))[0]
-
-    def conj_argmax(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        if not np.all(np.isfinite(z)):
-            raise ValueError("conjugate argmax input must be finite")
-        return self._stack.conj_argmax(z[None])[0]
-
-
-class QuadraticObjective(_Local):
+class QuadraticObjective:
     """phi(y) = 0.5 y'Hy - g'y + c with H symmetric positive definite."""
 
     kind = "quadratic"
@@ -240,7 +214,7 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
     return result, active, norms
 
 
-class LogisticObjective(_Local):
+class LogisticObjective:
     """Ridge-regularized logistic loss over one agent's samples.
 
     phi(x) = (1/scale) * sum_j log(1 + exp(-labels_j * <samples_j, x>))
@@ -339,12 +313,10 @@ class _LogisticStack:
     sign, and nothing reads that sign.  Locals with fewer than ``l``
     samples are padded with zero rows whose row weight is 0; the weight
     (0/1 times 1/scale) multiplies every per-sample term, so padding adds
-    nothing to the value, the gradient or the Hessian.  Solver errors name
-    the failing rows as agents, unless ``numbered`` is False (a standalone
-    local's stack of one).
+    nothing to the value, the gradient or the Hessian.  Row ``i`` is agent
+    ``i`` of the aggregate that built the stack, so a solver error names
+    the failing rows as agents.
     """
-
-    numbered = True
 
     def __init__(self, locals_):
         self.size = len(locals_)
@@ -406,10 +378,7 @@ class _LogisticStack:
         targets = _CONJ_TOL * (1.0 + _row_norms(z))
         x, failed, norms = _damped_newton(self.grad_parts, self.hess, z, targets, *self.at_zero)
         if failed.size:
-            if self.numbered:
-                listed = ", ".join(f"agent {a} (residual {r:.3e})" for a, r in zip(failed, norms))
-            else:
-                listed = f"residual {norms[0]:.3e}"
+            listed = ", ".join(f"agent {a} (residual {r:.3e})" for a, r in zip(failed, norms))
             raise SolverError(
                 f"conjugate argmax did not converge in {_NEWTON_CAP} Newton steps: {listed}"
             )
@@ -503,12 +472,10 @@ class AggregateObjective:
             raise ValueError("conjugate argmax input must be finite")
         return self._stack.conj_argmax(z.T).T
 
-    def dual_value(self, z: np.ndarray, y_tilde: np.ndarray | None = None) -> float:
+    def dual_value(self, z: np.ndarray) -> float:
         """sum_i [<z_i, y_i> - phi_i(y_i)] at y_i = conj_argmax(z_i)."""
         z = np.asarray(z, dtype=float)
-        if y_tilde is None:
-            y_tilde = self.conj_argmax_cols(z)
-        return float(self.dual_value_batch(z[None], np.asarray(y_tilde, dtype=float)[None])[0])
+        return float(self.dual_value_batch(z[None], self.conj_argmax_cols(z)[None])[0])
 
     def dual_value_batch(self, zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The dual value of each entry of (R, d, n) batches of Z and its argmax Y."""

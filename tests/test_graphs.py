@@ -780,6 +780,15 @@ _BAD_INPUTS = [
     (lambda: Topology("3", ()), "node count must be an integer, got '3'"),
     (lambda: alternating_schedule(("star", "cycle"), 4, 2, 10.5), "horizon must be an integer, got 10.5"),
     (lambda: alternating_schedule(("star", "cycle"), 4, 2, True), "horizon must be an integer, got True"),
+    (lambda: gen_topology("path", "4"), "node count must be an integer, got '4'"),
+    (lambda: gen_topology("path", None), "node count must be an integer, got None"),
+    (lambda: gen_topology("path", True), "node count must be an integer, got True"),
+    (lambda: alternating_schedule(("star", "cycle"), "4", 2, 10), "node count must be an integer, got '4'"),
+    (lambda: Topology(3, (1, 2)), "each edge must be a pair of endpoints, got 1"),
+    (lambda: Topology(3, ((1, 2, 3),)), "each edge must be a pair of endpoints, got (1, 2, 3)"),
+    (lambda: Topology(3, ((1,),)), "each edge must be a pair of endpoints, got (1,)"),
+    (lambda: Topology(3, ((1, 2), (2, 3, 1))), "each edge must be a pair of endpoints, got (2, 3, 1)"),
+    (lambda: Topology(3, np.array([[1, 2, 3]])), "each edge must be a pair of endpoints, got [1, 2, 3]"),
 ]
 
 

@@ -34,6 +34,19 @@ from dvopt.objectives import (
 )
 
 
+# A local is data; its kernels run as a one-agent aggregate's column.
+def value_of(o, y):
+    return AggregateObjective((o,)).value_cols(np.reshape(y, (-1, 1)))
+
+
+def grad_of(o, y):
+    return AggregateObjective((o,)).grad_cols(np.reshape(y, (-1, 1)))[:, 0]
+
+
+def argmax_of(o, z):
+    return AggregateObjective((o,)).conj_argmax_cols(np.reshape(z, (-1, 1)))[:, 0]
+
+
 def rand_quadratic(rng, d, scale_lo=0.5, scale_hi=3.0):
     b = rng.standard_normal((d, d))
     h = b @ b.T + scale_lo * np.eye(d)
@@ -44,17 +57,17 @@ def rand_quadratic(rng, d, scale_lo=0.5, scale_hi=3.0):
 class TestConjArgmax:
     def test_quadratic_stationarity(self):
         q = QuadraticObjective.from_offset(np.array([1.0, 0.0]))
-        assert np.allclose(q.conj_argmax(np.array([0.0, 2.0])), [1.0, 2.0], atol=1e-14)
+        assert np.allclose(argmax_of(q, np.array([0.0, 2.0])), [1.0, 2.0], atol=1e-14)
 
     def test_inverse_gradient_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             q = rand_quadratic(rng, 3)
             y0 = rng.standard_normal(3)
-            assert np.allclose(q.conj_argmax(q.grad(y0)), y0, atol=1e-9)
+            assert np.allclose(argmax_of(q, grad_of(q, y0)), y0, atol=1e-9)
         lo = gen_logistic_instance(2, 5, 3, c=0.4, seed=2).locals[0]
         y0 = np.array([0.2, -0.5, 0.1])
-        assert np.allclose(lo.conj_argmax(lo.grad(y0)), y0, atol=1e-8)
+        assert np.allclose(argmax_of(lo, grad_of(lo, y0)), y0, atol=1e-8)
 
     def test_logistic_1d_against_grid_search(self):
         sample = np.array([[1.3]])
@@ -67,22 +80,22 @@ class TestConjArgmax:
         vals = z[0] * ys - (np.logaddexp(0.0, -label[0] * sample[0, 0] * ys) / scale
                             + 0.5 * ridge * ys**2)
         y_grid = ys[np.argmax(vals)]
-        y_newton = obj.conj_argmax(z)[0]
+        y_newton = argmax_of(obj, z)[0]
         assert abs(y_newton - y_grid) < 1e-5
-        assert abs(obj.grad(np.array([y_newton]))[0] - z[0]) < 1e-10
+        assert abs(grad_of(obj, np.array([y_newton]))[0] - z[0]) < 1e-10
 
     def test_residual_contract(self):
         rng = np.random.default_rng(4)
         agg = gen_logistic_instance(3, 6, 4, c=0.3, seed=9)
         for o in agg.locals:
             z = rng.standard_normal(4)
-            y = o.conj_argmax(z)
-            assert np.linalg.norm(o.grad(y) - z) <= 1e-10 * (1 + np.linalg.norm(z))
+            y = argmax_of(o, z)
+            assert np.linalg.norm(grad_of(o, y) - z) <= 1e-10 * (1 + np.linalg.norm(z))
 
     def test_rejects_nonfinite(self):
         q = QuadraticObjective.from_offset(np.zeros(2))
         with pytest.raises(ValueError):
-            q.conj_argmax(np.array([np.inf, 0.0]))
+            argmax_of(q, np.array([np.inf, 0.0]))
 
     def test_quadratic_conjugate_closed_form(self):
         # phi = 0.5||y - a||^2 has phi*(z) = z.a + ||z||^2 / 2
@@ -91,8 +104,8 @@ class TestConjArgmax:
         q = QuadraticObjective.from_offset(a)
         for _ in range(10):
             z = rng.standard_normal(3)
-            y = q.conj_argmax(z)
-            conj_val = float(z @ y) - q.value(y)
+            y = argmax_of(q, z)
+            conj_val = float(z @ y) - value_of(q, y)
             assert abs(conj_val - (float(z @ a) + 0.5 * float(z @ z))) < 1e-12
 
 
@@ -106,24 +119,24 @@ class TestGradients:
             for o in agg.locals:
                 for _ in range(13):
                     x = rng.standard_normal(3)
-                    g = o.grad(x)
+                    g = grad_of(o, x)
                     num = np.zeros(3)
                     for i in range(3):
                         e = np.zeros(3)
                         e[i] = 1e-6
-                        num[i] = (o.value(x + e) - o.value(x - e)) / 2e-6
+                        num[i] = (value_of(o, x + e) - value_of(o, x - e)) / 2e-6
                     denom = max(1.0, np.linalg.norm(g))
                     assert np.linalg.norm(g - num) / denom < 1e-5
 
     def test_logistic_gradient_at_zero(self):
         agg = gen_logistic_instance(2, 6, 3, c=0.5, seed=3)
         o = agg.locals[1]
-        g = o.grad(np.zeros(3))
+        g = grad_of(o, np.zeros(3))
         num = np.zeros(3)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-6
-            num[i] = (o.value(e) - o.value(-e)) / 2e-6
+            num[i] = (value_of(o, e) - value_of(o, -e)) / 2e-6
         assert np.linalg.norm(g - num) < 1e-6
 
 
@@ -223,8 +236,8 @@ class TestBatchedConstructors:
                 hi.T @ hi / scale + (c / n) * np.eye(m), hi.T @ bi / scale, 0.5 * float(bi @ bi) / scale
             )
             assert field_bytes(o, QUADRATIC_FIELDS) == field_bytes(alone, QUADRATIC_FIELDS)
-            # the aggregate's stack inverts each matrix as the local's stack of one does
-            assert agg._stack.inv[i].tobytes() == alone._stack.inv[0].tobytes()
+            # the aggregate's stack inverts each matrix as a one-agent aggregate's does
+            assert agg._stack.inv[i].tobytes() == AggregateObjective((alone,))._stack.inv[0].tobytes()
 
     @pytest.mark.parametrize("n, count, m, seed", [(20, 400, 10, 0), (4, 23, 3, 1), (3, 3, 2, 2)])
     def test_logistic_block_locals_are_single_logistics(self, n, count, m, seed):
@@ -332,7 +345,7 @@ class TestCentralizedSolve:
     def test_logistic_gradient_norm(self):
         agg = gen_logistic_instance(3, 5, 3, c=0.4, seed=6)
         y, _ = centralized_solve(agg, tol=1e-11)
-        g = sum(o.grad(y) for o in agg.locals)
+        g = agg.grad_cols(np.repeat(y[:, None], agg.n, axis=1)).sum(axis=1)
         assert np.linalg.norm(g) <= 1e-11
 
 
@@ -396,7 +409,7 @@ class TestDualCurvatureCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Stacked kernels against the per-local methods
+# Stacked kernels against the per-local formulas
 
 
 def rand_logistic(rng, count, d):
@@ -472,20 +485,8 @@ class TestStackedKernels:
         grads = np.column_stack([local_grad(o, y[:, i]) for i, o in enumerate(agg.locals)])
         np.testing.assert_allclose(agg.grad_cols(y), grads, rtol=1e-12, atol=1e-12)
         for i, o in enumerate(agg.locals):
-            assert o.value(y[:, i]) == pytest.approx(values[i], rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(o.grad(y[:, i]), grads[:, i], rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ("quadratic", "logistic"))
-    @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), count=st.integers(0, 6))
-    def test_local_kernels_are_their_aggregates_column(self, kind, seed, d, count):
-        rng = np.random.default_rng(seed)
-        o = rand_quadratic(rng, d) if kind == "quadratic" else rand_logistic(rng, count, d)
-        agg = AggregateObjective((o,))
-        y, z = 2.0 * rng.standard_normal((2, d, 1))
-        assert o.value(y[:, 0]) == agg.value_cols(y)
-        np.testing.assert_array_equal(o.grad(y[:, 0]), agg.grad_cols(y)[:, 0])
-        np.testing.assert_array_equal(o.conj_argmax(z[:, 0]), agg.conj_argmax_cols(z)[:, 0])
+            assert value_of(o, y[:, i]) == pytest.approx(values[i], rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad_of(o, y[:, i]), grads[:, i], rtol=1e-12, atol=1e-12)
 
     def test_newton_failure_names_agents(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -494,18 +495,13 @@ class TestStackedKernels:
         # agents 0 and 2 are solved at zero, where each solve starts, so
         # only rows 1 and 3 are left when the one allowed step is taken
         z = rng.standard_normal((3, 4))
-        for i in (0, 2):
-            z[:, i] = locs[i].grad(np.zeros(3))
+        z[:, (0, 2)] = agg.grad_cols(np.zeros((3, 4)))[:, (0, 2)]
         monkeypatch.setattr(objectives, "_NEWTON_CAP", 1)
         with pytest.raises(SolverError) as info:
             agg.conj_argmax_cols(z)
         assert re.fullmatch(
             r".*: agent 1 \(residual [^)]*\), agent 3 \(residual [^)]*\)", str(info.value)
         )
-        with pytest.raises(SolverError) as info:
-            locs[1].conj_argmax(rng.standard_normal(3))
-        assert "agent" not in str(info.value)
-        assert "residual" in str(info.value)
 
     def test_unknown_family_rejected(self):
         class Other:

@@ -120,7 +120,8 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
         "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
-        "switching_abort_s3", "ridge_defaults_s3", "geometric_s3", "dataset_s3", "dataset_units_s3",
+        "switching_abort_s3", "ridge_defaults_s3", "geometric_s3", "schedule_file_s3", "dataset_s3",
+        "dataset_units_s3",
     ]
     geometric = output_digest.configs([3])["geometric_s3"]
     assert {e["kind"] for e in geometric["schedule"]["epochs"]} == {"random_geometric"}
@@ -140,6 +141,12 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     assert len(static["schedule"]["epochs"]) == 1
     dataset = output_digest.configs([3])["dataset_s3"]["objective"]
     assert (dataset["kind"], dataset["path"]) == ("dataset", output_digest.DATASET_FILE)
+    from_file = output_digest.configs([3])["schedule_file_s3"]
+    assert from_file["schedule"] == {"file": output_digest.SCHEDULE_FILE}
+    # the run stops before the last epoch starts
+    starts = [e["start"] for e in output_digest.FILE_SCHEDULE["epochs"]]
+    assert starts == [0, 100, 180] and starts[1] < from_file["max_iter"] < starts[2]
+    assert output_digest.FILE_SCHEDULE["horizon"] == 200
     units = output_digest.configs([3])["dataset_units_s3"]
     assert units["objective"]["path"] == output_digest.DATASET_UNITS_FILE
     assert units["run_id"] == "dataset_units"

@@ -8,7 +8,8 @@ Usage, from anywhere::
 
 Each config below is written to a fresh temporary directory, next to the
 sparse data files ``DATASET_FILE`` and ``DATASET_UNITS_FILE`` (see
-``dataset_text``), and run with
+``dataset_text``) and the schedule file ``SCHEDULE_FILE`` (see
+``write_inputs``), and run with
 ``python3 -m dvopt.cli run`` with the checkout's ``src`` first on
 ``PYTHONPATH``.  Every CSV and summary the run writes gets one line
 ``<sha256>  <config>/<file>``, and every ``demos/*.py`` of the checkout
@@ -37,8 +38,12 @@ the objective's defaults are compared (every other config gives both),
 that config again over two random geometric epochs, the second with a
 radius that has to grow before its graph connects, so the edges picked
 from the drawn points are compared (every other random epoch is
-Erdos-Renyi), and a ``dataset`` objective over each data file, so the shuffle of
-samples among agents is compared.  The second file holds the first's
+Erdos-Renyi), that config again reading its schedule from
+``SCHEDULE_FILE`` by a path relative to the config, with epochs at 0,
+100 and 180 of 200 iterations and a run cut at 150, so the schedule-file
+route and a run that stops before a later epoch are compared, and a
+``dataset`` objective over each data file, so the shuffle of samples
+among agents is compared.  The second file holds the first's
 values 1000 times larger, so some of its Newton line searches backtrack
 (77 backtracking steps at seed 3), which no other config's do.  The
 script uses the Python standard library and the benchmark's config
@@ -62,6 +67,17 @@ ALL_ALGORITHMS = ["nesterov", "dual_gd", "diging"]
 SWEEP_ARGS = ["--seeds", "3", "4", "--periods", "5", "50"]
 DATASET_FILE = "data.txt"
 DATASET_UNITS_FILE = "data_units.txt"
+SCHEDULE_FILE = "schedule.json"
+# star, then cycle, then path over 200 iterations; a 150-iteration run
+# stops before the path epoch starts
+FILE_SCHEDULE = {
+    "horizon": 200,
+    "epochs": [
+        {"start": 0, "kind": "star", "n": 20},
+        {"start": 100, "kind": "cycle", "n": 20},
+        {"start": 180, "kind": "path", "n": 20},
+    ],
+}
 # one valid constant set per bound: prop1 with its step alpha, prop2 with
 # its step c, thm5 with (L, mu, R, eps) for its log term, cor2 with eps > 0
 BOUNDS_ARGS = {
@@ -133,6 +149,16 @@ def aborting_config(seed: int) -> dict:
     }
 
 
+def schedule_file_config(seed: int) -> dict:
+    """The switching config over ``FILE_SCHEDULE``, read from ``SCHEDULE_FILE``, for 150 iterations."""
+    return {
+        **switching_ridge_config(seed),
+        "schedule": {"file": SCHEDULE_FILE},
+        "max_iter": 150,
+        "run_id": "schedule_file",
+    }
+
+
 def dataset_text(samples: int = 63, dim: int = 8, units: bool = False) -> str:
     """A fixed sparse labeled data set, one ``label idx:val ...`` line per sample.
 
@@ -186,9 +212,17 @@ def configs(seeds: list[int]) -> dict[str, dict]:
     out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
     out[f"ridge_defaults_s{seeds[0]}"] = ridge_defaults_config(seeds[0])
     out[f"geometric_s{seeds[0]}"] = geometric_config(seeds[0])
+    out[f"schedule_file_s{seeds[0]}"] = schedule_file_config(seeds[0])
     out[f"dataset_s{seeds[0]}"] = dataset_config(seeds[0])
     out[f"dataset_units_s{seeds[0]}"] = dataset_config(seeds[0], DATASET_UNITS_FILE, "dataset_units")
     return out
+
+
+def write_inputs(directory: Path) -> None:
+    """Write the files the configs read by relative path into ``directory``."""
+    (directory / DATASET_FILE).write_text(dataset_text(), encoding="utf-8")
+    (directory / DATASET_UNITS_FILE).write_text(dataset_text(units=True), encoding="utf-8")
+    (directory / SCHEDULE_FILE).write_text(json.dumps(FILE_SCHEDULE), encoding="utf-8")
 
 
 def _env(checkout: Path) -> dict:
@@ -232,8 +266,7 @@ def digest_run(checkout: Path, name: str, config: dict, *sweep_args: str) -> lis
         out_dir = Path(tmp) / "out"
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({**config, "output_dir": str(out_dir)}), encoding="utf-8")
-        (Path(tmp) / DATASET_FILE).write_text(dataset_text(), encoding="utf-8")
-        (Path(tmp) / DATASET_UNITS_FILE).write_text(dataset_text(units=True), encoding="utf-8")
+        write_inputs(Path(tmp))
         command = ["sweep", str(path), *sweep_args] if sweep_args else ["run", str(path)]
         proc = subprocess.run(
             [sys.executable, "-m", "dvopt.cli", *command],
