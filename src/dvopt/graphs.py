@@ -64,11 +64,12 @@ class Topology:
     as a tuple of pairs (i, j) with i < j, in the given order.  The count
     and each endpoint given in pairs is an int or an integral float, never
     a bool or a string; only a faulty input is walked pair by pair, to
-    name its first bad edge.  When ``weights`` is None every edge has
-    weight 1.  The 0-based endpoints are cached outside the fields, so
-    equality and hashing are unchanged, as a read-only (2, m) array
-    ``_ends`` (each edge's i, then its j), and connectivity is walked at
-    the first :meth:`is_connected` only.
+    name its first bad edge, and edges that are no sequence at all (a
+    number, None, a 0-d array) are named as such.  When ``weights`` is
+    None every edge has weight 1.  The 0-based endpoints are cached
+    outside the fields, so equality and hashing are unchanged, as a
+    read-only (2, m) array ``_ends`` (each edge's i, then its j), and
+    connectivity is walked at the first :meth:`is_connected` only.
     """
 
     n: int
@@ -82,8 +83,12 @@ class Topology:
             raise ValueError("node count must be >= 1")
         edges = self.edges
         if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,)):
+            try:
+                pairs = iter(edges)
+            except TypeError:  # a number, None or a 0-d array
+                raise ValidationError(f"edges must be a sequence of pairs, got {_shown(edges)!r}") from None
             # int64 would truncate 2.5 and take True or "1": check each endpoint
-            edges = [[v if type(v) is int else _number(v, "edge endpoint") for v in _pair(e)] for e in edges]
+            edges = [[v if type(v) is int else _number(v, "edge endpoint") for v in _pair(e)] for e in pairs]
         try:
             given = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         except OverflowError:  # an endpoint beyond int64 is out of range
@@ -129,11 +134,15 @@ class Topology:
         return self._connected
 
 
+def _shown(value):
+    """``value`` as a message shows it: numpy values as Python ones."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
 def _pair(edge):
     """``edge`` if it is a pair of endpoints (a sized sequence of two)."""
     if not (hasattr(edge, "__len__") and len(edge) == 2):
-        shown = edge.tolist() if isinstance(edge, (np.ndarray, np.generic)) else edge
-        raise ValidationError(f"each edge must be a pair of endpoints, got {shown!r}")
+        raise ValidationError(f"each edge must be a pair of endpoints, got {_shown(edge)!r}")
     return edge
 
 

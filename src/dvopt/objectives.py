@@ -26,8 +26,9 @@ stacks the locals (quadratics as ``(n, d, d)`` matrices, inverted in one
 ``inv`` call as the stack is built; logistic samples times their labels,
 zero-padded to ``(n, l, m)``) and then maps all columns in one batched
 numpy call, the only place a kernel runs: a local is data, evaluated as
-a one-agent aggregate.  A stack computes
-its constants when it is built and keeps no lazy state.  Values also
+a one-agent aggregate.  A stack computes its constants when it is
+built; the one thing a logistic stack keeps between calls is its arrays
+for the rows it evaluated last.  Values also
 take a leading batch axis, one entry per run record
 (``value_cols_batch``, ``value_consensus_batch``, ``dual_value_batch``),
 and the per-record ``value_cols``, ``value_consensus`` and
@@ -39,7 +40,11 @@ residual tolerance ``1e-10 (1 + ||z_i||)``, and every solve starts from
 zero: a logistic stack computes its gradient and Hessian there as it is
 built, and each step carries the accepted trial's residual, norm and
 margins into the next, so a point's margins serve its gradient and its
-Hessian and a solve evaluates each point once.
+Hessian and a solve evaluates each point once.  A step builds the active
+rows' Hessians, solves for their Newton steps and evaluates the gradient
+at every row's full step; when every row passes, that is all it does.
+The active rows' arrays are gathered again only when a row drops out,
+and a row whose line search stalls fails at once.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
 
 _CONJ_TOL = 1e-10
 _NEWTON_CAP = 100
+_ALL = slice(None)  # every row: one object, so a logistic stack's held rows match it
 
 
 class ParseError(ValueError):
@@ -137,80 +143,109 @@ def _damped_newton(grad, hess, z: np.ndarray, targets: np.ndarray, grad0, hess0)
     """Solve ``grad(x) = z`` row by row by damped Newton started from zero.
 
     ``grad(x, rows)`` returns the gradient of rows ``rows`` of the batch at
-    ``x`` (len(rows), d) and a tuple of per-row ``parts`` (maybe empty),
-    from which ``hess(x, rows, parts)`` builds the Hessians at that point.
-    ``rows`` is a slice while every row is active (so nothing is copied).
-    ``grad0`` (b, d) and ``hess0`` (b, d, d) are every row's gradient and
-    Hessian at zero.  Row ``i`` of ``z`` (b, d) is done once its residual
-    norm is at most ``targets[i]``.  Each step tries the full Newton step
-    on every row; only rows that fail
-    ``||grad(x - t step) - z|| <= (1 - 1e-4 t) ||grad(x) - z||`` at t = 1
-    backtrack on the residual norm (a value-based test drowns in rounding
-    near the solution), ``t`` halving until the test passes or ``t`` drops
-    to 1e-12.  ``x`` moves to the accepted trial, whose residual, norm and
-    parts serve the next step; only a row whose ``t`` fell through the
-    floor is evaluated again where it lands.
+    ``x`` (len(rows), d), as a new array the loop may overwrite, and a
+    tuple of per-row ``parts`` (maybe empty), from which ``hess(x, rows,
+    parts)`` builds the Hessians at that point.  ``rows`` is ``_ALL``
+    while every row is active (so nothing is copied), then one index array
+    of the active rows until another row drops out; a line search passes
+    its own subsets.  ``grad0`` (b, d) and ``hess0`` (b, d, d) are every
+    row's gradient and Hessian at zero.  Row ``i`` of ``z`` (b, d) is done
+    once its residual norm is at most ``targets[i]``.
 
-    Returns ``(x, failed, residuals)``: the rows still active after
-    ``_NEWTON_CAP`` steps and their residual norms (both empty on success).
+    The loop keeps the active rows' points, residuals, norms, parts,
+    targets and ``z`` rows as compact arrays and gathers them again only
+    when a row drops out.  A step builds the active rows' Hessians (the
+    first uses ``hess0``), solves for their Newton steps and evaluates the
+    full step ``x - step`` on every row at once; when every row passes
+    ``||grad(x - t step) - z|| <= (1 - 1e-4 t) ||grad(x) - z||`` at t = 1,
+    all of them take it and the trial's residual, norm and parts serve the
+    next step.  Only rows that fail backtrack on the residual norm (a
+    value-based test drowns in rounding near the solution), ``t`` halving
+    until the test passes or drops to 1e-12; a row whose ``t`` fell
+    through that floor is evaluated again where it lands.  A floored row
+    that lands on its own bits would repeat that step until the cap, so it
+    fails at once.
+
+    Returns ``(x, failed, residuals)``: the rows that stalled or were still
+    active after ``_NEWTON_CAP`` steps, in row order, and their residual
+    norms (both empty on success).
     """
     b = z.shape[0]
-
-    def take(idx):
-        return slice(None) if idx.size == b else idx
-
     # Every point and residual is C-contiguous, like the row copies the
     # evaluations see when rows drop out, so a row's bits never depend on
     # the layout of ``z``; only the result takes that layout.
     result = np.zeros_like(z)
     z = np.ascontiguousarray(z)
-    x = np.zeros_like(z)
-    active = np.arange(b)
+    active, rows = np.arange(b), _ALL
+    x, z_rows, tol = np.zeros_like(z), z, targets
     res, h, parts = grad0 - z, hess0, ()
     norms = _row_norms(res)
+    # ``stalled``: positions to fail at the next step; ``lost``: (rows, norms) failed so far
+    stalled, lost = active[:0], []
+
+    def subset(idx):
+        # the ``rows`` argument for the active rows at positions ``idx``
+        return rows if idx.size == active.size else active[idx]
+
     for _ in range(_NEWTON_CAP):
-        keep = ~(norms <= targets[take(active)])
-        if not keep.all():
-            active, res, norms = active[keep], res[keep], norms[keep]
+        done = norms <= tol
+        if stalled.size:
+            done[stalled] = True
+            lost.append((active[stalled], norms[stalled]))
+            stalled = stalled[:0]
+        if done.any():
+            result[active[done]] = x[done]
+            keep = ~done
+            active, norms = active[keep], norms[keep]
             if not active.size:
                 break
+            rows = active
+            x, res, tol, z_rows = x[keep], res[keep], tol[keep], z[rows]
             h = None if h is None else h[keep]
             parts = tuple(p[keep] for p in parts)
-        rows = take(active)
         if h is None:
-            h = hess(x[rows], rows, parts)
+            h = hess(x, rows, parts)
         step = np.linalg.solve(h, res[..., None])[..., 0]
         h = None
-        full = x[rows] - step
+        full = x - step
         g, parts = grad(full, rows)
-        start, res = norms, g - z[rows]
+        start, res = norms, np.subtract(g, z_rows, out=g)
         norms = _row_norms(res)
-        trying = np.flatnonzero(~(norms <= (1.0 - 1e-4) * start))
-        if not trying.size:
-            x[rows] = full
+        if (norms <= (1.0 - 1e-4) * start).all():
+            x = full
             continue
+        trying = np.flatnonzero(~(norms <= (1.0 - 1e-4) * start))
         t = np.ones(active.size)
         t[trying] = 0.5
         while trying.size:
-            rows = take(active[trying])
-            g, got = grad(x[rows] - t[trying, None] * step[trying], rows)
-            res[trying] = g - z[rows]
+            g, got = grad(x[trying] - t[trying, None] * step[trying], subset(trying))
+            res[trying] = np.subtract(g, z_rows[trying], out=g)
             norms[trying] = now = _row_norms(res[trying])
             for part, fresh in zip(parts, got):
                 part[trying] = fresh
             trying = trying[~(now <= (1.0 - 1e-4 * t[trying]) * start[trying])]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-12]
-        x[take(active)] -= t[:, None] * step
         floored = np.flatnonzero(t <= 1e-12)
+        before = x[floored]
+        x -= t[:, None] * step
         if floored.size:
-            rows = active[floored]
-            g, got = grad(x[rows], rows)
-            res[floored] = g - z[rows]
+            landed = x[floored]
+            g, got = grad(landed, subset(floored))
+            res[floored] = np.subtract(g, z_rows[floored], out=g)
             norms[floored] = _row_norms(res[floored])
             for part, fresh in zip(parts, got):
                 part[floored] = fresh
-    result[...] = x
+            stalled = floored[(landed.view(np.int64) == before.view(np.int64)).all(axis=1)]
+    else:
+        result[rows] = x
+    if lost:
+        lost.append((active, norms))
+        failed, residuals = np.zeros(b, dtype=bool), np.empty(b)
+        for agents, at in lost:
+            failed[agents], residuals[agents] = True, at
+        active = np.flatnonzero(failed)
+        norms = residuals[active]
     return result, active, norms
 
 
@@ -316,6 +351,15 @@ class _LogisticStack:
     nothing to the value, the gradient or the Hessian.  Row ``i`` is agent
     ``i`` of the aggregate that built the stack, so a solver error names
     the failing rows as agents.
+
+    In a Newton step, ``hess`` builds the active rows' Hessians from the
+    parts their gradients returned, and ``grad_parts`` evaluates the full
+    step: one margin product, the elementwise passes written into arrays
+    the evaluation made, and one product with the samples.  The rows'
+    samples, weights, ridge terms and ridge diagonals are gathered by
+    ``_take`` when the index array of the active rows changes, that is
+    once per drop, not on every evaluation; the last rows' arrays are held
+    until other rows are evaluated.
     """
 
     def __init__(self, locals_):
@@ -329,13 +373,27 @@ class _LogisticStack:
             self.weight[r, :count] = 1.0 / o.scale
         self.ridge = np.array([o.ridge for o in locals_])
         self.ridge_eye = self.ridge[:, None, None] * np.eye(locals_[0].dim)
+        self._held = None, ()
         # every local's gradient and Hessian at zero, where each solve starts
         zero = np.zeros((self.size, locals_[0].dim))
         g, parts = self.grad_parts(zero)
         self.at_zero = g, self.hess(zero, parts=parts)
 
+    def _take(self, rows):
+        """The samples, row weights, ridge terms and ridge diagonals of ``rows``.
+
+        A Newton solve passes one index array until a row drops out and
+        never changes it, so the arrays of the last ``rows`` are kept and
+        each drop gathers them once.
+        """
+        held = self._held
+        if held[0] is not rows:
+            held = rows, (self.samples[rows], self.weight[rows], self.ridge[rows], self.ridge_eye[rows])
+            self._held = held
+        return held[1]
+
     def _margins(self, x: np.ndarray, rows) -> np.ndarray:
-        return (self.samples[rows] @ x[..., None])[..., 0]
+        return (self._take(rows)[0] @ x[..., None])[..., 0]
 
     def _value(self, margins: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
         # margins (R, k, l) and squared norms (R, k): one value per entry
@@ -344,7 +402,7 @@ class _LogisticStack:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """Sum of the locals' values for each entry of ``x`` (R, k, m), local i at row i."""
-        return self._value(self._margins(x, slice(None)), np.sum(x * x, axis=-1))
+        return self._value(self._margins(x, _ALL), np.sum(x * x, axis=-1))
 
     def consensus_value(self, points: np.ndarray) -> np.ndarray:
         """Sum of the locals' values at each row of ``points`` (R, m)."""
@@ -354,25 +412,41 @@ class _LogisticStack:
 
     # ``rows`` picks the locals still active in a Newton solve.  sigmoid(u)
     # is where(u >= 0, 1, e) / (1 + e), e = exp(-|u|), so exp never
-    # overflows; the gradient takes it at -m and the Hessian at m.
-    def grad_parts(self, x: np.ndarray, rows=slice(None)):
-        """The gradient at ``x`` and its parts (m, e, 1 + e), which ``hess`` takes."""
-        m = self._margins(x, rows)
-        e = np.exp(-np.abs(m))
-        parts = m, e, 1.0 + e
-        coeff = -(np.where(m <= 0, 1.0, e) / parts[2]) * self.weight[rows]
-        return (coeff[:, None, :] @ self.samples[rows])[:, 0] + self.ridge[rows, None] * x, parts
+    # overflows; the gradient takes it at -m and the Hessian at m.  Each
+    # elementwise pass writes into an array the evaluation made.
+    def grad_parts(self, x: np.ndarray, rows=_ALL):
+        """The gradient at ``x`` and its parts (m, e, 1 + e), which ``hess`` takes.
 
-    def grad(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        The gradient is ``ridge x - (sigmoid(-m) weight) @ samples``: the
+        sign of the loss term is one subtraction, whose bits are those of
+        adding the negated term, since negation is exact.
+        """
+        a, w, r, _ = self._take(rows)
+        m = self._margins(x, rows)
+        e = np.abs(m)
+        np.exp(np.negative(e, out=e), out=e)
+        e1 = e + 1.0
+        coeff = np.where(m <= 0, 1.0, e)
+        coeff /= e1
+        coeff *= w
+        loss = (coeff[:, None, :] @ a)[:, 0]
+        return np.subtract(r[:, None] * x, loss, out=loss), (m, e, e1)
+
+    def grad(self, x: np.ndarray, rows=_ALL) -> np.ndarray:
         return self.grad_parts(x, rows)[0]
 
-    def hess(self, x: np.ndarray, rows=slice(None), parts=()) -> np.ndarray:
+    def hess(self, x: np.ndarray, rows=_ALL, parts=()) -> np.ndarray:
         """The Hessian at ``x``, from ``x``'s parts when given."""
         m, e, e1 = parts or self.grad_parts(x, rows)[1]
-        sig = np.where(m >= 0, 1.0, e) / e1
-        a = self.samples[rows]
-        w = sig * (1.0 - sig) * self.weight[rows]
-        return (a * w[..., None]).transpose(0, 2, 1) @ a + self.ridge_eye[rows]
+        a, w, _, ridge_eye = self._take(rows)
+        sig = np.where(m >= 0, 1.0, e)
+        sig /= e1
+        curv = 1.0 - sig
+        curv *= sig
+        curv *= w
+        h = (a * curv[..., None]).transpose(0, 2, 1) @ a
+        h += ridge_eye
+        return h
 
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
         targets = _CONJ_TOL * (1.0 + _row_norms(z))

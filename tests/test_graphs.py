@@ -789,6 +789,9 @@ _BAD_INPUTS = [
     (lambda: Topology(3, ((1,),)), "each edge must be a pair of endpoints, got (1,)"),
     (lambda: Topology(3, ((1, 2), (2, 3, 1))), "each edge must be a pair of endpoints, got (2, 3, 1)"),
     (lambda: Topology(3, np.array([[1, 2, 3]])), "each edge must be a pair of endpoints, got [1, 2, 3]"),
+    (lambda: Topology(3, 5), "edges must be a sequence of pairs, got 5"),
+    (lambda: Topology(3, None), "edges must be a sequence of pairs, got None"),
+    (lambda: Topology(3, np.array(5)), "edges must be a sequence of pairs, got 5"),
 ]
 
 

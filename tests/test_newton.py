@@ -4,11 +4,14 @@
 by fancy indexing on every step, takes residual norms with
 ``np.linalg.norm`` at the top of every step, runs every line search from
 ``t = 1`` and builds every Hessian from scratch.  The package's loop
-indexes with slices while every row is in play, carries the accepted
-trial's residual norm, tries the full step on every row before any row
-backtracks, and builds each Hessian from the parts the gradient at its
-point returned.  Both must return the same bytes and evaluate the same
-rows at the same points in the same order.
+indexes with slices while every row is in play, keeps the active rows'
+arrays compact and gathers them only when a row drops out, carries the
+accepted trial's residual norm, takes the full step on every row at once
+when all pass it, and builds each Hessian from the parts the gradient at
+its point returned.  Both fail a row whose floored line search lands on
+its own bits at that step, with that point's residual norm.  They must
+return the same bytes and evaluate the same rows at the same points in
+the same order.
 """
 
 from functools import lru_cache
@@ -19,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvopt import objectives
+from dvopt.algorithms import run_distributed_nesterov
+from dvopt.graphs import GraphSchedule, gen_topology
 from dvopt.objectives import AggregateObjective, LogisticObjective, gen_logistic_instance
 
 
@@ -33,9 +38,12 @@ def ref_damped_newton(grad, hess, z, targets, grad0, hess0, cap):
     x = np.zeros_like(z)
     active = np.arange(b)
     res, h = grad0 - z, hess0
+    # a floored row that lands on its own bits fails at the next step's top
+    stalled, failed = np.zeros(b, dtype=bool), {}
     for _ in range(cap):
         norms = np.linalg.norm(res, axis=1)
-        keep = ~(norms <= targets[active])
+        failed.update((int(r), n) for r, n in zip(active[stalled], norms[stalled]))
+        keep = ~(norms <= targets[active]) & ~stalled
         active, res, norms = active[keep], res[keep], norms[keep]
         if not active.size:
             break
@@ -53,14 +61,21 @@ def ref_damped_newton(grad, hess, z, targets, grad0, hess0, cap):
             trying = trying[~(new_norms <= (1.0 - 1e-4 * t[trying]) * norms[trying])]
             t[trying] *= 0.5
             trying = trying[t[trying] > 1e-12]
+        before = x[active]
         x[take(active)] -= t[:, None] * step
         floored = np.flatnonzero(t <= 1e-12)
+        stalled = np.zeros(active.size, dtype=bool)
         if floored.size:
             rows = active[floored]
             res[floored] = grad(x[rows], rows) - z[rows]
+            stalled[floored] = [x[r].tobytes() == before[i].tobytes() for i, r in zip(floored, rows)]
     else:
         norms = np.linalg.norm(res, axis=1)
     result[...] = x
+    if failed:
+        failed.update(zip(active.tolist(), norms))
+        active = np.array(sorted(failed), dtype=active.dtype)
+        norms = np.array([failed[r] for r in active.tolist()])
     return result, active, norms
 
 
@@ -152,20 +167,25 @@ def _steps(calls, b):
     return steps
 
 
-def test_carried_hessians_are_fresh_on_a_backtracking_stack():
-    # Samples scaled by 1e4 saturate the sigmoids: line searches backtrack,
-    # rows 1 and 3 fall through the 1e-12 floor until the cap fails them, and
-    # the other rows finish at different steps.  Every Hessian the loop
-    # builds from its carried parts must equal the one built afresh.  Here
-    # each floored row lands on its last trial's bits (its step rounds
-    # away), so the refresh of a floored row's parts is checked by
-    # test_floored_rows_match_the_reference, where rows move.
+def _saturated():
+    """The stack with samples scaled by 1e4, a z of mixed scales and its targets."""
     agg = gen_logistic_instance(6, 6, 5, c=0.1, seed=1)
     scaled = [LogisticObjective(1e4 * o.samples, o.labels, o.ridge, o.scale) for o in agg.locals]
     stack = AggregateObjective(tuple(scaled))._stack
     rng = np.random.default_rng(1)
     z = 10.0 ** rng.uniform(-3.0, 2.0, 6)[:, None] * rng.standard_normal((6, 5))
-    targets = objectives._CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
+    return stack, z, objectives._CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
+
+
+def test_carried_hessians_are_fresh_on_a_backtracking_stack():
+    # Samples scaled by 1e4 saturate the sigmoids: line searches backtrack,
+    # rows 1 and 3 fall through the 1e-12 floor until they stall and fail,
+    # and the other rows finish at different steps.  Every Hessian the loop
+    # builds from its carried parts must equal the one built afresh.  Here
+    # each floored row lands on its last trial's bits (its step rounds
+    # away), so the refresh of a floored row's parts is checked by
+    # test_floored_rows_match_the_reference, where rows move.
+    stack, z, targets = _saturated()
     carried = []
 
     def hess(x, rows, parts=()):
@@ -182,6 +202,48 @@ def test_carried_hessians_are_fresh_on_a_backtracking_stack():
     assert len({len(steps[r]) for r in (0, 2, 4, 5)}) == 4
     assert [sum(1 < n < 41 for n in s) > 0 for s in steps] == [True] * 5 + [False]
     assert [sum(n == 41 for n in s) > 0 for s in steps] == [False, True, False, True, False, False]
+
+
+def test_stalled_rows_fail_at_their_stall_step():
+    # On the saturated stack rows 1 and 3 first fall through the floor at
+    # steps 42 and 39, and the floor step rounds away: each lands on the
+    # point its step started from, so every later step would repeat that
+    # one until the cap.  Each fails there instead, with the residual norm
+    # of that point, and makes 373 and 573 gradient evaluations, not the
+    # 2751 and 3074 it made by stepping on to the cap.
+    stack, z, targets = _saturated()
+    (x, failed, norms), calls = _same_solves(stack.grad_parts, stack.hess, z, targets, *stack.at_zero)
+    assert failed.tolist() == [1, 3]
+    steps = _steps(calls, 6)
+    assert [len(steps[r]) for r in (1, 3)] == [42, 39]
+    assert [sum(steps[r]) for r in (1, 3)] == [373, 573]
+    for r in (1, 3):
+        assert steps[r][-1] == 41 and 41 not in steps[r][:-1]
+        points = [p for _, row, p in calls if row == r]
+        # the last step's Hessian and its landing point: the same bits
+        assert points[-1] == points[-42]
+    res = stack.grad(np.ascontiguousarray(x[failed]), failed) - z[failed]
+    assert norms.tobytes() == objectives._row_norms(res).tobytes()
+
+
+def test_benchmark_shaped_solves():
+    # The benchmark's logistic shape, 20 agents with 20 samples of 10
+    # features, at the iterates of a short nesterov run on a static graph.
+    # No line search backtracks, so every step passes the full step on every
+    # row, and in every solve some row finishes a step early, so the last
+    # steps run on an index array of the rows still active.
+    agg = gen_logistic_instance(20, 20, 10, c=0.1)
+    schedule = GraphSchedule(8, ((0, gen_topology("erdos_renyi", 20, {"p": 0.7}, seed=0)),))
+    stack = agg._stack
+    for z in run_distributed_nesterov(agg, schedule).kept("z"):
+        z = z.T  # the rows the aggregate hands its stack, in Fortran order
+        targets = objectives._CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
+        _, calls = _same_solves(stack.grad_parts, stack.hess, z, targets, *stack.at_zero)
+        grads, hessians = (
+            np.bincount([r for n, r, _ in calls if n == name], minlength=20) for name in ("grad", "hess")
+        )
+        assert (grads == hessians + 1).all()
+        assert grads.min() < grads.max()
 
 
 def _cubic_grad(x, rows):
@@ -218,9 +280,10 @@ def test_sufficient_decrease_edge_nan_and_the_cap(monkeypatch):
     # of grad(x) = c x to (1 - c) times its norm, which passes the test
     # ``<= (1 - 1e-4 t)`` by a margin of 1e-4 at c = 2e-4.  That row and the
     # c = 0.5 row reach the cap; the c = 1 row is exact after one step.  A
-    # NaN residual passes no test: its row backtracks to the floor every
-    # step and fails.  The failed rows' residual norms are returned, so their
-    # bits are compared too.
+    # NaN residual passes no test: its row backtracks to the floor, lands on
+    # NaN at step 1 and on those same bits at step 2, where it stalls and
+    # fails.  The failed rows' residual norms are returned, so their bits
+    # are compared too.
     coef = np.array([2e-4, 0.5, 1.0, np.nan])[:, None]
 
     def grad(x, rows):
@@ -235,7 +298,7 @@ def test_sufficient_decrease_edge_nan_and_the_cap(monkeypatch):
     (_, failed, norms), calls = _same_solves(
         grad, hess, z, np.full(4, 1e-10), grad(zero, slice(None))[0], hess(z, None)
     )
-    assert sum(name == "grad" for name, _, _ in calls) == 6 + 6 + 1 + 6 * 41
+    assert sum(name == "grad" for name, _, _ in calls) == 6 + 6 + 1 + 2 * 41
     assert failed.tolist() == [0, 1, 3] and np.isnan(norms[2])
 
 
