@@ -116,13 +116,6 @@ class Topology:
                 raise ValueError("edge weights must be finite")
             object.__setattr__(self, "weights", tuple(w.tolist()))
 
-    def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return nbrs
-
     def directed_pairs(self) -> np.ndarray:
         """All (sender, receiver) pairs, both directions per edge."""
         e = self._ends.T + 1
@@ -162,7 +155,10 @@ def _raise_first_fault(n: int, edges) -> None:
 
 
 def _n_components(t: Topology) -> int:
-    nbrs = t.neighbor_lists()
+    nbrs: list[list[int]] = [[] for _ in range(t.n + 1)]
+    for i, j in t.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     seen = [False] * (t.n + 1)
     comps = 0
     for start in range(1, t.n + 1):
@@ -279,9 +275,6 @@ class GraphSchedule:
             raise ValueError("iteration index must be >= 0")
         k = min(k, self.horizon - 1)
         return bisect.bisect_right(self._starts, k) - 1
-
-    def topology_at(self, k: int) -> Topology:
-        return self.epochs[self.epoch_index(k)][1]
 
     def topologies(self) -> list[Topology]:
         return [t for _, t in self.epochs]

@@ -48,11 +48,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return Q diag(lambda) Q^T."""
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
-
 
 def fro_norm(a: np.ndarray) -> float:
     """Frobenius norm of an array.
@@ -79,8 +74,9 @@ def eig_sym(m: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a dense symmetric real matrix, or of a stack.
 
     ``m`` is one (n, n) matrix or a (k, n, n) stack of them.  Each must be
-    finite and symmetric to ``1e-10 * max(||M||_F, 1)``; the error of a
-    stack names the first failing matrix by its index.  The matrices are
+    finite and symmetric to ``1e-10 * max(||M||_F, 1)``, measured in units
+    of its largest entry when ``||M||_F`` overflows; the error of a stack
+    names the first failing matrix by its index.  The matrices are
     symmetrized and handed to LAPACK ``eigh`` in one call, and a stack's
     spectrum holds (k, n) eigenvalues and (k, n, n) eigenvectors.  Each
     matrix's norms are sums over its own contiguous entries and ``eigh``
@@ -101,12 +97,18 @@ def eig_sym(m: np.ndarray) -> Spectrum:
 
     reject(~np.isfinite(a).all(axis=(1, 2)), "has non-finite entries")
     turned = a.transpose(0, 2, 1)
-    norms = np.sqrt(_row_sums(a * a))
     # one scratch stack, squared and then halved in place, serves the
     # symmetry check and the symmetrized matrices: a large stack's set-up
     # holds one temporary of its size at a time
     work = a - turned
-    asym = np.sqrt(_row_sums(np.multiply(work, work, out=work)))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_row_sums(a * a))
+        asym = np.sqrt(_row_sums(np.multiply(work, work, out=work)))
+    huge = ~np.isfinite(norms)
+    if huge.any():  # squares beyond the float range: measure in units of the largest entry
+        unit = a[huge] / np.abs(a[huge]).max(axis=(1, 2), keepdims=True)
+        diff = unit - unit.transpose(0, 2, 1)
+        norms[huge], asym[huge] = np.sqrt(_row_sums(unit * unit)), np.sqrt(_row_sums(diff * diff))
     reject(asym > _SYM_CHECK_TOL * np.maximum(norms, 1.0), "is not symmetric")
     np.add(a, turned, out=work)
     eigenvalues, eigenvectors = np.linalg.eigh(np.multiply(work, 0.5, out=work))

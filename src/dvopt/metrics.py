@@ -173,33 +173,19 @@ def potential_trace(
     rows = []
     for k in range(n_points):
         weight = (1.0 + gamma) ** k
-        psi_k = weight * psi_scaled[k]
+        # the last point has no successor: NaN differences and no change
+        delta_scaled, at_change, change_bound = math.nan, False, None
         if k + 1 < n_points:
             delta_scaled = (1.0 + gamma) * psi_scaled[k + 1] - psi_scaled[k]
-            delta = weight * delta_scaled
             at_change = xref.epoch_of[k + 1] != xref.epoch_of[k]
-            change_bound = None
             if at_change:
                 f_old_at_new = xref.f_value(xref.epoch_of[k], xref.ys[k + 1])
-                change_bound = (
-                    (1.0 + gamma) * (l_smooth - mu) / mu * (f_old_at_new - f_star)
-                )
-        else:
-            delta_scaled = math.nan
-            delta = math.nan
-            at_change = False
-            change_bound = None
-        rows.append(
-            PotentialRow(
-                iter=k,
-                psi=psi_k,
-                delta_psi=delta,
-                at_change=at_change,
-                psi_scaled=float(psi_scaled[k]),
-                delta_psi_scaled=float(delta_scaled),
-                change_bound_scaled=change_bound,
-            )
-        )
+                change_bound = (1.0 + gamma) * (l_smooth - mu) / mu * (f_old_at_new - f_star)
+        rows.append(PotentialRow(
+            iter=k, psi=weight * psi_scaled[k], delta_psi=weight * delta_scaled, at_change=at_change,
+            psi_scaled=float(psi_scaled[k]), delta_psi_scaled=float(delta_scaled),
+            change_bound_scaled=change_bound,
+        ))
     return rows
 
 

@@ -21,10 +21,11 @@ the same bits as the generated local.
 
 An :class:`AggregateObjective` holds locals of one family, as every
 generator here builds them, so its agents are the rows of one family
-stack in order and no column is gathered or scattered.  On first use it
-stacks the locals (quadratics as ``(n, d, d)`` matrices, inverted in one
-``inv`` call as the stack is built; logistic samples times their labels,
-zero-padded to ``(n, l, m)``) and then maps all columns in one batched
+stack in order and no column is gathered or scattered.  Logistic locals
+also share one sample count.  On first use it stacks the locals
+(quadratics as ``(n, d, d)`` matrices, inverted in one ``inv`` call as
+the stack is built; logistic samples times their labels as ``(n, l,
+m)``) and then maps all columns in one batched
 numpy call, the only place a kernel runs: a local is data, evaluated as
 a one-agent aggregate.  A stack computes its constants when it is
 built; the one thing a logistic stack keeps between calls is its arrays
@@ -289,10 +290,8 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
         raise ValueError("ridge and scale must be finite")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
-    if samples.size:
-        lam_max = eig_sym(samples.transpose(0, 2, 1) @ samples).eigenvalues[:, -1]
-    else:
-        lam_max = np.zeros(len(samples))
+    gram = samples.transpose(0, 2, 1) @ samples  # zero for zero-sample locals
+    lam_max = eig_sym(gram).eigenvalues[:, -1] if samples.shape[2] else np.zeros(len(samples))
     for o, a, y, lam in zip(locals_, samples, labels, lam_max):
         o.samples, o.labels, o.ridge, o.scale = a, y, ridge, scale
         o.mu, o.L = ridge, ridge + float(lam) / (4.0 * scale)
@@ -340,17 +339,15 @@ class _QuadraticStack:
 
 
 class _LogisticStack:
-    """Logistic locals as (k, l, m) signed samples ``labels * samples``.
+    """Logistic locals of one sample count as (k, l, m) signed samples ``labels * samples``.
 
     A margin ``label * <sample, x>`` is then one product with the signed
     sample.  A factor of -1 is exact, so values, gradients and Hessians
     keep the bits of the label products; only a zero margin may change
-    sign, and nothing reads that sign.  Locals with fewer than ``l``
-    samples are padded with zero rows whose row weight is 0; the weight
-    (0/1 times 1/scale) multiplies every per-sample term, so padding adds
-    nothing to the value, the gradient or the Hessian.  Row ``i`` is agent
-    ``i`` of the aggregate that built the stack, so a solver error names
-    the failing rows as agents.
+    sign, and nothing reads that sign.  Each local's 1/scale is a (k, 1)
+    weight that broadcasts over its samples.  Row ``i`` is agent ``i`` of
+    the aggregate that built the stack, so a solver error names the
+    failing rows as agents.
 
     In a Newton step, ``hess`` builds the active rows' Hessians from the
     parts their gradients returned, and ``grad_parts`` evaluates the full
@@ -364,13 +361,9 @@ class _LogisticStack:
 
     def __init__(self, locals_):
         self.size = len(locals_)
-        l = max(o.samples.shape[0] for o in locals_)
-        self.samples = np.zeros((self.size, l, locals_[0].dim))
-        self.weight = np.zeros((self.size, l))
-        for r, o in enumerate(locals_):
-            count = o.samples.shape[0]
-            self.samples[r, :count] = o.labels[:, None] * o.samples
-            self.weight[r, :count] = 1.0 / o.scale
+        labels = np.stack([o.labels for o in locals_])
+        self.samples = labels[..., None] * np.stack([o.samples for o in locals_])
+        self.weight = 1.0 / np.array([[o.scale] for o in locals_])
         self.ridge = np.array([o.ridge for o in locals_])
         self.ridge_eye = self.ridge[:, None, None] * np.eye(locals_[0].dim)
         self._held = None, ()
@@ -380,7 +373,7 @@ class _LogisticStack:
         self.at_zero = g, self.hess(zero, parts=parts)
 
     def _take(self, rows):
-        """The samples, row weights, ridge terms and ridge diagonals of ``rows``.
+        """The samples, weights, ridge terms and ridge diagonals of ``rows``.
 
         A Newton solve passes one index array until a row drops out and
         never changes it, so the arrays of the last ``rows`` are kept and
@@ -467,9 +460,10 @@ class AggregateObjective:
     """Ordered collection of local objectives of one family, one per agent.
 
     The column maps evaluate the locals as one family stack (``_stack``),
-    not agent by agent.  Every generator here builds one family, and
-    agent ``i`` is then the stack's row ``i``: no column is gathered or
-    scattered, and a failed Newton row names its agent.
+    not agent by agent.  Every generator here builds one family, logistic
+    locals with one sample count, and agent ``i`` is then the stack's row
+    ``i``: no column is gathered or scattered, and a failed Newton row
+    names its agent.
     """
 
     locals: tuple
@@ -485,6 +479,9 @@ class AggregateObjective:
             raise ValueError(f"local objective kinds must be among {sorted(_STACKS)}")
         if len(kinds) > 1:
             raise ValueError(f"all locals must share one objective kind, got {sorted(kinds)}")
+        counts = {o.samples.shape[0] for o in self.locals} if kinds == {"logistic"} else ()
+        if len(counts) > 1:
+            raise ValueError(f"all logistic locals must share one sample count, got {sorted(counts)}")
         object.__setattr__(self, "locals", tuple(self.locals))
 
     @property
@@ -649,6 +646,8 @@ def gen_logistic_instance(n: int, l: int, m: int, c: float, seed: int = 0) -> Ag
 
 def logistic_blocks(points: np.ndarray, labels: np.ndarray, n: int, c: float) -> AggregateObjective:
     """Agent ``i`` gets the ``i``-th of ``n`` equal sample blocks; loss 1/(2 n l), ridge c/n."""
+    if not 1 <= n <= len(labels):
+        raise ValueError(f"cannot split {len(labels)} samples among {n} agents")
     l = len(labels) // n
     points = np.asarray(points, dtype=float)
     if len(points) < n * l:

@@ -1,7 +1,9 @@
 """Closed-form convergence rates, iteration counts, and comparisons.
 
 Pure arithmetic on named constants; every function here is evaluated
-against measured traces elsewhere.  Natural logarithms throughout.
+against measured traces elsewhere.  Natural logarithms throughout.  A
+formula that overflows is evaluated again as a sum of logarithms, and an
+iteration count beyond the float range is ``math.inf``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class BoundReport:
     satisfied: bool | None = None
 
 
-def gd_iterations(l_smooth: float, mu: float, radius: float, eps: float) -> int:
+def gd_iterations(l_smooth: float, mu: float, radius: float, eps: float) -> int | float:
     """Iterations after which gradient descent is within eps of the optimum.
 
     ceil( log(R/eps) / log((L+mu)/(L-mu)) ), clamped at 0; the distance
@@ -46,7 +48,12 @@ def gd_iterations(l_smooth: float, mu: float, radius: float, eps: float) -> int:
         return 0
     if l_smooth == mu:
         return 1
-    return math.ceil(math.log(radius / eps) / math.log((l_smooth + mu) / (l_smooth - mu)))
+    ratio, rate = radius / eps, (l_smooth + mu) / (l_smooth - mu)
+    distance = math.log(ratio) if ratio < math.inf else math.log(radius) - math.log(eps)
+    # L + mu overflows, or mu is so far below L that the rate rounds to 1
+    step = math.log(rate) if 1.0 < rate < math.inf else math.log1p(2.0 * (mu / (l_smooth - mu)))
+    n = distance / step if step else math.inf
+    return n if n == math.inf else math.ceil(n)
 
 
 def nesterov_tv_bound(l_smooth: float, mu: float, radius: float, m: int, n_iters: int) -> float:
@@ -70,9 +77,9 @@ def nesterov_tv_bound(l_smooth: float, mu: float, radius: float, m: int, n_iters
         return value
     if radius == 0.0 or (contraction == 0.0 and n_iters > 0):
         return 0.0
-    log_value = (
-        math.log(0.5 * (l_smooth + mu)) + 2.0 * math.log(abs(radius)) + m * math.log(kappa)
-    )
+    half_sum = 0.5 * (l_smooth + mu) if l_smooth + mu < math.inf else 0.5 * l_smooth + 0.5 * mu
+    log_kappa = math.log(kappa) if kappa < math.inf else math.log(l_smooth) - math.log(mu)
+    log_value = math.log(half_sum) + 2.0 * math.log(abs(radius)) + m * log_kappa
     if n_iters:
         log_value += n_iters * math.log(contraction)
     try:
@@ -83,7 +90,7 @@ def nesterov_tv_bound(l_smooth: float, mu: float, radius: float, m: int, n_iters
 
 @dataclass(frozen=True)
 class ComplexityResult:
-    n_iters: int
+    n_iters: int | float
     alpha_ceiling: float
     feasible: bool
 
@@ -114,13 +121,18 @@ def alg1_complexity(
             raise ValueError("need either log_term or all of (L, mu, R, eps)")
         if not eps > 0:
             raise ValueError("eps must be positive")
-        log_term = math.log((l_smooth + mu) * radius**2 / (2.0 * eps))
+        try:
+            log_term = math.log((l_smooth + mu) * radius**2 / (2.0 * eps))
+        except (OverflowError, ValueError):  # R**2, or a quotient that underflows to 0
+            log_term = math.inf
+        if not math.isfinite(log_term):  # a log of 0 or less raises here as well
+            log_term = math.log(0.5 * l_smooth + 0.5 * mu) + 2.0 * math.log(abs(radius)) - math.log(eps)
     if not math.isfinite(log_term):
         raise ValueError("log_term must be finite")
     ceiling = math.inf if kappa == 1.0 else 1.0 / (math.sqrt(kappa) * math.log(kappa))
     n = (math.sqrt(kappa) + alpha * math.log(kappa)) * log_term
     return ComplexityResult(
-        n_iters=max(0, math.ceil(n)),
+        n_iters=0 if log_term <= 0 else n if n == math.inf else math.ceil(n),
         alpha_ceiling=ceiling,
         feasible=alpha < ceiling,
     )
@@ -161,18 +173,24 @@ def diging_rates(
         raise ValueError("need kappa_bar >= 1, n >= 1, B >= 1")
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    lambda0 = 1.0 - 1.0 / (12.0 * kappa_bar**1.5 * math.sqrt(n))
+    try:
+        lambda0 = 1.0 - 1.0 / (12.0 * kappa_bar**1.5 * math.sqrt(n))
+    except OverflowError:  # kappa_bar**1.5: the subtracted term rounds away
+        lambda0 = 1.0
     if alpha is None:
         return lambda0, None
+    if not mu_bar > 0:
+        raise ValueError("mu_bar must be positive")
     j = _diging_j(kappa_bar, n, b)
     alpha_max = 1.5 * (1.0 - delta) ** 2 / (mu_bar * j)
-    alpha0 = (
-        1.5
-        * (math.sqrt(j * j + (1.0 - delta * delta) * j) - delta * j) ** 2
-        / (mu_bar * j * (j + 1.0) ** 2)
-    )
     if not (0.0 < alpha <= alpha_max):
         raise ValueError(f"step size outside (0, {alpha_max:.6g}]")
+    root = math.sqrt(j * j + (1.0 - delta * delta) * j) - delta * j
+    try:
+        alpha0 = 1.5 * root**2 / (mu_bar * j * (j + 1.0) ** 2)
+    except OverflowError:  # (j + 1)**2: the same with j**2 divided out
+        root = math.sqrt(1.0 + (1.0 - delta * delta) / j) - delta
+        alpha0 = 1.5 * root**2 / (mu_bar * j * (1.0 + 1.0 / j) ** 2)
     if alpha <= alpha0:
         lam = (1.0 - alpha * mu_bar / 1.5) ** (1.0 / (2.0 * b))
     else:
@@ -195,7 +213,7 @@ def panda_rates(
         alpha = 2 sqrt(kappa) mu * ((sqrt((1-delta^2) kappa^{-2/3} + 8) - 8 delta)
                                     / (kappa^{-3/2} + 8))^2
 
-    and for a step c in (0, alpha] the rate is (1 - c/(2L))^{1/(2B)}.
+    and for a step c in (0, min(alpha, 2L)] the rate is (1 - c/(2L))^{1/(2B)}.
     """
     if not kappa >= 1:  # NaN fails too
         raise ValueError("kappa must be >= 1")
@@ -208,8 +226,9 @@ def panda_rates(
     alpha = 2.0 * math.sqrt(kappa) * mu * (inner / (kappa**-1.5 + 8.0)) ** 2
     if c is None:
         return lambda0, alpha, None
-    if not (0.0 < c <= alpha):
-        raise ValueError(f"step size outside (0, {alpha:.6g}]")
+    top = min(alpha, 2.0 * l_smooth)  # the rate needs c <= 2L
+    if not (0.0 < c <= top):
+        raise ValueError(f"step size outside (0, {top:.6g}]")
     lam = (1.0 - c / (2.0 * l_smooth)) ** (1.0 / (2.0 * b))
     return lambda0, alpha, lam
 

@@ -4,9 +4,12 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dvopt.algorithms
 from dvopt import cli, objectives, theory
@@ -279,6 +282,14 @@ class TestExecute:
         assert ("gd_contraction_bound" in summary["bounds"]) == single
 
 
+# Any finite float, with the float range's edges, counts and integral values drawn often.
+_FINITE_CONSTANTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, -1.0, 5e-324, 1e-308, 1e308, sys.float_info.max]),
+    st.integers(1, 10**20).map(float),
+)
+
+
 class TestBoundsCommand:
     def test_prop1_matches_theory(self):
         reports = bounds_command("prop1", {"kappa_bar": 4.0, "n": 9.0})
@@ -352,6 +363,46 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["cor1", "L=2", "mu=1", "R=1e308", "eps=1e-308"], "cor1.iterations [L=2 mu=1 R=1e+308 eps=1e-308] = 1292"),
+            (
+                ["thm5", "kappa=4", "L=2", "mu=1", "R=1e200", "eps=1"],
+                "thm5.iterations [kappa=4 L=2 mu=1 R=1e+200 eps=1] = 1843 feasible=True",
+            ),
+            (
+                ["thm5", "kappa=4", "L=2", "mu=1", "R=1", "eps=1e-320"],
+                "thm5.iterations [kappa=4 L=2 mu=1 R=1 eps=9.99989e-321] = 1475 feasible=True",
+            ),
+            (
+                ["thm5", "kappa=4", "L=1e308", "mu=1e308", "R=1", "eps=1"],
+                "thm5.iterations [kappa=4 L=1e+308 mu=1e+308 R=1 eps=1] = 1419 feasible=True",
+            ),
+            (["prop1", "kappa_bar=1e300", "n=1e18"], "prop1.lambda0 [kappa_bar=1e+300 n=1e+18] = 1.0"),
+        ],
+    )
+    def test_overflowing_direct_forms_print_their_bound(self, capsys, args, line):
+        assert main(["bounds", *args]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == line
+
+    @pytest.mark.parametrize("name", list(cli._BOUNDS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_finite_constants_give_reports_or_a_value_error(self, name, data):
+        _, required, optional, gated, _ = cli._BOUNDS[name]
+        keys = list(required) + [key for key in optional if data.draw(st.booleans())]
+        if gated:
+            read, gate, read_with = gated
+            keys = [key for key in keys if key not in read or (gate in keys) == read_with]
+        kv = {key: data.draw(_FINITE_CONSTANTS, label=key) for key in keys}
+        try:
+            reports = bounds_command(name, kv)
+        except ValueError:
+            return
+        for report in reports:
+            assert isinstance(report.value, (int, float)), report  # not complex
 
     def test_aliases_print_the_same_lines(self, capsys):
         assert main(["bounds", "thm5", "kappa=100", "alpha=0", "log_term=10"]) == 0

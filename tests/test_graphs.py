@@ -399,7 +399,10 @@ class TestSpectralInfo:
             assert lam[0] >= -1e-10
             threshold = 1e-9 * max(lam[-1], 1.0)
             kernel_dim = int(np.sum(lam <= threshold))
-            nbrs = t.neighbor_lists()
+            nbrs = [[] for _ in range(n + 1)]
+            for i, j in t.edges:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
             seen = [False] * (n + 1)
             comps = 0
             for s in range(1, n + 1):

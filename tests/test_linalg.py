@@ -47,10 +47,10 @@ def prescribed_spectrum(draw, values):
 
 
 def assert_valid_spectrum(m, s):
-    n = m.shape[0]
+    n, q = m.shape[0], s.eigenvectors
     assert np.all(np.diff(s.eigenvalues) >= 0.0)
-    assert np.max(np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(n))) <= 1e-10
-    assert fro_norm(s.reconstruct() - m) <= 1e-10 * fro_norm(m)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
+    assert fro_norm((q * s.eigenvalues) @ q.T - m) <= 1e-10 * fro_norm(m)
 
 
 class TestEigSym:
@@ -74,7 +74,8 @@ class TestEigSym:
         a = rng.standard_normal((n, n))
         a = a + a.T
         s = eig_sym(a)
-        assert fro_norm(s.reconstruct() - a) <= 1e-10 * fro_norm(a)
+        q = s.eigenvectors
+        assert fro_norm((q * s.eigenvalues) @ q.T - a) <= 1e-10 * fro_norm(a)
         assert np.max(np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(n))) <= 1e-10
         assert np.all(np.diff(s.eigenvalues) >= -1e-12)
 
@@ -101,6 +102,16 @@ class TestEigSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_symmetry_check_near_the_float_maximum(self):
+        # the squared norms overflow; the check measures in units of the largest entry
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            eig_sym(np.array([[1e200, 1e200], [0.0, 1e200]]))
+        with pytest.raises(ValueError, match="^matrix 1 of the stack is not symmetric$"):
+            eig_sym(np.stack([np.eye(2), [[0.0, -1e200], [1e200, 0.0]]]))
+        s = eig_sym(np.array([[1e200, 2e200], [2e200, 1e200]]))
+        np.testing.assert_allclose(s.eigenvalues, [-1e200, 3e200], rtol=1e-12)
 
     def test_zero_matrix(self):
         s = eig_sym(np.zeros((4, 4)))

@@ -259,6 +259,11 @@ class TestBatchedConstructors:
         with pytest.raises(ValueError, match="one label per sample required"):
             objectives.logistic_blocks(points[:5], np.ones(6), 3, 0.1)
 
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_logistic_blocks_name_a_sample_shortfall(self, n):
+        with pytest.raises(ValueError, match=f"^cannot split 6 samples among {n} agents$"):
+            objectives.logistic_blocks(np.ones((6, 2)), np.ones(6), n, 0.1)
+
     def test_one_non_positive_definite_quadratic_rejects_the_batch(self):
         # lower the ridge until exactly the flattest agent's quadratic term
         # has a negative eigenvalue
@@ -438,7 +443,7 @@ def local_grad(o, y):
 
 @st.composite
 def aggregates(draw, family):
-    """Small aggregates of one family; ragged ones pad unequal sample counts."""
+    """Small aggregates of one family; varied ones draw each local's ridge and scale."""
     seed = draw(st.integers(0, 2**16))
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 4))
@@ -448,8 +453,8 @@ def aggregates(draw, family):
     if family == "logistic":
         c = draw(st.floats(0.05, 1.0))
         return gen_logistic_instance(n, draw(st.integers(1, 5)), d, c=c, seed=seed)
-    counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    return AggregateObjective(tuple(rand_logistic(rng, c, d) for c in counts))
+    count = draw(st.integers(0, 6))
+    return AggregateObjective(tuple(rand_logistic(rng, count, d) for _ in range(n)))
 
 
 @st.composite
@@ -459,7 +464,7 @@ def aggregate_and_points(draw, family):
     return agg, draw(cols)
 
 
-FAMILIES = ("ridge", "logistic", "ragged")
+FAMILIES = ("ridge", "logistic", "varied")
 
 
 class TestStackedKernels:
@@ -490,8 +495,7 @@ class TestStackedKernels:
 
     def test_newton_failure_names_agents(self, monkeypatch):
         rng = np.random.default_rng(3)
-        locs = tuple(rand_logistic(rng, count, 3) for count in (4, 5, 2, 6))
-        agg = AggregateObjective(locs)
+        agg = AggregateObjective(tuple(rand_logistic(rng, 5, 3) for _ in range(4)))
         # agents 0 and 2 are solved at zero, where each solve starts, so
         # only rows 1 and 3 are left when the one allowed step is taken
         z = rng.standard_normal((3, 4))
@@ -502,6 +506,12 @@ class TestStackedKernels:
         assert re.fullmatch(
             r".*: agent 1 \(residual [^)]*\), agent 3 \(residual [^)]*\)", str(info.value)
         )
+
+    def test_logistic_locals_share_one_sample_count(self):
+        rng = np.random.default_rng(0)
+        locs = (rand_logistic(rng, 3, 2), rand_logistic(rng, 2, 2), rand_logistic(rng, 3, 2))
+        with pytest.raises(ValueError, match=r"^all logistic locals must share one sample count, got \[2, 3\]$"):
+            AggregateObjective(locs)
 
     def test_unknown_family_rejected(self):
         class Other:
@@ -517,18 +527,14 @@ class TestStackedKernels:
 
 
 class _LabelStack:
-    """The logistic stack as it was with unsigned samples and a label factor."""
+    """The logistic stack as it was with unsigned samples, a label factor and a (k, l) weight."""
 
     def __init__(self, locals_):
-        k, l, m = len(locals_), max(o.samples.shape[0] for o in locals_), locals_[0].dim
-        self.samples, self.labels, self.weight = np.zeros((k, l, m)), np.zeros((k, l)), np.zeros((k, l))
-        for r, o in enumerate(locals_):
-            count = o.samples.shape[0]
-            self.samples[r, :count] = o.samples
-            self.labels[r, :count] = o.labels
-            self.weight[r, :count] = 1.0 / o.scale
+        self.samples = np.stack([o.samples for o in locals_])
+        self.labels = np.stack([o.labels for o in locals_])
+        self.weight = np.repeat([[1.0 / o.scale] for o in locals_], self.labels.shape[1], axis=1)
         self.ridge = np.array([o.ridge for o in locals_])
-        self.ridge_eye = self.ridge[:, None, None] * np.eye(m)
+        self.ridge_eye = self.ridge[:, None, None] * np.eye(locals_[0].dim)
 
     def _margins(self, x, rows):
         return self.labels[rows] * (self.samples[rows] @ x[..., None])[..., 0]
@@ -572,13 +578,12 @@ class _LabelStack:
 
 @st.composite
 def labelled_locals(draw):
-    """Ragged logistic locals (0 to 6 samples) whose drawn feature columns are all zero."""
-    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    counts = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    """Logistic locals of one sample count (0 to 6) whose drawn feature columns are all zero."""
+    k, m, count = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 6))
     zero_cols = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     locals_ = []
-    for count in counts:
+    for _ in range(k):
         samples = rng.standard_normal((count, m))
         samples[:, zero_cols] = 0.0  # -0.0 once signed by a -1 label
         labels = rng.choice((-1.0, 1.0), size=count)

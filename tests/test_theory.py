@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvopt.theory import (
     alg1_complexity,
@@ -90,6 +92,10 @@ class TestNesterovTvBound:
         assert nesterov_tv_bound(4643.0, 1.0, 1.0, 199, 1000) == math.inf
         assert nesterov_tv_bound(4643.0, 1.0, 0.0, 199, 1000) == 0.0
         assert nesterov_tv_bound(1e200, 1.0, 1e200, 1, 0) == math.inf
+        # R**2 and kappa = L / mu overflow: log L - log mu, so kappa^0 is 1, not 0 * inf
+        assert nesterov_tv_bound(1e-10, 1e-320, 1e155, 0, 5) == pytest.approx(5e299, rel=1e-12)
+        # L + mu overflows: the log of half of each, so the contraction wins
+        assert nesterov_tv_bound(1.5e308, 0.5e308, 1e200, 0, 10**4) == 0.0
 
 
 class TestAlg1Complexity:
@@ -116,6 +122,55 @@ class TestAlg1Complexity:
     def test_missing_constants(self):
         with pytest.raises(ValueError):
             alg1_complexity(4.0, 0.0)
+
+
+_MODERATE = st.floats(1e-3, 1e3)
+
+
+class TestOverflowFallbacks:
+    """Where a direct form overflows, the sum of logarithms; elsewhere the direct form's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MODERATE, _MODERATE, _MODERATE, _MODERATE, st.floats(0.0, 10.0))
+    def test_direct_forms_keep_their_bits(self, a, b, r, eps, alpha):
+        l_s, mu = max(a, b), min(a, b)
+        if l_s > mu and r > eps:
+            want = math.ceil(math.log(r / eps) / math.log((l_s + mu) / (l_s - mu)))
+            assert gd_iterations(l_s, mu, r, eps) == want
+        kappa = l_s / mu
+        log_term = math.log((l_s + mu) * r**2 / (2.0 * eps))
+        want = max(0, math.ceil((math.sqrt(kappa) + alpha * math.log(kappa)) * log_term))
+        assert alg1_complexity(kappa, alpha, l_smooth=l_s, mu=mu, radius=r, eps=eps).n_iters == want
+        want = 2.0 * kappa * eps + l_s * r * math.sqrt(2.0 * eps / mu)
+        assert primal_from_dual_bound(eps, kappa, l_s, mu, r) == want
+        assert diging_rates(kappa, 9)[0] == 1.0 - 1.0 / (12.0 * kappa**1.5 * math.sqrt(9))
+
+    def test_gd_iterations(self):
+        # R / eps overflows: log R - log eps = 1418.39..., over log 3
+        assert gd_iterations(2.0, 1.0, 1e308, 1e-308) == 1292
+        # (L + mu) / (L - mu) rounds to 1: log1p(2 mu / (L - mu))
+        assert gd_iterations(1.0, 1e-20, math.e, 1.0) == math.ceil(1.0 / math.log1p(2e-20))
+        # L + mu overflows: ceil(1 / log 2)
+        assert gd_iterations(1.5e308, 0.5e308, math.e, 1.0) == 2
+        # the count itself is beyond the float range
+        assert gd_iterations(1.0, 5e-324, 2.0, 1.0) == math.inf
+        assert gd_iterations(1.0, 1e-308, 1e300, 1e-300) == math.inf
+
+    def test_alg1_log_term(self):
+        # R**2, eps and L + mu: 2 * log((L + mu) R^2 / (2 eps)), summed as logarithms
+        assert alg1_complexity(4.0, 0.0, l_smooth=2.0, mu=1.0, radius=1e200, eps=1.0).n_iters == 1843
+        assert alg1_complexity(4.0, 0.0, l_smooth=2.0, mu=1.0, radius=1.0, eps=1e-320).n_iters == 1475
+        assert alg1_complexity(4.0, 0.0, l_smooth=1e308, mu=1e308, radius=1.0, eps=1.0).n_iters == 1419
+        # (L + mu) R^2 / (2 eps) underflows to 0: a negative log term needs no iterations
+        assert alg1_complexity(4.0, 0.0, l_smooth=2.0, mu=1.0, radius=1.0, eps=1e308).n_iters == 0
+        assert alg1_complexity(1e300, 1e300, log_term=1e300).n_iters == math.inf
+
+    def test_diging_rates(self):
+        assert diging_rates(1e300, 10**18)[0] == 1.0
+        # (J + 1)**2 overflows: alpha0 with J**2 divided out, about alpha_max, so the first branch
+        lam0, lam = diging_rates(1e300, 1, mu_bar=1e-300, alpha=1e-10)
+        assert lam0 == 1.0
+        assert lam == (1.0 - 1e-10 * 1e-300 / 1.5) ** 0.5
 
 
 class TestPrimalFromDual:
@@ -257,6 +312,9 @@ _BAD_INPUTS = [
     (lambda: static_nesterov_comparison(1.5, 1.0, 1.0), "lambda2 must be in [0, 1]"),
     (lambda: static_nesterov_comparison(0.5, 0.5, 1.0), "kappa_phi and chi must be >= 1"),
     (lambda: static_nesterov_comparison(0.5, 1.0, 0.5), "kappa_phi and chi must be >= 1"),
+    (lambda: diging_rates(1.0, 1, mu_bar=0.0, alpha=0.01), "mu_bar must be positive"),
+    # kappa = mu = 100, delta = 0: alpha = 251.4, but the rate needs c <= 2L = 2
+    (lambda: panda_rates(100.0, mu=100.0, c=3.0), "step size outside (0, 2]"),
 ]
 
 # NaN fails every guard it reaches.  These rows are named explicitly: a message
