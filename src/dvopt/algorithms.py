@@ -25,17 +25,14 @@ watched state, before every step and on the final state: its Frobenius
 norm, which is NaN or inf whenever an entry is, must stay at or below
 1e12.  A :class:`RunTrace` holds its records as columns, one row per
 record: ``iter``, ``epoch`` and ``message_count`` int arrays and
-``dual_value``, ``consensus_dist`` and ``primal_value`` float arrays;
-the metrics read only these.  The message-passing runners' ``keep_state``
-(default True) decides whether a trace also keeps arrays (``z``,
-``z_tilde`` and ``y_tilde``, or DIGing's ``x`` as ``y_tilde``), which it
-holds as the copies of whole record blocks.  Records are evaluated in
-blocks: the loop copies each recorded state into a block of up to 16
-records and evaluates the whole block's dual values, consensus distances
-and aggregate values at the agent average in one pass, with the bits a
-record-by-record evaluation gives, straight into the columns.
-A trace is built from its columns only; ``RunTrace.records`` gives the
-rows as :class:`TraceRecord` objects, built from them on first read, and
+``dual_value``, ``consensus_dist``, ``primal_value`` and ``x_dist``
+float arrays; the metrics read only these, and no trace keeps a state
+array.  Records are evaluated in blocks: the loop copies each recorded
+state into a block of up to 16 records and evaluates the whole block's
+dual values, consensus distances and aggregate values at the agent
+average in one pass, with the bits a record-by-record evaluation gives,
+straight into the columns.  ``RunTrace.records`` gives the rows as
+:class:`TraceRecord` objects, built from the columns on first read, and
 no code in the package reads them.  Step sizes come from the schedule's
 spectra, computed once per distinct topology.
 """
@@ -46,7 +43,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -78,9 +74,8 @@ _DIVERGENCE_LIMIT = 1e12
 # 38 us in blocks of 8, and `dvopt run` took 3-4% less time with blocks of
 # 16 than of 8, for 0.25 MB more peak memory in block scratch arrays.
 _BLOCK = 16
-# TraceRecord's fields: the scalars, then the arrays
+# the RunTrace columns a TraceRecord shows, in its field order
 _SCALAR_FIELDS = ("iter", "epoch", "dual_value", "consensus_dist", "primal_value", "message_count")
-_ARRAY_FIELDS = ("z", "z_tilde", "y_tilde")
 
 
 @dataclass
@@ -98,9 +93,8 @@ class TraceRecord:
     """One row of a :class:`RunTrace`: the state at the start of iteration ``iter``.
 
     ``primal_value`` is the aggregate objective at the agent average of
-    the primal candidates.  The abort record keeps None there and in
-    every array field, and lean runs (``keep_state=False``) keep no
-    arrays at all.
+    the primal candidates, None on the abort record.  The array fields
+    are always None: runs keep no state arrays.
     """
 
     iter: int
@@ -109,9 +103,9 @@ class TraceRecord:
     consensus_dist: float
     primal_value: float | None
     message_count: int
-    z: np.ndarray | None
-    z_tilde: np.ndarray | None
-    y_tilde: np.ndarray | None
+    z: np.ndarray | None = None
+    z_tilde: np.ndarray | None = None
+    y_tilde: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,10 @@ class RunTrace:
     dual value, consensus distance, primal value and the messages sent in
     that iteration (0 for the final record).  A row without a primal value
     holds NaN there: the abort row, which is the last row of an aborted
-    run.  ``states`` maps each array field a run keeps (``z``, ``z_tilde``,
-    ``y_tilde``) to its rows in blocks, the copies of the run's record
-    blocks; ``kept`` lists them one per row.  ``records`` is a view of the
-    rows as TraceRecords, which no code in the package reads.
+    run.  ``x_dist`` is ``||-z sqrt(W)^+ - x_star||_F`` of a dual GD run
+    given ``x_star``, NaN elsewhere and on the abort row.  ``records`` is
+    a view of the rows as TraceRecords, which no code in the package
+    reads.
     """
 
     iter: np.ndarray
@@ -157,24 +151,19 @@ class RunTrace:
     dual_value: np.ndarray
     consensus_dist: np.ndarray
     primal_value: np.ndarray
+    x_dist: np.ndarray
     message_count: np.ndarray
-    states: dict
     message_log: MessageLog
     final_state: object
     aborted: bool = False
     momentum_degenerate: bool = False
-
-    def kept(self, name: str) -> list:
-        """The ``name`` array of every row, None where the row keeps none."""
-        rows = [*chain.from_iterable(self.states.get(name, ()))]
-        return rows + [None] * (len(self.iter) - len(rows))
 
     @cached_property
     def records(self) -> list:
         """The rows as TraceRecords, built on first read and cached."""
         columns = [getattr(self, name).tolist() for name in _SCALAR_FIELDS]
         columns[4] = [None if math.isnan(v) else v for v in columns[4]]  # no primal value
-        return list(map(TraceRecord, *columns, *map(self.kept, _ARRAY_FIELDS)))
+        return list(map(TraceRecord, *columns))
 
 
 def _consensus_dists(block: np.ndarray, agent_axis: int) -> np.ndarray:
@@ -225,12 +214,11 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     Recorded states are copied into a block of up to ``_BLOCK`` records,
     one array per state array allocated once per run, and
     ``evaluate(rows)`` turns the filled rows into the block's dual values,
-    consensus distances and primal values (arrays, or one value for every
-    row) and a dict of the copies it keeps by record field, in one pass
-    that may overwrite the rows: when the block is full, before the abort
-    row and after the final record.  The int columns follow from the
-    last row's iteration: rows sit at every ``record_every``-th iteration
-    before it.
+    consensus distances, primal values and x distances (arrays, or one
+    value for every row), in one pass that may overwrite the rows: when
+    the block is full, before the abort row and after the final record.
+    The int columns follow from the last row's iteration: rows sit at
+    every ``record_every``-th iteration before it.
     """
     record_every = _number(record_every, "record_every")
     if record_every < 1:
@@ -245,8 +233,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     by_epoch = [ops[j] for j in schedule.topology_index]
     # a run without abort records every record_every-th iteration and the final state
     size = -(-max_iter // record_every) + 1
-    floats = np.empty((3, size))  # dual value, consensus distance, primal value of each row
-    states: dict = {}
+    floats = np.empty((4, size))  # dual value, consensus distance, primal value, x distance
     rows: list[np.ndarray] = []  # the block, one array per state array
     filled = held = 0  # rows evaluated, rows in the block
 
@@ -263,11 +250,9 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     def flush():
         nonlocal filled, held
         if held:
-            *values, kept = method.evaluate([buf[:held] for buf in rows])
+            values = method.evaluate([buf[:held] for buf in rows])
             for column, value in zip(floats, values):
                 column[filled : filled + held] = value
-            for name, copy in kept.items():
-                states.setdefault(name, []).append(copy)
             filled, held = filled + held, 0
 
     step = method.step
@@ -277,7 +262,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     for k, e in enumerate(epochs + epochs[-1:]):
         if not _finite(method.watched):
             flush()
-            floats[:, filled] = method.abort_value, math.inf, math.nan
+            floats[:, filled] = method.abort_value, math.inf, math.nan, math.nan
             filled, aborted = filled + 1, True
             break
         if k == max_iter:
@@ -292,7 +277,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     message_count = np.array([pairs.shape[0] for _, pairs in by_epoch])[epoch]
     message_count[-1] = 0  # the final or abort row sends nothing
     return RunTrace(
-        iters, epoch, *floats[:, :filled], message_count, states,
+        iters, epoch, *floats[:, :filled], message_count,
         # iterations 0..k-1 ran: the pairs of their epochs, shared per topology
         message_log=MessageLog([by_epoch[e][1] for e in epochs[:k]]),
         final_state=method.final_state(k),
@@ -306,7 +291,6 @@ def run_distributed_nesterov(
     schedule: GraphSchedule,
     max_iter: int | None = None,
     record_every: int = 1,
-    keep_state: bool = True,
 ) -> RunTrace:
     """Accelerated dual method over the schedule, started from zero.
 
@@ -314,14 +298,11 @@ def run_distributed_nesterov(
     ``Y = conj_argmax(Z)`` columnwise, ``Zt_next = Z - (1/L) Y W``,
     ``Z_next = (1+beta) Zt_next - beta Zt``.  When the dual condition
     number is 1 (up to 1e-12) the momentum coefficient degenerates and
-    the run falls back to plain gradient steps with a trace flag.  With
-    ``keep_state=False`` records keep no arrays: ``z``, ``z_tilde`` and
-    ``y_tilde`` are None.  The final state is the same either way; an
-    aborted run's ``y_tilde`` is all NaN.
+    the run falls back to plain gradient steps with a trace flag.  An
+    aborted run's final ``y_tilde`` is all NaN.
     """
     return _drive(
-        agg, schedule, max_iter, record_every,
-        lambda: _DualMethod(agg, schedule, accelerated=True, keep_state=keep_state),
+        agg, schedule, max_iter, record_every, lambda: _DualMethod(agg, schedule, accelerated=True)
     )
 
 
@@ -330,15 +311,20 @@ def run_dual_gradient(
     schedule: GraphSchedule,
     max_iter: int | None = None,
     record_every: int = 1,
-    keep_state: bool = True,
+    x_star: np.ndarray | None = None,
 ) -> RunTrace:
     """Plain dual gradient descent with step 2/(L+mu), started from zero.
 
-    ``keep_state`` works as in :func:`run_distributed_nesterov`.
+    Given ``x_star``, a (d, n) matrix-space dual solution, the trace's
+    ``x_dist`` holds ``||-z sqrt(W)^+ - x_star||_F`` for each record: the
+    distance of the state mapped back to matrix space, which the static
+    contraction bound reads.  That needs a single-epoch schedule.
     """
+    if x_star is not None and len(schedule.epochs) != 1:
+        raise ValueError("x_star needs a single-epoch schedule")
     return _drive(
         agg, schedule, max_iter, record_every,
-        lambda: _DualMethod(agg, schedule, accelerated=False, keep_state=keep_state),
+        lambda: _DualMethod(agg, schedule, accelerated=False, x_star=x_star),
     )
 
 
@@ -347,7 +333,7 @@ class _DualMethod:
 
     abort_value = math.inf
 
-    def __init__(self, agg, schedule, accelerated, keep_state):
+    def __init__(self, agg, schedule, accelerated, x_star=None):
         dc = dual_constants(agg, schedule.theta)
         if accelerated:
             self.step_size = 1.0 / dc.l_f
@@ -357,7 +343,9 @@ class _DualMethod:
             self.beta = 0.0
         self.degenerate = accelerated and dc.kappa < 1.0 + _KAPPA_DEGENERATE_TOL
         self.accelerated = accelerated
-        self.keep_state = keep_state
+        self.x_star = x_star
+        if x_star is not None:
+            self.pinv_sqrt = pinv_sqrt_psd(laplacian(schedule.topologies()[0]))
         self.agg = agg
         self.z = np.zeros((agg.dim, agg.n))
         self.zt = np.zeros((agg.dim, agg.n))
@@ -379,8 +367,7 @@ class _DualMethod:
         # y's own memory order, which the value and consensus reductions need.
         if self.y_transposed is None:
             self.y_transposed = not y.flags.c_contiguous
-        y = y.T if self.y_transposed else y
-        return (self.z, y, self.zt) if self.keep_state else (self.z, y)
+        return self.z, y.T if self.y_transposed else y
 
     # The driver checks z before every step and look(), and _finite is False
     # for any NaN or inf, so both call the family kernels without
@@ -398,17 +385,19 @@ class _DualMethod:
         return self._state(self.y_final)
 
     def evaluate(self, rows):
-        zs, ys, *zts = rows
+        zs, ys = rows
         cols = ys.transpose(0, 2, 1) if self.y_transposed else ys
         duals = self.agg.dual_value_batch(zs, cols)
         # The mean runs on a C-contiguous block as on each record alone: a
         # logistic block already is one, a transposed quadratic one is copied
-        # (kept records need the copy anyway, as _consensus_dists overwrites ys)
-        y_tildes = cols.copy() if zts or self.y_transposed else cols
+        y_tildes = cols.copy() if self.y_transposed else cols
         values = self.agg.value_consensus_batch(y_tildes.mean(axis=2))
         dists = _consensus_dists(ys, 1 if self.y_transposed else 2)
-        kept = {"z": zs.copy(), "z_tilde": zts[0].copy(), "y_tilde": y_tildes} if zts else {}
-        return duals, dists, values, kept
+        if self.x_star is None:
+            return duals, dists, values, math.nan
+        # one product per C-contiguous z row, as on that z alone
+        x_dists = [float(np.linalg.norm(-(z @ self.pinv_sqrt) - self.x_star)) for z in zs]
+        return duals, dists, values, x_dists
 
     def final_state(self, final_iter):
         if self.accelerated:
@@ -432,19 +421,15 @@ def run_diging(
     stepsize: float | None = None,
     max_iter: int | None = None,
     record_every: int = 1,
-    keep_state: bool = True,
 ) -> RunTrace:
     """Gradient tracking baseline over mixing matrices I - W/n.
 
     ``x`` holds the primal copies and ``u`` tracks the average gradient:
     ``x_next = x V' - alpha u``, ``u_next = u V' + grad(x_next) - grad(x)``
     with ``u_0 = grad(x_0)``.  Each iteration mixes both x and u, so two
-    messages cross every directed edge.  Records keep ``x`` as
-    ``y_tilde``; with ``keep_state=False`` they keep None.
+    messages cross every directed edge.
     """
-    return _drive(
-        agg, schedule, max_iter, record_every, lambda: _DIGingMethod(agg, stepsize, keep_state)
-    )
+    return _drive(agg, schedule, max_iter, record_every, lambda: _DIGingMethod(agg, stepsize))
 
 
 class _DIGingMethod:
@@ -453,7 +438,7 @@ class _DIGingMethod:
     abort_value = math.nan
     degenerate = False
 
-    def __init__(self, agg, stepsize, keep_state):
+    def __init__(self, agg, stepsize):
         alpha = default_diging_stepsize(agg) if stepsize is None else stepsize
         number = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
         if number and not alpha > 0:  # NaN fails too
@@ -463,7 +448,6 @@ class _DIGingMethod:
         if not number:  # a string or a bool, which float() would take
             raise ValueError(f"stepsize must be a real number, got {alpha!r}")
         self.alpha = float(alpha)
-        self.keep_state = keep_state
         self.agg = agg
         self.x = np.zeros((agg.dim, agg.n))
         self.g = agg.grad_cols(self.x)
@@ -493,9 +477,8 @@ class _DIGingMethod:
         (xs,) = rows
         # the block is C-contiguous, so the mean runs as on each record alone
         values = self.agg.value_consensus_batch(xs.mean(axis=2))
-        kept = {"y_tilde": xs.copy()} if self.keep_state else {}
         dists = _consensus_dists(xs, 2)  # x is always in C order
-        return math.nan, dists, values, kept
+        return math.nan, dists, values, math.nan
 
     def final_state(self, final_iter):
         return DIGingState(x=self.x, u=self.u, stepsize=self.alpha, iter=final_iter)
@@ -589,9 +572,9 @@ def run_xspace_reference(
     ref = run.final_state
     epoch_of = run.epoch.tolist()
     epoch_of[-1] = schedule.epoch_index(ref.steps)
-    xs = run.kept("z")
-    # a GD run's x, y and z are one array per iterate
-    ys, zs = (xs[:], xs[:]) if method == "gd" else (run.kept("z_tilde"), run.kept("y_tilde"))
+    xs, ys, zs = ref.iterates
+    if method == "gd":  # x, y and z are one array per iterate
+        ys, zs = xs[:], xs[:]
     x_star = solve_dual_min_norm(agg, schedule)
     distinct = list(map(lambda sw: fro_norm(_xspace_grad(agg, sw, x_star)), ref.roots))
     return XSpaceTrace(
@@ -617,6 +600,7 @@ class _XSpaceMethod:
 
     A state is the iterates (x alone for GD, where y = z = x), then
     Q = -(y sqrt(W_k)) and its argmax, from which blocks value f_k(y_k).
+    ``iterates`` keeps copies of the recorded x, y and z, one list each.
     """
 
     abort_value = math.inf
@@ -631,6 +615,7 @@ class _XSpaceMethod:
         self.x = self.y = self.z = np.zeros((agg.dim, agg.n))
         self.roots = []  # sqrt(W) of each distinct topology, in order
         self.steps = 0
+        self.iterates = ([], [], [])
 
     @property
     def watched(self):
@@ -666,10 +651,11 @@ class _XSpaceMethod:
 
     def evaluate(self, rows):
         *iterates, qs, ys = rows
+        for kept, block in zip(self.iterates, iterates):  # a GD state is x alone
+            kept.extend(block.copy())
         # the dual value's sums run in C order whatever the argmax's memory order
         duals = self.agg.dual_value_batch(qs, ys)
-        # x, y and z as z, z_tilde and y_tilde; a GD state is x alone
-        return duals, math.nan, math.nan, dict(zip(_ARRAY_FIELDS, [a.copy() for a in iterates]))
+        return duals, math.nan, math.nan, math.nan
 
     def final_state(self, final_iter):
-        return self  # run_xspace_reference reads dc, roots and steps
+        return self  # run_xspace_reference reads dc, roots, steps and iterates

@@ -57,7 +57,6 @@ import numpy as np
 
 from . import algorithms, graphs, metrics, theory
 from .graphs import ValidationError, _fields, _number, _seed
-from .linalg import pinv_sqrt_psd
 from .objectives import (
     AggregateObjective,
     ParseError,
@@ -246,27 +245,26 @@ def _build_schedule(cfg: ExperimentConfig) -> graphs.GraphSchedule:
     return graphs.schedule_from_spec(spec)
 
 
-# Traces keep their columns only, which are all the metrics read.  The one
-# array kept is z, which the dual-GD contraction verdict of a single-epoch
-# schedule reads.
+# Traces keep their columns only, which are all the metrics read.  A
+# dual_gd run on a single-epoch schedule also keeps each record's distance
+# to x_star, which its contraction verdict reads.
 _RUNNERS = {
-    "nesterov": lambda agg, s, cfg: algorithms.run_distributed_nesterov(
-        agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every, keep_state=False
+    "nesterov": lambda agg, s, cfg, x_star: algorithms.run_distributed_nesterov(
+        agg, s, max_iter=cfg.max_iter, record_every=cfg.record_every
     ),
-    "dual_gd": lambda agg, s, cfg: algorithms.run_dual_gradient(
+    "dual_gd": lambda agg, s, cfg, x_star: algorithms.run_dual_gradient(
         agg,
         s,
         max_iter=cfg.max_iter,
         record_every=cfg.record_every,
-        keep_state=len(s.epochs) == 1,
+        x_star=x_star if len(s.epochs) == 1 else None,
     ),
-    "diging": lambda agg, s, cfg: algorithms.run_diging(
+    "diging": lambda agg, s, cfg, x_star: algorithms.run_diging(
         agg,
         s,
         stepsize=cfg.overrides.get("diging_stepsize"),
         max_iter=cfg.max_iter,
         record_every=cfg.record_every,
-        keep_state=False,
     ),
 }
 ALGORITHMS = tuple(_RUNNERS)
@@ -281,17 +279,11 @@ def _accel_bound_verdict(table, dc, radius, schedule):
     return asdict(metrics.bound_check(points, bound))
 
 
-def _gd_contraction_verdict(trace, dc, x_star, schedule):
-    # Static single-epoch schedules only: map the agent states back to
-    # matrix space through the pseudo-inverse square root.
-    pinv_sqrt = pinv_sqrt_psd(graphs.laplacian(schedule.topologies()[0]))
-    radius = float(np.linalg.norm(x_star))
+def _gd_contraction_verdict(trace, dc, radius):
+    # Static single-epoch schedules only: the run's x_dist column holds each
+    # record's distance to x_star in matrix space.
     rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
-    dists = (
-        (k, float(np.linalg.norm(-(z @ pinv_sqrt) - x_star)))
-        for k, z in zip(trace.iter.tolist(), trace.kept("z"))
-        if z is not None
-    )
+    dists = zip(trace.iter.tolist(), trace.x_dist.tolist())
     report = asdict(metrics.bound_check(dists, lambda k: rho**k * radius + 1e-10))
     del report["checked"]  # the summary keeps the verdict's three keys
     return report
@@ -374,7 +366,7 @@ def _run(
     def run_one(name):
         # A function scope, so each run's trace and table are freed before
         # the next algorithm starts.
-        trace = _RUNNERS[name](agg, schedule, config)
+        trace = _RUNNERS[name](agg, schedule, config, x_star)
         table = metrics.compute_metrics(trace, agg, oracle)
         basename = f"{config.run_id}_{name}.csv"
         # the path by keyword: bench/tracer.py reads it as args[2] or kwargs["path"]
@@ -392,9 +384,7 @@ def _run(
                 table, dc, radius, schedule
             )
         if name == "dual_gd" and len(schedule.epochs) == 1:
-            summary["bounds"]["gd_contraction_bound"] = _gd_contraction_verdict(
-                trace, dc, x_star, schedule
-            )
+            summary["bounds"]["gd_contraction_bound"] = _gd_contraction_verdict(trace, dc, radius)
 
     for name in config.algorithms:
         run_one(name)

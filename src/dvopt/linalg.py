@@ -110,8 +110,14 @@ def eig_sym(m: np.ndarray) -> Spectrum:
         diff = unit - unit.transpose(0, 2, 1)
         norms[huge], asym[huge] = np.sqrt(_row_sums(unit * unit)), np.sqrt(_row_sums(diff * diff))
     reject(asym > _SYM_CHECK_TOL * np.maximum(norms, 1.0), "is not symmetric")
-    np.add(a, turned, out=work)
-    eigenvalues, eigenvectors = np.linalg.eigh(np.multiply(work, 0.5, out=work))
+    with np.errstate(over="ignore"):
+        np.multiply(np.add(a, turned, out=work), 0.5, out=work)
+    # a is finite, so an infinite entry is a sum beyond the float range;
+    # there, halving each term first is exact and keeps the sum finite
+    over = np.isinf(work)
+    if over.any():
+        work[over] = a[over] * 0.5 + turned[over] * 0.5
+    eigenvalues, eigenvectors = np.linalg.eigh(work)
     if stacked:
         return Spectrum(eigenvalues, eigenvectors)
     return Spectrum(eigenvalues[0], eigenvectors[0])

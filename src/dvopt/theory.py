@@ -144,7 +144,14 @@ def primal_from_dual_bound(
     """Primal gap certified by a dual gap eps: 2 kappa eps + L ||X*|| sqrt(2 eps / mu)."""
     if not (all(x >= 0 for x in (eps, kappa, l_smooth, norm_xstar)) and mu > 0):  # NaN fails too
         raise ValueError("inputs must be nonnegative with mu > 0")
-    return 2.0 * kappa * eps + l_smooth * norm_xstar * math.sqrt(2.0 * eps / mu)
+    scale, ratio = l_smooth * norm_xstar, 2.0 * eps / mu
+    if scale == 0.0 or ratio < math.inf:  # a zero L ||X*|| term is 0, however large the root
+        return 2.0 * kappa * eps + (scale * math.sqrt(ratio) if scale else 0.0)
+    try:  # 2 eps / mu beyond the float range: the term as a sum of logarithms
+        term = math.exp(math.log(scale) + 0.5 * (math.log(2.0) + math.log(eps) - math.log(mu)))
+    except OverflowError:
+        term = math.inf
+    return 2.0 * kappa * eps + term
 
 
 def _diging_j(kappa_bar: float, n: int, b: int) -> float:
@@ -188,7 +195,9 @@ def diging_rates(
     root = math.sqrt(j * j + (1.0 - delta * delta) * j) - delta * j
     try:
         alpha0 = 1.5 * root**2 / (mu_bar * j * (j + 1.0) ** 2)
-    except OverflowError:  # (j + 1)**2: the same with j**2 divided out
+    except OverflowError:
+        alpha0 = 0.0
+    if alpha0 == 0.0:  # (j + 1)**2 or the whole divisor overflows: the same with j**2 divided out
         root = math.sqrt(1.0 + (1.0 - delta * delta) / j) - delta
         alpha0 = 1.5 * root**2 / (mu_bar * j * (1.0 + 1.0 / j) ** 2)
     if alpha <= alpha0:

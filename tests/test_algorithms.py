@@ -97,10 +97,10 @@ class TestDeterminism:
         t1 = run_distributed_nesterov(agg, sched, max_iter=40)
         t2 = run_distributed_nesterov(agg, sched, max_iter=40)
         assert len(t1.records) == len(t2.records)
-        for a, b in zip(t1.records, t2.records):
-            assert a.dual_value == b.dual_value
-            assert np.array_equal(a.z, b.z)
-            assert np.array_equal(a.y_tilde, b.y_tilde)
+        for name in ("iter", "epoch", "dual_value", "consensus_dist", "primal_value", "message_count"):
+            assert same_bits(getattr(t1, name), getattr(t2, name)), name
+        for name in ("z", "z_tilde", "y_tilde"):
+            assert same_bits(getattr(t1.final_state, name), getattr(t2.final_state, name)), name
 
 
 class TestConservation:
@@ -115,17 +115,20 @@ class TestConservation:
             ),
         )
         tr = run_distributed_nesterov(agg, sched, max_iter=1000, record_every=100)
-        for rec in tr.records:
-            drift = np.max(np.abs(rec.z.sum(axis=1)))
-            assert drift <= 1e-9 * (1.0 + fro_norm(rec.z))
+        # a record's z is the final z of the run cut at its iteration; z_0 = 0
+        for k in tr.iter.tolist()[1:]:
+            z = run_distributed_nesterov(agg, sched, max_iter=k).final_state.z
+            drift = np.max(np.abs(z.sum(axis=1)))
+            assert drift <= 1e-9 * (1.0 + fro_norm(z))
 
     def test_column_sum_drift_gd(self):
         rng = np.random.default_rng(6)
         agg = random_instance(rng, 4, 2)
         sched = GraphSchedule(500, ((0, gen_topology("path", 4)),))
         tr = run_dual_gradient(agg, sched, max_iter=500, record_every=50)
-        for rec in tr.records:
-            assert np.max(np.abs(rec.z.sum(axis=1))) <= 1e-9 * (1.0 + fro_norm(rec.z))
+        for k in tr.iter.tolist()[1:]:
+            z = run_dual_gradient(agg, sched, max_iter=k).final_state.z
+            assert np.max(np.abs(z.sum(axis=1))) <= 1e-9 * (1.0 + fro_norm(z))
 
     def test_diging_tracking_identity(self):
         rng = np.random.default_rng(7)
@@ -271,13 +274,20 @@ class TestDegenerateAndAbort:
         dc = dual_constants(agg, theta_bounds(sched))
         assert dc.kappa == pytest.approx(1.0)
 
-    def test_divergence_abort_flag(self):
+    def test_divergence_abort_flag(self, monkeypatch):
         agg = two_agent_instance()
         sched = GraphSchedule(200, ((0, gen_topology("path", 2)),))
         # a destructive step size guarantees blow-up
         tr = run_diging(agg, sched, stepsize=1e6, max_iter=200)
         assert tr.aborted
         assert tr.records[-1].consensus_dist == math.inf
+        # a dual run does not diverge; a low limit stops it part way, before
+        # any argmax of its final z, so the final y_tilde is all NaN
+        monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", 0.05)
+        tr = run_distributed_nesterov(agg, sched, max_iter=200)
+        y = tr.final_state.y_tilde
+        assert tr.aborted and tr.iter[-1] < 200
+        assert y.shape == tr.final_state.z.shape and np.isnan(y).all()
 
     @given(
         arrays(
@@ -363,7 +373,7 @@ class TestScheduleIndex:
         agg = AggregateObjective(
             tuple(QuadraticObjective.from_offset(np.array([float(i)])) for i in range(4))
         )
-        tr = run_dual_gradient(agg, sched, keep_state=False)
+        tr = run_dual_gradient(agg, sched)
         for k in range(horizon):
             want = int(np.searchsorted(starts, k, side="right") - 1)
             assert tr.records[k].epoch == want
@@ -393,59 +403,6 @@ def same_bits(a, b):
     return (a.shape, a.dtype) == (b.shape, b.dtype) and (
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
     )
-
-
-class TestLeanRecords:
-    """``keep_state=False`` drops every record array and changes no number."""
-
-    AGG = gen_ridge_instance(6, 5, 3, c=0.1, noise=0.1, seed=4)
-    SCHED = GraphSchedule(
-        60,
-        (
-            (0, gen_topology("star", 6)),
-            (15, gen_topology("cycle", 6)),
-            (30, gen_topology("complete", 6)),
-            (45, gen_topology("star", 6)),
-        ),
-    )
-
-    def run(self, method, record_every, keep):
-        agg, sched = self.AGG, self.SCHED
-        if method.startswith("diging"):
-            step = (1e5 if method == "diging_abort" else 1.0) * default_diging_stepsize(agg)
-            return run_diging(agg, sched, step, record_every=record_every, keep_state=keep)
-        runner = run_dual_gradient if method == "dual_gd" else run_distributed_nesterov
-        return runner(agg, sched, record_every=record_every, keep_state=keep)
-
-    def test_lean_records_give_the_same_metrics(self, monkeypatch):
-        oracle = centralized_solve(self.AGG)
-        for method in ("nesterov", "nesterov_abort", "dual_gd", "diging", "diging_abort"):
-            for record_every in (1, 3):
-                with monkeypatch.context() as patch:
-                    if method == "nesterov_abort":
-                        # a dual run does not diverge; a low limit stops it part way
-                        patch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", 0.05)
-                    full = self.run(method, record_every, True)
-                    lean = self.run(method, record_every, False)
-                case = (method, record_every)
-                assert full.aborted == lean.aborted == method.endswith("abort"), case
-                # repr tells floats apart bit for bit, and NaN equals NaN
-                assert repr(compute_metrics(lean, self.AGG, oracle)) == repr(
-                    compute_metrics(full, self.AGG, oracle)
-                ), case
-                assert all(r.z is None and r.z_tilde is None and r.y_tilde is None for r in lean.records)
-                assert not lean.aborted or lean.records[-1].iter < 60, case
-                # the abort record keeps no array, in full runs too
-                assert all((r.y_tilde is None) == (r.primal_value is None) for r in full.records), case
-                if method == "nesterov_abort":
-                    for trace in (full, lean):
-                        y = trace.final_state.y_tilde
-                        assert y.shape == trace.final_state.z.shape and np.isnan(y).all(), case
-                dual = not method.startswith("diging")
-                assert all((r.z is not None) == dual for r in full.records[:-1]), case
-                for name in vars(full.final_state):
-                    a, b = getattr(full.final_state, name), getattr(lean.final_state, name)
-                    assert same_bits(a, b), (case, name)
 
 
 @st.composite
@@ -521,6 +478,7 @@ class TestClosedFormDualSolution:
 
 
 _STATIC = GraphSchedule(10, ((0, gen_topology("path", 2)),))
+_TWO_EPOCHS = GraphSchedule(10, ((0, gen_topology("path", 2)), (5, gen_topology("complete", 2))))
 
 # Each input check with the exact message it raises.
 _BAD_INPUTS = [
@@ -535,6 +493,7 @@ _BAD_INPUTS = [
     (lambda: run_dual_gradient(two_agent_instance(), _STATIC, max_iter=11), "max_iter must be in 1..horizon"),
     (lambda: run_diging(two_agent_instance(), _STATIC, stepsize="0.1"), "stepsize must be a real number, got '0.1'"),
     (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=True), "stepsize must be a real number, got True"),
+    (lambda: run_dual_gradient(two_agent_instance(), _TWO_EPOCHS, x_star=np.zeros((1, 2))), "x_star needs a single-epoch schedule"),
 ]
 # A NaN passes a bare ``x <= 0`` test, so positivity checks are also given
 # one.  These share an earlier case's message, so their ids are marked.

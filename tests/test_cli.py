@@ -249,13 +249,13 @@ class TestExecute:
     )
     def test_runs_keep_no_record_arrays(self, tmp_path, monkeypatch, schedule):
         # what a record keeps stays alive until the run's rows are written.
-        # The one array read is dual_gd's z on a single-epoch schedule, by its
-        # verdict; that run keeps its full state (keep_state=True).
+        # No run keeps a state array: dual_gd's contraction verdict on a
+        # single-epoch schedule reads the x_dist column, which only it fills.
         traces = []
 
         def capture(name, runner):
-            def run(agg, s, cfg):
-                trace = runner(agg, s, cfg)
+            def run(agg, s, cfg, x_star):
+                trace = runner(agg, s, cfg, x_star)
                 traces.append((name, len(s.epochs), trace))
                 return trace
 
@@ -273,11 +273,13 @@ class TestExecute:
         summary = execute(ExperimentConfig.from_dict(raw))
         assert [name for name, _, _ in traces] == list(cli.ALGORITHMS)
         for name, epochs, trace in traces:
-            keeps_z = name == "dual_gd" and epochs == 1
             assert len(trace.records) == 31 and not trace.aborted
             for rec in trace.records:
-                kept = (rec.z, rec.z_tilde, rec.y_tilde)
-                assert all((a is not None) == keeps_z for a in kept), (name, rec.iter)
+                assert (rec.z, rec.z_tilde, rec.y_tilde) == (None, None, None), (name, rec.iter)
+            arrays = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+            assert all(a.shape == (31,) for a in arrays), name  # the columns alone
+            has_dists = name == "dual_gd" and epochs == 1
+            assert np.isfinite(trace.x_dist).all() if has_dists else np.isnan(trace.x_dist).all()
         single = "epochs" in schedule
         assert ("gd_contraction_bound" in summary["bounds"]) == single
 
@@ -381,11 +383,26 @@ class TestBoundsCommand:
                 "thm5.iterations [kappa=4 L=1e+308 mu=1e+308 R=1 eps=1] = 1419 feasible=True",
             ),
             (["prop1", "kappa_bar=1e300", "n=1e18"], "prop1.lambda0 [kappa_bar=1e+300 n=1e+18] = 1.0"),
+            # 2 eps / mu overflows: a zero L ||X*|| term is 0, a tiny one is summed as logarithms
+            (
+                ["cor2", "eps=1e10", "kappa=1", "L=0", "mu=1e-300", "norm_xstar=1"],
+                "cor2.primal_gap_bound [eps=1e+10 kappa=1 L=0 mu=1e-300 norm_xstar=1] = 20000000000.0",
+            ),
+            (
+                ["cor2", "eps=1e10", "kappa=1", "L=1e-200", "mu=1e-300", "norm_xstar=1"],
+                "cor2.primal_gap_bound [eps=1e+10 kappa=1 L=1e-200 mu=1e-300 norm_xstar=1] = 20000000000.0",
+            ),
+            # mu_bar J (J + 1)^2 rounds to inf: alpha0 is 9.4e-308 >= alpha, the first branch
+            (
+                ["prop1", "kappa_bar=1", "n=1", "mu_bar=1e306", "alpha=1e-308"],
+                "prop1.lambda_of_alpha [kappa_bar=1 n=1 mu_bar=1e+306 alpha=1e-308] = 0.9966610925150702",
+            ),
         ],
     )
     def test_overflowing_direct_forms_print_their_bound(self, capsys, args, line):
         assert main(["bounds", *args]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == line
+        by_name = {ln.split(" [")[0]: ln for ln in capsys.readouterr().out.splitlines()}
+        assert by_name[line.split(" [")[0]] == line
 
     @pytest.mark.parametrize("name", list(cli._BOUNDS))
     @settings(max_examples=300, deadline=None)
@@ -443,56 +460,68 @@ class TestGraphInfo:
         assert graphinfo_command(p)["epochs"][0]["chi"] == pytest.approx(3.0, abs=1e-9)
 
 
-def ref_gd_contraction_verdict(trace, dc, x_star, schedule):
-    """The dual-GD contraction verdict as a loop of its own."""
+def ref_gd_contraction_verdict(zs, iters, dc, x_star, radius, schedule):
+    """The dual-GD contraction verdict as a loop of its own, and each record's distance.
+
+    ``zs[k]`` is the dual state at iteration k; ``iters`` are the records
+    that have one, which is every record but an abort record.
+    """
     pinv_sqrt = pinv_sqrt_psd(laplacian(schedule.topologies()[0]))
-    radius = float(np.linalg.norm(x_star))
     rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
     worst = -math.inf
     first = None
-    for rec in trace.records:
-        if rec.z is None:
-            continue
-        x_k = -(rec.z @ pinv_sqrt)
-        violation = float(np.linalg.norm(x_k - x_star)) - (rho**rec.iter * radius + 1e-10)
+    dists = []
+    for k in iters:
+        x_k = -(zs[k] @ pinv_sqrt)
+        dists.append(float(np.linalg.norm(x_k - x_star)))
+        violation = dists[-1] - (rho**k * radius + 1e-10)
         if violation > worst:
             worst = violation
         if violation > 0 and first is None:
-            first = rec.iter
-    return {"clean": first is None, "max_violation": worst, "first_violation_iter": first}
+            first = k
+    return {"clean": first is None, "max_violation": worst, "first_violation_iter": first}, dists
 
 
 class TestGdContractionVerdict:
     AGG = gen_ridge_instance(5, 4, 3, seed=2)
     SCHED = GraphSchedule(80, ((0, gen_topology("cycle", 5)),))
 
-    def verdicts(self, trace, x_star):
+    def verdicts(self, x_star, radius=None):
+        radius = float(np.linalg.norm(x_star)) if radius is None else radius
+        trace = dvopt.algorithms.run_dual_gradient(self.AGG, self.SCHED, x_star=x_star)
         dc = dual_constants(self.AGG, self.SCHED.theta)
-        got = cli._gd_contraction_verdict(trace, dc, x_star, self.SCHED)
+        got = cli._gd_contraction_verdict(trace, dc, radius)
+        rows = slice(-1) if trace.aborted else slice(None)  # the abort row has no distance
+        want, dists = ref_gd_contraction_verdict(
+            self.zs, trace.iter[rows].tolist(), dc, x_star, radius, self.SCHED
+        )
         # repr tells floats apart bit for bit
-        assert repr(got) == repr(ref_gd_contraction_verdict(trace, dc, x_star, self.SCHED))
-        return got["first_violation_iter"]
+        assert repr(got) == repr(want) and trace.x_dist[rows].tolist() == dists
+        assert not trace.aborted or math.isnan(trace.x_dist[-1])
+        return got["first_violation_iter"], trace
 
     def test_matches_its_own_loop_bit_for_bit(self, monkeypatch):
-        full = dvopt.algorithms.run_dual_gradient(self.AGG, self.SCHED)
+        run = dvopt.algorithms.run_dual_gradient
+        # z_0 = 0, then the final z of the run cut at each iteration
+        self.zs = [np.zeros((3, 5))]
+        self.zs += [run(self.AGG, self.SCHED, max_iter=k).final_state.z for k in range(1, 81)]
         x_star = dvopt.algorithms.solve_dual_min_norm(self.AGG, self.SCHED)
         radius = np.linalg.norm(x_star)
         # a consensus direction: X* moves, the distance to every x_k grows
         ones = np.ones_like(x_star) / math.sqrt(x_star.size)
-        assert self.verdicts(full, x_star) is None
-        assert 0 < self.verdicts(full, x_star + 0.3 * radius * ones) < 80
+        assert self.verdicts(x_star)[0] is None
+        assert 0 < self.verdicts(x_star + 0.3 * radius * ones)[0] < 80
         # the distance at iteration 0 is the radius, and radius + 1e-10 rounds
         # to the radius: a violation of exactly 0, which is no violation
-        assert self.verdicts(full, x_star + 1e7 * ones) == 1
-        offset = 1e-2 * project_consensus_orth(np.random.default_rng(0).standard_normal(x_star.shape))
-        moved = {**full.states, "z": [block + offset for block in full.states["z"]]}
-        assert self.verdicts(dataclasses.replace(full, states=moved), x_star) == 0
-        # an aborted run's last record keeps no z
-        monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", np.linalg.norm(full.records[40].z))
-        aborted = dvopt.algorithms.run_dual_gradient(self.AGG, self.SCHED)
-        assert aborted.aborted and aborted.records[-1].z is None
-        assert self.verdicts(aborted, x_star) is None
-        assert 0 < self.verdicts(aborted, x_star + 0.5 * radius * ones) < aborted.records[-1].iter
+        assert self.verdicts(x_star + 1e7 * ones)[0] == 1
+        # a radius below the distance at iteration 0 is violated there
+        assert self.verdicts(x_star, 0.99 * radius)[0] == 0
+        # an aborted run's last record has no distance
+        monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", np.linalg.norm(self.zs[40]))
+        first, aborted = self.verdicts(x_star)
+        assert aborted.aborted and math.isnan(aborted.x_dist[-1]) and first is None
+        first, aborted = self.verdicts(x_star + 0.5 * radius * ones)
+        assert aborted.aborted and 0 < first < aborted.iter[-1]
 
 
 def sweep_raw(tmp_path):

@@ -70,7 +70,7 @@ def test_execute_builds_no_record_or_row(tmp_path, monkeypatch):
     config = {
         "seed": 2,
         "objective": {"kind": "ridge", "n": 4, "l": 3, "m": 2, "c": 0.1, "noise": 0.1},
-        # one epoch, so dual_gd keeps z for its contraction verdict
+        # one epoch, so dual_gd's contraction verdict runs
         "schedule": {"horizon": 12, "epochs": [{"start": 0, "kind": "cycle", "n": 4}]},
         "algorithms": ["nesterov", "dual_gd", "diging"],
         "max_iter": 12,
@@ -90,8 +90,10 @@ def test_records_are_a_cached_view_of_the_columns():
     schedule = GraphSchedule(6, ((0, gen_topology("path", 3)),))
     trace = run_dual_gradient(agg, schedule, max_iter=6, record_every=2)
     assert trace.records is trace.records
-    zs = trace.kept("z")
-    assert len(zs) == 4 and all(np.array_equal(r.z, z) for r, z in zip(trace.records, zs))
+    # each record is its row of the columns and keeps no array
+    rows = zip(*(getattr(trace, name).tolist() for name in algorithms._SCALAR_FIELDS))
+    want = [(*row, None, None, None) for row in rows]
+    assert len(want) == 4 and [dataclasses.astuple(r) for r in trace.records] == want
     # a replaced column is the new trace's column and view; NaN is no primal value
     lost = dataclasses.replace(trace, primal_value=np.full(len(trace.iter), math.nan))
     assert [r.primal_value for r in lost.records] == [None] * 4

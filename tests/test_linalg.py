@@ -113,6 +113,17 @@ class TestEigSym:
         s = eig_sym(np.array([[1e200, 2e200], [2e200, 1e200]]))
         np.testing.assert_allclose(s.eigenvalues, [-1e200, 3e200], rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_symmetrization_near_the_float_maximum(self):
+        # a + a.T overflows here; the entries are halved before they are summed
+        ones = np.array([[1e308, 1e308], [1e308, 1e308]])
+        assert eig_sym(ones).eigenvalues.tolist() == [0.0, math.inf]
+        assert eig_sym(np.diag([1e308, 1e308])).eigenvalues.tolist() == [1e308, 1e308]
+        # a finite matrix next to it in a stack keeps its bits
+        other = path_laplacian(2)
+        s = eig_sym(np.stack([other, ones]))
+        assert s.eigenvalues[0].tobytes() == eig_sym(other).eigenvalues.tobytes()
+
     def test_zero_matrix(self):
         s = eig_sym(np.zeros((4, 4)))
         assert np.array_equal(s.eigenvalues, np.zeros(4))

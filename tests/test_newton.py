@@ -228,14 +228,17 @@ def test_stalled_rows_fail_at_their_stall_step():
 
 def test_benchmark_shaped_solves():
     # The benchmark's logistic shape, 20 agents with 20 samples of 10
-    # features, at the iterates of a short nesterov run on a static graph.
+    # features, at the iterates of a short nesterov run on a static graph:
+    # z_0 = 0, then the final z of the run cut at each iteration.
     # No line search backtracks, so every step passes the full step on every
     # row, and in every solve some row finishes a step early, so the last
     # steps run on an index array of the rows still active.
     agg = gen_logistic_instance(20, 20, 10, c=0.1)
     schedule = GraphSchedule(8, ((0, gen_topology("erdos_renyi", 20, {"p": 0.7}, seed=0)),))
     stack = agg._stack
-    for z in run_distributed_nesterov(agg, schedule).kept("z"):
+    zs = [np.zeros((10, 20))]
+    zs += [run_distributed_nesterov(agg, schedule, max_iter=k).final_state.z for k in range(1, 9)]
+    for z in zs:
         z = z.T  # the rows the aggregate hands its stack, in Fortran order
         targets = objectives._CONJ_TOL * (1.0 + np.linalg.norm(z, axis=1))
         _, calls = _same_solves(stack.grad_parts, stack.hess, z, targets, *stack.at_zero)

@@ -119,9 +119,9 @@ def test_failed_run_prints_its_exit_code():
 def test_configs_cover_each_seed_and_the_extra_runs():
     names = list(output_digest.configs([3, 7]))
     assert names == [
-        "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "switching_s3",
-        "switching_abort_s3", "ridge_defaults_s3", "geometric_s3", "schedule_file_s3", "dataset_s3",
-        "dataset_units_s3",
+        "ridge_s3", "logistic_s3", "ridge_s7", "logistic_s7", "logistic_static_s3", "static_ridge_s3",
+        "switching_s3", "switching_abort_s3", "ridge_defaults_s3", "geometric_s3", "schedule_file_s3",
+        "dataset_s3", "dataset_units_s3",
     ]
     geometric = output_digest.configs([3])["geometric_s3"]
     assert {e["kind"] for e in geometric["schedule"]["epochs"]} == {"random_geometric"}
@@ -139,6 +139,9 @@ def test_configs_cover_each_seed_and_the_extra_runs():
     static = output_digest.configs([3])["logistic_static_s3"]
     assert static["algorithms"] == ["nesterov", "dual_gd", "diging"]
     assert len(static["schedule"]["epochs"]) == 1
+    ridge = output_digest.configs([3])["static_ridge_s3"]
+    assert ridge["algorithms"] == ["dual_gd"] and len(ridge["schedule"]["epochs"]) == 1
+    assert ridge["objective"]["kind"] == "ridge" and ridge["max_iter"] % ridge["record_every"] != 0
     dataset = output_digest.configs([3])["dataset_s3"]["objective"]
     assert (dataset["kind"], dataset["path"]) == ("dataset", output_digest.DATASET_FILE)
     from_file = output_digest.configs([3])["schedule_file_s3"]

@@ -5,7 +5,9 @@ in one pass: dual values, consensus distances and the primal values that
 ``compute_metrics`` turns into primal gaps.  The references here evaluate
 one record at a time with the per-record arithmetic the blocks replaced,
 the primal values and gaps from each reference record's ``y``, and every
-float must match bit for bit.  The matrix-space reference run is checked
+float must match bit for bit.  Runs keep no state arrays, so a reference
+record's state is checked against the final state of the run cut at its
+iteration.  The matrix-space reference run is checked
 the same way against its own per-iterate loop, which valued each f_k(y_k)
 through ``dual_value``.
 """
@@ -28,7 +30,7 @@ from dvopt.algorithms import (
     run_xspace_reference,
 )
 from dvopt.graphs import GraphSchedule, Topology, alternating_schedule, gen_topology, laplacian, mixing_matrix
-from dvopt.linalg import sqrt_psd
+from dvopt.linalg import pinv_sqrt_psd, sqrt_psd
 from dvopt.metrics import MetricRow, compute_metrics, potential_trace
 from dvopt.objectives import (
     AggregateObjective,
@@ -177,15 +179,13 @@ def ref_xspace(agg, schedule, max_iter, method):
     return xs, ys, zs, epoch_of, values, sqrt_ws
 
 
-def ref_metrics(trace, agg, phi_star, ys=None):
+def ref_metrics(trace, agg, phi_star, ys):
     """compute_metrics as a loop over single records.
 
-    ``ys`` holds each record's primal candidates, by default the records'
-    own ``y_tilde``; a lean trace keeps none, so its caller passes the
-    reference records' ``y``.
+    ``ys`` holds each record's primal candidates, the reference records'
+    ``y``: the trace keeps none.
     """
     f_star = -float(phi_star)
-    ys = [rec.y_tilde for rec in trace.records] if ys is None else ys
     assert len(ys) == len(trace.records)
     rows = []
     for rec, y_tilde in zip(trace.records, ys):
@@ -219,14 +219,14 @@ def same_array(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def assert_records_match(trace, reference, agg, lean=False):
+def assert_records_match(trace, reference, agg):
     """Every record field against the reference, primal values included.
 
-    The reference's abort record has an infinite consensus distance and,
-    like a lean trace's records, no ``y_tilde``.
+    The reference's abort record has an infinite consensus distance and no
+    ``y``; no record keeps an array.
     """
     assert len(trace.records) == len(reference)
-    for rec, (k, e, dual, dist, count, z, zt, y) in zip(trace.records, reference):
+    for rec, (k, e, dual, dist, count, _, _, y) in zip(trace.records, reference):
         assert (rec.iter, rec.epoch, rec.message_count) == (k, e, count)
         assert same_float(rec.dual_value, dual), k
         assert same_float(rec.consensus_dist, dist), k
@@ -235,8 +235,27 @@ def assert_records_match(trace, reference, agg, lean=False):
             assert rec.primal_value is None, k
         else:
             assert same_float(rec.primal_value, ref_value_consensus(agg, y.mean(axis=1))), k
-        assert same_array(rec.y_tilde, None if lean else y), k
-        assert same_array(rec.z, z) and same_array(rec.z_tilde, zt), k
+        assert (rec.z, rec.z_tilde, rec.y_tilde) == (None, None, None), k
+
+
+def assert_states_match(cut, reference):
+    """Each reference record's state against ``cut(k).final_state``.
+
+    ``cut(k)`` is the run cut at the record's iteration k.  A dual record's
+    state is z, z_tilde and y (a GD final state keeps z alone), a DIGing
+    record's its x, in the ``y`` slot.  Iteration 0 is the zero start, and
+    the abort record has no state.
+    """
+    for k, *_, z, zt, y in reference:
+        if k == 0 or y is None:
+            continue
+        state = cut(k).final_state
+        if z is None:
+            assert same_array(state.x, y), k
+            continue
+        assert same_array(state.z, z), k
+        if hasattr(state, "y_tilde"):
+            assert same_array(state.z_tilde, zt) and same_array(state.y_tilde, y), k
 
 
 def assert_rows_match(rows, reference):
@@ -351,29 +370,37 @@ runs = st.tuples(st.integers(1, 40), st.integers(1, 3), st.integers(1, 7))
 
 class TestDriverRecords:
     @settings(max_examples=40)
-    @given(aggregates(), runs, st.booleans(), st.booleans())
-    def test_dual_records_equal_per_record_reference(self, agg, run, accelerated, keep):
+    @given(aggregates(), runs, st.booleans())
+    def test_dual_records_equal_per_record_reference(self, agg, run, accelerated):
         max_iter, record_every, period = run
         schedule = schedule_for(agg, period, max_iter)
         runner = run_distributed_nesterov if accelerated else run_dual_gradient
-        trace = runner(agg, schedule, max_iter=max_iter, record_every=record_every, keep_state=keep)
+        # a dual GD run on one epoch also gives each record's distance to an X*
+        static = not accelerated and len(schedule.epochs) == 1
+        x_star = np.linspace(-1.0, 1.0, agg.dim * agg.n).reshape(agg.dim, agg.n)
+        given_x_star = {"x_star": x_star} if static else {}
+        trace = runner(agg, schedule, max_iter=max_iter, record_every=record_every, **given_x_star)
         reference = ref_dual_records(agg, schedule, max_iter, record_every, accelerated)
-        if not keep:
-            reference = [(*r[:5], None, None, r[7]) for r in reference]
-        assert_records_match(trace, reference, agg, lean=not keep)
+        assert_records_match(trace, reference, agg)
+        assert_states_match(lambda k: runner(agg, schedule, max_iter=k), reference)
+        dists = [math.nan] * len(reference)
+        if static:
+            pinv_sqrt = pinv_sqrt_psd(laplacian(schedule.epochs[0][1]))
+            dists = [float(np.linalg.norm(-(r[5] @ pinv_sqrt) - x_star)) for r in reference]
+        assert all(map(same_float, trace.x_dist.tolist(), dists))
 
     @settings(max_examples=40)
-    @given(aggregates(), runs, st.sampled_from((1.0, 30.0, 1e3, 1e5)), st.booleans())
-    def test_diging_records_equal_per_record_reference(self, agg, run, boost, keep):
+    @given(aggregates(), runs, st.sampled_from((1.0, 30.0, 1e3, 1e5)))
+    def test_diging_records_equal_per_record_reference(self, agg, run, boost):
         # large steps diverge and abort, at an iteration that moves with the step
         max_iter, record_every, period = run
         schedule = schedule_for(agg, period, max_iter)
         stepsize = boost * default_diging_stepsize(agg)
-        trace = run_diging(
-            agg, schedule, stepsize, max_iter=max_iter, record_every=record_every, keep_state=keep
-        )
+        trace = run_diging(agg, schedule, stepsize, max_iter=max_iter, record_every=record_every)
         reference = ref_diging_records(agg, schedule, max_iter, record_every, stepsize)
-        assert_records_match(trace, reference, agg, lean=not keep)
+        assert_records_match(trace, reference, agg)
+        assert_states_match(lambda k: run_diging(agg, schedule, stepsize, max_iter=k), reference)
+        assert np.isnan(trace.x_dist).all()
         # a run aborts exactly when its last record is the abort record
         assert trace.aborted == (reference[-1][3] == math.inf)
 
@@ -384,7 +411,9 @@ class TestDriverRecords:
         trace = run_diging(agg, schedule, stepsize, max_iter=40)
         # the records before the abort fill one block and part of the next
         assert trace.aborted and _BLOCK < len(trace.records) - 1 < 2 * _BLOCK
-        assert_records_match(trace, ref_diging_records(agg, schedule, 40, 1, stepsize), agg)
+        reference = ref_diging_records(agg, schedule, 40, 1, stepsize)
+        assert_records_match(trace, reference, agg)
+        assert_states_match(lambda k: run_diging(agg, schedule, stepsize, max_iter=k), reference)
         # cut at the abort iteration, the run aborts there: the final state is checked too
         k = trace.records[-1].iter
         cut = run_diging(agg, schedule, stepsize, max_iter=k)
@@ -408,44 +437,37 @@ class TestMetricBlocks:
     @given(
         aggregates(),
         runs,
-        st.sampled_from(("nesterov", "nesterov_lean", "dual_gd", "diging", "diging_abort")),
+        st.sampled_from(("nesterov", "dual_gd", "diging", "diging_abort")),
     )
     def test_rows_equal_per_record_loop(self, agg, run, method):
         max_iter, record_every, period = run
         schedule = schedule_for(agg, period, max_iter)
-        if method.startswith("nesterov"):
-            trace = run_distributed_nesterov(
-                agg, schedule, max_iter=max_iter, record_every=record_every,
-                keep_state=method == "nesterov",
-            )
-        elif method == "dual_gd":
-            trace = run_dual_gradient(agg, schedule, max_iter=max_iter, record_every=record_every)
+        if method.startswith("diging"):
+            stepsize = (1e5 if method == "diging_abort" else 1.0) * default_diging_stepsize(agg)
+            trace = run_diging(agg, schedule, stepsize, max_iter=max_iter, record_every=record_every)
+            reference = ref_diging_records(agg, schedule, max_iter, record_every, stepsize)
         else:
-            boost = 1e5 if method == "diging_abort" else 1.0
-            trace = run_diging(
-                agg, schedule, boost * default_diging_stepsize(agg), max_iter=max_iter,
-                record_every=record_every,
-            )
-        ys = None
-        if method == "nesterov_lean":
-            reference = ref_dual_records(agg, schedule, max_iter, record_every, accelerated=True)
-            ys = [r[7] for r in reference]
+            runner = run_distributed_nesterov if method == "nesterov" else run_dual_gradient
+            trace = runner(agg, schedule, max_iter=max_iter, record_every=record_every)
+            reference = ref_dual_records(agg, schedule, max_iter, record_every, method == "nesterov")
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
-        assert_rows_match(rows, ref_metrics(trace, agg, phi_star, ys))
+        assert_rows_match(rows, ref_metrics(trace, agg, phi_star, [r[7] for r in reference]))
 
     def test_missing_and_non_finite_candidates_inside_a_block(self):
         # records without a primal value stand for lost candidates
         agg = gen_ridge_instance(9, 4, 5, seed=3)
-        trace = run_distributed_nesterov(agg, schedule_for(agg, 2, 20), max_iter=20)
-        primal, ys = trace.primal_value.copy(), trace.kept("y_tilde")
+        schedule = schedule_for(agg, 2, 20)
+        trace = run_distributed_nesterov(agg, schedule, max_iter=20)
+        ys = [r[7] for r in ref_dual_records(agg, schedule, 20, 1, accelerated=True)]
+        primal = trace.primal_value.copy()
         nan_y = np.full((agg.dim, agg.n), np.nan)
         for k, y in ((1, None), (3, nan_y), (4, None), (_BLOCK + 2, nan_y)):
             primal[k], ys[k] = math.nan, y
-        trace = dataclasses.replace(trace, primal_value=primal, states={**trace.states, "y_tilde": [ys]})
+        trace = dataclasses.replace(trace, primal_value=primal)
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
-        assert_rows_match(rows, ref_metrics(trace, agg, phi_star))
+        assert_rows_match(rows, ref_metrics(trace, agg, phi_star, ys))
         assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _BLOCK + 2]
         assert all(r.dual_residual == math.inf for r in rows if r.primal_gap == math.inf)
 

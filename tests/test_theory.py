@@ -171,6 +171,19 @@ class TestOverflowFallbacks:
         lam0, lam = diging_rates(1e300, 1, mu_bar=1e-300, alpha=1e-10)
         assert lam0 == 1.0
         assert lam == (1.0 - 1e-10 * 1e-300 / 1.5) ** 0.5
+        # mu_bar J (J + 1)^2 rounds to inf without raising: alpha0 = 9.375e-308 >= alpha
+        assert diging_rates(1.0, 1, mu_bar=1e306, alpha=1e-308)[1] == (1.0 - 1e-308 * 1e306 / 1.5) ** 0.5
+        assert diging_rates(1.0, 1, mu_bar=1e306, alpha=9.4e-308)[1] == math.sqrt(9.4e-308 * 1e306 * 15 / 1.5)
+
+    def test_primal_from_dual_bound(self):
+        # 2 eps / mu overflows: a zero L ||X*|| term is 0, whatever the root
+        assert primal_from_dual_bound(1e10, 1.0, 0.0, 1e-300, 1.0) == 2e10
+        assert primal_from_dual_bound(1e10, 1.0, 1.0, 1e-300, 0.0) == 2e10
+        # and a nonzero one is exp(log(L ||X*||) + (log 2 + log eps - log mu) / 2)
+        assert primal_from_dual_bound(1e10, 1.0, 1e-200, 1e-300, 1.0) == 2e10
+        assert primal_from_dual_bound(1e10, 0.0, 1e-200, 1e-300, 1.0) == pytest.approx(math.sqrt(2.0) * 1e-45)
+        assert primal_from_dual_bound(1e10, 1.0, 1e100, 1e-300, 1.0) == pytest.approx(math.sqrt(2.0) * 1e255)
+        assert primal_from_dual_bound(1e10, 1.0, 1e200, 1e-300, 1.0) == math.inf
 
 
 class TestPrimalFromDual:

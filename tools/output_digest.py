@@ -29,7 +29,9 @@ The configs are the benchmark's ``ridge_config`` and ``logistic_config``
 (``bench/workloads.py`` next to this script, so both checkouts run the
 same ones) at each ``--seeds`` seed, the logistic one on its static
 graph with nesterov, dual_gd and diging (the dual-GD contraction verdict
-runs only on a single epoch), a ridge config over a star/cycle
+runs only on a single epoch), a ridge config on one Erdos-Renyi graph
+with dual_gd recorded every 3rd of 200 iterations, so the verdict also
+runs on a quadratic family and at a stride, a ridge config over a star/cycle
 schedule switching every 5 iterations with all three algorithms,
 that config again with a DIGing step of 50, where DIGing diverges (at
 seed 3 it aborts at iteration 14 of 200), so abort rows are compared
@@ -159,6 +161,22 @@ def schedule_file_config(seed: int) -> dict:
     }
 
 
+def static_ridge_config(seed: int) -> dict:
+    """The switching config's objective on one Erdos-Renyi graph, dual GD alone.
+
+    Records every 3rd of 200 iterations, so the final row falls off the
+    stride, and the contraction verdict runs on a quadratic family.
+    """
+    epochs = [{"start": 0, "kind": "erdos_renyi", "n": 20, "seed": seed}]
+    return {
+        **switching_ridge_config(seed),
+        "schedule": {"horizon": 200, "epochs": epochs},
+        "algorithms": ["dual_gd"],
+        "record_every": 3,
+        "run_id": "static_ridge",
+    }
+
+
 def dataset_text(samples: int = 63, dim: int = 8, units: bool = False) -> str:
     """A fixed sparse labeled data set, one ``label idx:val ...`` line per sample.
 
@@ -208,6 +226,7 @@ def configs(seeds: list[int]) -> dict[str, dict]:
         "algorithms": ALL_ALGORITHMS,
         "run_id": "logistic_static",
     }
+    out[f"static_ridge_s{seeds[0]}"] = static_ridge_config(seeds[0])
     out[f"switching_s{seeds[0]}"] = switching_ridge_config(seeds[0])
     out[f"switching_abort_s{seeds[0]}"] = aborting_config(seeds[0])
     out[f"ridge_defaults_s{seeds[0]}"] = ridge_defaults_config(seeds[0])
