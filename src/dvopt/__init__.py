@@ -59,7 +59,6 @@ from .metrics import (
 )
 from .objectives import (
     AggregateObjective,
-    Dataset,
     DualConstants,
     LogisticObjective,
     QuadraticObjective,

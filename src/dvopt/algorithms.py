@@ -14,8 +14,10 @@ and schedule.
 * :func:`run_diging` - primal gradient tracking over mixing matrices
   ``I - W/n`` (baseline).
 * :func:`run_xspace_reference` - centralized matrix-space run of the
-  same dynamics using explicit Laplacian square roots, for verifying the
-  convergence bounds; not message-passing.
+  accelerated dynamics using explicit Laplacian square roots, for
+  verifying the convergence bounds and potentials; not message-passing.
+  Dual GD's static contraction is checked on its own run, through the
+  ``x_dist`` column of :func:`run_dual_gradient`.
 
 All four runners share one loop, which owns validation, the epoch of
 each iteration, the divergence check, the message log and the records;
@@ -490,7 +492,7 @@ class _DIGingMethod:
 
 @dataclass
 class XSpaceTrace:
-    """Centralized matrix-space trajectory with bound-verification data.
+    """Centralized accelerated matrix-space trajectory with bound-verification data.
 
     ``xs[k]`` is the extrapolated point where gradients are queried,
     ``ys[k]`` the gradient-step iterate, and ``zs[k]`` the auxiliary
@@ -501,7 +503,6 @@ class XSpaceTrace:
     dual solution and ``radius = ||X_0 - x_star||_F``.
     """
 
-    method: str
     xs: list
     ys: list
     zs: list
@@ -550,35 +551,27 @@ def run_xspace_reference(
     agg: AggregateObjective,
     schedule: GraphSchedule,
     max_iter: int | None = None,
-    method: str = "nesterov",
 ) -> XSpaceTrace:
-    """Centralized matrix-space run used to verify bounds and potentials.
+    """Centralized accelerated matrix-space run used to verify bounds and potentials.
 
-    ``method="nesterov"`` runs ``y_{k+1} = x_k - grad f_k(x_k)/L`` with
-    heavy-ball extrapolation; ``method="gd"`` takes plain steps of size
-    2/(L+mu).  The trace keeps every iterate and its value f_k(y_k), the
-    closed-form minimum-norm solution of the epoch-0 dual, and its
+    It runs ``y_{k+1} = x_k - grad f_k(x_k)/L`` with heavy-ball
+    extrapolation.  The trace keeps every iterate and its value f_k(y_k),
+    the closed-form minimum-norm solution of the epoch-0 dual, and its
     gradient norm under every epoch's dual function (zero when all epochs
-    share the minimizer).  The lists hold copies made per record block; a
-    ``gd`` run's three lists share one array per iterate.  A run whose
-    ``x`` leaves the shared loop's divergence bound raises ValueError
-    naming the iteration.
+    share the minimizer).  The lists hold copies made per record block.
+    A run whose ``x`` leaves the shared loop's divergence bound raises
+    ValueError naming the iteration.
     """
-    if method not in ("nesterov", "gd"):
-        raise ValueError("method must be 'nesterov' or 'gd'")
-    run = _drive(agg, schedule, max_iter, 1, lambda: _XSpaceMethod(agg, schedule, method))
+    run = _drive(agg, schedule, max_iter, 1, lambda: _XSpaceMethod(agg, schedule))
     if run.aborted:
-        raise ValueError(f"x-space {method} run diverged at iteration {run.iter[-1]}")
+        raise ValueError(f"x-space nesterov run diverged at iteration {run.iter[-1]}")
     ref = run.final_state
     epoch_of = run.epoch.tolist()
     epoch_of[-1] = schedule.epoch_index(ref.steps)
     xs, ys, zs = ref.iterates
-    if method == "gd":  # x, y and z are one array per iterate
-        ys, zs = xs[:], xs[:]
     x_star = solve_dual_min_norm(agg, schedule)
     distinct = list(map(lambda sw: fro_norm(_xspace_grad(agg, sw, x_star)), ref.roots))
     return XSpaceTrace(
-        method=method,
         xs=xs,
         ys=ys,
         zs=zs,
@@ -596,21 +589,20 @@ def run_xspace_reference(
 
 
 class _XSpaceMethod:
-    """Iterates x, y, z of Nesterov or GD on f_k(X) = Phi*(-X sqrt(W_k)).
+    """Iterates x, y, z of the accelerated method on f_k(X) = Phi*(-X sqrt(W_k)).
 
-    A state is the iterates (x alone for GD, where y = z = x), then
-    Q = -(y sqrt(W_k)) and its argmax, from which blocks value f_k(y_k).
+    A state is the iterates x, y, z, then Q = -(y sqrt(W_k)) and its
+    argmax, from which blocks value f_k(y_k).
     ``iterates`` keeps copies of the recorded x, y and z, one list each.
     """
 
     abort_value = math.inf
     degenerate = False
 
-    def __init__(self, agg, schedule, method):
+    def __init__(self, agg, schedule):
         self.dc = dual_constants(agg, schedule.theta)
         self.beta = _momentum(self.dc.kappa)
         self.tau = 1.0 / (math.sqrt(self.dc.kappa) + 1.0)
-        self.gd = method == "gd"
         self.agg, self.schedule = agg, schedule
         self.x = self.y = self.z = np.zeros((agg.dim, agg.n))
         self.roots = []  # sqrt(W) of each distinct topology, in order
@@ -627,31 +619,25 @@ class _XSpaceMethod:
 
     def _state(self, sw):
         q = -(self.y @ sw)
-        y = self.agg.conj_argmax_cols(q)
-        return (*((self.x,) if self.gd else (self.x, self.y, self.z)), q, y), y
+        return self.x, self.y, self.z, q, self.agg.conj_argmax_cols(q)
 
-    def step(self, sw, record):
-        state, y = self._state(sw)
+    def step(self, sw, record):  # every iteration is recorded
+        state = self._state(sw)
         self.steps += 1
-        l_f, mu_f, beta, tau = self.dc.l_f, self.dc.mu_f, self.beta, self.tau
-        if self.gd:
-            g = -(y @ sw)  # the gradient at x = y
-            self.x = self.y = self.z = self.x - (2.0 / (l_f + mu_f)) * g
-        else:
-            g = _xspace_grad(self.agg, sw, self.x)
-            y_next = self.x - g / l_f
-            self.x = (1.0 + beta) * y_next - beta * self.y
-            self.y = y_next
-            self.z = self.x / tau - ((1.0 - tau) / tau) * self.y
+        beta, tau = self.beta, self.tau
+        y_next = self.x - _xspace_grad(self.agg, sw, self.x) / self.dc.l_f
+        self.x = (1.0 + beta) * y_next - beta * self.y
+        self.y = y_next
+        self.z = self.x / tau - ((1.0 - tau) / tau) * self.y
         return state
 
     def look(self):  # valued in the epoch of iteration max_iter, clipped to the horizon
         j = self.schedule.topology_index[self.schedule.epoch_index(self.steps)]
-        return self._state(self.roots[j])[0]
+        return self._state(self.roots[j])
 
     def evaluate(self, rows):
         *iterates, qs, ys = rows
-        for kept, block in zip(self.iterates, iterates):  # a GD state is x alone
+        for kept, block in zip(self.iterates, iterates):
             kept.extend(block.copy())
         # the dual value's sums run in C order whatever the argmax's memory order
         duals = self.agg.dual_value_batch(qs, ys)

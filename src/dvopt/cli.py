@@ -205,7 +205,7 @@ def _build_objective(cfg: ExperimentConfig) -> AggregateObjective:
     if n < 1:
         raise ValidationError(f"dataset objective n must be >= 1, got {n}")
     try:
-        dense, labels = load_sparse_labeled(spec["path"]).to_dense()
+        dense, labels = load_sparse_labeled(spec["path"])
     except OSError as exc:  # a file the user may not read
         raise ValidationError(f"cannot read dataset: {exc}") from None
     except (ParseError, UnicodeDecodeError) as exc:

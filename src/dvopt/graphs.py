@@ -289,10 +289,11 @@ class GraphSchedule:
 
 
 def _epoch_of_iteration(s: GraphSchedule, stop: int) -> list[int]:
-    """Epoch of each iteration 0..stop-1 (at most to the horizon).
+    """Epoch of each iteration 0..stop-1 (at most to the horizon), for the runners' loop.
 
-    Only the epochs that start before ``stop`` are read, so the cost
-    follows ``stop``, not the horizon.
+    A run of ``stop`` iterations steps through every one of them, so the
+    list costs no more than the run.  Only the epochs that start before
+    ``stop`` are read, so the cost follows ``stop``, not the horizon.
     """
     epochs: list[int] = []
     ends = s._starts[1:] + (s.horizon,)
@@ -368,6 +369,10 @@ def mixing_delta(s: GraphSchedule, b: int = 1) -> float:
     the largest singular value is evaluated via the symmetric
     eigendecomposition of M^T M.  Mixing matrices are built once per
     distinct topology, and each window of topologies is evaluated once.
+    Only the windows that hold an epoch start are visited, ascending by
+    their last iteration: any other window lies inside one epoch and
+    repeats the one that ends b-1 after its start, so the cost follows the
+    number of epochs times b, not the horizon.
     """
     b = _number(b, "window length")
     if b < 1:
@@ -376,22 +381,25 @@ def mixing_delta(s: GraphSchedule, b: int = 1) -> float:
         raise ValueError("horizon shorter than the window")
     n = s.n
     vs = [mixing_matrix(t) for t in s.distinct_topologies]
-    topo_of = [s.topology_index[e] for e in _epoch_of_iteration(s, s.horizon)]
     avg = np.full((n, n), 1.0 / n)
     best = 0.0
     seen: set[tuple[int, ...]] = set()
-    for k in range(b - 1, s.horizon):
-        window = tuple(topo_of[k - i] for i in range(b))
-        if window in seen:
-            continue
-        seen.add(window)
-        prod = vs[window[0]]
-        for idx in window[1:]:
-            prod = prod @ vs[idx]
-        diff = prod - avg
-        gram = diff.T @ diff
-        sigma_sq = eig_sym(gram).eigenvalues[-1]
-        best = max(best, math.sqrt(max(sigma_sq, 0.0)))
+    first = b - 1  # the first window end not yet visited
+    for start in s._starts:
+        stop = min(start + b, s.horizon)
+        for k in range(max(start, first), stop):
+            window = tuple(s.topology_index[s.epoch_index(k - i)] for i in range(b))
+            if window in seen:
+                continue
+            seen.add(window)
+            prod = vs[window[0]]
+            for idx in window[1:]:
+                prod = prod @ vs[idx]
+            diff = prod - avg
+            gram = diff.T @ diff
+            sigma_sq = eig_sym(gram).eigenvalues[-1]
+            best = max(best, math.sqrt(max(sigma_sq, 0.0)))
+        first = max(first, stop)
     return best
 
 

@@ -160,8 +160,6 @@ def potential_trace(
     cannot grow; at a change the admissible jump is controlled by the
     function-change bound, reported via ``change_bound_scaled``.
     """
-    if xref.method != "nesterov":
-        raise ValueError("potential diagnostics need an accelerated run")
     kappa = l_smooth / mu
     if kappa <= 1.0:
         raise ValueError("potential undefined for kappa <= 1")

@@ -64,7 +64,6 @@ __all__ = [
     "QuadraticObjective",
     "LogisticObjective",
     "AggregateObjective",
-    "Dataset",
     "DualConstants",
     "gen_ridge_instance",
     "gen_logistic_instance",
@@ -563,22 +562,6 @@ class DualConstants:
     kappa: float
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Sparse labeled samples: one index->value map per sample."""
-
-    samples: tuple
-    labels: tuple
-    dimension: int
-
-    def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.zeros((len(self.samples), self.dimension))
-        for row, feats in enumerate(self.samples):
-            for idx, val in feats.items():
-                a[row, idx - 1] = val
-        return a, np.asarray(self.labels, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Instance generation
 
@@ -657,15 +640,15 @@ def logistic_blocks(points: np.ndarray, labels: np.ndarray, n: int, c: float) ->
     return AggregateObjective(tuple(_build_logistics(samples, signs, c / n, 2.0 * n * l)))
 
 
-def load_sparse_labeled(path) -> Dataset:
-    """Parse a sparse labeled text file.
+def load_sparse_labeled(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a sparse labeled text file into dense (samples, labels) arrays.
 
     Each nonempty line is ``label idx:val idx:val ...`` with indices
     ascending and >= 1.  Labels may be -1/+1 or 0/1 (0 maps to -1).
+    Sample row r holds line r's values, index i in column i-1, with as
+    many columns as the largest index and zeros where a line gives none.
     """
-    samples = []
-    labels = []
-    max_index = 0
+    rows, cols, vals, labels = [], [], [], []  # a pair's sample, column and value
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -678,7 +661,6 @@ def load_sparse_labeled(path) -> Dataset:
                 raise ParseError(f"line {lineno}: label {tokens[0]!r} is not numeric") from None
             if label not in (-1.0, 0.0, 1.0):
                 raise ParseError(f"line {lineno}: label must be -1, 0 or +1, got {label}")
-            feats: dict[int, float] = {}
             prev_idx = 0
             for tok in tokens[1:]:
                 if ":" not in tok:
@@ -696,13 +678,15 @@ def load_sparse_labeled(path) -> Dataset:
                 if idx <= prev_idx:
                     raise ParseError(f"line {lineno}: feature indices must ascend")
                 prev_idx = idx
-                feats[idx] = val
-                max_index = max(max_index, idx)
-            samples.append(feats)
+                rows.append(len(labels))
+                cols.append(idx - 1)
+                vals.append(val)
             labels.append(-1.0 if label == 0.0 else label)
-    if not samples:
+    if not labels:
         raise ParseError("file contains no samples")
-    return Dataset(tuple(samples), tuple(labels), max_index)
+    samples = np.zeros((len(labels), max(cols, default=-1) + 1))
+    samples[rows, cols] = vals
+    return samples, np.asarray(labels, dtype=float)
 
 
 # ---------------------------------------------------------------------------

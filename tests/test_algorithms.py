@@ -187,6 +187,7 @@ class TestMessageLogs:
 class TestXSpaceEquivalence:
     def test_z_matches_x_image_on_static_graphs(self):
         rng = np.random.default_rng(9)
+        compared = 0
         for trial in range(10):
             n = int(rng.integers(3, 7))
             d = int(rng.integers(1, 4))
@@ -194,12 +195,13 @@ class TestXSpaceEquivalence:
             topo = gen_topology("erdos_renyi", n, {"p": 0.9}, seed=trial)
             sched = GraphSchedule(25, ((0, topo),))
             sw = sqrt_psd(laplacian(topo))
-            tr = run_distributed_nesterov(agg, sched, max_iter=25)
             xref = run_xspace_reference(agg, sched, max_iter=25)
-            for rec in tr.records:
-                if rec.z is None:
-                    continue
-                assert fro_norm(rec.z - (-(xref.xs[rec.iter] @ sw))) <= 1e-8
+            # runs keep no states, so each iteration's z is a cut run's final state
+            for k in range(1, 26):
+                z = run_distributed_nesterov(agg, sched, max_iter=k).final_state.z
+                assert fro_norm(z - (-(xref.xs[k] @ sw))) <= 1e-8
+                compared += 1
+        assert compared == 250
 
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(10)
@@ -229,12 +231,15 @@ class TestXSpaceEquivalence:
         agg = random_instance(rng, 5, 3)
         topo = gen_topology("erdos_renyi", 5, {"p": 0.8}, seed=3)
         sched = GraphSchedule(200, ((0, topo),))
-        xref = run_xspace_reference(agg, sched, max_iter=200, method="gd")
-        rho = (xref.l_f - xref.mu_f) / (xref.l_f + xref.mu_f)
+        x_star = solve_dual_min_norm(agg, sched)
+        dists = run_dual_gradient(agg, sched, max_iter=200, x_star=x_star).x_dist
+        dc = dual_constants(agg, sched.theta)
+        rho = (dc.l_f - dc.mu_f) / (dc.l_f + dc.mu_f)
+        radius = fro_norm(x_star)  # the distance of the zero start
+        assert len(dists) == 201 and not np.isnan(dists).any()
         prev = math.inf
-        for k, x in enumerate(xref.xs):
-            dist = fro_norm(x - xref.x_star)
-            assert dist <= rho**k * xref.radius + 1e-10
+        for k, dist in enumerate(dists):
+            assert dist <= rho**k * radius + 1e-10
             assert dist <= prev + 1e-12
             prev = dist
 
@@ -242,16 +247,14 @@ class TestXSpaceEquivalence:
         rng = np.random.default_rng(14)
         agg = random_instance(rng, 5, 3)
         sched = GraphSchedule(40, ((0, gen_topology("cycle", 5)),))
-        for method in ("nesterov", "gd"):
-            xs = run_xspace_reference(agg, sched, method=method).xs
-            norms = [math.sqrt(np.dot(x.ravel(), x.ravel())) for x in xs]
-            # the first six iterates stay inside the bound, a later one leaves it
-            limit = max(norms[:6])
-            k = next(k for k, norm in enumerate(norms) if norm > limit)
-            monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", limit)
-            with pytest.raises(ValueError, match=f"^x-space {method} run diverged at iteration {k}$"):
-                run_xspace_reference(agg, sched, method=method)
-            monkeypatch.undo()
+        xs = run_xspace_reference(agg, sched).xs
+        norms = [math.sqrt(np.dot(x.ravel(), x.ravel())) for x in xs]
+        # the first six iterates stay inside the bound, a later one leaves it
+        limit = max(norms[:6])
+        k = next(k for k, norm in enumerate(norms) if norm > limit)
+        monkeypatch.setattr(dvopt.algorithms, "_DIVERGENCE_LIMIT", limit)
+        with pytest.raises(ValueError, match=f"^x-space nesterov run diverged at iteration {k}$"):
+            run_xspace_reference(agg, sched)
 
     def test_min_norm_solution_is_stationary(self):
         rng = np.random.default_rng(13)
@@ -484,7 +487,6 @@ _TWO_EPOCHS = GraphSchedule(10, ((0, gen_topology("path", 2)), (5, gen_topology(
 _BAD_INPUTS = [
     (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, record_every=0), "record_every must be >= 1"),
     (lambda: run_diging(two_agent_instance(), _STATIC, stepsize=0.0), "stepsize must be positive"),
-    (lambda: run_xspace_reference(two_agent_instance(), _STATIC, method="heavy_ball"), "method must be 'nesterov' or 'gd'"),
     (lambda: run_distributed_nesterov(two_agent_instance(), _STATIC, max_iter=2.5), "max_iter must be an integer, got 2.5"),
     (lambda: run_dual_gradient(two_agent_instance(), _STATIC, max_iter="3"), "max_iter must be an integer, got '3'"),
     (lambda: run_diging(two_agent_instance(), _STATIC, max_iter=True), "max_iter must be an integer, got True"),

@@ -166,7 +166,7 @@ class TestExecute:
             tmp_path, objective={"kind": "dataset", "path": str(data), "n": 2, "c": 0.5}
         )
         agg = cli._build_objective(ExperimentConfig.from_dict(raw))
-        dense, labels = load_sparse_labeled(data).to_dense()
+        dense, labels = load_sparse_labeled(data)
         order = np.random.default_rng(cli._derive_seed(3, cli._SEED_DATA)).permutation(7)
         assert agg.n == 2
         for i, local in enumerate(agg.locals):

@@ -625,6 +625,14 @@ class TestMixing:
             want = max(want, math.sqrt(max(eig_sym(diff.T @ diff).eigenvalues[-1], 0.0)))
         assert mixing_delta(s, b) == want
 
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_delta_cost_follows_epochs_not_horizon(self, b):
+        # epochs longer than the window give the same windows at any horizon
+        a, c = gen_topology("path", 4), gen_topology("star", 4)
+        huge = GraphSchedule(10**20, ((0, a), (10**19, c)))
+        small = GraphSchedule(100, ((0, a), (50, c)))
+        assert mixing_delta(huge, b) == mixing_delta(small, b)
+
 
 # Values no numeric, kind or epoch field accepts.
 _JUNK = st.one_of(

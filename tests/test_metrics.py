@@ -146,13 +146,6 @@ class TestPotential:
             else:
                 assert r.delta_psi_scaled <= 1e-9 * r.psi_scaled
 
-    def test_requires_accelerated_trace(self):
-        agg, top_a, _ = common_minimizer_instance(4, 2, seed=3)
-        sched = GraphSchedule(10, ((0, top_a),))
-        xref = run_xspace_reference(agg, sched, max_iter=10, method="gd")
-        with pytest.raises(ValueError):
-            potential_trace(xref, 2.0, 1.0, 0.0)
-
     def test_kappa_one_rejected(self):
         agg, top_a, _ = common_minimizer_instance(4, 2, seed=4)
         sched = GraphSchedule(10, ((0, top_a),))

@@ -281,23 +281,23 @@ class TestParser:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("+1 3:0.5 7:1\n")
-        ds = load_sparse_labeled(p)
-        assert ds.labels == (1.0,)
-        assert ds.samples == ({3: 0.5, 7: 1.0},)
-        assert ds.dimension == 7
+        samples, labels = load_sparse_labeled(p)
+        assert np.array_equal(labels, [1.0])
+        # seven columns, the largest index
+        assert np.array_equal(samples, [[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0]])
 
     def test_label_only_line(self, tmp_path):
         p = tmp_path / "b.txt"
         p.write_text("-1\n")
-        ds = load_sparse_labeled(p)
-        assert ds.labels == (-1.0,)
-        assert ds.samples == ({},)
+        samples, labels = load_sparse_labeled(p)
+        assert np.array_equal(labels, [-1.0])
+        assert samples.shape == (1, 0)
 
     def test_zero_one_labels(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("0 1:2\n1 2:3\n")
-        ds = load_sparse_labeled(p)
-        assert ds.labels == (-1.0, 1.0)
+        _, labels = load_sparse_labeled(p)
+        assert np.array_equal(labels, [-1.0, 1.0])
 
     @pytest.mark.parametrize(
         "line",
@@ -324,7 +324,7 @@ class TestParser:
     def test_dense_conversion(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("+1 1:2 3:1\n-1 2:5\n")
-        dense, labels = load_sparse_labeled(p).to_dense()
+        dense, labels = load_sparse_labeled(p)
         assert np.array_equal(dense, [[2.0, 0.0, 1.0], [0.0, 5.0, 0.0]])
         assert np.array_equal(labels, [1.0, -1.0])
 

@@ -147,7 +147,7 @@ def ref_diging_records(agg, schedule, max_iter, record_every, stepsize):
     return out
 
 
-def ref_xspace(agg, schedule, max_iter, method):
+def ref_xspace(agg, schedule, max_iter):
     """The matrix-space loop valued one iterate at a time, as before the shared driver.
 
     Returns the iterates, each one's epoch (the final iterate's is the epoch
@@ -155,7 +155,7 @@ def ref_xspace(agg, schedule, max_iter, method):
     through ``dual_value`` and the root of each epoch.
     """
     dc = dual_constants(agg, schedule.theta)
-    l_f, mu_f = dc.l_f, dc.mu_f
+    l_f = dc.l_f
     beta, tau = _momentum(dc.kappa), 1.0 / (math.sqrt(dc.kappa) + 1.0)
     sqrt_ws = [sqrt_psd(laplacian(t)) for _, t in schedule.epochs]
     epoch_of = [schedule.epoch_index(k) for k in range(max_iter + 1)]
@@ -164,14 +164,10 @@ def ref_xspace(agg, schedule, max_iter, method):
     for k in range(max_iter):
         sw = sqrt_ws[epoch_of[k]]
         g = -(agg.conj_argmax_cols(-(x @ sw)) @ sw)
-        if method == "gd":
-            x = x - (2.0 / (l_f + mu_f)) * g
-            y = z = x
-        else:
-            y_next = x - g / l_f
-            x = (1.0 + beta) * y_next - beta * y
-            y = y_next
-            z = x / tau - ((1.0 - tau) / tau) * y
+        y_next = x - g / l_f
+        x = (1.0 + beta) * y_next - beta * y
+        y = y_next
+        z = x / tau - ((1.0 - tau) / tau) * y
         xs.append(x)
         ys.append(y)
         zs.append(z)
@@ -266,18 +262,16 @@ def assert_rows_match(rows, reference):
             assert same_float(a, b) if isinstance(b, float) else a == b, (row.iter, f.name)
 
 
-def assert_xspace_matches(agg, schedule, max_iter, method):
+def assert_xspace_matches(agg, schedule, max_iter):
     """A reference run's trace, residuals and potential rows against the per-iterate loop."""
     f_star = -centralized_solve(agg)[1]
-    xref = run_xspace_reference(agg, schedule, max_iter=max_iter, method=method)
-    xs, ys, zs, epoch_of, values, sqrt_ws = ref_xspace(agg, schedule, max_iter, method)
+    xref = run_xspace_reference(agg, schedule, max_iter=max_iter)
+    xs, ys, zs, epoch_of, values, sqrt_ws = ref_xspace(agg, schedule, max_iter)
     assert xref.epoch_of == epoch_of
     assert xref.residuals(f_star).tobytes() == np.array([v - f_star for v in values]).tobytes()
     for got, want in ((xref.xs, xs), (xref.ys, ys), (xref.zs, zs), (xref.sqrt_ws, sqrt_ws)):
         assert len(got) == len(want) and all(map(same_array, got, want))
-    if method == "gd":  # one array per iterate, as x = y = z
-        assert all(x is y is z for x, y, z in zip(xref.xs, xref.ys, xref.zs))
-    elif xref.kappa > 1.0:
+    if xref.kappa > 1.0:
         by_iterate = dataclasses.replace(
             xref, xs=xs, ys=ys, zs=zs, epoch_of=epoch_of, values=np.array(values), sqrt_ws=sqrt_ws
         )
@@ -335,28 +329,22 @@ def criterion_3(seed):
 
 
 def xspace_cases():
-    """(aggregate, schedule, max_iter, method) by name."""
+    """(aggregate, schedule, max_iter) by name."""
     quad, tops = common_minimizer_instance(5, 3, 7, 30.0)
     c5, c5_tops = common_minimizer_instance(4, 2, 4, 16.0)
     logistic = gen_logistic_instance(5, 4, 3, c=0.1, seed=2)
-    ridge = gen_ridge_instance(6, 3, 4, seed=3)
     # epochs start at 40 and 70: a run cut there ends where an epoch starts
     three = GraphSchedule(100, ((0, tops[0]), (40, tops[1]), (70, tops[0])))
     cases = {
-        "criterion 3, seed 3": (*criterion_3(3), 500, "nesterov"),
-        "criterion 3, seed 6": (*criterion_3(6), 500, "nesterov"),
+        "criterion 3, seed 3": (*criterion_3(3), 500),
+        "criterion 3, seed 6": (*criterion_3(6), 500),
         "criterion 5, seed 4": (
-            c5, GraphSchedule(80, ((0, c5_tops[0]), (25, c5_tops[1]), (50, c5_tops[0]))), 80, "nesterov"
+            c5, GraphSchedule(80, ((0, c5_tops[0]), (25, c5_tops[1]), (50, c5_tops[0]))), 80
         ),
-        "gd on ridge": (
-            ridge, GraphSchedule(200, ((0, gen_topology("erdos_renyi", 6, {"p": 0.7}, seed=3)),)), 200, "gd"
-        ),
-        "logistic, cut at 40": (logistic, three, 40, "nesterov"),
-        "logistic, gd": (logistic, three, 100, "gd"),
+        "logistic, cut at 40": (logistic, three, 40),
     }
     for k in (39, 40, 41, 70, 100):
-        for method in ("nesterov", "gd"):
-            cases[f"cut at {k}, {method}"] = (quad, three, k, method)
+        cases[f"cut at {k}, nesterov"] = (quad, three, k)
     return cases
 
 
@@ -427,9 +415,9 @@ class TestXSpaceRecords:
         assert_xspace_matches(*XSPACE_CASES[case])
 
     @settings(max_examples=25)
-    @given(aggregates(), st.integers(1, 40), st.integers(1, 7), st.sampled_from(("nesterov", "gd")))
-    def test_any_aggregate_and_block_fill(self, agg, max_iter, period, method):
-        assert_xspace_matches(agg, schedule_for(agg, period, 40), max_iter, method)
+    @given(aggregates(), st.integers(1, 40), st.integers(1, 7))
+    def test_any_aggregate_and_block_fill(self, agg, max_iter, period):
+        assert_xspace_matches(agg, schedule_for(agg, period, 40), max_iter)
 
 
 class TestMetricBlocks:
