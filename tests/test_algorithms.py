@@ -50,6 +50,27 @@ def random_instance(rng, n, d, scale_spread=4.0):
     return AggregateObjective(locs)
 
 
+def dual_gd_cases():
+    """(aggregate, single-epoch schedule, max_iter, record_every) by name."""
+    quad = random_instance(np.random.default_rng(15), 5, 3)
+    cycle = GraphSchedule(100, ((0, gen_topology("cycle", 5)),))
+    er = gen_topology("erdos_renyi", 6, {"p": 0.7}, seed=3)
+    cases = {
+        "gd on ridge": (gen_ridge_instance(6, 3, 4, seed=3), GraphSchedule(200, ((0, er),)), 200, 1),
+        "logistic, gd": (
+            gen_logistic_instance(5, 4, 3, c=0.1, seed=2),
+            GraphSchedule(100, ((0, gen_topology("complete", 5)),)), 100, 1,
+        ),
+    }
+    # recorded every 3 iterations, a cut run's last record falls on or off the stride
+    for k in (39, 40, 41, 70, 100):
+        cases[f"cut at {k}, gd"] = (quad, cycle, k, 3)
+    return cases
+
+
+DUAL_GD_CASES = dual_gd_cases()
+
+
 class TestHandRecursions:
     def test_nesterov_two_path_one_step(self):
         agg = two_agent_instance()
@@ -242,6 +263,25 @@ class TestXSpaceEquivalence:
             assert dist <= rho**k * radius + 1e-10
             assert dist <= prev + 1e-12
             prev = dist
+
+    @pytest.mark.parametrize("case", list(DUAL_GD_CASES))
+    def test_x_dist_is_the_matrix_space_gd_distance(self, case):
+        # On a static graph dual GD is matrix-space GD on Phi*(-X sqrt(W)),
+        # step 2/(L+mu) from X = 0: each record's x_dist is ||X_k - X*||_F
+        agg, sched, max_iter, record_every = DUAL_GD_CASES[case]
+        x_star = solve_dual_min_norm(agg, sched)
+        trace = run_dual_gradient(agg, sched, max_iter=max_iter, record_every=record_every, x_star=x_star)
+        dc = dual_constants(agg, sched.theta)
+        sw = sqrt_psd(laplacian(sched.epochs[0][1]))
+        x = np.zeros_like(x_star)
+        dists = []
+        for _ in range(max_iter + 1):
+            dists.append(fro_norm(x - x_star))
+            x = x + (2.0 / (dc.l_f + dc.mu_f)) * (agg.conj_argmax_cols(-(x @ sw)) @ sw)
+        assert trace.iter.tolist() == [*range(0, max_iter, record_every), max_iter]
+        want = np.array([dists[k] for k in trace.iter.tolist()])
+        assert not np.isnan(trace.x_dist).any()
+        assert np.max(np.abs(trace.x_dist - want)) <= 1e-12 * fro_norm(x_star)
 
     def test_divergence_stops_at_the_shared_bound(self, monkeypatch):
         rng = np.random.default_rng(14)
