@@ -75,7 +75,7 @@ for k in (0, 10, 39, 40, 60, 79, 80, 100, 120):
 print(f"worst bound/measured margin at sampled iterations: {worst_margin:.1f}x")
 print()
 
-rows = potential_trace(xref, xref.l_f, xref.mu_f, f_star)
+rows = potential_trace(xref, f_star)
 grew = [r.iter for r in rows[:-1] if not r.at_change and r.delta_psi_scaled > 1e-9 * r.psi_scaled]
 print(f"potential grew between changes at {len(grew)} iterations (expected: 0)")
 

@@ -34,7 +34,7 @@ runs = {
 
 print(f"{'iter':>6}" + "".join(f"{name:>20}" for name in runs))
 tables = {name: compute_metrics(tr, agg, oracle) for name, tr in runs.items()}
-for idx in range(len(tables["dual gradient"])):
+for idx in range(len(tables["dual gradient"].iter)):
     row_iter = tables["dual gradient"][idx].iter
     cells = []
     for name in runs:

@@ -30,13 +30,14 @@ record: ``iter``, ``epoch`` and ``message_count`` int arrays and
 ``dual_value``, ``consensus_dist``, ``primal_value`` and ``x_dist``
 float arrays; the metrics read only these, and no trace keeps a state
 array.  Records are evaluated in blocks: the loop copies each recorded
-state into a block of up to 16 records and evaluates the whole block's
-dual values, consensus distances and aggregate values at the agent
-average in one pass, with the bits a record-by-record evaluation gives,
-straight into the columns.  ``RunTrace.records`` gives the rows as
-:class:`TraceRecord` objects, built from the columns on first read, and
-no code in the package reads them.  Step sizes come from the schedule's
-spectra, computed once per distinct topology.
+state, in its own memory order, into a block of up to 16 records and
+evaluates the whole block's dual values, consensus distances and
+aggregate values at the agent average in one pass, with the bits a
+record-by-record evaluation gives, straight into the columns.
+``RunTrace.records`` gives the rows as :class:`TraceRecord` objects,
+built from the columns on first read, and no code in the package reads
+them.  Step sizes come from the schedule's spectra, computed once per
+distinct topology.
 """
 
 from __future__ import annotations
@@ -168,18 +169,23 @@ class RunTrace:
         return list(map(TraceRecord, *columns))
 
 
-def _consensus_dists(block: np.ndarray, agent_axis: int) -> np.ndarray:
-    """Frobenius distance of each entry of a block from its agent average.
+def _consensus_dists(block: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each (d, n) entry of a block from its agent average.
 
-    Entries are (d, n) arrays with ``agent_axis`` 2 or, stored as their
-    (n, d) transposes, with ``agent_axis`` 1.  The block is C-contiguous
-    and each entry is stored in its recorded array's memory order, so the
-    mean and the sum of squares run in the order they would run on that
-    array alone and the bits do not depend on the block.  The block is
-    overwritten with the squared deviations.
+    Each entry is stored in its recorded array's memory order, and numpy
+    reduces in memory order, so the mean and the sum of squares run as
+    they would on that array alone and the bits do not depend on the
+    block.  The block is overwritten with the squared deviations.
     """
-    block -= block.mean(axis=agent_axis, keepdims=True)
-    return np.sqrt(np.square(block, out=block).reshape(len(block), -1).sum(axis=1))
+    block -= block.mean(axis=2, keepdims=True)
+    return np.sqrt(np.square(block, out=block).sum(axis=(1, 2)))
+
+
+def _block_like(a: np.ndarray, size: int) -> np.ndarray:
+    """Empty block of ``size`` entries shaped as ``a``, each in C order if ``a`` is, else F order."""
+    if a.flags.c_contiguous:
+        return np.empty((size, *a.shape))
+    return np.empty((size, *a.shape[::-1])).transpose(0, 2, 1)
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -214,7 +220,8 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     divergence check reads, before every step and on the final state;
     the run aborts exactly when its last row is the abort row.
     Recorded states are copied into a block of up to ``_BLOCK`` records,
-    one array per state array allocated once per run, and
+    one array per state array allocated once per run and laid out as the
+    first array recorded in it, and
     ``evaluate(rows)`` turns the filled rows into the block's dual values,
     consensus distances, primal values and x distances (arrays, or one
     value for every row), in one pass that may overwrite the rows: when
@@ -242,7 +249,7 @@ def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
     def keep(state):
         nonlocal held
         if not rows:
-            rows.extend(np.empty((min(_BLOCK, size), *a.shape)) for a in state)
+            rows.extend(_block_like(a, min(_BLOCK, size)) for a in state)
         for buf, a in zip(rows, state):
             buf[held] = a
         held += 1
@@ -351,7 +358,6 @@ class _DualMethod:
         self.agg = agg
         self.z = np.zeros((agg.dim, agg.n))
         self.zt = np.zeros((agg.dim, agg.n))
-        self.y_transposed = None  # set by the first recorded argmax
         self.y_final = None  # the final state's argmax, set by look()
 
     @property
@@ -362,21 +368,12 @@ class _DualMethod:
     def operator(topo):
         return laplacian(topo), topo.directed_pairs()
 
-    def _state(self, y):
-        # An aggregate holds one family, so every argmax of a run has one
-        # layout: a quadratic one comes out in Fortran order, a logistic one
-        # C-contiguous.  The block then keeps y transposed, a plain copy in
-        # y's own memory order, which the value and consensus reductions need.
-        if self.y_transposed is None:
-            self.y_transposed = not y.flags.c_contiguous
-        return self.z, y.T if self.y_transposed else y
-
     # The driver checks z before every step and look(), and _finite is False
     # for any NaN or inf, so both call the family kernels without
     # conj_argmax_cols' second finite pass.
     def step(self, w, record):
         y = self.agg._stack.conj_argmax(self.z.T).T
-        state = self._state(y) if record else None
+        state = (self.z, y) if record else None
         zt_next = self.z - self.step_size * (y @ w)
         self.z = (1.0 + self.beta) * zt_next - self.beta * self.zt
         self.zt = zt_next
@@ -384,17 +381,14 @@ class _DualMethod:
 
     def look(self):
         self.y_final = self.agg._stack.conj_argmax(self.z.T).T
-        return self._state(self.y_final)
+        return self.z, self.y_final
 
     def evaluate(self, rows):
         zs, ys = rows
-        cols = ys.transpose(0, 2, 1) if self.y_transposed else ys
-        duals = self.agg.dual_value_batch(zs, cols)
-        # The mean runs on a C-contiguous block as on each record alone: a
-        # logistic block already is one, a transposed quadratic one is copied
-        y_tildes = cols.copy() if self.y_transposed else cols
-        values = self.agg.value_consensus_batch(y_tildes.mean(axis=2))
-        dists = _consensus_dists(ys, 1 if self.y_transposed else 2)
+        duals = self.agg.dual_value_batch(zs, ys)
+        # the mean runs on a C copy, as on each record's C copy alone
+        values = self.agg.value_consensus_batch(np.ascontiguousarray(ys).mean(axis=2))
+        dists = _consensus_dists(ys)
         if self.x_star is None:
             return duals, dists, values, math.nan
         # one product per C-contiguous z row, as on that z alone
@@ -479,7 +473,7 @@ class _DIGingMethod:
         (xs,) = rows
         # the block is C-contiguous, so the mean runs as on each record alone
         values = self.agg.value_consensus_batch(xs.mean(axis=2))
-        dists = _consensus_dists(xs, 2)  # x is always in C order
+        dists = _consensus_dists(xs)
         return math.nan, dists, values, math.nan
 
     def final_state(self, final_iter):

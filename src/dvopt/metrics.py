@@ -5,8 +5,8 @@ centralized optimum of the separable objective (linear consensus
 constraints, so strong duality holds); every residual here is measured
 against that reference.  :func:`compute_metrics` reads only a trace's
 columns, which the runners evaluate in blocks, and returns columns: a
-:class:`MetricTable`, which builds :class:`MetricRow` objects only when
-indexed or iterated.  :func:`emit` takes a table and a path and formats
+:class:`MetricTable`, which builds a :class:`MetricRow` only when
+indexed.  :func:`emit` takes a table and a path and formats
 every CSV row in one %-format over the table's columns as Python lists.
 Both give the bytes a record-by-record evaluation gives.
 """
@@ -14,13 +14,12 @@ Both give the bytes a record-by-record evaluation gives.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
 
-from .algorithms import RunTrace, XSpaceTrace
+from .algorithms import _KAPPA_DEGENERATE_TOL, RunTrace, XSpaceTrace
 from .linalg import fro_norm
 from .objectives import AggregateObjective
 
@@ -54,11 +53,10 @@ CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True, repr=False, eq=False)
-class MetricTable(Sequence):
+class MetricTable:
     """The metric rows of one trace as columns, one array per MetricRow field.
 
-    ``len()``, indexing and iteration give :class:`MetricRow` objects of
-    Python numbers, built when asked.
+    ``table[i]`` gives row i as a :class:`MetricRow` of Python numbers.
     """
 
     iter: np.ndarray
@@ -73,19 +71,8 @@ class MetricTable(Sequence):
         """Every column as a Python list, in CSV order."""
         return [getattr(self, name).tolist() for name in _COLUMNS]
 
-    def __len__(self) -> int:
-        return len(self.iter)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
+    def __getitem__(self, i: int) -> MetricRow:
         return MetricRow(*(getattr(self, name)[i].item() for name in _COLUMNS))
-
-    def __iter__(self):
-        return map(MetricRow, *self.columns())
-
-    def __repr__(self) -> str:
-        return f"MetricTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -150,18 +137,19 @@ def agentwise_primal_gap(y_tilde: np.ndarray, agg: AggregateObjective, phi_star:
     return agg.value_cols(y_tilde) - float(phi_star)
 
 
-def potential_trace(
-    xref: XSpaceTrace, l_smooth: float, mu: float, f_star: float
-) -> list[PotentialRow]:
+def potential_trace(xref: XSpaceTrace, f_star: float) -> list[PotentialRow]:
     """Potential diagnostics along an accelerated matrix-space run.
 
     psi_k = (1+gamma)^k (f_k(y_k) - f_star + mu/2 ||z_k - x_star||^2)
-    with gamma = 1/(sqrt(kappa)-1).  Between graph changes the potential
-    cannot grow; at a change the admissible jump is controlled by the
-    function-change bound, reported via ``change_bound_scaled``.
+    with gamma = 1/(sqrt(kappa)-1), from the run's own L, mu and kappa.
+    Between graph changes the potential cannot grow; at a change the
+    admissible jump is controlled by the function-change bound, reported
+    via ``change_bound_scaled``.  A weight (1+gamma)^k past the float
+    range is inf.  A kappa within 1e-12 of 1, where the run took plain
+    gradient steps, raises ValueError.
     """
-    kappa = l_smooth / mu
-    if kappa <= 1.0:
+    l_smooth, mu, kappa = xref.l_f, xref.mu_f, xref.kappa
+    if kappa < 1.0 + _KAPPA_DEGENERATE_TOL:
         raise ValueError("potential undefined for kappa <= 1")
     gamma = 1.0 / (math.sqrt(kappa) - 1.0)
     n_points = len(xref.ys)
@@ -170,7 +158,10 @@ def potential_trace(
 
     rows = []
     for k in range(n_points):
-        weight = (1.0 + gamma) ** k
+        try:
+            weight = (1.0 + gamma) ** k
+        except OverflowError:
+            weight = math.inf
         # the last point has no successor: NaN differences and no change
         delta_scaled, at_change, change_bound = math.nan, False, None
         if k + 1 < n_points:

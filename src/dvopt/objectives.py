@@ -522,7 +522,7 @@ class AggregateObjective:
     def value_cols_batch(self, ys: np.ndarray) -> np.ndarray:
         """Phi(Y) of each entry of a (R, d, n) batch."""
         rows = np.asarray(ys, dtype=float).transpose(0, 2, 1)
-        # a run's transposed y block is already C-contiguous, so this copies nothing
+        # a quadratic run's y block holds F-ordered entries, so this copies nothing
         return self._stack.value(np.ascontiguousarray(rows))
 
     def value_consensus(self, point: np.ndarray) -> float:

@@ -21,7 +21,6 @@ from dvopt.algorithms import (
 )
 from dvopt.graphs import (
     GraphSchedule,
-    Topology,
     alternating_schedule,
     gen_topology,
     laplacian,
@@ -37,6 +36,7 @@ from dvopt.objectives import (
     dual_constants,
 )
 from dvopt.theory import alg1_complexity, diging_rates, panda_rates
+from instances import common_minimizer_instance
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -58,36 +58,6 @@ def random_quadratic_aggregate(rng, n, d, scale_lo=1.0, scale_hi=4.0):
         for _ in range(n)
     )
     return AggregateObjective(locs)
-
-
-def common_minimizer_pair(n):
-    """Complete graph and weight-n star: both map any matrix with rows
-    vanishing on the star center and summing to zero over the leaves by
-    the same factor sqrt(n), so schedules mixing them share an exact dual
-    minimizer."""
-    top_a = gen_topology("complete", n)
-    star = gen_topology("star", n)
-    top_b = Topology(n, star.edges, (float(n),) * len(star.edges))
-    return top_a, top_b
-
-
-def common_minimizer_instance(n, d, seed, c_max):
-    rng = np.random.default_rng(seed)
-    top_a, top_b = common_minimizer_pair(n)
-    raw = rng.standard_normal((d, n))
-    raw[:, 0] = 0.0
-    raw -= raw[:, 1:].mean(axis=1, keepdims=True)
-    raw[:, 0] = 0.0
-    x_star = raw
-    y_star = rng.standard_normal(d)
-    g_star = -math.sqrt(n) * x_star
-    cs = rng.uniform(1.0, c_max, size=n)
-    cs[0], cs[-1] = 1.0, c_max
-    locs = tuple(
-        QuadraticObjective.from_offset(y_star - g_star[:, i] / cs[i], scale=float(cs[i]))
-        for i in range(n)
-    )
-    return AggregateObjective(locs), top_a, top_b, x_star
 
 
 # -- criteria ------------------------------------------------------------------
@@ -218,7 +188,7 @@ def test_criterion_05_potential_diagnostics():
         sched = GraphSchedule(horizon, epochs)
         xref = run_xspace_reference(agg, sched, max_iter=horizon)
         _, phi_star = centralized_solve(agg)
-        rows = potential_trace(xref, xref.l_f, xref.mu_f, -phi_star)
+        rows = potential_trace(xref, -phi_star)
         kappa = xref.l_f / xref.mu_f
         gamma = 1.0 / (math.sqrt(kappa) - 1.0)
         ok &= rows[0].psi <= 0.5 * (xref.l_f + xref.mu_f) * xref.radius**2 + 1e-9
@@ -264,8 +234,7 @@ def test_criterion_06_primal_from_dual():
         ys = nesterov_argmaxes(agg, sched, 140)
         # the recursion is the run's: the same final argmax, bit for bit
         assert ys[-1].tobytes() == trace.final_state.y_tilde.tobytes()
-        for y_tilde, row in zip(ys, rows, strict=True):
-            eps = row.dual_residual
+        for y_tilde, eps in zip(ys, rows.dual_residual.tolist(), strict=True):
             if eps <= 0:
                 continue
             checked += 1

@@ -19,7 +19,6 @@ from dvopt.algorithms import (
 )
 from dvopt.graphs import GraphSchedule, Topology, alternating_schedule, gen_topology, laplacian
 from dvopt.linalg import fro_norm, pinv_sqrt_psd, project_consensus_orth, sqrt_psd
-from dvopt.metrics import compute_metrics
 from dvopt.objectives import (
     AggregateObjective,
     QuadraticObjective,

@@ -1,6 +1,5 @@
 """Experiment runner: configs, determinism, bound parity, exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -23,7 +22,7 @@ from dvopt.cli import (
     sweep,
 )
 from dvopt.graphs import GraphSchedule, gen_topology, laplacian
-from dvopt.linalg import pinv_sqrt_psd, project_consensus_orth
+from dvopt.linalg import pinv_sqrt_psd
 from dvopt.objectives import LogisticObjective, dual_constants, gen_ridge_instance, load_sparse_labeled
 
 

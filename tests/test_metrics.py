@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dvopt.algorithms import run_distributed_nesterov, run_xspace_reference
-from dvopt.graphs import GraphSchedule, Topology, gen_topology
+from dvopt.graphs import GraphSchedule, gen_topology
 from dvopt.metrics import (
     _CSV_ROW,
     CSV_HEADER,
@@ -24,6 +24,7 @@ from dvopt.metrics import (
     potential_trace,
 )
 from dvopt.objectives import AggregateObjective, QuadraticObjective, centralized_solve
+from instances import common_minimizer_instance
 
 
 def hand_instance():
@@ -33,27 +34,6 @@ def hand_instance():
             QuadraticObjective.from_offset(np.array([1.0])),
         )
     )
-
-
-def common_minimizer_instance(n, d, seed, c_max=16.0):
-    """Complete graph + weight-n star sharing an exact dual minimizer."""
-    rng = np.random.default_rng(seed)
-    top_a = gen_topology("complete", n)
-    star = gen_topology("star", n)
-    top_b = Topology(n, star.edges, (float(n),) * len(star.edges))
-    raw = rng.standard_normal((d, n))
-    raw[:, 0] = 0.0
-    raw -= raw[:, 1:].mean(axis=1, keepdims=True)
-    raw[:, 0] = 0.0
-    y_star = rng.standard_normal(d)
-    g_star = -math.sqrt(n) * raw
-    cs = rng.uniform(1.0, c_max, size=n)
-    cs[0], cs[-1] = 1.0, c_max
-    locs = tuple(
-        QuadraticObjective.from_offset(y_star - g_star[:, i] / cs[i], scale=float(cs[i]))
-        for i in range(n)
-    )
-    return AggregateObjective(locs), top_a, top_b
 
 
 class TestComputeMetrics:
@@ -121,11 +101,11 @@ class TestComputeMetrics:
 class TestPotential:
     def test_static_run_monotone(self):
         # conditioning keeps the potential above its floating-point floor
-        agg, top_a, _ = common_minimizer_instance(4, 2, seed=1, c_max=49.0)
+        agg, top_a, _, _ = common_minimizer_instance(4, 2, seed=1, c_max=49.0)
         sched = GraphSchedule(60, ((0, top_a),))
         xref = run_xspace_reference(agg, sched, max_iter=60)
         _, phi_star = centralized_solve(agg)
-        rows = potential_trace(xref, xref.l_f, xref.mu_f, -phi_star)
+        rows = potential_trace(xref, -phi_star)
         assert rows[0].psi <= 0.5 * (xref.l_f + xref.mu_f) * xref.radius**2 + 1e-9
         for r in rows[:-1]:
             assert not r.at_change
@@ -133,11 +113,11 @@ class TestPotential:
             assert r.psi_scaled >= 0.0
 
     def test_changes_bounded_by_function_jump(self):
-        agg, top_a, top_b = common_minimizer_instance(5, 2, seed=2)
+        agg, top_a, top_b, _ = common_minimizer_instance(5, 2, seed=2, c_max=16.0)
         sched = GraphSchedule(90, ((0, top_a), (30, top_b), (60, top_a)))
         xref = run_xspace_reference(agg, sched, max_iter=90)
         _, phi_star = centralized_solve(agg)
-        rows = potential_trace(xref, xref.l_f, xref.mu_f, -phi_star)
+        rows = potential_trace(xref, -phi_star)
         change_rows = [r for r in rows if r.at_change]
         assert [r.iter for r in change_rows] == [29, 59]
         for r in rows[:-1]:
@@ -147,11 +127,37 @@ class TestPotential:
                 assert r.delta_psi_scaled <= 1e-9 * r.psi_scaled
 
     def test_kappa_one_rejected(self):
-        agg, top_a, _ = common_minimizer_instance(4, 2, seed=4)
-        sched = GraphSchedule(10, ((0, top_a),))
+        sched = GraphSchedule(10, ((0, gen_topology("path", 2)),))
+        xref = run_xspace_reference(hand_instance(), sched, max_iter=10)
+        assert xref.kappa == 1.0
+        with pytest.raises(ValueError, match="potential undefined for kappa <= 1"):
+            potential_trace(xref, 0.0)
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_kappa_within_rounding_of_one_rejected(self, n):
+        # the run took plain steps: sqrt(kappa) - 1 is 0 at n = 5, about 2e-16 at n = 4
+        agg = AggregateObjective(tuple(QuadraticObjective.from_offset([float(i)]) for i in range(n)))
+        sched = GraphSchedule(10, ((0, gen_topology("complete", n)),))
         xref = run_xspace_reference(agg, sched, max_iter=10)
-        with pytest.raises(ValueError):
-            potential_trace(xref, 1.0, 1.0, 0.0)
+        assert 1.0 < xref.kappa < 1.0 + 1e-12
+        with pytest.raises(ValueError, match="potential undefined for kappa <= 1"):
+            potential_trace(xref, -centralized_solve(agg)[1])
+
+    def test_long_run_weights_overflow_to_inf(self):
+        # kappa = 2.5, so (1 + gamma)^k leaves the float range at k = 710
+        rng = np.random.default_rng(0)
+        agg = AggregateObjective(tuple(
+            QuadraticObjective.from_offset(rng.standard_normal(2), scale=s) for s in (1.0, 1.5, 2.0, 2.5)
+        ))
+        sched = GraphSchedule(2000, ((0, gen_topology("complete", 4)),))
+        xref = run_xspace_reference(agg, sched)
+        assert xref.kappa == pytest.approx(2.5)
+        rows = potential_trace(xref, -centralized_solve(agg)[1])
+        assert len(rows) == 2001
+        assert all(math.isfinite(r.psi_scaled) for r in rows)
+        assert all(math.isfinite(r.delta_psi_scaled) for r in rows[:-1])
+        assert all(math.isfinite(r.psi) for r in rows[:710])
+        assert all(math.isinf(r.psi) for r in rows[710:])
 
 
 def _gamma(xref):
@@ -270,9 +276,8 @@ class TestEmit:
     def test_table_rows_are_python_numbers(self):
         table = MetricTable(*(np.array([1, 2]),) * 2, *(np.array([0.5, -0.0]),) * 4, np.array([3, 0]))
         rows = [MetricRow(1, 1, 0.5, 0.5, 0.5, 0.5, 3), MetricRow(2, 2, -0.0, -0.0, -0.0, -0.0, 0)]
-        assert len(table) == 2 and list(table) == rows and table[-1] == rows[-1] and table[:1] == rows[:1]
-        assert all(type(v) in (int, float) for row in table for v in vars(row).values())
-        assert repr(table) == f"MetricTable({rows!r})"
+        assert table[0] == rows[0] and table[1] == rows[1] and table[-1] == rows[-1]
+        assert all(type(v) in (int, float) for i in (0, 1) for v in vars(table[i]).values())
 
     def test_io_error_surfaces_path(self):
         with pytest.raises(OSError, match="no/such/dir"):

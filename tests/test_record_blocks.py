@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from dvopt.algorithms import (
     _BLOCK,
+    _block_like,
+    _consensus_dists,
     _momentum,
     default_diging_stepsize,
     run_diging,
@@ -29,17 +31,11 @@ from dvopt.algorithms import (
     run_dual_gradient,
     run_xspace_reference,
 )
-from dvopt.graphs import GraphSchedule, Topology, alternating_schedule, gen_topology, laplacian, mixing_matrix
+from dvopt.graphs import GraphSchedule, alternating_schedule, laplacian, mixing_matrix
 from dvopt.linalg import pinv_sqrt_psd, sqrt_psd
 from dvopt.metrics import MetricRow, compute_metrics, potential_trace
-from dvopt.objectives import (
-    AggregateObjective,
-    QuadraticObjective,
-    centralized_solve,
-    dual_constants,
-    gen_logistic_instance,
-    gen_ridge_instance,
-)
+from dvopt.objectives import centralized_solve, dual_constants, gen_logistic_instance, gen_ridge_instance
+from instances import common_minimizer_instance
 
 # ---------------------------------------------------------------------------
 # Per-record arithmetic: one record at a time, as before record blocks.
@@ -255,11 +251,14 @@ def assert_states_match(cut, reference):
 
 
 def assert_rows_match(rows, reference):
-    assert len(rows) == len(reference)
-    for row, ref in zip(rows, reference):
+    """``rows[i]`` against ``reference[i]`` at every index of the reference, and no row past it."""
+    for i, ref in enumerate(reference):
+        row = rows[i]
         for f in dataclasses.fields(row):
             a, b = getattr(row, f.name), getattr(ref, f.name)
             assert same_float(a, b) if isinstance(b, float) else a == b, (row.iter, f.name)
+    with pytest.raises(IndexError):
+        rows[len(reference)]
 
 
 def assert_xspace_matches(agg, schedule, max_iter):
@@ -275,9 +274,9 @@ def assert_xspace_matches(agg, schedule, max_iter):
         by_iterate = dataclasses.replace(
             xref, xs=xs, ys=ys, zs=zs, epoch_of=epoch_of, values=np.array(values), sqrt_ws=sqrt_ws
         )
-        rows = potential_trace(xref, xref.l_f, xref.mu_f, f_star)
+        rows = potential_trace(xref, f_star)
         assert any(r.at_change for r in rows) == (len(set(epoch_of)) > 1)
-        assert_rows_match(rows, potential_trace(by_iterate, xref.l_f, xref.mu_f, f_star))
+        assert_rows_match(rows, potential_trace(by_iterate, f_star))
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +302,9 @@ def schedule_for(agg, period, horizon):
     return alternating_schedule(("path", "star"), agg.n, period, horizon)
 
 
-def common_minimizer_instance(n, d, seed, c_max):
-    """Criteria 3 and 5's instances: a complete graph and a weight-n star share X*."""
-    rng = np.random.default_rng(seed)
-    star = gen_topology("star", n)
-    tops = (gen_topology("complete", n), Topology(n, star.edges, (float(n),) * len(star.edges)))
-    raw = rng.standard_normal((d, n))
-    raw[:, 0] = 0.0
-    raw -= raw[:, 1:].mean(axis=1, keepdims=True)
-    raw[:, 0] = 0.0
-    y_star, g_star = rng.standard_normal(d), -math.sqrt(n) * raw
-    cs = rng.uniform(1.0, c_max, size=n)
-    cs[0], cs[-1] = 1.0, c_max
-    offsets = (y_star - g_star[:, i] / cs[i] for i in range(n))
-    locs = tuple(QuadraticObjective.from_offset(o, scale=float(c)) for o, c in zip(offsets, cs))
-    return AggregateObjective(locs), tops
-
-
 def criterion_3(seed):
     """Criterion 3's instance of a seed: up to three change points over 500 iterations."""
-    agg, tops = common_minimizer_instance(4 + seed % 3, 2 + seed % 3, seed, 400.0)
+    agg, *tops, _ = common_minimizer_instance(4 + seed % 3, 2 + seed % 3, seed, 400.0)
     rng = np.random.default_rng(seed + 1000)
     starts = [0] + sorted(rng.choice(np.arange(10, 450), size=seed % 4, replace=False).tolist())
     return agg, GraphSchedule(500, tuple((s, tops[i % 2]) for i, s in enumerate(starts)))
@@ -330,8 +312,8 @@ def criterion_3(seed):
 
 def xspace_cases():
     """(aggregate, schedule, max_iter) by name."""
-    quad, tops = common_minimizer_instance(5, 3, 7, 30.0)
-    c5, c5_tops = common_minimizer_instance(4, 2, 4, 16.0)
+    quad, *tops, _ = common_minimizer_instance(5, 3, 7, 30.0)
+    c5, *c5_tops, _ = common_minimizer_instance(4, 2, 4, 16.0)
     logistic = gen_logistic_instance(5, 4, 3, c=0.1, seed=2)
     # epochs start at 40 and 70: a run cut there ends where an epoch starts
     three = GraphSchedule(100, ((0, tops[0]), (40, tops[1]), (70, tops[0])))
@@ -458,6 +440,24 @@ class TestMetricBlocks:
         assert_rows_match(rows, ref_metrics(trace, agg, phi_star, ys))
         assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _BLOCK + 2]
         assert all(r.dual_residual == math.inf for r in rows if r.primal_gap == math.inf)
+
+
+class TestConsensusBlocks:
+    """The driver's block layout: each entry keeps the bits it has alone."""
+
+    # d = 1 and n = 1 arrays are both C and F contiguous; numpy's pairwise
+    # summation starts at 9 terms; (20, 100) is the ridge benchmark's shape
+    @pytest.mark.parametrize("d, n", ((1, 1), (1, 9), (6, 1), (3, 8), (4, 9), (9, 17), (20, 100), (33, 129)))
+    @pytest.mark.parametrize("order", ("F", "C"))
+    @pytest.mark.parametrize("size", (1, _BLOCK))
+    def test_entries_match_single_array_reference(self, d, n, order, size):
+        rng = np.random.default_rng(1000 * d + n)
+        ys = [np.asarray(rng.standard_normal((d, n)), order=order) for _ in range(size)]
+        block = _block_like(ys[0], size)
+        for r, y in enumerate(ys):
+            block[r] = y
+        want = np.array([ref_consensus_dist(y) for y in ys])
+        assert _consensus_dists(block).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestBatchKernels:
