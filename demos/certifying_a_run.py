@@ -65,7 +65,7 @@ print(f"kappa = {xref.kappa:.1f}, R = {xref.radius:.3f}, changes at {sched.chang
 print(f"minimizer gradient norm per epoch: {[f'{r:.1e}' for r in xref.minimizer_residuals]}")
 print()
 
-residuals = xref.residuals(f_star)
+residuals = xref.values - f_star
 print(f"{'iter':>5} {'residual':>12} {'bound':>12}")
 worst_margin = math.inf
 for k in (0, 10, 39, 40, 60, 79, 80, 100, 120):

@@ -9,8 +9,6 @@ Two experiments on 20 agents:
   to make progress between changes.
 """
 
-import numpy as np
-
 from dvopt import (
     alternating_schedule,
     centralized_solve,
@@ -27,8 +25,8 @@ oracle = centralized_solve(agg)
 def final_residual(kinds, period):
     sched = alternating_schedule(kinds, n, period, horizon, seed=5)
     trace = run_distributed_nesterov(agg, sched, max_iter=horizon, record_every=horizon)
-    rows = compute_metrics(trace, agg, oracle)
-    return rows[0].dual_residual, rows[-1].dual_residual
+    residual = compute_metrics(trace, agg, oracle).dual_residual
+    return residual[0], residual[-1]
 
 
 print("complete <-> path alternation:")

@@ -10,9 +10,8 @@ experiment runner.
 
 from .algorithms import (
     DIGingState,
-    GDState,
+    DualState,
     MessageLog,
-    NesterovState,
     RunTrace,
     XSpaceTrace,
     default_diging_stepsize,

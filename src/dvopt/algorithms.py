@@ -11,11 +11,13 @@ and schedule.
   a heavy-ball extrapolation with coefficient
   ``(sqrt(kappa)-1)/(sqrt(kappa)+1)``.
 * :func:`run_dual_gradient` - the same dual step without momentum.
+  Both dual runners end in one :class:`DualState`.
 * :func:`run_diging` - primal gradient tracking over mixing matrices
   ``I - W/n`` (baseline).
 * :func:`run_xspace_reference` - centralized matrix-space run of the
   accelerated dynamics using explicit Laplacian square roots, for
   verifying the convergence bounds and potentials; not message-passing.
+  It records the iterates x and y; the potential's z is derived from them.
   Dual GD's static contraction is checked on its own run, through the
   ``x_dist`` column of :func:`run_dual_gradient`.
 
@@ -58,8 +60,7 @@ __all__ = [
     "MessageLog",
     "TraceRecord",
     "RunTrace",
-    "NesterovState",
-    "GDState",
+    "DualState",
     "DIGingState",
     "XSpaceTrace",
     "run_distributed_nesterov",
@@ -112,16 +113,15 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
-class NesterovState:
+class DualState:
+    """Final dual state ``z``, ``z_tilde`` and argmax ``y_tilde`` of a Nesterov or dual GD run.
+
+    ``y_tilde`` is the argmax of the final ``z``, all NaN on an aborted run.
+    """
+
     z: np.ndarray
     z_tilde: np.ndarray
     y_tilde: np.ndarray
-    iter: int
-
-
-@dataclass(frozen=True)
-class GDState:
-    z: np.ndarray
     iter: int
 
 
@@ -308,7 +308,7 @@ def run_distributed_nesterov(
     ``Z_next = (1+beta) Zt_next - beta Zt``.  When the dual condition
     number is 1 (up to 1e-12) the momentum coefficient degenerates and
     the run falls back to plain gradient steps with a trace flag.  An
-    aborted run's final ``y_tilde`` is all NaN.
+    aborted run's final ``y_tilde`` is all NaN, as for dual GD.
     """
     return _drive(
         agg, schedule, max_iter, record_every, lambda: _DualMethod(agg, schedule, accelerated=True)
@@ -327,10 +327,16 @@ def run_dual_gradient(
     Given ``x_star``, a (d, n) matrix-space dual solution, the trace's
     ``x_dist`` holds ``||-z sqrt(W)^+ - x_star||_F`` for each record: the
     distance of the state mapped back to matrix space, which the static
-    contraction bound reads.  That needs a single-epoch schedule.
+    contraction bound reads.  That needs a single-epoch schedule and a
+    finite (d, n) float array, both checked before the run starts.
     """
-    if x_star is not None and len(schedule.epochs) != 1:
-        raise ValueError("x_star needs a single-epoch schedule")
+    if x_star is not None:
+        if len(schedule.epochs) != 1:
+            raise ValueError("x_star needs a single-epoch schedule")
+        shape = (agg.dim, agg.n)
+        array = isinstance(x_star, np.ndarray) and x_star.shape == shape and x_star.dtype.kind == "f"
+        if not (array and np.isfinite(x_star).all()):
+            raise ValueError(f"x_star must be a finite {shape} float array")
     return _drive(
         agg, schedule, max_iter, record_every,
         lambda: _DualMethod(agg, schedule, accelerated=False, x_star=x_star),
@@ -351,7 +357,6 @@ class _DualMethod:
             self.step_size = 2.0 / (dc.l_f + dc.mu_f)
             self.beta = 0.0
         self.degenerate = accelerated and dc.kappa < 1.0 + _KAPPA_DEGENERATE_TOL
-        self.accelerated = accelerated
         self.x_star = x_star
         if x_star is not None:
             self.pinv_sqrt = pinv_sqrt_psd(laplacian(schedule.topologies()[0]))
@@ -396,11 +401,9 @@ class _DualMethod:
         return duals, dists, values, x_dists
 
     def final_state(self, final_iter):
-        if self.accelerated:
-            # an aborted run ends before look(), with no argmax of its final z
-            y = np.full_like(self.z, np.nan) if self.y_final is None else self.y_final
-            return NesterovState(z=self.z, z_tilde=self.zt, y_tilde=y, iter=final_iter)
-        return GDState(z=self.z, iter=final_iter)
+        # an aborted run ends before look(), with no argmax of its final z
+        y = np.full_like(self.z, np.nan) if self.y_final is None else self.y_final
+        return DualState(z=self.z, z_tilde=self.zt, y_tilde=y, iter=final_iter)
 
 
 def default_diging_stepsize(agg: AggregateObjective) -> float:
@@ -488,18 +491,18 @@ class _DIGingMethod:
 class XSpaceTrace:
     """Centralized accelerated matrix-space trajectory with bound-verification data.
 
-    ``xs[k]`` is the extrapolated point where gradients are queried,
-    ``ys[k]`` the gradient-step iterate, and ``zs[k]`` the auxiliary
-    sequence ``z_{k+1} = x_{k+1}/tau - (1-tau)/tau * y_{k+1}`` used by the
-    potential diagnostics.  ``epoch_of[k]`` is the epoch of iteration k,
-    clipped to the horizon, and ``values[k]`` is f of that epoch at
-    ``ys[k]``, evaluated with the run.  ``x_star`` is the minimum-norm
-    dual solution and ``radius = ||X_0 - x_star||_F``.
+    ``xs[k]`` is the extrapolated point where gradients are queried and
+    ``ys[k]`` the gradient-step iterate.  The potential's auxiliary
+    sequence ``z_k = x_k/tau - (1-tau)/tau * y_k`` is a function of
+    these, so it is not stored.  ``epoch_of[k]`` is the epoch of
+    iteration k, clipped to the horizon, and ``values[k]`` is f of that
+    epoch at ``ys[k]``, evaluated with the run; ``values - f_star`` are
+    the residuals.  ``x_star`` is the minimum-norm dual solution and
+    ``radius = ||X_0 - x_star||_F``.
     """
 
     xs: list
     ys: list
-    zs: list
     epoch_of: list
     values: np.ndarray
     x_star: np.ndarray
@@ -514,13 +517,6 @@ class XSpaceTrace:
     def f_value(self, epoch: int, x: np.ndarray) -> float:
         """Dual function of the given epoch evaluated at x."""
         return self.agg.dual_value(-(x @ self.sqrt_ws[epoch]))
-
-    def grad(self, epoch: int, x: np.ndarray) -> np.ndarray:
-        return _xspace_grad(self.agg, self.sqrt_ws[epoch], x)
-
-    def residuals(self, f_star: float) -> np.ndarray:
-        """f_k(y_k) - f_star for every recorded iteration."""
-        return self.values - f_star
 
 
 def solve_dual_min_norm(
@@ -549,10 +545,11 @@ def run_xspace_reference(
     """Centralized accelerated matrix-space run used to verify bounds and potentials.
 
     It runs ``y_{k+1} = x_k - grad f_k(x_k)/L`` with heavy-ball
-    extrapolation.  The trace keeps every iterate and its value f_k(y_k),
-    the closed-form minimum-norm solution of the epoch-0 dual, and its
-    gradient norm under every epoch's dual function (zero when all epochs
-    share the minimizer).  The lists hold copies made per record block.
+    extrapolation.  The trace keeps every x and y iterate and the value
+    f_k(y_k), the closed-form minimum-norm solution of the epoch-0 dual,
+    and its gradient norm under every epoch's dual function (zero when all
+    epochs share the minimizer).  The lists hold copies made per record
+    block.
     A run whose ``x`` leaves the shared loop's divergence bound raises
     ValueError naming the iteration.
     """
@@ -562,13 +559,12 @@ def run_xspace_reference(
     ref = run.final_state
     epoch_of = run.epoch.tolist()
     epoch_of[-1] = schedule.epoch_index(ref.steps)
-    xs, ys, zs = ref.iterates
+    xs, ys = ref.iterates
     x_star = solve_dual_min_norm(agg, schedule)
     distinct = list(map(lambda sw: fro_norm(_xspace_grad(agg, sw, x_star)), ref.roots))
     return XSpaceTrace(
         xs=xs,
         ys=ys,
-        zs=zs,
         epoch_of=epoch_of,
         values=run.dual_value,
         x_star=x_star,
@@ -583,11 +579,11 @@ def run_xspace_reference(
 
 
 class _XSpaceMethod:
-    """Iterates x, y, z of the accelerated method on f_k(X) = Phi*(-X sqrt(W_k)).
+    """Iterates x, y of the accelerated method on f_k(X) = Phi*(-X sqrt(W_k)).
 
-    A state is the iterates x, y, z, then Q = -(y sqrt(W_k)) and its
-    argmax, from which blocks value f_k(y_k).
-    ``iterates`` keeps copies of the recorded x, y and z, one list each.
+    A state is the iterates x, y, then Q = -(y sqrt(W_k)) and its argmax,
+    from which blocks value f_k(y_k).  ``iterates`` keeps copies of the
+    recorded x and y, one list each.
     """
 
     abort_value = math.inf
@@ -596,12 +592,11 @@ class _XSpaceMethod:
     def __init__(self, agg, schedule):
         self.dc = dual_constants(agg, schedule.theta)
         self.beta = _momentum(self.dc.kappa)
-        self.tau = 1.0 / (math.sqrt(self.dc.kappa) + 1.0)
         self.agg, self.schedule = agg, schedule
-        self.x = self.y = self.z = np.zeros((agg.dim, agg.n))
+        self.x = self.y = np.zeros((agg.dim, agg.n))
         self.roots = []  # sqrt(W) of each distinct topology, in order
         self.steps = 0
-        self.iterates = ([], [], [])
+        self.iterates = ([], [])
 
     @property
     def watched(self):
@@ -613,16 +608,14 @@ class _XSpaceMethod:
 
     def _state(self, sw):
         q = -(self.y @ sw)
-        return self.x, self.y, self.z, q, self.agg.conj_argmax_cols(q)
+        return self.x, self.y, q, self.agg.conj_argmax_cols(q)
 
     def step(self, sw, record):  # every iteration is recorded
         state = self._state(sw)
         self.steps += 1
-        beta, tau = self.beta, self.tau
         y_next = self.x - _xspace_grad(self.agg, sw, self.x) / self.dc.l_f
-        self.x = (1.0 + beta) * y_next - beta * self.y
+        self.x = (1.0 + self.beta) * y_next - self.beta * self.y
         self.y = y_next
-        self.z = self.x / tau - ((1.0 - tau) / tau) * self.y
         return state
 
     def look(self):  # valued in the epoch of iteration max_iter, clipped to the horizon

@@ -40,9 +40,9 @@ Every object (config, objective, schedule, alternating spec, epoch,
 topology params, overrides) rejects a missing or unknown field.  A count
 is an integer or an integral float, a real a finite number, neither a
 bool or a string.  ``algorithms`` are distinct; ``run_id`` is a
-non-empty string with no path separator.  ``sweep``'s seeds and periods
-are distinct too, and ``bounds`` rejects a constant its bound does not
-read or one given twice.
+non-empty string with no path separator or NUL.  ``sweep``'s seeds
+and periods are distinct too, and ``bounds`` rejects a constant its
+bound does not read or one given twice.
 """
 
 from __future__ import annotations
@@ -169,10 +169,11 @@ class ExperimentConfig:
         if not isinstance(output_dir, str):
             raise ValidationError(f"output_dir must be a path string, got {output_dir!r}")
         seed = _seed(raw["seed"], "seed")
-        # the run id names the output files, so it must not lead out of output_dir
+        # the run id names the output files, so it must not lead out of
+        # output_dir, and no file name holds a NUL
         run_id = raw.get("run_id", f"run{seed}")
-        if not (isinstance(run_id, str) and run_id) or "/" in run_id or "\\" in run_id:
-            raise ValidationError(f"run_id must be a non-empty str without / or \\, got {run_id!r}")
+        if not (isinstance(run_id, str) and run_id) or any(c in run_id for c in "/\\\0"):
+            raise ValidationError(f"run_id must be a non-empty str without /, \\ or NUL, got {run_id!r}")
         return cls(
             seed=seed,
             objective=obj,

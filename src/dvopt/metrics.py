@@ -142,6 +142,8 @@ def potential_trace(xref: XSpaceTrace, f_star: float) -> list[PotentialRow]:
 
     psi_k = (1+gamma)^k (f_k(y_k) - f_star + mu/2 ||z_k - x_star||^2)
     with gamma = 1/(sqrt(kappa)-1), from the run's own L, mu and kappa.
+    The auxiliary ``z_k = x_k/tau - (1-tau)/tau * y_k``, tau =
+    1/(sqrt(kappa)+1), is computed here from the run's iterates.
     Between graph changes the potential cannot grow; at a change the
     admissible jump is controlled by the function-change bound, reported
     via ``change_bound_scaled``.  A weight (1+gamma)^k past the float
@@ -152,9 +154,10 @@ def potential_trace(xref: XSpaceTrace, f_star: float) -> list[PotentialRow]:
     if kappa < 1.0 + _KAPPA_DEGENERATE_TOL:
         raise ValueError("potential undefined for kappa <= 1")
     gamma = 1.0 / (math.sqrt(kappa) - 1.0)
+    tau = 1.0 / (math.sqrt(kappa) + 1.0)
     n_points = len(xref.ys)
-    dists = [fro_norm(z - xref.x_star) for z in xref.zs]
-    psi_scaled = xref.residuals(f_star) + [0.5 * mu * dist * dist for dist in dists]
+    dists = [fro_norm(x / tau - ((1.0 - tau) / tau) * y - xref.x_star) for x, y in zip(xref.xs, xref.ys)]
+    psi_scaled = (xref.values - f_star) + [0.5 * mu * dist * dist for dist in dists]
 
     rows = []
     for k in range(n_points):

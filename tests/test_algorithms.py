@@ -27,7 +27,6 @@ from dvopt.objectives import (
     gen_logistic_instance,
     gen_ridge_instance,
 )
-from dvopt.graphs import theta_bounds
 
 
 def two_agent_instance():
@@ -229,9 +228,10 @@ class TestXSpaceEquivalence:
         topo = gen_topology("cycle", 5)
         sched = GraphSchedule(10, ((0, topo),))
         xref = run_xspace_reference(agg, sched, max_iter=10)
+        sw = xref.sqrt_ws[0]
         for _ in range(20):
             x = rng.standard_normal((3, 5))
-            g = xref.grad(0, x)
+            g = -(agg.conj_argmax_cols(-(x @ sw)) @ sw)
             assert np.max(np.abs(g.sum(axis=1))) <= 1e-10
 
     def test_trajectory_stays_in_subspace(self):
@@ -313,7 +313,7 @@ class TestDegenerateAndAbort:
         sched = GraphSchedule(10, ((0, gen_topology("path", 2)),))
         tr = run_distributed_nesterov(agg, sched, max_iter=10)
         assert tr.momentum_degenerate
-        dc = dual_constants(agg, theta_bounds(sched))
+        dc = dual_constants(agg, sched.theta)
         assert dc.kappa == pytest.approx(1.0)
 
     def test_divergence_abort_flag(self, monkeypatch):
@@ -553,6 +553,21 @@ class TestInputChecks:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "x_star",
+        [0.0, np.zeros((3, 1)), np.zeros((1, 5)), np.full((3, 5), np.nan), np.full((3, 5), np.inf), np.zeros((4, 5))],
+        ids=["scalar", "(3, 1)", "(1, 5)", "nan", "inf", "(4, 5)"],
+    )
+    def test_x_star_must_be_a_finite_d_by_n_array(self, x_star):
+        # the first three would broadcast into a wrong x_dist column, a NaN
+        # one into a column the contraction verdict skips, and a (4, 5) one
+        # fails only at the first block evaluation, after the run stepped
+        agg = gen_ridge_instance(5, 4, 3, seed=1)
+        sched = GraphSchedule(20, ((0, gen_topology("cycle", 5)),))
+        with pytest.raises(ValueError) as info:
+            run_dual_gradient(agg, sched, x_star=x_star)
+        assert str(info.value) == "x_star must be a finite (3, 5) float array"
 
     def test_integral_floats_count_as_ints(self):
         agg = two_agent_instance()

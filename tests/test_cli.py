@@ -639,7 +639,8 @@ class TestMainExitCodes:
             {"schedule": {"file": 5}},
             {"objective": {"kind": "dataset", "path": 5, "n": 2, "c": 0.5}},
             # a typo, fractional counts, a NaN, a repeated algorithm, run ids
-            # that are not a file name and a non-string output_dir
+            # that are not a file name, a non-string output_dir and a run id
+            # with a NUL, which no file name can hold
             {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "nosie": 5.0}},
             {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "noise": math.nan}},
             {"schedule": {"alternating": {**_ALT, "horizn": 10}}},
@@ -657,6 +658,7 @@ class TestMainExitCodes:
             {"run_id": "a/b"},
             {"run_id": ""},
             {"output_dir": 5},
+            {"run_id": "a\u0000b"},
         ],
     )
     def test_wrongly_typed_field_exits_one_before_any_file(self, tmp_path, capsys, field):

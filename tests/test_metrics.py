@@ -54,10 +54,10 @@ class TestComputeMetrics:
         agg = AggregateObjective((shared,) * 3)
         sched = GraphSchedule(4, ((0, gen_topology("path", 3)),))
         trace = run_distributed_nesterov(agg, sched, max_iter=4)
-        rows = compute_metrics(trace, agg, centralized_solve(agg))
-        for r in rows:
-            assert r.consensus_dist <= 1e-12
-            assert abs(r.primal_gap) <= 1e-12
+        table = compute_metrics(trace, agg, centralized_solve(agg))
+        assert len(table.iter) == 5
+        assert np.all(table.consensus_dist <= 1e-12)
+        assert np.all(np.abs(table.primal_gap) <= 1e-12)
 
     def test_dual_residual_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -67,8 +67,8 @@ class TestComputeMetrics:
         agg = AggregateObjective(locs)
         sched = GraphSchedule(60, ((0, gen_topology("cycle", 4)),))
         trace = run_distributed_nesterov(agg, sched, max_iter=60)
-        rows = compute_metrics(trace, agg, centralized_solve(agg))
-        assert all(r.dual_residual >= -1e-8 for r in rows)
+        table = compute_metrics(trace, agg, centralized_solve(agg))
+        assert np.all(table.dual_residual >= -1e-8)
 
     def test_agentwise_gap(self):
         agg = hand_instance()
@@ -78,7 +78,6 @@ class TestComputeMetrics:
         # value 0 at local minimizers vs phi_star = 1
 
     def test_consensus_reached_within_certified_length(self):
-        from dvopt.graphs import theta_bounds
         from dvopt.objectives import dual_constants
         from dvopt.theory import alg1_complexity
 
@@ -88,7 +87,7 @@ class TestComputeMetrics:
         )
         agg = AggregateObjective(locs)
         sched_probe = GraphSchedule(1, ((0, gen_topology("cycle", 5)),))
-        dc = dual_constants(agg, theta_bounds(sched_probe))
+        dc = dual_constants(agg, sched_probe.theta)
         n_iters = alg1_complexity(
             dc.kappa, 0.0, l_smooth=dc.l_f, mu=dc.mu_f, radius=10.0, eps=1e-15
         ).n_iters

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from dvopt import objectives
 from dvopt.cli import ExperimentConfig, execute
-from dvopt.graphs import gen_topology, laplacian, theta_bounds, GraphSchedule
+from dvopt.graphs import gen_topology, laplacian, GraphSchedule
 from dvopt.linalg import _row_sums, fro_norm, project_consensus_orth, sqrt_psd
 from dvopt.objectives import (
     AggregateObjective,
@@ -398,7 +398,7 @@ class TestDualCurvatureCertificate:
             agg = AggregateObjective(tuple(rand_quadratic(rng, d) for _ in range(n)))
             topo = gen_topology("erdos_renyi", n, {"p": 0.8}, seed=trial)
             sched = GraphSchedule(1, ((0, topo),))
-            dc = dual_constants(agg, theta_bounds(sched))
+            dc = dual_constants(agg, sched.theta)
             sw = sqrt_psd(laplacian(topo))
 
             def f(x):

@@ -32,7 +32,7 @@ from dvopt.algorithms import (
     run_xspace_reference,
 )
 from dvopt.graphs import GraphSchedule, alternating_schedule, laplacian, mixing_matrix
-from dvopt.linalg import pinv_sqrt_psd, sqrt_psd
+from dvopt.linalg import fro_norm, pinv_sqrt_psd, sqrt_psd
 from dvopt.metrics import MetricRow, compute_metrics, potential_trace
 from dvopt.objectives import centralized_solve, dual_constants, gen_logistic_instance, gen_ridge_instance
 from instances import common_minimizer_instance
@@ -234,8 +234,7 @@ def assert_states_match(cut, reference):
     """Each reference record's state against ``cut(k).final_state``.
 
     ``cut(k)`` is the run cut at the record's iteration k.  A dual record's
-    state is z, z_tilde and y (a GD final state keeps z alone), a DIGing
-    record's its x, in the ``y`` slot.  Iteration 0 is the zero start, and
+    state is z, z_tilde and y, a DIGing record's its x, in the ``y`` slot.  Iteration 0 is the zero start, and
     the abort record has no state.
     """
     for k, *_, z, zt, y in reference:
@@ -246,8 +245,7 @@ def assert_states_match(cut, reference):
             assert same_array(state.x, y), k
             continue
         assert same_array(state.z, z), k
-        if hasattr(state, "y_tilde"):
-            assert same_array(state.z_tilde, zt) and same_array(state.y_tilde, y), k
+        assert same_array(state.z_tilde, zt) and same_array(state.y_tilde, y), k
 
 
 def assert_rows_match(rows, reference):
@@ -262,21 +260,29 @@ def assert_rows_match(rows, reference):
 
 
 def assert_xspace_matches(agg, schedule, max_iter):
-    """A reference run's trace, residuals and potential rows against the per-iterate loop."""
+    """A reference run's trace, residuals and potential rows against the per-iterate loop.
+
+    The trace keeps no z, so each potential row's ``psi_scaled`` is checked
+    against the loop's own z.
+    """
     f_star = -centralized_solve(agg)[1]
     xref = run_xspace_reference(agg, schedule, max_iter=max_iter)
     xs, ys, zs, epoch_of, values, sqrt_ws = ref_xspace(agg, schedule, max_iter)
     assert xref.epoch_of == epoch_of
-    assert xref.residuals(f_star).tobytes() == np.array([v - f_star for v in values]).tobytes()
-    for got, want in ((xref.xs, xs), (xref.ys, ys), (xref.zs, zs), (xref.sqrt_ws, sqrt_ws)):
+    assert (xref.values - f_star).tobytes() == np.array([v - f_star for v in values]).tobytes()
+    for got, want in ((xref.xs, xs), (xref.ys, ys), (xref.sqrt_ws, sqrt_ws)):
         assert len(got) == len(want) and all(map(same_array, got, want))
     if xref.kappa > 1.0:
         by_iterate = dataclasses.replace(
-            xref, xs=xs, ys=ys, zs=zs, epoch_of=epoch_of, values=np.array(values), sqrt_ws=sqrt_ws
+            xref, xs=xs, ys=ys, epoch_of=epoch_of, values=np.array(values), sqrt_ws=sqrt_ws
         )
         rows = potential_trace(xref, f_star)
         assert any(r.at_change for r in rows) == (len(set(epoch_of)) > 1)
         assert_rows_match(rows, potential_trace(by_iterate, f_star))
+        for row, value, z in zip(rows, values, zs, strict=True):
+            dist = fro_norm(z - xref.x_star)
+            psi_scaled = (value - f_star) + 0.5 * xref.mu_f * dist * dist
+            assert same_float(row.psi_scaled, psi_scaled), row.iter
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +444,9 @@ class TestMetricBlocks:
         _, phi_star = centralized_solve(agg)
         rows = compute_metrics(trace, agg, (None, phi_star))
         assert_rows_match(rows, ref_metrics(trace, agg, phi_star, ys))
-        assert [r.iter for r in rows if r.primal_gap == math.inf] == [1, 3, 4, _BLOCK + 2]
-        assert all(r.dual_residual == math.inf for r in rows if r.primal_gap == math.inf)
+        lost = rows.primal_gap == math.inf
+        assert rows.iter[lost].tolist() == [1, 3, 4, _BLOCK + 2]
+        assert np.all(rows.dual_residual[lost] == math.inf)
 
 
 class TestConsensusBlocks:
