@@ -234,8 +234,8 @@ def assert_states_match(cut, reference):
     """Each reference record's state against ``cut(k).final_state``.
 
     ``cut(k)`` is the run cut at the record's iteration k.  A dual record's
-    state is z, z_tilde and y, a DIGing record's its x, in the ``y`` slot.  Iteration 0 is the zero start, and
-    the abort record has no state.
+    state is z, z_tilde and y, a DIGing record's its x, in the ``y`` slot.
+    Iteration 0 is the zero start, and the abort record has no state.
     """
     for k, *_, z, zt, y in reference:
         if k == 0 or y is None:
