@@ -40,6 +40,14 @@ record-by-record evaluation gives, straight into the columns.
 built from the columns on first read, and no code in the package reads
 them.  Step sizes come from the schedule's spectra, computed once per
 distinct topology.
+
+Every per-step 2-D product goes through ``np.dot``, not ``@``.  For 2-D
+float operands both make the same ``cblas_dgemm`` call on the same data,
+so the bits are the same, but ``np.dot`` skips the gufunc set-up, which
+at n=20, d=5 is about a third of a product's cost.  Two faster forms
+change bits or the numpy floor and are not used: DIGing's mixing as
+``(V @ x.T).T`` differs from ``x @ V'`` on many shapes, every d=1 among
+them, and ``np.matvec`` needs numpy 2.2.
 """
 
 from __future__ import annotations
@@ -192,9 +200,11 @@ def _finite(a: np.ndarray) -> bool:
     # A NaN or infinite entry makes the sum of squares NaN or inf, and so
     # does a finite one whose square overflows; the comparison is then
     # False, so no separate isfinite pass is needed.  The watched states
-    # are C-contiguous, so ravel is a view and the dot one pass.
+    # are C-contiguous, so ravel is a view and the dot one pass.  The
+    # method r.dot(r) calls the same ddot as np.dot(r, r), without the
+    # __array_function__ dispatch that is most of a small call's cost.
     r = a.ravel()
-    return math.sqrt(np.dot(r, r)) <= _DIVERGENCE_LIMIT
+    return math.sqrt(r.dot(r)) <= _DIVERGENCE_LIMIT
 
 
 def _momentum(kappa: float) -> float:
@@ -206,7 +216,7 @@ def _momentum(kappa: float) -> float:
 
 def _xspace_grad(agg, sw, x):
     """Gradient of the matrix-space dual ``Phi*(-X sqrt(W))`` at x."""
-    return -(agg.conj_argmax_cols(-(x @ sw)) @ sw)
+    return -np.dot(agg.conj_argmax_cols(-np.dot(x, sw)), sw)
 
 
 def _drive(agg, schedule, max_iter, record_every, start) -> RunTrace:
@@ -357,10 +367,12 @@ class _DualMethod:
             self.step_size = 2.0 / (dc.l_f + dc.mu_f)
             self.beta = 0.0
         self.degenerate = accelerated and dc.kappa < 1.0 + _KAPPA_DEGENERATE_TOL
+        self.grow = 1.0 + self.beta
         self.x_star = x_star
         if x_star is not None:
             self.pinv_sqrt = pinv_sqrt_psd(laplacian(schedule.topologies()[0]))
         self.agg = agg
+        self.argmax = agg._stack.conj_argmax  # takes the (n, d) transpose of a state
         self.z = np.zeros((agg.dim, agg.n))
         self.zt = np.zeros((agg.dim, agg.n))
         self.y_final = None  # the final state's argmax, set by look()
@@ -377,15 +389,15 @@ class _DualMethod:
     # for any NaN or inf, so both call the family kernels without
     # conj_argmax_cols' second finite pass.
     def step(self, w, record):
-        y = self.agg._stack.conj_argmax(self.z.T).T
+        y = self.argmax(self.z.T).T
         state = (self.z, y) if record else None
-        zt_next = self.z - self.step_size * (y @ w)
-        self.z = (1.0 + self.beta) * zt_next - self.beta * self.zt
+        zt_next = self.z - self.step_size * np.dot(y, w)
+        self.z = self.grow * zt_next - self.beta * self.zt
         self.zt = zt_next
         return state
 
     def look(self):
-        self.y_final = self.agg._stack.conj_argmax(self.z.T).T
+        self.y_final = self.argmax(self.z.T).T
         return self.z, self.y_final
 
     def evaluate(self, rows):
@@ -466,9 +478,9 @@ class _DIGingMethod:
 
     def step(self, vt, record):
         state = self.look() if record else None
-        x_next = self.x @ vt - self.alpha * self.u
+        x_next = np.dot(self.x, vt) - self.alpha * self.u
         g_next = self.agg.grad_cols(x_next)
-        self.u = self.u @ vt + g_next - self.g
+        self.u = np.dot(self.u, vt) + g_next - self.g
         self.x, self.g = x_next, g_next
         return state
 
@@ -607,7 +619,7 @@ class _XSpaceMethod:
         return self.roots[-1], np.empty((0, 2), dtype=int)
 
     def _state(self, sw):
-        q = -(self.y @ sw)
+        q = -np.dot(self.y, sw)
         return self.x, self.y, q, self.agg.conj_argmax_cols(q)
 
     def step(self, sw, record):  # every iteration is recorded

@@ -40,9 +40,9 @@ Every object (config, objective, schedule, alternating spec, epoch,
 topology params, overrides) rejects a missing or unknown field.  A count
 is an integer or an integral float, a real a finite number, neither a
 bool or a string.  ``algorithms`` are distinct; ``run_id`` is a
-non-empty string with no path separator or NUL.  ``sweep``'s seeds
-and periods are distinct too, and ``bounds`` rejects a constant its
-bound does not read or one given twice.
+non-empty string with no path separator or NUL, and ``output_dir`` a
+string with no NUL.  ``sweep``'s seeds and periods are distinct too, and
+``bounds`` rejects a constant its bound does not read or one given twice.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ class ExperimentConfig:
         if isinstance(sched, dict) and "file" in sched:
             sched = {**sched, "file": _resolve_file(base_dir, sched["file"], "schedule")}
         output_dir = raw.get("output_dir", ".")
-        if not isinstance(output_dir, str):
-            raise ValidationError(f"output_dir must be a path string, got {output_dir!r}")
+        if not isinstance(output_dir, str) or "\0" in output_dir:  # no path holds a NUL
+            raise ValidationError(f"output_dir must be a path string without NUL, got {output_dir!r}")
         seed = _seed(raw["seed"], "seed")
         # the run id names the output files, so it must not lead out of
         # output_dir, and no file name holds a NUL

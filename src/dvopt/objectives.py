@@ -308,12 +308,21 @@ def _build_logistics(samples: np.ndarray, labels: np.ndarray, ridge, scale, loca
 
 
 class _QuadraticStack:
-    """Quadratic locals as (k, d, d) H and H^-1 stacks, plus their sums."""
+    """Quadratic locals as (k, d, d) H and H^-1 stacks, plus their sums.
+
+    The (k, d) linear terms are held in two layouts.  ``lin`` is C-ordered,
+    and ``value``, ``grad`` and ``lin_sum`` read it: the axis-0 sum of
+    ``lin_sum`` runs in memory order, so its bits depend on the layout.
+    ``lin_f`` is an F-ordered copy for ``conj_argmax``, whose input is the
+    transpose of a C-ordered (d, k) state: an add over matching layouts
+    runs as one contiguous pass, and the sum has the same bits either way.
+    """
 
     def __init__(self, locals_):
         self.quad = np.stack([o.quad for o in locals_])
         self.inv = np.linalg.inv(self.quad)
         self.lin = np.stack([o.lin for o in locals_])
+        self.lin_f = np.asfortranarray(self.lin)
         self.const = float(sum(o.const for o in locals_))
         self.quad_sum = self.quad.sum(axis=0)
         self.lin_sum = self.lin.sum(axis=0)
@@ -334,7 +343,7 @@ class _QuadraticStack:
         return (self.quad @ y[..., None])[..., 0] - self.lin
 
     def conj_argmax(self, z: np.ndarray) -> np.ndarray:
-        return (self.inv @ (z + self.lin)[..., None])[..., 0]
+        return (self.inv @ (z + self.lin_f)[..., None])[..., 0]
 
 
 class _LogisticStack:

@@ -129,3 +129,80 @@ def test_main_records_resolved_paths_and_warns_on_unequal_lengths(tmp_path, monk
     captured = capsys.readouterr()
     assert f"warning: the checkout paths have {n + 5} and {n + 6} characters;" in captured.err
     assert "gain False, worse False, unresolved False" in captured.out
+
+
+def test_with_a_control_gain_also_needs_a_move_beyond_the_controls():
+    # parent median 12, IQR 2; the change reads 5 lower on every pair
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [p - 5.0 for p in parent]
+    beyond = bench_pairs.summarize(parent, change, "lower", 0.2, [p - 4.0 for p in parent])
+    assert beyond["control"] == {"q1": 7.0, "median": 8.0, "q3": 9.0}
+    assert beyond["control_move"] == 4.0 and beyond["gain"]
+    # the control moved as far as the change: its move is layout, not code
+    assert not bench_pairs.summarize(parent, change, "lower", 0.2, [p - 5.0 for p in parent])["gain"]
+    # a control move in the worse direction bounds the noise just the same
+    assert not bench_pairs.summarize(parent, change, "lower", 0.2, [p + 6.0 for p in parent])["gain"]
+    higher = bench_pairs.summarize(
+        parent, [p + 5.0 for p in parent], "higher", 0.2, [p - 4.0 for p in parent]
+    )
+    assert higher["control_move"] == 4.0 and higher["gain"]
+    # the control cannot make a gain of one that fails the pair rule, nor touch the bound verdicts
+    close = bench_pairs.summarize(parent, [p - 1.0 for p in parent], "lower", 0.2, list(parent))
+    assert close["control_move"] == 0.0 and not close["gain"]
+    plain = bench_pairs.summarize(parent, change, "lower", 0.2)
+    assert "control" not in plain and "control_move" not in plain
+    assert {k: beyond[k] for k in plain} == {**plain, "gain": True}
+
+
+def test_entry_with_a_control_counts_its_failures_and_records_its_quartiles():
+    checkouts = {**CHECKOUTS, "control": "/work/contrl"}
+    pairs = [
+        {"seed": 1, "first": "parent", "parent": _side(1.0, 80.0), "change": _side(0.9, 50.0),
+         "control": _side(1.0, 79.0)},
+        {"seed": 2, "first": "change", "parent": _side(1.2, 81.0), "change": _side(0.8, 51.0),
+         "control": {"error": "exit 1"}},
+        {"seed": 3, "first": "control", "parent": _side(1.1, 82.0), "change": _side(1.0, 52.0),
+         "control": _side(1.2, 81.0, failed=1)},
+    ]
+    e = bench_pairs.entry("switching_sweep", [1, 2, 3], 30.0, pairs, SPEC, checkouts)
+    assert e["failed"] == {"parent": 0, "change": 0, "control": 2}
+    wall = e["summary"]["wall_s"]
+    assert wall["pairs"] == 2  # seed 2's control did not run
+    assert wall["control"]["median"] == pytest.approx(1.1)
+    assert wall["control_move"] == pytest.approx(0.05)
+    assert e["checkouts"] == checkouts
+
+
+def test_length_warning_covers_the_control_path():
+    assert bench_pairs.length_warning({**CHECKOUTS, "control": "/work/contrl"}) is None
+    warning = bench_pairs.length_warning({**CHECKOUTS, "control": "/work/control"})
+    assert warning.startswith("warning: the checkout paths have 12, 12 and 13 characters;")
+
+
+def test_main_rotates_the_control_with_the_other_two(tmp_path, monkeypatch, capsys):
+    for name in ("parent", "change", "contrl"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}'
+    )
+    runs = []
+
+    def stub(checkout, *_):
+        runs.append(checkout.name)
+        return _side({"parent": 1.0, "change": 0.5, "contrl": 0.99}[checkout.name], 2.0)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", stub)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "parent", "--change", "change", "--control", "contrl", "--workload", "w",
+            "--seeds", "1", "2", "3", "4", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert runs == ["parent", "change", "contrl", "change", "contrl", "parent",
+                    "contrl", "parent", "change", "parent", "change", "contrl"]
+    (recorded,) = json.loads(out.read_text())["entries"]
+    assert [p["first"] for p in recorded["pairs"]] == ["parent", "change", "control", "parent"]
+    assert recorded["checkouts"]["control"] == str(tmp_path.resolve() / "contrl")
+    assert recorded["summary"]["wall_s"]["control"]["median"] == 0.99
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "control median 0.99, change wins 4/4, gain True," in captured.out

@@ -640,7 +640,7 @@ class TestMainExitCodes:
             {"objective": {"kind": "dataset", "path": 5, "n": 2, "c": 0.5}},
             # a typo, fractional counts, a NaN, a repeated algorithm, run ids
             # that are not a file name, a non-string output_dir and a run id
-            # with a NUL, which no file name can hold
+            # and an output_dir with a NUL, which no path can hold
             {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "nosie": 5.0}},
             {"objective": {"kind": "ridge", "n": 2, "l": 4, "m": 2, "noise": math.nan}},
             {"schedule": {"alternating": {**_ALT, "horizn": 10}}},
@@ -659,13 +659,16 @@ class TestMainExitCodes:
             {"run_id": ""},
             {"output_dir": 5},
             {"run_id": "a\u0000b"},
+            {"output_dir": "out\u0000b"},
         ],
     )
     def test_wrongly_typed_field_exits_one_before_any_file(self, tmp_path, capsys, field):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(tmp_path, **field)))
         assert main(["run", str(p)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        # the message says which input is wrong; an OS error's own text names none
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (" must " in err or " field(s) " in err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

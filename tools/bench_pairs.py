@@ -10,6 +10,23 @@ For each seed it runs ``python3 bench/run.py --workload W --seed N
 first, and reads each run's environment line and last (result) line.  It
 uses the Python standard library only.
 
+``--control PATH`` adds a third side: a copy of the parent whose source
+differs only in text no run executes, one fixed comment block appended to
+each ``src/dvopt`` module, at a path as long as the other two::
+
+    git -C /work/parent archive --prefix=contrl/ HEAD | tar -x -C /work
+    for f in /work/contrl/src/dvopt/*.py; do
+        for i in $(seq 40); do echo "# control padding line $i" >> "$f"; done
+    done
+
+Its runs rotate with the other two (seed i starts the order parent,
+change, control at side i mod 3), its failures count in the entry, and
+each metric's summary records its quartiles.  Moving the source text
+alone moves the code's memory layout, and with it timings by a few
+percent, so with a control ``gain`` also needs the change's median to
+move from the parent's, in the better direction, by more than the
+control's median moves in either direction (``control_move``).
+
 The ``--out`` file holds one entry per (workload, seeds): every pair's
 metric values with ``correct``/``failed``, and for each end-to-end metric
 of the change's ``BENCHMARK.json`` each side's median and quartiles, the
@@ -21,7 +38,7 @@ whose margin is ``bound`` times the parent median: ``worse``, the change
 median is worse than the parent median by more than the margin, and
 ``unresolved``, the parent's interquartile range is wider than the margin
 and not every change run reads better than every parent run.  Each entry
-also records both checkouts' resolved paths; the tool prints a warning
+also records the checkouts' resolved paths; the tool prints a warning
 when their lengths differ, since the length of a checkout's path alone
 moves ``peak_rss_mb`` by a few tenths of a MB.  Running it again for
 another workload or other seeds adds an entry and keeps the rest.
@@ -53,21 +70,39 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(
-    parent: list[float], change: list[float], better: str, bound: float | None = None
+    parent: list[float],
+    change: list[float],
+    better: str,
+    bound: float | None = None,
+    control: list[float] | None = None,
 ) -> dict:
-    """Pair wins, quartiles and ``gain``; given a ``bound``, also ``worse`` and ``unresolved``."""
+    """Pair wins, quartiles and ``gain``; given a ``bound``, also ``worse`` and ``unresolved``.
+
+    Given ``control`` runs, the summary also holds their quartiles and
+    ``control_move``, the control median's distance from the parent
+    median, and ``gain`` needs the change's move to exceed it.
+    """
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     pq, cq = quartiles(parent), quartiles(change)
     iqr = pq[2] - pq[0]
+    move = sign * (pq[1] - cq[1])  # the change's median move, positive when better
     summary = {
         "parent": dict(zip(("q1", "median", "q3"), pq)),
         "change": dict(zip(("q1", "median", "q3"), cq)),
         "change_wins": wins,
         "pairs": len(parent),
         "parent_iqr": iqr,
-        "gain": wins >= WIN_SHARE * len(parent) and sign * (pq[1] - cq[1]) > iqr,
+        "gain": wins >= WIN_SHARE * len(parent) and move > iqr,
     }
+    if control is not None:
+        kq = quartiles(control)
+        control_move = abs(pq[1] - kq[1])
+        summary.update(
+            control=dict(zip(("q1", "median", "q3"), kq)),
+            control_move=control_move,
+            gain=summary["gain"] and move > control_move,
+        )
     if bound is not None:
         margin = bound * abs(pq[1])
         apart = all(sign * (p - c) > 0 for p in parent for c in change)
@@ -99,11 +134,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def length_warning(checkouts: dict) -> str | None:
     """A warning when the resolved checkout paths differ in length, else None."""
-    parent, change = len(checkouts["parent"]), len(checkouts["change"])
-    if parent == change:
+    lengths = [len(path) for path in checkouts.values()]
+    if len(set(lengths)) == 1:
         return None
+    listed = ", ".join(map(str, lengths[:-1])) + f" and {lengths[-1]}"
     return (
-        f"warning: the checkout paths have {parent} and {change} characters; "
+        f"warning: the checkout paths have {listed} characters; "
         "peak_rss_mb moves with a path's length alone, so use paths of equal length"
     )
 
@@ -111,27 +147,31 @@ def length_warning(checkouts: dict) -> str | None:
 def entry(
     workload: str, seeds: list[int], seconds: float, pairs: list[dict], spec: dict, checkouts: dict
 ) -> dict:
-    """The file entry of one workload from its pairs, the benchmark spec and the checkout paths."""
-    good = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
+    """The file entry of one workload from its pairs, the benchmark spec and the checkout paths.
+
+    The sides are the keys of ``checkouts``: parent and change, and the
+    control when there is one.  A pair enters the summary when no side
+    of it failed to run.
+    """
+    sides = tuple(checkouts)
+    good = [p for p in pairs if not any("error" in p[side] for side in sides)]
     summary = {}
     for metric in spec["end_to_end"] if good else ():
         name = metric["name"]
+        runs = {side: [p[side]["metrics"][name] for p in good] for side in sides}
         summary[name] = summarize(
-            [p["parent"]["metrics"][name] for p in good],
-            [p["change"]["metrics"][name] for p in good],
-            metric["better"],
-            metric["bound"],
+            runs["parent"], runs["change"], metric["better"], metric["bound"], runs.get("control")
         )
     return {
         "workload": workload,
         "seeds": seeds,
         "seconds": seconds,
         "checkouts": checkouts,
-        "env": next((p[s]["env"] for p in good for s in ("parent", "change")), None),
+        "env": next((p[s]["env"] for p in good for s in sides), None),
         "pairs": pairs,
         "failed": {
             side: sum(p[side].get("failed", 0) + ("error" in p[side]) for p in pairs)
-            for side in ("parent", "change")
+            for side in sides
         },
         "summary": summary,
     }
@@ -150,6 +190,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--control", type=Path, help="parent checkout with inert source text added")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -157,26 +198,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    checkouts = {side: str(getattr(args, side).resolve()) for side in ("parent", "change")}
+    sides = ("parent", "change") + (("control",) if args.control else ())
+    checkouts = {side: str(getattr(args, side).resolve()) for side in sides}
     warning = length_warning(checkouts)
     if warning:
         print(warning, file=sys.stderr, flush=True)
     pairs = []
     for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        start = i % len(sides)
+        order = sides[start:] + sides[:start]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_bench(getattr(args, side), args.workload, seed, args.seconds)
         pairs.append(pair)
-        shown = {s: pair[s].get("metrics", pair[s].get("error")) for s in ("parent", "change")}
+        shown = {s: pair[s].get("metrics", pair[s].get("error")) for s in sides}
         print(f"seed {seed} ({order[0]} first): {json.dumps(shown)}", flush=True)
 
     new = entry(args.workload, args.seeds, args.seconds, pairs, spec, checkouts)
     args.out.write_text(json.dumps(merge(args.out, new), indent=1) + "\n", encoding="utf-8")
     for name, s in new["summary"].items():
+        control = f"control median {s['control']['median']:.6g}, " if "control" in s else ""
         print(
             f"{args.workload} {name}: parent median {s['parent']['median']:.6g} "
-            f"(IQR {s['parent_iqr']:.3g}), change median {s['change']['median']:.6g}, "
+            f"(IQR {s['parent_iqr']:.3g}), change median {s['change']['median']:.6g}, {control}"
             f"change wins {s['change_wins']}/{s['pairs']}, gain {s['gain']}, "
             f"worse {s['worse']}, unresolved {s['unresolved']}"
         )
